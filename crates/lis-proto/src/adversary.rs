@@ -8,7 +8,7 @@
 //!
 //! * **Bounded state.** They emit and expect sequence numbers modulo a
 //!   small `modulus` and keep no cumulative history, so a saved lane
-//!   state ([`lis_sim::Component::save_lane_state`]) is a few words and
+//!   state ([`lis_sim::Component::save_lanes_state`]) is a few words and
 //!   two states reached along different paths can collide in the
 //!   explorer's hash set. Monotone progress (tokens delivered) is
 //!   reported through *external* atomics that are deliberately outside
@@ -350,12 +350,17 @@ impl Component for PackedSeqSource {
         }
     }
 
-    fn save_lane_state(&self, lane: usize, out: &mut Vec<u64>) {
-        out.push(self.seqs[lane]);
+    fn save_lanes_state(&self, first: usize, outs: &mut [Vec<u64>]) {
+        let words = &self.seqs[first..first + outs.len()];
+        for (out, &word) in outs.iter_mut().zip(words) {
+            out.push(word);
+        }
     }
 
-    fn load_lane_state(&mut self, lane: usize, data: &[u64]) {
-        self.seqs[lane] = data[0];
+    fn load_lanes_state(&mut self, first: usize, blobs: &[&[u64]]) {
+        for (word, data) in self.seqs[first..first + blobs.len()].iter_mut().zip(blobs) {
+            *word = data[0];
+        }
     }
 }
 
@@ -478,12 +483,20 @@ impl Component for PackedSeqSink {
         }
     }
 
-    fn save_lane_state(&self, lane: usize, out: &mut Vec<u64>) {
-        out.push(self.expects[lane]);
+    fn save_lanes_state(&self, first: usize, outs: &mut [Vec<u64>]) {
+        let words = &self.expects[first..first + outs.len()];
+        for (out, &word) in outs.iter_mut().zip(words) {
+            out.push(word);
+        }
     }
 
-    fn load_lane_state(&mut self, lane: usize, data: &[u64]) {
-        self.expects[lane] = data[0];
+    fn load_lanes_state(&mut self, first: usize, blobs: &[&[u64]]) {
+        for (word, data) in self.expects[first..first + blobs.len()]
+            .iter_mut()
+            .zip(blobs)
+        {
+            *word = data[0];
+        }
     }
 }
 

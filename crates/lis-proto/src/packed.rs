@@ -28,7 +28,10 @@ use crate::channel::LisChannel;
 use crate::endpoints::StallPattern;
 use crate::relay::ViolationCounter;
 use crate::token::Token;
-use lis_sim::{Activity, Component, Ports, SignalId, SignalView, System, LANES};
+use lis_sim::{
+    load_plane_lanes, save_plane_lanes, Activity, Component, Ports, SignalId, SignalView, System,
+    LANES,
+};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::VecDeque;
@@ -57,7 +60,16 @@ pub struct PackedLisChannel {
 impl PackedLisChannel {
     /// Allocates the `width + 2` plane signals of a packed channel in
     /// `system`. Every lane powers up void.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is not in `1..=64`: a lane's payload is one
+    /// word, as on a scalar channel.
     pub fn new(system: &mut System, name: &str, width: u32) -> Self {
+        assert!(
+            (1..=64).contains(&width),
+            "packed channel {name}: width must be in 1..=64, got {width}"
+        );
         let data = (0..width)
             .map(|b| system.add_signal(format!("{name}_d{b}"), 64))
             .collect();
@@ -333,34 +345,20 @@ impl Component for PackedRelayStation {
             .copy_from_slice(&data[3 + planes..3 + 2 * planes]);
     }
 
-    fn save_lane_state(&self, lane: usize, out: &mut Vec<u64>) {
-        let bit = 1u64 << lane;
-        let mut flags = 0u64;
-        flags |= u64::from(self.main_p & bit != 0);
-        flags |= u64::from(self.aux_p & bit != 0) << 1;
-        flags |= u64::from(self.stop_up & bit != 0) << 2;
-        out.push(flags);
-        out.push(PackedLisChannel::lane_value(&self.main_v, lane));
-        out.push(PackedLisChannel::lane_value(&self.aux_v, lane));
+    fn save_lanes_state(&self, first: usize, outs: &mut [Vec<u64>]) {
+        // Per lane: presence/stop flags (bits 0, 1, 2), then the main
+        // and aux payloads — each a transposed group of planes.
+        save_plane_lanes(&[self.main_p, self.aux_p, self.stop_up], first, outs);
+        save_plane_lanes(&self.main_v, first, outs);
+        save_plane_lanes(&self.aux_v, first, outs);
     }
 
-    fn load_lane_state(&mut self, lane: usize, data: &[u64]) {
-        let bit = 1u64 << lane;
-        let set = |plane: &mut u64, on: bool| {
-            if on {
-                *plane |= bit;
-            } else {
-                *plane &= !bit;
-            }
-        };
-        set(&mut self.main_p, data[0] & 1 != 0);
-        set(&mut self.aux_p, data[0] & 2 != 0);
-        set(&mut self.stop_up, data[0] & 4 != 0);
-        for plane in self.main_v.iter_mut().chain(self.aux_v.iter_mut()) {
-            *plane &= !bit;
-        }
-        PackedLisChannel::scatter_value(&mut self.main_v, lane, data[1]);
-        PackedLisChannel::scatter_value(&mut self.aux_v, lane, data[2]);
+    fn load_lanes_state(&mut self, first: usize, blobs: &[&[u64]]) {
+        let mut flags = [self.main_p, self.aux_p, self.stop_up];
+        load_plane_lanes(&mut flags, first, blobs, 0);
+        [self.main_p, self.aux_p, self.stop_up] = flags;
+        load_plane_lanes(&mut self.main_v, first, blobs, 1);
+        load_plane_lanes(&mut self.aux_v, first, blobs, 2);
     }
 }
 
@@ -1124,9 +1122,16 @@ mod tests {
         }
     }
 
-    /// Per-lane save/load on the packed relay: writing one lane's state
-    /// back must reproduce exactly the full-state words, and must not
-    /// disturb any other lane.
+    #[test]
+    #[should_panic(expected = "width must be in 1..=64")]
+    fn packed_channel_rejects_widths_past_one_word() {
+        let mut sys = System::new();
+        let _ = PackedLisChannel::new(&mut sys, "wide", 65);
+    }
+
+    /// Lane-range save/load on the packed relay: writing one lane's
+    /// state back must reproduce exactly the full-state words, and must
+    /// not disturb any other lane.
     #[test]
     fn packed_relay_lane_state_round_trips() {
         let counters: Vec<_> = (0..LANES).map(|_| ViolationCounter::new()).collect();
@@ -1145,19 +1150,24 @@ mod tests {
         let mut full = Vec::new();
         relay.save_state(&mut full);
 
-        let mut lane3 = Vec::new();
-        relay.save_lane_state(3, &mut lane3);
-        assert_eq!(lane3, vec![0b111, 0xAB, 0xCD]);
-        let mut lane0 = Vec::new();
-        relay.save_lane_state(0, &mut lane0);
-        assert_eq!(lane0, vec![0, 0, 0]);
+        // Lanes 3..8 in one call: lane 3 holds main+aux, lane 7 main
+        // only, the lanes between are empty.
+        let mut lanes = vec![Vec::new(); 5];
+        relay.save_lanes_state(3, &mut lanes);
+        assert_eq!(lanes[0], vec![0b111, 0xAB, 0xCD]);
+        assert_eq!(lanes[1], vec![0, 0, 0]);
+        assert_eq!(lanes[4], vec![0b001, 0x55, 0]);
 
         // Clobber lane 3, restore it, and check nothing else moved.
-        relay.load_lane_state(3, &[0, 0, 0]);
-        let mut l7 = Vec::new();
-        relay.save_lane_state(7, &mut l7);
-        assert_eq!(l7, vec![0b001, 0x55, 0], "lane 7 untouched by lane 3 load");
-        relay.load_lane_state(3, &lane3);
+        relay.load_lanes_state(3, &[&[0, 0, 0]]);
+        let mut l7 = vec![Vec::new()];
+        relay.save_lanes_state(7, &mut l7);
+        assert_eq!(
+            l7[0],
+            vec![0b001, 0x55, 0],
+            "lane 7 untouched by lane 3 load"
+        );
+        relay.load_lanes_state(3, &[&lanes[0]]);
         let mut again = Vec::new();
         relay.save_state(&mut again);
         assert_eq!(again, full, "lane round trip restores the full state");

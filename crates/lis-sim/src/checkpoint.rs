@@ -36,34 +36,19 @@ impl SystemCheckpoint {
     }
 }
 
-/// Order-dependent 64-bit hash of a word slice.
-///
-/// Deprecated: at bounded-model-checking state counts (10⁵–10⁷ states
-/// per exploration) a 64-bit fingerprint's birthday-collision odds are
-/// no longer negligible, and a collision silently *prunes* a reachable
-/// state. Use [`hash_words128`]; its low half equals this function, so
-/// existing fingerprints remain comparable.
-#[deprecated(
-    note = "use `hash_words128`: a 64-bit fingerprint can silently false-dedup \
-                     at bounded-model-checking state counts"
-)]
-pub fn hash_words(words: &[u64]) -> u64 {
-    let mut h = 0x9e37_79b9_7f4a_7c15_u64 ^ (words.len() as u64);
-    for &w in words {
-        h = splitmix64(h ^ w);
-    }
-    h
-}
-
 /// Order-dependent 128-bit hash of a word slice — the state fingerprint
 /// used to deduplicate reached states in bounded exploration (see
-/// [`crate::System::save_lane`]). Two independently-keyed splitmix64
-/// chains run side by side: the low half is seeded and fed exactly like
-/// the historical 64-bit [`hash_words`], the high half starts from a
-/// different key and absorbs each word under a rotation and a distinct
-/// tweak constant, so the halves do not cancel jointly. One finalization
-/// per word per half: fast, well-mixed, and deterministic across runs
-/// and platforms, so hashed frontiers reproduce bit-identically in CI.
+/// [`crate::System::save_lanes`]). A 64-bit fingerprint would not do:
+/// at bounded-model-checking state counts (10⁵–10⁷ states per
+/// exploration) its birthday-collision odds are no longer negligible,
+/// and a collision silently *prunes* a reachable state. Two
+/// independently-keyed splitmix64 chains run side by side: the low half
+/// starts from one key and absorbs each word as is, the high half
+/// starts from a different key and absorbs each word under a rotation
+/// and a distinct tweak constant, so the halves do not cancel jointly.
+/// One finalization per word per half: fast, well-mixed, and
+/// deterministic across runs and platforms, so hashed frontiers
+/// reproduce bit-identically in CI.
 pub fn hash_words128(words: &[u64]) -> u128 {
     let mut lo = 0x9e37_79b9_7f4a_7c15_u64 ^ (words.len() as u64);
     let mut hi = 0x6c62_272e_07bb_0142_u64 ^ (words.len() as u64).wrapping_mul(0x100_0000_01b3);
@@ -116,19 +101,6 @@ mod tests {
         assert!(
             samples.iter().any(|&(hi, lo)| hi ^ lo != xor0),
             "high half must not be a fixed xor of the low half"
-        );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn low_half_matches_the_legacy_64_bit_hash() {
-        // Documented compatibility: the low half of `hash_words128` is
-        // the historical `hash_words` fingerprint.
-        let words = [3u64, 1, 4, 1, 5, 9, 2, 6];
-        assert_eq!(
-            super::hash_words(&words),
-            hash_words128(&words) as u64,
-            "hash_words128's low chain must stay the legacy fingerprint"
         );
     }
 }

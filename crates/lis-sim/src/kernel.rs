@@ -240,40 +240,48 @@ pub trait Component: Send {
         let _ = data;
     }
 
-    /// Appends the architectural state of one *lane* of a lane-batched
-    /// component (a packed engine running up to [`crate::LANES`]
-    /// scenarios in bit-planes). A scalar component is one-lane by
+    /// Appends the architectural state of lanes `first..first +
+    /// outs.len()` of a lane-batched component (a packed engine running
+    /// up to [`crate::LANES`] scenarios in bit-planes): `outs[i]` gains
+    /// lane `first + i`'s blob. A scalar component is one-lane by
     /// definition: the default delegates to [`Component::save_state`]
     /// for lane 0 and panics when asked for any other lane while
     /// holding state. Packed components override this together with
-    /// [`Component::load_lane_state`] so a single lane can be
-    /// extracted, hashed and re-injected independently of its
-    /// neighbours — the seam the bounded model checker uses to expand
-    /// 64 adversary branches of a search frontier per packed step.
-    fn save_lane_state(&self, lane: usize, out: &mut Vec<u64>) {
+    /// [`Component::load_lanes_state`] so lanes can be extracted,
+    /// hashed and re-injected independently of their neighbours — the
+    /// seam the bounded model checker uses to expand 64 adversary
+    /// branches of a search frontier per packed step. Overrides convert
+    /// whole lane ranges at once ([`crate::save_plane_lanes`]) rather
+    /// than walking bits per lane.
+    fn save_lanes_state(&self, first: usize, outs: &mut [Vec<u64>]) {
         let mut full = Vec::new();
         self.save_state(&mut full);
-        assert!(
-            lane == 0 || full.is_empty(),
-            "component {} is scalar (stateful, no per-lane encoding); asked for lane {}",
-            self.name(),
-            lane
-        );
-        out.extend(full);
+        for (lane, out) in (first..).zip(outs) {
+            assert!(
+                lane == 0 || full.is_empty(),
+                "component {} is scalar (stateful, no per-lane encoding); asked for lane {}",
+                self.name(),
+                lane
+            );
+            out.extend_from_slice(&full);
+        }
     }
 
-    /// Restores one lane's state captured by
-    /// [`Component::save_lane_state`]; other lanes are untouched. The
-    /// default mirrors `save_lane_state`: lane 0 delegates to
+    /// Restores lanes `first..first + blobs.len()` from blobs captured
+    /// by [`Component::save_lanes_state`] (`blobs[i]` is lane
+    /// `first + i`'s); other lanes are untouched. The default mirrors
+    /// `save_lanes_state`: lane 0 delegates to
     /// [`Component::load_state`], any other lane must be stateless.
-    fn load_lane_state(&mut self, lane: usize, data: &[u64]) {
-        assert!(
-            lane == 0 || data.is_empty(),
-            "component {} is scalar (stateful, no per-lane encoding); asked for lane {}",
-            self.name(),
-            lane
-        );
-        self.load_state(data);
+    fn load_lanes_state(&mut self, first: usize, blobs: &[&[u64]]) {
+        for (lane, data) in (first..).zip(blobs) {
+            assert!(
+                lane == 0 || data.is_empty(),
+                "component {} is scalar (stateful, no per-lane encoding); asked for lane {}",
+                self.name(),
+                lane
+            );
+            self.load_state(data);
+        }
     }
 }
 
@@ -958,48 +966,74 @@ impl System {
         self.settled = false;
     }
 
-    /// Captures one lane's architectural state as a flat word vector:
+    /// Captures the architectural state of lanes `first..first +
+    /// outs.len()`, appending lane `first + i`'s snapshot to `outs[i]`:
     /// for each component in insertion order, a length prefix followed
-    /// by its [`Component::save_lane_state`] blob. Signal values are
+    /// by its [`Component::save_lanes_state`] blob. Signal values are
     /// deliberately excluded — at a cycle boundary every settled signal
     /// is a function of component state, recomputed by the next settle
     /// — so the vector is a canonical per-lane state for hashing and
-    /// deduplication (see [`crate::hash_words128`]).
+    /// deduplication (see [`crate::hash_words128`]). Each component
+    /// converts the whole lane range in one call, so a packed engine
+    /// pays one bit transpose per 64 flip-flop planes for all lanes.
     ///
     /// Capture at a cycle boundary, as with [`System::checkpoint`].
-    pub fn save_lane(&self, lane: usize) -> Vec<u64> {
-        let mut out = Vec::new();
-        let mut blob = Vec::new();
+    pub fn save_lanes(&self, first: usize, outs: &mut [Vec<u64>]) {
+        let mut starts = vec![0usize; outs.len()];
         for comp in &self.components {
-            blob.clear();
-            comp.save_lane_state(lane, &mut blob);
-            out.push(blob.len() as u64);
-            out.extend_from_slice(&blob);
+            for (out, start) in outs.iter_mut().zip(&mut starts) {
+                *start = out.len();
+                out.push(0);
+            }
+            comp.save_lanes_state(first, outs);
+            for (out, &start) in outs.iter_mut().zip(&starts) {
+                out[start] = (out.len() - start - 1) as u64;
+            }
         }
-        out
     }
 
-    /// Restores one lane from words captured by [`System::save_lane`]
-    /// on an identically built system; all other lanes keep their
-    /// state. As with [`System::restore`], scheduler activity restarts
-    /// all-dirty and the system must re-settle before signals are
-    /// observed.
+    /// One lane's snapshot: [`System::save_lanes`] over a single lane.
+    pub fn save_lane(&self, lane: usize) -> Vec<u64> {
+        let mut out = [Vec::new()];
+        self.save_lanes(lane, &mut out);
+        let [words] = out;
+        words
+    }
+
+    /// Restores lanes `first..first + lanes.len()` from snapshots
+    /// captured by [`System::save_lanes`] on an identically built
+    /// system (`lanes[i]` is lane `first + i`'s); all other lanes keep
+    /// their state. As with [`System::restore`], scheduler activity
+    /// restarts all-dirty and the system must re-settle before signals
+    /// are observed.
     ///
     /// # Panics
     ///
-    /// Panics if the word vector does not split exactly into one blob
-    /// per component.
-    pub fn load_lane(&mut self, lane: usize, words: &[u64]) {
-        let mut at = 0usize;
+    /// Panics if a snapshot does not split exactly into one blob per
+    /// component.
+    pub fn load_lanes(&mut self, first: usize, lanes: &[&[u64]]) {
+        let mut at = vec![0usize; lanes.len()];
+        let mut blobs: Vec<&[u64]> = Vec::with_capacity(lanes.len());
         for comp in self.components.iter_mut() {
-            let len = words[at] as usize;
-            comp.load_lane_state(lane, &words[at + 1..at + 1 + len]);
-            at += 1 + len;
+            blobs.clear();
+            for (words, at) in lanes.iter().zip(&mut at) {
+                let len = words[*at] as usize;
+                blobs.push(&words[*at + 1..*at + 1 + len]);
+                *at += 1 + len;
+            }
+            comp.load_lanes_state(first, &blobs);
         }
-        assert_eq!(at, words.len(), "lane state words: trailing garbage");
+        for (words, &at) in lanes.iter().zip(&at) {
+            assert_eq!(at, words.len(), "lane state words: trailing garbage");
+        }
         self.activity = None;
         self.poked.clear();
         self.settled = false;
+    }
+
+    /// Restores one lane: [`System::load_lanes`] over a single lane.
+    pub fn load_lane(&mut self, lane: usize, words: &[u64]) {
+        self.load_lanes(lane, &[words]);
     }
 
     /// Runs until `predicate` returns true (checked after each settled

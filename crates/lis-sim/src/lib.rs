@@ -76,18 +76,18 @@ mod checkpoint;
 mod compile;
 mod jit;
 mod kernel;
+mod lanes;
 mod netlist_sim;
 pub mod pool;
 mod sched;
 mod signal;
 mod trace;
 
-#[allow(deprecated)]
-pub use checkpoint::hash_words;
 pub use checkpoint::{hash_words128, SystemCheckpoint};
 pub use compile::{CompiledNetlistSim, NetlistProgram, PackedNetlistSim, PortHandle, LANES};
 pub use jit::{JitNetlistProgram, JitNetlistSim, JitPackedNetlistSim, JIT_PARALLEL_MIN_INSTRS};
 pub use kernel::{Activity, Component, FnComponent, Ports, SettleMode, SimError, System};
+pub use lanes::{load_plane_lanes, save_plane_lanes, transpose64};
 pub use netlist_sim::{NetlistComponent, NetlistExec, NetlistSim};
 pub use pool::WorkStealingPool;
 pub use sched::SchedulerStats;

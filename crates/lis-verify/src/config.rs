@@ -140,6 +140,18 @@ impl ClosedConfig {
         self.plan.clone()
     }
 
+    /// Injects `lanes[i]` (each a [`Self::save_lanes`] result) into
+    /// lane `first + i`, the whole range in one pass.
+    pub fn load_lanes(&mut self, first: usize, lanes: &[&[u64]]) {
+        self.system.load_lanes(first, lanes);
+    }
+
+    /// Appends the dense state of lane `first + i` to `outs[i]`, the
+    /// whole range in one pass.
+    pub fn save_lanes(&self, first: usize, outs: &mut [Vec<u64>]) {
+        self.system.save_lanes(first, outs);
+    }
+
     /// Injects `words` (a [`Self::save`] result) into lane `lane`.
     pub fn load(&mut self, lane: usize, words: &[u64]) {
         self.system.load_lane(lane, words);
@@ -844,6 +856,77 @@ pub fn build_config(name: &str) -> Option<ClosedConfig> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::rand::rngs::StdRng;
+    use proptest::rand::{RngExt, SeedableRng};
+
+    /// Steps `cfg` through `cycles` cycles of random per-lane stall
+    /// choices, so its lanes drift apart.
+    fn scramble(cfg: &mut ClosedConfig, rng: &mut StdRng, cycles: usize) {
+        for _ in 0..cycles {
+            for e in 0..cfg.edge_count() {
+                cfg.set_stall(e, rng.random());
+            }
+            cfg.step();
+        }
+    }
+
+    fn save_all(cfg: &ClosedConfig) -> Vec<Vec<u64>> {
+        let mut lanes = vec![Vec::new(); cfg.lanes()];
+        cfg.save_lanes(0, &mut lanes);
+        lanes
+    }
+
+    proptest! {
+        /// Lane-range snapshots on the packed configurations: random
+        /// blobs loaded into a random lane range come back bit-exactly,
+        /// lanes outside the range keep their state, and a one-lane
+        /// save is that lane's element of a 64-lane save.
+        #[test]
+        fn packed_lane_ranges_round_trip(
+            spj in any::<bool>(),
+            seed in any::<u64>(),
+            (first, count) in (0..LANES).prop_flat_map(|first| (Just(first), 1..=LANES - first)),
+        ) {
+            let name = if spj { "spj" } else { "sp1" };
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Random blobs: diverged lane states whose flip-flop words
+            // are then overwritten with random bits. The packed shell is
+            // component 0, so its blob starts at word 1 with the
+            // flip-flop words; its full-state blob holds their count at
+            // word 1.
+            let mut donor = build_config(name).expect("registered config");
+            scramble(&mut donor, &mut rng, 16);
+            let dffs = donor.system.checkpoint().component_states[0][1] as usize;
+            let mut blobs = save_all(&donor);
+            for blob in &mut blobs {
+                for (w, word) in blob[1..1 + dffs.div_ceil(64)].iter_mut().enumerate() {
+                    let bits = dffs - 64 * w;
+                    *word = rng.random::<u64>() & if bits >= 64 { !0 } else { (1 << bits) - 1 };
+                }
+            }
+            let mut cfg = build_config(name).expect("registered config");
+            scramble(&mut cfg, &mut rng, 8);
+            // The drawn range, then all 64 lanes, so every case also
+            // covers lane 0 and the full-word masks.
+            for (first, count) in [(first, count), (0, LANES)] {
+                let shift = rng.random_range(0..LANES);
+                let picked: Vec<&[u64]> =
+                    (0..count).map(|i| &blobs[(i + shift) % LANES][..]).collect();
+                let before = save_all(&cfg);
+                cfg.load_lanes(first, &picked);
+                let after = save_all(&cfg);
+                for (lane, (now, was)) in after.iter().zip(&before).enumerate() {
+                    if (first..first + count).contains(&lane) {
+                        prop_assert_eq!(&now[..], picked[lane - first], "lane {} came back changed", lane);
+                    } else {
+                        prop_assert_eq!(now, was, "lane {} outside {}..{} moved", lane, first, first + count);
+                    }
+                    prop_assert_eq!(&cfg.save(lane), now, "one-lane save of lane {}", lane);
+                }
+            }
+        }
+    }
 
     #[test]
     fn registry_covers_every_named_config() {

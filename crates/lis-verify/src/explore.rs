@@ -178,9 +178,8 @@ fn run_batch(
     n_edges: usize,
     plan: &ReductionPlan,
 ) -> Vec<JobOut> {
-    for (k, &(fi, _)) in chunk.iter().enumerate() {
-        cfg.load(k, &frontier[fi].1);
-    }
+    let parents: Vec<&[u64]> = chunk.iter().map(|&(fi, _)| &frontier[fi].1[..]).collect();
+    cfg.load_lanes(0, &parents);
     let idle = idle_mask(chunk.len());
     for e in 0..n_edges {
         let mut mask = idle;
@@ -195,11 +194,18 @@ fn run_batch(
     cfg.settle();
     let bad_signals = cfg.signal_bad_mask();
     cfg.step();
+    // A successor is about as long as its parent: reserving the
+    // chunk's longest parent spares every snapshot its regrowth.
+    let words = parents.iter().map(|p| p.len()).max().unwrap_or(0);
+    let mut successors: Vec<Vec<u64>> = (0..chunk.len())
+        .map(|_| Vec::with_capacity(words))
+        .collect();
+    cfg.save_lanes(0, &mut successors);
     chunk
         .iter()
+        .zip(successors)
         .enumerate()
-        .map(|(k, &(fi, choice))| {
-            let words = cfg.save(k);
+        .map(|(k, (&(fi, choice), words))| {
             let fault: Option<(&'static str, String)> = if bad_signals >> k & 1 == 1 {
                 Some((
                     "signalling",
@@ -492,9 +498,8 @@ fn check_deadlocks(
         return;
     }
     let free_run = |cfg: &mut ClosedConfig, chunk: &[(u32, Vec<u64>)]| -> u64 {
-        for (k, (_, words)) in chunk.iter().enumerate() {
-            cfg.load(k, words);
-        }
+        let states: Vec<&[u64]> = chunk.iter().map(|(_, words)| &words[..]).collect();
+        cfg.load_lanes(0, &states);
         let idle = idle_mask(chunk.len());
         for e in 0..n_edges {
             cfg.set_stall(e, idle);

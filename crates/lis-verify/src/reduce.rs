@@ -51,7 +51,7 @@ use lis_wrappers::swap_patient_inputs;
 /// A per-edge partial-order-reduction guard: the registered condition
 /// under which the edge's stall choice provably cannot affect the
 /// coming transition. Word offsets below index into the guarded
-/// component's `save_state`/`save_lane_state` blob.
+/// component's `save_state`/`save_lanes_state` blob.
 #[derive(Debug, Clone)]
 pub enum EdgeGuard {
     /// No inertness proof for this edge.

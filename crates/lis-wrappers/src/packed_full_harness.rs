@@ -19,7 +19,8 @@ use crate::fifo_netlist::assemble_full_wrapper;
 use lis_netlist::Module;
 use lis_proto::{PackedLisChannel, Pearl, PortValues, ViolationCounter};
 use lis_sim::{
-    Activity, Component, JitPackedNetlistSim, PortHandle, Ports, SignalView, System, LANES,
+    load_plane_lanes, save_plane_lanes, Activity, Component, JitPackedNetlistSim, PortHandle,
+    Ports, SignalView, System, LANES,
 };
 
 /// A patient process whose gate-level shell executes up to [`LANES`]
@@ -202,6 +203,14 @@ impl PackedFullNetlistPatientProcess {
         self.pearls.len()
     }
 
+    fn assert_lanes(&self, first: usize, count: usize) {
+        assert!(
+            first + count <= self.lanes(),
+            "lanes {first}..{} out of range",
+            first + count
+        );
+    }
+
     /// Drives one input port with a per-lane value, transposed into
     /// per-bit lane words (one shell write per port bit, not per lane).
     fn drive_port(shell: &mut JitPackedNetlistSim, h: PortHandle, width: usize, values: &[u64]) {
@@ -356,43 +365,35 @@ impl Component for PackedFullNetlistPatientProcess {
         self.clocked_mask = 0;
     }
 
-    fn save_lane_state(&self, lane: usize, out: &mut Vec<u64>) {
-        assert!(lane < self.lanes(), "lane {lane} out of range");
-        // Bit `lane` of every flip-flop plane, packed 64 per word.
-        let dffs = self.shell.dff_state();
-        let mut packed = vec![0u64; dffs.len().div_ceil(64)];
-        for (i, &plane) in dffs.iter().enumerate() {
-            packed[i / 64] |= ((plane >> lane) & 1) << (i % 64);
+    fn save_lanes_state(&self, first: usize, outs: &mut [Vec<u64>]) {
+        self.assert_lanes(first, outs.len());
+        // The flip-flop planes, transposed 64 at a time: bit `i % 64`
+        // of word `i / 64` is flip-flop `i`.
+        save_plane_lanes(self.shell.dff_state(), first, outs);
+        for (lane, out) in (first..).zip(outs) {
+            out.push(self.schedule_steps[lane] as u64);
+            out.extend_from_slice(&self.pearl_out[lane]);
+            let at = out.len();
+            out.push(0);
+            self.pearls[lane].save_state(out);
+            out[at] = (out.len() - at - 1) as u64;
         }
-        out.extend(packed);
-        out.push(self.schedule_steps[lane] as u64);
-        out.extend(self.pearl_out[lane].iter().copied());
-        let mut pearl = Vec::new();
-        self.pearls[lane].save_state(&mut pearl);
-        out.push(pearl.len() as u64);
-        out.extend(pearl);
     }
 
-    fn load_lane_state(&mut self, lane: usize, data: &[u64]) {
-        assert!(lane < self.lanes(), "lane {lane} out of range");
+    fn load_lanes_state(&mut self, first: usize, blobs: &[&[u64]]) {
+        self.assert_lanes(first, blobs.len());
         let mut dffs = self.shell.dff_state().to_vec();
-        let bit = 1u64 << lane;
-        for (i, plane) in dffs.iter_mut().enumerate() {
-            if data[i / 64] >> (i % 64) & 1 != 0 {
-                *plane |= bit;
-            } else {
-                *plane &= !bit;
-            }
-        }
-        let mut at = dffs.len().div_ceil(64);
+        load_plane_lanes(&mut dffs, first, blobs, 0);
         self.shell.set_dff_state(&dffs);
-        self.schedule_steps[lane] = data[at] as usize;
+        let at = dffs.len().div_ceil(64);
         let n_out = self.out_widths.len();
-        self.pearl_out[lane].copy_from_slice(&data[at + 1..at + 1 + n_out]);
-        at += 1 + n_out;
-        let n_pearl = data[at] as usize;
-        self.pearls[lane].load_state(&data[at + 1..at + 1 + n_pearl]);
-        self.clocked_mask &= !bit;
+        for (lane, data) in (first..).zip(blobs) {
+            self.schedule_steps[lane] = data[at] as usize;
+            self.pearl_out[lane].copy_from_slice(&data[at + 1..at + 1 + n_out]);
+            let n_pearl = data[at + 1 + n_out] as usize;
+            self.pearls[lane].load_state(&data[at + 2 + n_out..at + 2 + n_out + n_pearl]);
+            self.clocked_mask &= !(1 << lane);
+        }
     }
 }
 
@@ -631,11 +632,11 @@ mod tests {
         assert_eq!(got, want, "restored packed run diverges");
     }
 
-    /// Per-lane save/load across a whole packed gate-level system — the
-    /// shape the bounded explorer drives. Lanes are first forced apart
-    /// with lane-dependent sink stalls; then every lane's state is
-    /// extracted and written straight back, which must be an exact
-    /// no-op on the architectural state.
+    /// Lane-batched save/load across a whole packed gate-level system —
+    /// the shape the bounded explorer drives. Lanes are first forced
+    /// apart with lane-dependent sink stalls; then all 64 lanes' states
+    /// are extracted and written straight back in one call each, which
+    /// must be an exact no-op on the architectural state.
     #[test]
     fn packed_system_lane_states_round_trip() {
         use lis_proto::{PackedSeqSink, PackedSeqSource, StallControl};
@@ -668,15 +669,15 @@ mod tests {
             &violations,
         ));
         sys.run(40).unwrap();
-        let lanes: Vec<Vec<u64>> = (0..LANES).map(|k| sys.save_lane(k)).collect();
+        let mut lanes = vec![Vec::new(); LANES];
+        sys.save_lanes(0, &mut lanes);
         assert!(
             lanes.iter().skip(1).any(|l| *l != lanes[0]),
             "stall skew must actually diverge the lanes"
         );
         let before = sys.checkpoint();
-        for (k, words) in lanes.iter().enumerate() {
-            sys.load_lane(k, words);
-        }
+        let words: Vec<&[u64]> = lanes.iter().map(Vec::as_slice).collect();
+        sys.load_lanes(0, &words);
         let after = sys.checkpoint();
         assert_eq!(
             before.component_states, after.component_states,
