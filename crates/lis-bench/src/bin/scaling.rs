@@ -9,23 +9,21 @@
 //! sweep only.
 //!
 //! A third sweep measures **simulation throughput** over the same
-//! growing schedules, on all five netlist engines: the interpreting
-//! `NetlistSim`, the levelized compiled engine, the 64-lane packed
-//! engine, and the two JIT-lowered engines (fused direct-threaded
-//! scalar, and level-parallel packed). Both the FSM wrapper (whose
-//! netlist grows with schedule length — the hard case) and the SP
-//! wrapper (constant logic) are swept. This is the baseline every
-//! future perf PR has to beat; `--json <path>` records it (plus the
-//! structural sweeps) as e.g. BENCH_scaling.json, and `--check`
-//! enforces the JIT speedup bars at the largest FSM point.
+//! growing schedules, on all three netlist engines: the interpreting
+//! `NetlistSim` (the oracle) and the two JIT-lowered engines (fused
+//! direct-threaded scalar, and 64-lane level-parallel packed). Both the
+//! FSM wrapper (whose netlist grows with schedule length — the hard
+//! case) and the SP wrapper (constant logic) are swept. This is the
+//! baseline every future perf PR has to beat; `--json <path>` records
+//! it (plus the structural sweeps) as e.g. BENCH_scaling.json, and
+//! `--check` enforces the JIT speedup bars over the interpreter at the
+//! largest FSM point.
 
 use lis_bench::{bar, pool_from_args, print_rows, section};
 use lis_core::experiment::{scaling_by_length_with, scaling_by_ports_with};
 use lis_netlist::{LoweringStats, Module, NetlistStats};
 use lis_schedule::{random_schedule, IoSchedule, RandomScheduleParams};
-use lis_sim::{
-    CompiledNetlistSim, JitNetlistSim, JitPackedNetlistSim, NetlistSim, PackedNetlistSim, LANES,
-};
+use lis_sim::{JitNetlistSim, JitPackedNetlistSim, NetlistSim, LANES};
 use lis_synth::TechParams;
 use lis_wrappers::{FsmEncoding, WrapperKind};
 use rand::rngs::StdRng;
@@ -34,7 +32,7 @@ use serde::{Serialize, Value};
 use std::time::Instant;
 
 /// One simulation-throughput point: a wrapper netlist at one schedule
-/// length, timed on all five engines. Throughputs are million
+/// length, timed on all three engines. Throughputs are million
 /// cycles/second (`mcps`) and, for the packed engines, million
 /// *lane*-cycles/second (`mlcps`, 64 Monte-Carlo lanes per cycle).
 /// `jit_stats` records what the JIT lowering did to the instruction
@@ -50,12 +48,8 @@ struct SimScalingRow {
     levels: usize,
     cycles_run: u64,
     interp_mcps: f64,
-    compiled_mcps: f64,
-    packed_mlcps: f64,
     jit_mcps: f64,
     jit_packed_mlcps: f64,
-    speedup_compiled: f64,
-    speedup_packed: f64,
     speedup_jit: f64,
     speedup_jit_packed: f64,
     jit_stats: LoweringStats,
@@ -65,18 +59,14 @@ impl std::fmt::Display for SimScalingRow {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "x={:5} {:12} {:6} cells {:3} levels | interp {:8.3} Mc/s | compiled {:8.3} Mc/s ({:5.1}x) | jit {:8.3} Mc/s ({:5.1}x) | packed {:8.1} Mlc/s ({:6.1}x) | jit packed {:8.1} Mlc/s ({:6.1}x)",
+            "x={:5} {:12} {:6} cells {:3} levels | interp {:8.3} Mc/s | jit {:8.3} Mc/s ({:5.1}x) | jit packed {:8.1} Mlc/s ({:6.1}x)",
             self.period,
             self.model,
             self.cells,
             self.levels,
             self.interp_mcps,
-            self.compiled_mcps,
-            self.speedup_compiled,
             self.jit_mcps,
             self.speedup_jit,
-            self.packed_mlcps,
-            self.speedup_packed,
             self.jit_packed_mlcps,
             self.speedup_jit_packed,
         )
@@ -101,49 +91,37 @@ fn time_interp(module: &Module, cycles: u64) -> (f64, u64) {
     (start.elapsed().as_secs_f64(), checksum)
 }
 
-fn time_compiled(module: &Module, cycles: u64) -> (f64, u64) {
-    let mut sim = CompiledNetlistSim::new(module.clone()).expect("wrapper validates");
-    let h_ne = sim.input_handle("ne").unwrap();
-    let h_nf = sim.input_handle("nf").unwrap();
-    let h_en = sim.output_handle("enable").unwrap();
-    sim.set_input("rst", 0).unwrap();
-    let mut rng = StdRng::seed_from_u64(0x5CA1_AB1E);
-    let mut checksum = 0u64;
-    let start = Instant::now();
-    for _ in 0..cycles {
-        let r = rng.next_u64();
-        sim.set_input_h(h_ne, r & 0b11);
-        sim.set_input_h(h_nf, (r >> 32) & 0b11);
-        sim.step();
-        checksum += sim.get_output_h(h_en);
-    }
-    (start.elapsed().as_secs_f64(), checksum)
+/// The packed engine's stimulus: one random 64-lane word per `ne`/`nf`
+/// bit per cycle, so every lane sees its own traffic — exactly the
+/// Monte-Carlo sweep workload.
+fn packed_stimulus(rng: &mut StdRng) -> [u64; 4] {
+    [
+        rng.next_u64(),
+        rng.next_u64(),
+        rng.next_u64(),
+        rng.next_u64(),
+    ]
 }
 
-fn time_packed(module: &Module, cycles: u64) -> (f64, u64) {
-    let mut sim = PackedNetlistSim::new(module.clone()).expect("wrapper validates");
-    let h_ne = sim.input_handle("ne").unwrap();
-    let h_nf = sim.input_handle("nf").unwrap();
-    let h_en = sim.output_handle("enable").unwrap();
-    sim.set_input_all("rst", 0).unwrap();
+/// The interpreter's enable count under lane 0 of [`packed_stimulus`]:
+/// the reference for [`time_jit_packed`]'s checksum (untimed).
+fn interp_lane0_checksum(module: &Module, cycles: u64) -> u64 {
+    let mut sim = NetlistSim::new(module.clone()).expect("wrapper validates");
+    sim.set_input("rst", 0).unwrap();
     let mut rng = StdRng::seed_from_u64(0xB1A5_ED00);
     let mut checksum = 0u64;
-    let start = Instant::now();
     for _ in 0..cycles {
-        // One random 64-lane word per ne/nf bit: every lane sees its own
-        // traffic, exactly the Monte-Carlo sweep workload.
-        sim.set_input_bit_lanes(h_ne, 0, rng.next_u64());
-        sim.set_input_bit_lanes(h_ne, 1, rng.next_u64());
-        sim.set_input_bit_lanes(h_nf, 0, rng.next_u64());
-        sim.set_input_bit_lanes(h_nf, 1, rng.next_u64());
+        let [ne0, ne1, nf0, nf1] = packed_stimulus(&mut rng);
+        sim.set_input("ne", (ne0 & 1) | ((ne1 & 1) << 1)).unwrap();
+        sim.set_input("nf", (nf0 & 1) | ((nf1 & 1) << 1)).unwrap();
         sim.step();
-        checksum = checksum.wrapping_add(sim.get_output_bit_lanes(h_en, 0));
+        checksum += sim.get_output("enable").unwrap();
     }
-    (start.elapsed().as_secs_f64(), checksum)
+    checksum
 }
 
-/// Same protocol as [`time_compiled`] on the JIT-lowered scalar engine,
-/// so the speedup ratio isolates the lowering itself.
+/// Same protocol as [`time_interp`] on the JIT-lowered scalar engine,
+/// through pre-resolved port handles.
 fn time_jit(module: &Module, cycles: u64) -> (f64, u64) {
     let mut sim = JitNetlistSim::new(module.clone()).expect("wrapper validates");
     let h_ne = sim.input_handle("ne").unwrap();
@@ -163,9 +141,9 @@ fn time_jit(module: &Module, cycles: u64) -> (f64, u64) {
     (start.elapsed().as_secs_f64(), checksum)
 }
 
-/// Same protocol as [`time_packed`] on the JIT-lowered packed engine.
-/// Returns (seconds, lane-0 checksum) so the caller can pin it against
-/// the baseline packed engine's stream.
+/// Times the JIT-lowered packed engine under [`packed_stimulus`].
+/// Returns (seconds, lane-0 enable-count checksum) so the caller can
+/// pin it against the interpreter's stream.
 fn time_jit_packed(module: &Module, cycles: u64, threads: usize) -> (f64, u64) {
     let mut sim =
         JitPackedNetlistSim::with_threads(module.clone(), threads).expect("wrapper validates");
@@ -177,12 +155,13 @@ fn time_jit_packed(module: &Module, cycles: u64, threads: usize) -> (f64, u64) {
     let mut checksum = 0u64;
     let start = Instant::now();
     for _ in 0..cycles {
-        sim.set_input_bit_lanes(h_ne, 0, rng.next_u64());
-        sim.set_input_bit_lanes(h_ne, 1, rng.next_u64());
-        sim.set_input_bit_lanes(h_nf, 0, rng.next_u64());
-        sim.set_input_bit_lanes(h_nf, 1, rng.next_u64());
+        let [ne0, ne1, nf0, nf1] = packed_stimulus(&mut rng);
+        sim.set_input_bit_lanes(h_ne, 0, ne0);
+        sim.set_input_bit_lanes(h_ne, 1, ne1);
+        sim.set_input_bit_lanes(h_nf, 0, nf0);
+        sim.set_input_bit_lanes(h_nf, 1, nf1);
         sim.step();
-        checksum = checksum.wrapping_add(sim.get_output_bit_lanes(h_en, 0));
+        checksum += sim.get_output_bit_lanes(h_en, 0) & 1;
     }
     (start.elapsed().as_secs_f64(), checksum)
 }
@@ -211,22 +190,16 @@ fn sim_scaling_rows(periods: &[usize], threads: usize) -> Vec<SimScalingRow> {
             let (i1, c1) = time_interp(&module, cycles);
             let (i2, _) = time_interp(&module, cycles);
             let interp_s = i1.min(i2);
-            let (s1, c2) = time_compiled(&module, cycles);
-            let (s2, _) = time_compiled(&module, cycles);
-            let compiled_s = s1.min(s2);
-            let (j1, c3) = time_jit(&module, cycles);
+            let (j1, c2) = time_jit(&module, cycles);
             let (j2, _) = time_jit(&module, cycles);
             let jit_s = j1.min(j2);
             // Same stimulus stream => same enable checksum; a cheap
             // cross-check that the engines agreed while being timed.
-            assert_eq!(c1, c2, "engines diverged during timing");
-            assert_eq!(c1, c3, "jit engine diverged during timing");
-            let (p1, pc1) = time_packed(&module, cycles * 2);
-            let (p2, _) = time_packed(&module, cycles * 2);
-            let packed_s = p1.min(p2);
-            let (jp1, pc2) = time_jit_packed(&module, cycles * 2, threads);
+            assert_eq!(c1, c2, "jit engine diverged during timing");
+            let (jp1, pc1) = time_jit_packed(&module, cycles * 2, threads);
             let (jp2, _) = time_jit_packed(&module, cycles * 2, threads);
             let jit_packed_s = jp1.min(jp2);
+            let pc2 = interp_lane0_checksum(&module, cycles * 2);
             assert_eq!(pc1, pc2, "jit packed engine diverged during timing");
             let jit_stats = JitNetlistSim::new(module.clone())
                 .expect("wrapper validates")
@@ -234,9 +207,7 @@ fn sim_scaling_rows(periods: &[usize], threads: usize) -> Vec<SimScalingRow> {
                 .stats()
                 .clone();
             let interp_mcps = cycles as f64 / interp_s / 1e6;
-            let compiled_mcps = cycles as f64 / compiled_s / 1e6;
             let jit_mcps = cycles as f64 / jit_s / 1e6;
-            let packed_mlcps = (cycles * 2 * LANES as u64) as f64 / packed_s / 1e6;
             let jit_packed_mlcps = (cycles * 2 * LANES as u64) as f64 / jit_packed_s / 1e6;
             rows.push(SimScalingRow {
                 period,
@@ -246,12 +217,8 @@ fn sim_scaling_rows(periods: &[usize], threads: usize) -> Vec<SimScalingRow> {
                 levels: stats.levels,
                 cycles_run: cycles,
                 interp_mcps,
-                compiled_mcps,
-                packed_mlcps,
                 jit_mcps,
                 jit_packed_mlcps,
-                speedup_compiled: compiled_mcps / interp_mcps,
-                speedup_packed: packed_mlcps / interp_mcps,
                 speedup_jit: jit_mcps / interp_mcps,
                 speedup_jit_packed: jit_packed_mlcps / interp_mcps,
                 jit_stats,
@@ -285,8 +252,9 @@ fn main() {
         what
     };
     // `--check` enforces the JIT performance bars at the largest FSM
-    // point: jit >= 2x compiled and jit-packed >= 2x packed, both
-    // best-of-two on each side so the comparison is symmetric.
+    // point, both against the interpreter and best-of-two on each side
+    // so the comparison is symmetric: jit >= 15.4x and jit-packed
+    // >= 872x in lane throughput.
     let check = args.iter().any(|a| a == "--check");
     let what = if check && (what == "ports" || what == "length") {
         eprintln!("--check needs the sim sweep; ignoring --sweep {what}");
@@ -328,7 +296,7 @@ fn main() {
     let mut sim_rows = Vec::new();
     if what == "both" || what == "sim" {
         section(
-            "Simulation throughput vs schedule length (interpreter / compiled / jit / 64-lane packed / jit packed)",
+            "Simulation throughput vs schedule length (interpreter / jit / 64-lane jit packed)",
         );
         sim_rows = sim_scaling_rows(&periods, pool.threads());
         print_rows(&sim_rows);
@@ -342,13 +310,8 @@ fn main() {
             .max_by_key(|r| r.cells)
         {
             println!(
-                "largest point ({} @ {} cells): compiled {:.1}x, jit {:.1}x, packed {:.1}x, jit packed {:.1}x lane-throughput",
-                worst.model,
-                worst.cells,
-                worst.speedup_compiled,
-                worst.speedup_jit,
-                worst.speedup_packed,
-                worst.speedup_jit_packed,
+                "largest point ({} @ {} cells): jit {:.1}x, jit packed {:.1}x lane-throughput",
+                worst.model, worst.cells, worst.speedup_jit, worst.speedup_jit_packed,
             );
             println!("largest point opcode runs:");
             for oc in &worst.jit_stats.ops {
@@ -358,12 +321,11 @@ fn main() {
                 );
             }
             if check {
-                let jit_ratio = worst.jit_mcps / worst.compiled_mcps;
-                let jit_packed_ratio = worst.jit_packed_mlcps / worst.packed_mlcps;
+                let (jit_ratio, jit_packed_ratio) = (worst.speedup_jit, worst.speedup_jit_packed);
                 println!(
-                    "check @ largest point: jit/compiled {jit_ratio:.2}x (bar 2.00x), jit-packed/packed {jit_packed_ratio:.2}x (bar 2.00x)"
+                    "check @ largest point: jit/interp {jit_ratio:.1}x (bar 15.4x), jit-packed/interp {jit_packed_ratio:.0}x (bar 872x)"
                 );
-                if jit_ratio < 2.0 || jit_packed_ratio < 2.0 {
+                if jit_ratio < 15.4 || jit_packed_ratio < 872.0 {
                     eprintln!("--check FAILED: JIT speedup bars not met");
                     std::process::exit(1);
                 }

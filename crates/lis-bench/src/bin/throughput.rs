@@ -8,13 +8,13 @@
 //! degrades gracefully.
 //!
 //! Part 2 (performance): a many-pearl SoC of gate-level SP shells is
-//! simulated under the legacy full-sweep settle (1 thread), the
-//! dependency-aware worklist scheduler (1 thread), and the scheduler
-//! fanned across the work-stealing pool (N threads). All engines must
-//! produce bit-identical token streams; `--json <path>` records the rows
-//! (e.g. BENCH_e5.json; wall-clock fields are volatile and excluded from
-//! the CI drift diff) and `--check` additionally enforces the ≥2x
-//! speedup bar of worklist@N over full-sweep@1.
+//! simulated under the full-sweep reference settle (1 thread) and the
+//! activity kernel (`SettleMode::FastForward`, the production mode) at
+//! 1 and N threads. All engines must produce bit-identical token
+//! streams; `--json <path>` records the rows (e.g. BENCH_e5.json;
+//! wall-clock fields are volatile and excluded from the CI drift diff)
+//! and `--check` additionally enforces the ≥2x speedup bar of the
+//! production mode over full-sweep@1.
 
 use lis_bench::{print_rows, section, threads_from_args};
 use lis_core::experiment::{settle_bench, throughput_sweep, SettleBenchConfig};
@@ -57,10 +57,8 @@ fn main() {
     );
     let engines = [
         (SettleMode::FullSweep, 1usize),
-        (SettleMode::Worklist, 1),
-        (SettleMode::Worklist, threads),
-        (SettleMode::ActivityDriven, 1),
-        (SettleMode::ActivityDriven, threads),
+        (SettleMode::FastForward, 1),
+        (SettleMode::FastForward, threads),
     ];
     let (shape, bench_rows) = settle_bench(&cfg, &engines);
     println!(
@@ -81,15 +79,11 @@ fn main() {
         );
     }
     let baseline = &bench_rows[0];
-    let worklist_1t = &bench_rows[1];
-    let worklist_nt = &bench_rows[2];
-    let activity_1t = &bench_rows[3];
-    let speedup_1t = worklist_1t.kcps / baseline.kcps;
-    let speedup_nt = worklist_nt.kcps / baseline.kcps;
-    let speedup_act = activity_1t.kcps / baseline.kcps;
+    let speedup_1t = bench_rows[1].kcps / baseline.kcps;
+    let speedup_nt = bench_rows[2].kcps / baseline.kcps;
     println!(
-        "speedup vs full-sweep@1: worklist@1 {speedup_1t:.2}x, worklist@{threads} {speedup_nt:.2}x, \
-         activity@1 {speedup_act:.2}x"
+        "speedup vs full-sweep@1: fast-forward@1 {speedup_1t:.2}x, \
+         fast-forward@{threads} {speedup_nt:.2}x"
     );
 
     if let Some(path) = &json_path {
@@ -98,9 +92,8 @@ fn main() {
             ("settle_bench_config".into(), cfg.to_value()),
             ("settle_bench_shape".into(), shape.to_value()),
             ("settle_bench_rows".into(), bench_rows.to_value()),
-            ("speedup_worklist_1t".into(), Value::Float(speedup_1t)),
-            ("speedup_worklist_nt".into(), Value::Float(speedup_nt)),
-            ("speedup_activity_1t".into(), Value::Float(speedup_act)),
+            ("speedup_fast_forward_1t".into(), Value::Float(speedup_1t)),
+            ("speedup_fast_forward_nt".into(), Value::Float(speedup_nt)),
             ("threads_nt".into(), Value::UInt(threads as u64)),
         ]);
         let json = serde_json::to_string_pretty(&baseline_json).expect("serialize E5 rows");
@@ -117,8 +110,8 @@ fn main() {
         let best = speedup_nt.max(speedup_1t);
         assert!(
             best >= 2.0,
-            "worklist must be >=2x the single-threaded full-sweep baseline \
-             on the many-pearl settle path (measured 1t {speedup_1t:.2}x, \
+            "the activity kernel must be >=2x the single-threaded full-sweep \
+             baseline on the many-pearl settle path (measured 1t {speedup_1t:.2}x, \
              {threads}t {speedup_nt:.2}x)"
         );
         println!("--check passed: {best:.2}x >= 2x");

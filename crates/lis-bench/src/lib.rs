@@ -11,7 +11,7 @@
 //! | `scaling` | E3/E4 — area/fmax vs schedule length and port count |
 //! | `throughput` | E5 — relayed-pipeline throughput & latency-insensitivity |
 //! | `ablation` | E6 — FSM encodings; static wrapper fragility |
-//! | `e7` | E7 — activity-driven kernel vs worklist vs full sweep on the stress mesh |
+//! | `e7` | E7 — activity kernel (run vs step-only) vs full sweep on the stress mesh |
 //! | `fleet` | Scenario fleets — 64 lane-batched traffic scenarios vs sequential solo runs |
 //! | `verify` | Bounded model check — SP protocol proven clean to depth 12; mutants caught |
 

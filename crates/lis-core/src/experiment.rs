@@ -439,8 +439,8 @@ pub struct SettleBenchConfig {
     /// wires whose `stop` back-pressure ripples *combinationally* across
     /// the whole chain within one cycle — the settle problem relay
     /// stations exist to segment (paper §2). The blind full sweep pays
-    /// one whole-system sweep per ripple hop; the worklist re-evaluates
-    /// only the wires the ripple actually reaches.
+    /// one whole-system sweep per ripple hop; the activity kernel
+    /// re-evaluates only the wires the ripple actually reaches.
     pub wire_hops: usize,
     /// Clock cycles to simulate per engine.
     pub cycles: u64,
@@ -484,7 +484,7 @@ pub struct SettleBenchShape {
 /// One engine measurement of the settle-path benchmark.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SettleBenchRow {
-    /// Settle engine ("full-sweep" or "worklist").
+    /// Settle engine ("full-sweep" or "fast-forward").
     pub engine: String,
     /// Evaluation threads.
     pub threads: usize,
@@ -499,15 +499,15 @@ pub struct SettleBenchRow {
     pub received: u64,
     /// Wrapping sum of all delivered tokens (stable).
     pub checksum: u64,
-    /// Groups evaluated by activity-driven settles (stable; 0 for the
-    /// legacy engines).
+    /// Groups evaluated by activity settles (stable; 0 for the full
+    /// sweep).
     pub groups_evaluated: u64,
-    /// Groups skipped as quiescent (stable; 0 for the legacy engines).
+    /// Groups skipped as quiescent (stable; 0 for the full sweep).
     pub groups_skipped: u64,
-    /// Component ticks executed (stable; 0 for the legacy engines).
+    /// Component ticks executed (stable; 0 for the full sweep).
     pub components_ticked: u64,
-    /// Component ticks skipped as quiescent (stable; 0 for the legacy
-    /// engines).
+    /// Component ticks skipped as quiescent (stable; 0 for the full
+    /// sweep).
     pub components_quiescent: u64,
 }
 
@@ -590,8 +590,6 @@ fn settle_bench_soc(cfg: &SettleBenchConfig, mode: SettleMode, threads: usize) -
 pub fn engine_name(mode: SettleMode) -> &'static str {
     match mode {
         SettleMode::FullSweep => "full-sweep",
-        SettleMode::Worklist => "worklist",
-        SettleMode::ActivityDriven => "activity",
         SettleMode::FastForward => "fast-forward",
     }
 }
@@ -953,8 +951,8 @@ mod tests {
             &cfg,
             &[
                 (SettleMode::FullSweep, 1),
-                (SettleMode::Worklist, 1),
-                (SettleMode::Worklist, 4),
+                (SettleMode::FastForward, 1),
+                (SettleMode::FastForward, 4),
             ],
         );
         assert_eq!(shape.pearls, 4);

@@ -396,13 +396,7 @@ impl FleetBatch {
     ///
     /// Propagates [`SimError`] (combinational-loop detection).
     pub fn run(&mut self, cycles: u64) -> Result<(), SimError> {
-        let target = self.system.cycle() + cycles;
-        while self.system.cycle() < target {
-            self.system.settle()?;
-            self.system.step()?;
-            self.system.fast_forward(target);
-        }
-        Ok(())
+        self.system.run(cycles)
     }
 
     /// Elapsed cycles.
@@ -630,6 +624,21 @@ mod tests {
             (StallPattern::from(lane_stall(lane + 1)), 200 + lane as u64)
         });
         b.build()
+    }
+
+    /// An unbounded budget after some elapsed cycles saturates instead
+    /// of overflowing: the run stops at the end of time. (A packed
+    /// batch's endpoints never quiesce, so the clock is moved near the
+    /// end through a checkpoint rather than by jumping.)
+    #[test]
+    fn unbounded_run_saturates_after_elapsed_cycles() {
+        let mut batch = build_batch(2, false);
+        batch.run(3).unwrap();
+        let mut ck = batch.system_mut().checkpoint();
+        ck.cycle = u64::MAX - 5;
+        batch.system_mut().restore(&ck);
+        batch.run(u64::MAX).unwrap();
+        assert_eq!(batch.cycle(), u64::MAX);
     }
 
     /// The solo twin of lane `lane` from [`build_batch`].

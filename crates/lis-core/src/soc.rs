@@ -337,8 +337,8 @@ impl SocBuilder {
     }
 
     /// Sets the settle strategy of the underlying [`System`] (default:
-    /// the dependency-aware scheduler; [`SettleMode::FullSweep`] is the
-    /// legacy reference).
+    /// the activity kernel, [`SettleMode::FastForward`];
+    /// [`SettleMode::FullSweep`] is the reference).
     pub fn set_settle_mode(&mut self, mode: SettleMode) {
         self.system.set_settle_mode(mode);
     }
@@ -379,7 +379,7 @@ impl Soc {
         self.system.step()
     }
 
-    /// Runs `cycles` clock cycles.
+    /// Runs `cycles` clock cycles (saturating at `u64::MAX`).
     ///
     /// Under [`SettleMode::FastForward`] the loop is target-based: after
     /// each executed cycle the system may jump the clock over a fully
@@ -390,7 +390,7 @@ impl Soc {
     ///
     /// Propagates [`SimError`] (combinational-loop detection).
     pub fn run(&mut self, cycles: u64) -> Result<(), SimError> {
-        let target = self.system.cycle() + cycles;
+        let target = self.system.cycle().saturating_add(cycles);
         while self.system.cycle() < target {
             self.step_traced()?;
             self.system.fast_forward(target);
@@ -410,7 +410,7 @@ impl Soc {
         max_cycles: u64,
         mut predicate: impl FnMut(&Soc) -> bool,
     ) -> Result<bool, SimError> {
-        let target = self.system.cycle() + max_cycles;
+        let target = self.system.cycle().saturating_add(max_cycles);
         while self.system.cycle() < target {
             self.step_traced()?;
             if predicate(self) {
@@ -440,7 +440,7 @@ impl Soc {
         idle_window: u64,
     ) -> Result<u64, SimError> {
         let start = self.system.cycle();
-        let target = start + max_cycles;
+        let target = start.saturating_add(max_cycles);
         let mut last = self.progress();
         let mut last_progress_cycle = start;
         while self.system.cycle() < target
@@ -455,7 +455,7 @@ impl Soc {
             // Never jump past the idle deadline: quiescence must be
             // reported at the same cycle count as a stepped run.
             self.system
-                .fast_forward(target.min(last_progress_cycle + idle_window));
+                .fast_forward(target.min(last_progress_cycle.saturating_add(idle_window)));
         }
         Ok(self.system.cycle() - start)
     }
@@ -485,7 +485,7 @@ impl Soc {
     }
 
     /// Scheduler statistics: the structural shape (groups, levels, SCC
-    /// census) plus — under [`SettleMode::ActivityDriven`] — the
+    /// census) plus — under [`SettleMode::FastForward`] — the
     /// cumulative skip/eval/tick counters of the run so far.
     pub fn scheduler_stats(&mut self) -> SchedulerStats {
         self.system.scheduler_stats()
@@ -626,10 +626,24 @@ mod tests {
         b.capture("sink", ip.outputs[0], 0.0, 2);
         let mut soc = b.build();
         soc.run(30).unwrap();
+        assert_eq!(soc.cycle(), 30);
         let vcd = soc.vcd("soc");
         assert!(vcd.contains("$var wire 32 ! in_data $end"));
         assert!(vcd.contains("out_void"));
-        assert!(vcd.contains("#29"));
+        // The running sums 1, 3, 6 all reach the output wire; once the
+        // drained SoC is quiescent, `run` jumps the rest of the 30
+        // cycles, so the VCD ends at the last visited cycle.
+        assert!(vcd.contains("b110 "), "{vcd}");
+        let stamps: Vec<u64> = vcd
+            .lines()
+            .filter_map(|l| l.strip_prefix('#')?.parse().ok())
+            .collect();
+        assert_eq!(stamps[0], 0);
+        assert!(stamps.windows(2).all(|w| w[0] < w[1]), "{stamps:?}");
+        assert!(
+            *stamps.last().unwrap() < 29,
+            "quiescent tail jumped: {stamps:?}"
+        );
     }
 
     #[test]
@@ -647,6 +661,27 @@ mod tests {
         assert!(executed < 10_000, "must quiesce well before the budget");
         assert_eq!(soc.received("out").len(), 5, "all work done first");
         assert!(soc.progress() >= 5);
+    }
+
+    /// Unbounded budgets after some elapsed cycles saturate instead of
+    /// overflowing: each loop runs to its own stop condition, and once
+    /// the system is quiescent the event wheel jumps an unbounded run
+    /// straight to the end of time.
+    #[test]
+    fn unbounded_budgets_saturate_after_elapsed_cycles() {
+        let (mut soc, sink) = accumulator_soc(WrapperKind::Sp);
+        soc.run(3).unwrap();
+        assert!(soc
+            .run_until(u64::MAX, |s| s.received(sink).len() == 10)
+            .unwrap());
+        let idle = soc.run_until_quiescent(u64::MAX, 50).unwrap();
+        assert!(
+            (50..10_000).contains(&idle),
+            "stops after the idle window: {idle}"
+        );
+        soc.run(u64::MAX).unwrap();
+        assert_eq!(soc.cycle(), u64::MAX);
+        assert_eq!(soc.received(sink).len(), 10);
     }
 
     #[test]

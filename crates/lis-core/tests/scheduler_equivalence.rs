@@ -1,11 +1,11 @@
-//! Property tests pinning the sharded scheduler to the legacy
-//! full-sweep settle on *randomized SoCs*: random pearl pipelines
+//! Property tests pinning the activity kernel to the full-sweep
+//! reference settle on *randomized SoCs*: random pearl pipelines
 //! (behavioural and gate-level wrappers), random relay/wire link
 //! latencies, serializer/deserializer width conversions, random stall
 //! patterns — seeded-random and clock-scheduled periodic — and random
 //! thread counts — stepped cycle by cycle with every signal compared
-//! after each settle, plus the event-wheel kernel compared at chunk
-//! boundaries with jumped spans in between.
+//! after each settle, plus `run`'s event-wheel jumps compared against
+//! a stepped twin at chunk boundaries.
 
 use lis_core::SocBuilder;
 use lis_proto::{AccumulatorPearl, Deserializer, LisChannel, Serializer, StallPattern};
@@ -167,9 +167,13 @@ fn chain_strategy() -> impl Strategy<Value = ChainSpec> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The scheduler (at a random thread count) matches the full sweep
-    /// cycle for cycle on every signal of a random SoC, and the
-    /// delivered streams and violation counts agree.
+    /// The activity kernel — cross-cycle quiescence skipping plus the
+    /// sharded selective tick phase, at a random thread count — matches
+    /// the full sweep cycle for cycle on every signal of a random SoC
+    /// (behavioural and gate-level shells, relays, serdes, random
+    /// stalls), with identical streams and violation counts. Sources
+    /// dry up and sinks stall mid-run, so real quiescence windows are
+    /// exercised, not just the steady stream.
     #[test]
     fn random_socs_settle_identically(
         chains in prop::collection::vec(chain_strategy(), 1..3),
@@ -178,53 +182,14 @@ proptest! {
     ) {
         let spec = SocSpec { chains };
         let mut reference = build(&spec, SettleMode::FullSweep, 1);
-        let mut scheduled = build(&spec, SettleMode::Worklist, threads);
+        let mut activity = build(&spec, SettleMode::FastForward, threads);
         for cycle in 0..cycles {
             reference.run(1).unwrap();
-            scheduled.run(1).unwrap();
-            prop_assert_eq!(
-                reference.system().signal_values(),
-                scheduled.system().signal_values(),
-                "signal divergence at cycle {} (threads={})", cycle, threads
-            );
-        }
-        for c in 0..spec.chains.len() {
-            let name = format!("out{c}");
-            prop_assert_eq!(reference.received(&name), scheduled.received(&name));
-        }
-        prop_assert_eq!(reference.violations(), scheduled.violations());
-    }
-
-    /// The activity-driven kernel — cross-cycle quiescence skipping plus
-    /// the sharded selective tick phase — matches BOTH legacy engines
-    /// cycle for cycle on every signal of a random SoC (behavioural and
-    /// gate-level shells, relays, serdes, random stalls and thread
-    /// counts), with identical streams and violation counts. Sources dry
-    /// up and sinks stall mid-run, so real quiescence windows are
-    /// exercised, not just the steady stream.
-    #[test]
-    fn activity_driven_socs_settle_identically(
-        chains in prop::collection::vec(chain_strategy(), 1..3),
-        threads in 1usize..5,
-        cycles in 40u64..120,
-    ) {
-        let spec = SocSpec { chains };
-        let mut reference = build(&spec, SettleMode::FullSweep, 1);
-        let mut worklist = build(&spec, SettleMode::Worklist, 1);
-        let mut activity = build(&spec, SettleMode::ActivityDriven, threads);
-        for cycle in 0..cycles {
-            reference.run(1).unwrap();
-            worklist.run(1).unwrap();
             activity.run(1).unwrap();
             prop_assert_eq!(
                 reference.system().signal_values(),
                 activity.system().signal_values(),
                 "activity vs full-sweep divergence at cycle {} (threads={})", cycle, threads
-            );
-            prop_assert_eq!(
-                worklist.system().signal_values(),
-                activity.system().signal_values(),
-                "activity vs worklist divergence at cycle {} (threads={})", cycle, threads
             );
         }
         for c in 0..spec.chains.len() {
@@ -234,9 +199,9 @@ proptest! {
         prop_assert_eq!(reference.violations(), activity.violations());
     }
 
-    /// The event-wheel kernel on random SoCs: run in fixed-size chunks
-    /// against cycle-by-cycle activity-driven, comparing the cycle
-    /// counter and every signal at each chunk boundary (fast-forward may
+    /// The event wheel on random SoCs: `run` in fixed-size chunks
+    /// against a `step()`-only loop of the same kernel, comparing the
+    /// cycle counter and every signal at each chunk boundary (`run` may
     /// have jumped dead spans inside the chunk — the boundary state must
     /// be indistinguishable), then the delivered streams, violation
     /// counts, and the executed-work counters, which must match exactly.
@@ -250,10 +215,12 @@ proptest! {
         chunk_len in 5u64..16,
     ) {
         let spec = SocSpec { chains };
-        let mut activity = build(&spec, SettleMode::ActivityDriven, 1);
+        let mut activity = build(&spec, SettleMode::FastForward, 1);
         let mut ff = build(&spec, SettleMode::FastForward, threads);
         for chunk in 0..chunks {
-            activity.run(chunk_len).unwrap();
+            for _ in 0..chunk_len {
+                activity.system_mut().step().unwrap();
+            }
             ff.run(chunk_len).unwrap();
             prop_assert_eq!(activity.cycle(), ff.cycle());
             prop_assert_eq!(
@@ -273,8 +240,9 @@ proptest! {
         prop_assert_eq!(
             (ad.groups_evaluated, ad.components_ticked),
             (fs.groups_evaluated, fs.components_ticked),
-            "fast-forward must execute exactly the activity kernel's work"
+            "jumping must execute exactly the stepped kernel's work"
         );
+        prop_assert_eq!(ad.cycles_fast_forwarded, 0, "step() alone never jumps");
     }
 }
 

@@ -56,6 +56,10 @@ pub fn parse_verilog(text: &str) -> Result<Module, ParseError> {
     let mut roms: HashMap<String, Rom> = HashMap::new();
     let mut rom_order: Vec<String> = Vec::new();
     let mut current_dff: Option<String> = None;
+    // Every port bit, ROM data bit and ROM word is bound by a line of its
+    // own, so no valid width or index reaches the line count; checking
+    // against it bounds every allocation below by the input size.
+    let max_len = text.lines().count();
 
     let err = |line: usize, message: &str| ParseError {
         line,
@@ -89,15 +93,17 @@ pub fn parse_verilog(text: &str) -> Result<Module, ParseError> {
             if rest == crate::verilog::CLOCK_PORT {
                 continue;
             }
-            let (width, name) =
-                parse_ranged_name(rest).ok_or_else(|| err(line_no, "bad input declaration"))?;
+            let (width, name) = parse_ranged_name(rest)
+                .filter(|&(width, _)| width <= max_len)
+                .ok_or_else(|| err(line_no, "bad input declaration"))?;
             in_bits.insert(name.clone(), vec![None; width]);
             input_ports.push((name, width));
             continue;
         }
         if let Some(rest) = line.strip_prefix("output wire ") {
-            let (width, name) =
-                parse_ranged_name(rest).ok_or_else(|| err(line_no, "bad output declaration"))?;
+            let (width, name) = parse_ranged_name(rest)
+                .filter(|&(width, _)| width <= max_len)
+                .ok_or_else(|| err(line_no, "bad output declaration"))?;
             out_bits.insert(name.clone(), vec![None; width]);
             output_ports.push((name, width));
             continue;
@@ -153,6 +159,9 @@ pub fn parse_verilog(text: &str) -> Result<Module, ParseError> {
                 let name = parts.next().ok_or_else(|| err(line_no, "bad rom reg"))?;
                 let width =
                     parse_range_width(range).ok_or_else(|| err(line_no, "bad rom width"))?;
+                if roms.contains_key(name) {
+                    return Err(err(line_no, "duplicate rom"));
+                }
                 roms.insert(
                     name.to_owned(),
                     Rom {
@@ -220,7 +229,10 @@ pub fn parse_verilog(text: &str) -> Result<Module, ParseError> {
             // Output port bit: assign y[0] = n42;
             if let Some((pname, bit)) = parse_indexed(lhs) {
                 if let Some(slots) = out_bits.get_mut(pname) {
-                    slots[bit] = Some(lookup(&net_ids, rhs, line_no)?);
+                    let slot = slots
+                        .get_mut(bit)
+                        .ok_or_else(|| err(line_no, "output bit past the port width"))?;
+                    *slot = Some(lookup(&net_ids, rhs, line_no)?);
                     continue;
                 }
                 return Err(err(line_no, "assign to unknown port"));
@@ -229,13 +241,19 @@ pub fn parse_verilog(text: &str) -> Result<Module, ParseError> {
             // Input port bit: assign n3 = ne[0];
             if let Some((pname, bit)) = parse_indexed(rhs) {
                 if let Some(slots) = in_bits.get_mut(pname) {
-                    slots[bit] = Some(out);
+                    let slot = slots
+                        .get_mut(bit)
+                        .ok_or_else(|| err(line_no, "input bit past the port width"))?;
+                    *slot = Some(out);
                     continue;
                 }
                 if let Some(rom_name) = pname.strip_suffix("_data") {
                     let rom = roms
                         .get_mut(rom_name)
                         .ok_or_else(|| err(line_no, "data for unknown rom"))?;
+                    if bit >= max_len {
+                        return Err(err(line_no, "rom data bit out of range"));
+                    }
                     if rom.data.len() <= bit {
                         rom.data.resize(bit + 1, out);
                     }
@@ -294,6 +312,9 @@ pub fn parse_verilog(text: &str) -> Result<Module, ParseError> {
                         .split_once("'d")
                         .and_then(|(_, v)| v.parse::<u64>().ok())
                         .ok_or_else(|| err(line_no, "bad rom word"))?;
+                    if idx >= max_len {
+                        return Err(err(line_no, "rom word index out of range"));
+                    }
                     if rom.contents.len() <= idx {
                         rom.contents.resize(idx + 1, 0);
                     }
@@ -307,17 +328,32 @@ pub fn parse_verilog(text: &str) -> Result<Module, ParseError> {
     }
 
     // Assemble ports.
+    // A port declared twice keeps the slots of its last declaration;
+    // `get` turns an earlier, wider declaration into an unbound-bit
+    // error rather than an index panic.
     for (name, width) in input_ports {
         let slots = &in_bits[&name];
         let bits = (0..width)
-            .map(|b| slots[b].ok_or_else(|| err(0, &format!("input {name}[{b}] unbound"))))
+            .map(|b| {
+                slots
+                    .get(b)
+                    .copied()
+                    .flatten()
+                    .ok_or_else(|| err(0, &format!("input {name}[{b}] unbound")))
+            })
             .collect::<Result<Vec<_>, _>>()?;
         module.inputs.push(Port { name, bits });
     }
     for (name, width) in output_ports {
         let slots = &out_bits[&name];
         let bits = (0..width)
-            .map(|b| slots[b].ok_or_else(|| err(0, &format!("output {name}[{b}] unbound"))))
+            .map(|b| {
+                slots
+                    .get(b)
+                    .copied()
+                    .flatten()
+                    .ok_or_else(|| err(0, &format!("output {name}[{b}] unbound")))
+            })
             .collect::<Result<Vec<_>, _>>()?;
         module.outputs.push(Port { name, bits });
     }
@@ -383,26 +419,27 @@ fn parse_expr(rhs: &str, nets: &HashMap<String, NetId>, line: usize) -> Result<E
 
 /// "name[3]" → ("name", 3).
 fn parse_indexed(s: &str) -> Option<(&str, usize)> {
-    let open = s.find('[')?;
-    let close = s.find(']')?;
-    let idx = s[open + 1..close].parse().ok()?;
-    Some((&s[..open], idx))
+    let (name, rest) = s.split_once('[')?;
+    let (idx, _) = rest.split_once(']')?;
+    Some((name, idx.parse().ok()?))
 }
 
 /// "[W-1:0] name" → (W, name).
 fn parse_ranged_name(s: &str) -> Option<(usize, String)> {
-    let s = s.trim();
-    let close = s.find(']')?;
-    let hi: usize = s[1..close].split(':').next()?.parse().ok()?;
-    let name = s[close + 1..].trim().trim_end_matches(';').to_owned();
-    Some((hi + 1, name))
+    let (width, rest) = parse_range(s.trim())?;
+    Some((width, rest.trim().trim_end_matches(';').to_owned()))
 }
 
 /// "[W-1:0]" → W.
 fn parse_range_width(s: &str) -> Option<usize> {
-    let close = s.find(']')?;
-    let hi: usize = s[1..close].split(':').next()?.parse().ok()?;
-    Some(hi + 1)
+    parse_range(s).map(|(width, _)| width)
+}
+
+/// "[W-1:0]rest" → (W, rest).
+fn parse_range(s: &str) -> Option<(usize, &str)> {
+    let (range, rest) = s.strip_prefix('[')?.split_once(']')?;
+    let hi: usize = range.split(':').next()?.parse().ok()?;
+    Some((hi.checked_add(1)?, rest))
 }
 
 #[cfg(test)]
@@ -410,6 +447,32 @@ mod tests {
     use super::*;
     use crate::verilog::emit_verilog;
     use lis_netlist::{ModuleBuilder, NetlistStats};
+    use proptest::prelude::*;
+
+    /// Wraps `body` in a module with a 2-bit input `x` and a 2-bit output
+    /// `y`; `body` starts on line 5.
+    fn with_ports(body: &str) -> String {
+        format!("module m (\n  input wire [1:0] x,\n  output wire [1:0] y\n);\n{body}endmodule\n")
+    }
+
+    fn error_line(text: &str) -> usize {
+        parse_verilog(text).expect_err("malformed input").line
+    }
+
+    /// A gate-level module with ROMs and flip-flops, emitted: the seed
+    /// text of the mutation property.
+    fn emitted_wrapper() -> String {
+        let mut b = ModuleBuilder::new("seed");
+        let a = b.input("a", 3);
+        let x = b.and(a.bit(0), a.bit(1));
+        let t = b.constant(true);
+        let q = b.dff(x, t, a.bit(2), false);
+        let addr = lis_netlist::Bus::from_nets(vec![q, a.bit(1)]);
+        let data = b.rom("lut", &addr, 3, vec![5, 2, 7]);
+        b.output("d", &data);
+        b.output_bit("q", q);
+        emit_verilog(&b.finish().unwrap())
+    }
 
     #[test]
     fn round_trips_a_gate_module() {
@@ -437,5 +500,87 @@ mod tests {
         let text = "// comment\n  wire n0;\n  bogus;\n";
         let e = parse_verilog(text).unwrap_err();
         assert_eq!(e.line, 3);
+    }
+
+    #[test]
+    fn output_bit_past_the_port_width_is_an_error() {
+        let text = with_ports("  wire n1;\n  assign y[5] = n1;\n");
+        assert_eq!(error_line(&text), 6);
+    }
+
+    #[test]
+    fn input_bit_past_the_port_width_is_an_error() {
+        let text = with_ports("  wire n1;\n  assign n1 = x[5];\n");
+        assert_eq!(error_line(&text), 6);
+    }
+
+    #[test]
+    fn reversed_brackets_in_an_index_are_an_error() {
+        let text = with_ports("  wire n1;\n  assign ]a[ = n1;\n");
+        assert_eq!(error_line(&text), 6);
+    }
+
+    #[test]
+    fn reversed_brackets_in_a_declaration_are_an_error() {
+        let text = "module m (\n  input wire ]x\n);\nendmodule\n";
+        assert_eq!(error_line(text), 2);
+    }
+
+    #[test]
+    fn overflowing_port_width_is_an_error() {
+        let text = "module m (\n  input wire [18446744073709551615:0] x\n);\nendmodule\n";
+        assert_eq!(error_line(text), 2);
+        // One below the overflow is a width no source text can bind.
+        let text = "module m (\n  output wire [18446744073709551614:0] y\n);\nendmodule\n";
+        assert_eq!(error_line(text), 2);
+    }
+
+    #[test]
+    fn redeclared_narrower_port_is_an_error() {
+        let text = "module m (\n  input wire [3:0] x,\n  input wire [0:0] x\n);\nendmodule\n";
+        assert!(parse_verilog(text).is_err());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes never panic the parser.
+        #[test]
+        fn random_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
+            let _ = parse_verilog(&String::from_utf8_lossy(&bytes));
+        }
+
+        /// Nor do near-miss texts: an emitted module with random lines
+        /// dropped, duplicated, or with one byte overwritten by a
+        /// character the grammar cares about.
+        #[test]
+        fn mutated_emissions_never_panic(
+            edits in prop::collection::vec((any::<u8>(), any::<u16>(), any::<u16>()), 1..6),
+        ) {
+            const PUNCT: &[u8] = b"[]:;=?~&|^(){}' 019n_x";
+            let seed = emitted_wrapper();
+            let mut lines: Vec<String> = seed.lines().map(str::to_owned).collect();
+            for (kind, at, by) in edits {
+                let i = usize::from(at) % lines.len();
+                match kind % 3 {
+                    0 if lines.len() > 1 => {
+                        lines.remove(i);
+                    }
+                    1 => {
+                        let dup = lines[i].clone();
+                        lines.insert(i, dup);
+                    }
+                    _ => {
+                        let mut bytes = lines[i].clone().into_bytes();
+                        if !bytes.is_empty() {
+                            let j = usize::from(by) % bytes.len();
+                            bytes[j] = PUNCT[usize::from(by >> 8) % PUNCT.len()];
+                        }
+                        lines[i] = String::from_utf8_lossy(&bytes).into_owned();
+                    }
+                }
+            }
+            let _ = parse_verilog(&lines.join("\n"));
+        }
     }
 }

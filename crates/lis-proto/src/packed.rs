@@ -11,7 +11,7 @@
 //! `b` = bit `b` of lane `k`'s payload). One relay station, wire,
 //! source or sink then serves all lanes with a handful of bitwise mask
 //! operations per cycle — the same bit-slicing trick
-//! [`lis_sim::PackedNetlistSim`] plays for gate-level shells, whose
+//! [`lis_sim::JitPackedNetlistSim`] plays for gate-level shells, whose
 //! lane-words these planes match natively (no per-lane scatter/gather
 //! at the shell boundary).
 //!

@@ -1,4 +1,4 @@
-//! Compiled netlist execution: levelized, bit-parallel programs.
+//! Netlist compilation: the levelized program the JIT engines lower.
 //!
 //! [`NetlistSim`](crate::NetlistSim) re-walks the topological order every
 //! cycle, chasing `NetId`s through the module and allocating a scratch
@@ -7,22 +7,11 @@
 //! time, so this module lowers a validated [`Module`] **once** into a
 //! [`NetlistProgram`] — a flat, levelized instruction stream over dense
 //! net slots with every operand index pre-resolved and ROM tables baked
-//! in — and then executes that program:
-//!
-//! * [`CompiledNetlistSim`] evaluates one scalar stimulus and is a
-//!   drop-in replacement for the interpreter (same [`NetlistExec`]
-//!   surface, proven cycle-for-cycle equivalent by property tests);
-//! * [`PackedNetlistSim`] evaluates **64 independent lanes per `u64`
-//!   word**: every net slot holds one bit per lane and each gate becomes
-//!   a single bitwise operation across all lanes — the engine behind
-//!   Monte-Carlo co-simulation sweeps.
+//! in. The program is an internal IR: [`crate::JitNetlistProgram`]
+//! post-processes it into the fused run-sorted form that
+//! [`crate::JitNetlistSim`] and [`crate::JitPackedNetlistSim`] execute.
 
-use crate::kernel::SimError;
-use crate::netlist_sim::NetlistExec;
 use lis_netlist::{levelize, CellKind, CombNode, Module, NetlistError};
-
-/// Number of independent simulation lanes in a [`PackedNetlistSim`].
-pub const LANES: usize = 64;
 
 /// One combinational instruction. Operands `a`/`b`/`c` and `dest` are
 /// net-slot indices (pin order follows [`CellKind`]); for
@@ -68,14 +57,10 @@ pub(crate) struct CompiledRom {
     pub(crate) contents: Vec<u64>,
 }
 
-/// A [`Module`] lowered to a levelized, flat instruction stream.
-///
-/// The program is immutable and engine-agnostic: the scalar
-/// [`CompiledNetlistSim`] and the 64-lane [`PackedNetlistSim`] both
-/// execute it, differing only in what a net slot holds (`bool` vs one
-/// bit per lane in a `u64`).
+/// A [`Module`] lowered to a levelized, flat instruction stream: the
+/// input IR of [`crate::JitNetlistProgram::compile`].
 #[derive(Debug, Clone)]
-pub struct NetlistProgram {
+pub(crate) struct NetlistProgram {
     /// Number of net slots (one per module net).
     pub(crate) slots: usize,
     /// Levelized combinational stream (constants excluded — they are
@@ -100,7 +85,7 @@ impl NetlistProgram {
     ///
     /// Returns any [`NetlistError`] found while validating or levelizing
     /// the module.
-    pub fn compile(module: &Module) -> Result<Self, NetlistError> {
+    pub(crate) fn compile(module: &Module) -> Result<Self, NetlistError> {
         lis_netlist::validate(module)?;
         let lv = levelize(module)?;
         let slot = |n: lis_netlist::NetId| n.index() as u32;
@@ -207,697 +192,15 @@ impl NetlistProgram {
             outputs: port_slots(&module.outputs),
         })
     }
-
-    /// Number of combinational instructions per cycle.
-    pub fn instr_count(&self) -> usize {
-        self.instrs.len()
-    }
-
-    /// Number of levels in the instruction stream.
-    pub fn depth(&self) -> usize {
-        self.level_starts.len().saturating_sub(1)
-    }
-
-    fn find_port(
-        &self,
-        ports: &[(String, Vec<u32>)],
-        module: &Module,
-        name: &str,
-        output: bool,
-    ) -> Result<usize, SimError> {
-        ports
-            .iter()
-            .position(|(n, _)| n == name)
-            .ok_or_else(|| SimError::UnknownPort {
-                module: module.name.clone(),
-                port: name.to_owned(),
-                output,
-            })
-    }
-
-    /// Resolves an input port name to a handle (shared by both
-    /// engines; `module` supplies the name for the error).
-    pub(crate) fn resolve_input(
-        &self,
-        module: &Module,
-        name: &str,
-    ) -> Result<PortHandle, SimError> {
-        Ok(PortHandle {
-            index: self.find_port(&self.inputs, module, name, false)?,
-            output: false,
-        })
-    }
-
-    /// Resolves an output port name to a handle.
-    pub(crate) fn resolve_output(
-        &self,
-        module: &Module,
-        name: &str,
-    ) -> Result<PortHandle, SimError> {
-        Ok(PortHandle {
-            index: self.find_port(&self.outputs, module, name, true)?,
-            output: true,
-        })
-    }
-}
-
-/// The word a compiled engine evaluates over: `bool` carries one
-/// scalar simulation, `u64` one bit per lane. Gate semantics are the
-/// plain bitwise operators for both, which is what lets the two
-/// engines share a single instruction walk ([`eval_program`]) and
-/// flip-flop commit ([`commit_dffs`]) instead of maintaining two
-/// hand-synchronized copies. The JIT engines (`crate::jit`) execute
-/// over the same words.
-pub(crate) trait SimWord:
-    Copy
-    + PartialEq
-    + std::ops::BitAnd<Output = Self>
-    + std::ops::BitOr<Output = Self>
-    + std::ops::BitXor<Output = Self>
-    + std::ops::Not<Output = Self>
-{
-    /// Broadcasts one bit to every lane of the word.
-    fn splat(bit: bool) -> Self;
-}
-
-impl SimWord for bool {
-    fn splat(bit: bool) -> bool {
-        bit
-    }
-}
-
-impl SimWord for u64 {
-    fn splat(bit: bool) -> u64 {
-        if bit {
-            u64::MAX
-        } else {
-            0
-        }
-    }
-}
-
-/// Presents registered state on the DFF output slots, then runs the
-/// levelized instruction stream once. ROM reads — the one operation
-/// whose lane handling differs between the scalar and packed engines —
-/// are delegated to `rom_read`.
-fn eval_program<W: SimWord>(
-    prog: &NetlistProgram,
-    values: &mut [W],
-    state: &[W],
-    rom_read: impl Fn(&CompiledRom, &mut [W]),
-) {
-    for (i, dff) in prog.dffs.iter().enumerate() {
-        values[dff.q as usize] = state[i];
-    }
-    for instr in &prog.instrs {
-        let v = &*values;
-        let out = match instr.op {
-            OpCode::And => v[instr.a as usize] & v[instr.b as usize],
-            OpCode::Or => v[instr.a as usize] | v[instr.b as usize],
-            OpCode::Xor => v[instr.a as usize] ^ v[instr.b as usize],
-            OpCode::Nand => !(v[instr.a as usize] & v[instr.b as usize]),
-            OpCode::Nor => !(v[instr.a as usize] | v[instr.b as usize]),
-            OpCode::Xnor => !(v[instr.a as usize] ^ v[instr.b as usize]),
-            OpCode::Not => !v[instr.a as usize],
-            OpCode::Buf => v[instr.a as usize],
-            OpCode::Mux => {
-                let sel = v[instr.a as usize];
-                (sel & v[instr.c as usize]) | (!sel & v[instr.b as usize])
-            }
-            OpCode::Rom => {
-                rom_read(&prog.roms[instr.a as usize], values);
-                continue;
-            }
-        };
-        values[instr.dest as usize] = out;
-    }
-}
-
-/// Commits every flip-flop: `q' = rst ? reset_value : (en ? d : q)`,
-/// expressed bitwise so one formula serves scalar and packed words.
-/// Returns whether any flip-flop changed value — the quiescence probe
-/// the activity-driven component kernel keys on.
-fn commit_dffs<W: SimWord>(prog: &NetlistProgram, values: &[W], state: &mut [W]) -> bool {
-    let mut changed = false;
-    for (i, dff) in prog.dffs.iter().enumerate() {
-        let rst = values[dff.rst as usize];
-        let en = values[dff.en as usize];
-        let d = values[dff.d as usize];
-        let q = state[i];
-        let rv = W::splat(dff.reset_value);
-        let next = (rst & rv) | (!rst & ((en & d) | (!en & q)));
-        changed |= next != q;
-        state[i] = next;
-    }
-    changed
-}
-
-/// Gathers a ROM address bit by bit via `bit_of` and returns the
-/// addressed word: 0 beyond the populated contents, and 0 when any set
-/// address bit lies past bit 63 (such an address can never land inside
-/// a `Vec`-backed table).
-pub(crate) fn rom_word(rom: &CompiledRom, mut bit_of: impl FnMut(u32) -> bool) -> u64 {
-    let mut addr = 0u64;
-    let mut high = false;
-    for (i, &a) in rom.addr.iter().enumerate() {
-        if bit_of(a) {
-            if i < 64 {
-                addr |= 1 << i;
-            } else {
-                high = true;
-            }
-        }
-    }
-    if high {
-        0
-    } else {
-        usize::try_from(addr)
-            .ok()
-            .and_then(|a| rom.contents.get(a))
-            .copied()
-            .unwrap_or(0)
-    }
-}
-
-/// Packed (64-lane) view of the net-slot buffer a ROM read goes
-/// through — implemented by the plain slice in [`PackedNetlistSim`]
-/// and by the unchecked slot pointer in the packed JIT engine.
-pub(crate) trait RomSlots {
-    fn get(&self, s: u32) -> u64;
-    fn set(&mut self, s: u32, w: u64);
-}
-
-impl RomSlots for &mut [u64] {
-    fn get(&self, s: u32) -> u64 {
-        self[s as usize]
-    }
-    fn set(&mut self, s: u32, w: u64) {
-        self[s as usize] = w;
-    }
-}
-
-/// Performs one packed ROM read through the `slots` accessor: gathers
-/// a per-lane address and scatters the per-lane word back onto the
-/// data slots. Shared by [`PackedNetlistSim`] and the packed JIT
-/// engine (`crate::jit`).
-///
-/// Fast path: wrapper controllers almost always drive every lane to the
-/// *same* ROM address (the slice table is indexed by a shared schedule
-/// counter), which makes each address slot all-zeros or all-ones. In
-/// that case one table lookup serves all 64 lanes and the per-lane
-/// gather/scatter loop is skipped entirely.
-pub(crate) fn packed_rom_gather(rom: &CompiledRom, slots: &mut impl RomSlots) {
-    let shared_addr = rom.addr.iter().all(|&a| {
-        let w = slots.get(a);
-        w == 0 || w == u64::MAX
-    });
-    if shared_addr {
-        let word = rom_word(rom, |a| slots.get(a) == u64::MAX);
-        for (i, &d) in rom.data.iter().enumerate() {
-            slots.set(d, if (word >> i) & 1 == 1 { u64::MAX } else { 0 });
-        }
-        return;
-    }
-    let mut out = [0u64; 64];
-    for lane in 0..LANES {
-        let word = rom_word(rom, |a| (slots.get(a) >> lane) & 1 == 1);
-        for (i, slot) in out.iter_mut().enumerate().take(rom.data.len()) {
-            *slot |= ((word >> i) & 1) << lane;
-        }
-    }
-    for (i, &d) in rom.data.iter().enumerate() {
-        slots.set(d, out[i]);
-    }
-}
-
-/// A pre-resolved reference to a module port, produced by
-/// [`CompiledNetlistSim::input_handle`]/[`CompiledNetlistSim::output_handle`]
-/// (and the packed equivalents). Using a handle skips the name lookup on
-/// every cycle — the fast path for harnesses that drive the same ports
-/// millions of times.
-///
-/// A handle is only meaningful on executors compiled from the same
-/// module; indexing with a foreign handle panics or reads the wrong
-/// port.
-#[derive(Debug, Clone, Copy)]
-pub struct PortHandle {
-    pub(crate) index: usize,
-    pub(crate) output: bool,
-}
-
-/// Scalar compiled executor: identical semantics to
-/// [`crate::NetlistSim`], ~an order of magnitude faster on wrapper-sized
-/// netlists (no per-cell allocation, no id-chasing — one flat
-/// instruction walk per cycle).
-#[derive(Debug, Clone)]
-pub struct CompiledNetlistSim {
-    module: Module,
-    prog: NetlistProgram,
-    values: Vec<bool>,
-    /// Registered state, indexed like `prog.dffs`.
-    state: Vec<bool>,
-}
-
-impl CompiledNetlistSim {
-    /// Compiles and initializes an executor for `module`.
-    ///
-    /// # Errors
-    ///
-    /// Returns any [`NetlistError`] found while validating the module.
-    pub fn new(module: Module) -> Result<Self, NetlistError> {
-        let prog = NetlistProgram::compile(&module)?;
-        let mut values = vec![false; prog.slots];
-        for &(slot, v) in &prog.consts {
-            values[slot as usize] = v;
-        }
-        let state = prog.dffs.iter().map(|d| d.reset_value).collect();
-        Ok(CompiledNetlistSim {
-            module,
-            prog,
-            values,
-            state,
-        })
-    }
-
-    /// The module this executor was compiled from.
-    pub fn module(&self) -> &Module {
-        &self.module
-    }
-
-    /// The compiled program (for diagnostics and benches).
-    pub fn program(&self) -> &NetlistProgram {
-        &self.prog
-    }
-
-    /// Resets all flip-flops to their power-up values.
-    pub fn reset_state(&mut self) {
-        for (s, d) in self.state.iter_mut().zip(&self.prog.dffs) {
-            *s = d.reset_value;
-        }
-    }
-
-    /// The registered flip-flop state, in program order (the seam
-    /// checkpointing saves through).
-    pub fn dff_state(&self) -> &[bool] {
-        &self.state
-    }
-
-    /// Restores flip-flop state captured by
-    /// [`CompiledNetlistSim::dff_state`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` does not have one entry per flip-flop.
-    pub fn set_dff_state(&mut self, state: &[bool]) {
-        assert_eq!(state.len(), self.state.len(), "dff state length mismatch");
-        self.state.copy_from_slice(state);
-    }
-
-    /// Resolves an input port name to a [`PortHandle`].
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::UnknownPort`] if no input port has that name.
-    pub fn input_handle(&self, name: &str) -> Result<PortHandle, SimError> {
-        self.prog.resolve_input(&self.module, name)
-    }
-
-    /// Resolves an output port name to a [`PortHandle`].
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::UnknownPort`] if no output port has that name.
-    pub fn output_handle(&self, name: &str) -> Result<PortHandle, SimError> {
-        self.prog.resolve_output(&self.module, name)
-    }
-
-    /// Drives an input port through a pre-resolved handle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `h` is not an input handle of this module.
-    pub fn set_input_h(&mut self, h: PortHandle, value: u64) {
-        assert!(!h.output, "set_input_h needs an input handle");
-        let (_, slots) = &self.prog.inputs[h.index];
-        for (i, &slot) in slots.iter().enumerate() {
-            self.values[slot as usize] = i < 64 && (value >> i) & 1 == 1;
-        }
-    }
-
-    /// Reads an output port through a pre-resolved handle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `h` is not an output handle of this module.
-    pub fn get_output_h(&self, h: PortHandle) -> u64 {
-        assert!(h.output, "get_output_h needs an output handle");
-        let (_, slots) = &self.prog.outputs[h.index];
-        let mut v = 0u64;
-        for (i, &slot) in slots.iter().enumerate().take(64) {
-            if self.values[slot as usize] {
-                v |= 1 << i;
-            }
-        }
-        v
-    }
-
-    /// Drives an input port with `value` (LSB-first; bits past 64 get 0).
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::UnknownPort`] if no input port has that name.
-    pub fn set_input(&mut self, port: &str, value: u64) -> Result<(), SimError> {
-        let h = self.input_handle(port)?;
-        self.set_input_h(h, value);
-        Ok(())
-    }
-
-    /// Reads an output port (low 64 bits for wider ports).
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::UnknownPort`] if no output port has that name.
-    pub fn get_output(&self, port: &str) -> Result<u64, SimError> {
-        let h = self.output_handle(port)?;
-        Ok(self.get_output_h(h))
-    }
-
-    /// Settles combinational logic: flip-flop outputs take their stored
-    /// state, then the instruction stream runs once.
-    pub fn eval(&mut self) {
-        eval_program(&self.prog, &mut self.values, &self.state, |rom, values| {
-            let word = rom_word(rom, |a| values[a as usize]);
-            for (i, &d) in rom.data.iter().enumerate() {
-                values[d as usize] = (word >> i) & 1 == 1;
-            }
-        });
-    }
-
-    /// One clock cycle: [`CompiledNetlistSim::eval`] then commit every
-    /// flip-flop (`q' = rst ? reset_value : (en ? d : q)`).
-    pub fn step(&mut self) {
-        self.step_changed();
-    }
-
-    /// [`CompiledNetlistSim::step`], reporting whether any flip-flop
-    /// changed value.
-    pub fn step_changed(&mut self) -> bool {
-        self.eval();
-        commit_dffs(&self.prog, &self.values, &mut self.state)
-    }
-}
-
-impl NetlistExec for CompiledNetlistSim {
-    fn module(&self) -> &Module {
-        CompiledNetlistSim::module(self)
-    }
-
-    fn reset_state(&mut self) {
-        CompiledNetlistSim::reset_state(self);
-    }
-
-    fn set_input(&mut self, port: &str, value: u64) -> Result<(), SimError> {
-        CompiledNetlistSim::set_input(self, port, value)
-    }
-
-    fn get_output(&self, port: &str) -> Result<u64, SimError> {
-        CompiledNetlistSim::get_output(self, port)
-    }
-
-    fn eval(&mut self) {
-        CompiledNetlistSim::eval(self);
-    }
-
-    fn step(&mut self) {
-        CompiledNetlistSim::step(self);
-    }
-
-    fn step_changed(&mut self) -> bool {
-        CompiledNetlistSim::step_changed(self)
-    }
-}
-
-/// 64-lane bit-parallel executor: every net slot is a `u64` holding one
-/// bit per lane, so each gate evaluates 64 independent Monte-Carlo
-/// simulations with a single bitwise operation.
-///
-/// Lanes share the netlist but nothing else — inputs, outputs and
-/// flip-flop state are fully independent per lane. ROM reads, the one
-/// data-dependent operation, gather a per-lane address and scatter the
-/// per-lane word.
-///
-/// The [`NetlistExec`] impl broadcasts `set_input` to every lane and
-/// reads `get_output` from lane 0, which makes a packed sim a drop-in
-/// scalar executor when all lanes carry the same stimulus.
-#[derive(Debug, Clone)]
-pub struct PackedNetlistSim {
-    module: Module,
-    prog: NetlistProgram,
-    values: Vec<u64>,
-    /// Registered state, indexed like `prog.dffs`; one bit per lane.
-    state: Vec<u64>,
-}
-
-impl PackedNetlistSim {
-    /// Compiles and initializes a 64-lane executor for `module`.
-    ///
-    /// # Errors
-    ///
-    /// Returns any [`NetlistError`] found while validating the module.
-    pub fn new(module: Module) -> Result<Self, NetlistError> {
-        let prog = NetlistProgram::compile(&module)?;
-        let mut values = vec![0u64; prog.slots];
-        for &(slot, v) in &prog.consts {
-            values[slot as usize] = if v { u64::MAX } else { 0 };
-        }
-        let state = prog
-            .dffs
-            .iter()
-            .map(|d| if d.reset_value { u64::MAX } else { 0 })
-            .collect();
-        Ok(PackedNetlistSim {
-            module,
-            prog,
-            values,
-            state,
-        })
-    }
-
-    /// The module this executor was compiled from.
-    pub fn module(&self) -> &Module {
-        &self.module
-    }
-
-    /// Number of independent lanes (always [`LANES`]).
-    pub fn lanes(&self) -> usize {
-        LANES
-    }
-
-    /// Resets all flip-flops to their power-up values in every lane.
-    pub fn reset_state(&mut self) {
-        for (s, d) in self.state.iter_mut().zip(&self.prog.dffs) {
-            *s = if d.reset_value { u64::MAX } else { 0 };
-        }
-    }
-
-    /// The registered flip-flop state, in program order, one bit per
-    /// lane (the seam checkpointing saves through).
-    pub fn dff_state(&self) -> &[u64] {
-        &self.state
-    }
-
-    /// Restores flip-flop state captured by
-    /// [`PackedNetlistSim::dff_state`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` does not have one entry per flip-flop.
-    pub fn set_dff_state(&mut self, state: &[u64]) {
-        assert_eq!(state.len(), self.state.len(), "dff state length mismatch");
-        self.state.copy_from_slice(state);
-    }
-
-    /// Resolves an input port name to a [`PortHandle`].
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::UnknownPort`] if no input port has that name.
-    pub fn input_handle(&self, name: &str) -> Result<PortHandle, SimError> {
-        self.prog.resolve_input(&self.module, name)
-    }
-
-    /// Resolves an output port name to a [`PortHandle`].
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::UnknownPort`] if no output port has that name.
-    pub fn output_handle(&self, name: &str) -> Result<PortHandle, SimError> {
-        self.prog.resolve_output(&self.module, name)
-    }
-
-    /// Drives bit `bit` of an input port with one stimulus bit per lane
-    /// — the fast path for Monte-Carlo sweeps (one call drives all 64
-    /// lanes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `h` is not an input handle or `bit` is out of range.
-    pub fn set_input_bit_lanes(&mut self, h: PortHandle, bit: usize, lanes: u64) {
-        assert!(!h.output, "set_input_bit_lanes needs an input handle");
-        let (_, slots) = &self.prog.inputs[h.index];
-        self.values[slots[bit] as usize] = lanes;
-    }
-
-    /// Reads bit `bit` of an output port across all lanes (one result
-    /// bit per lane).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `h` is not an output handle or `bit` is out of range.
-    pub fn get_output_bit_lanes(&self, h: PortHandle, bit: usize) -> u64 {
-        assert!(h.output, "get_output_bit_lanes needs an output handle");
-        let (_, slots) = &self.prog.outputs[h.index];
-        self.values[slots[bit] as usize]
-    }
-
-    /// Drives an input port in one lane only, through a pre-resolved
-    /// handle — the fast path for lane-batched harnesses.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `h` is not an input handle or `lane >= LANES`.
-    pub fn set_input_lane_h(&mut self, h: PortHandle, lane: usize, value: u64) {
-        assert!(!h.output, "set_input_lane_h needs an input handle");
-        assert!(lane < LANES, "lane {lane} out of range");
-        let (_, slots) = &self.prog.inputs[h.index];
-        for (i, &slot) in slots.iter().enumerate() {
-            let bit = u64::from(i < 64 && (value >> i) & 1 == 1);
-            let w = &mut self.values[slot as usize];
-            *w = (*w & !(1 << lane)) | (bit << lane);
-        }
-    }
-
-    /// Drives an input port in one lane only.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::UnknownPort`] if no input port has that name.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane >= LANES`.
-    pub fn set_input_lane(&mut self, lane: usize, port: &str, value: u64) -> Result<(), SimError> {
-        let h = self.input_handle(port)?;
-        self.set_input_lane_h(h, lane, value);
-        Ok(())
-    }
-
-    /// Drives an input port with the same value in every lane.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::UnknownPort`] if no input port has that name.
-    pub fn set_input_all(&mut self, port: &str, value: u64) -> Result<(), SimError> {
-        let h = self.input_handle(port)?;
-        let (_, slots) = &self.prog.inputs[h.index];
-        for (i, &slot) in slots.iter().enumerate() {
-            self.values[slot as usize] = if i < 64 && (value >> i) & 1 == 1 {
-                u64::MAX
-            } else {
-                0
-            };
-        }
-        Ok(())
-    }
-
-    /// Reads an output port in one lane through a pre-resolved handle
-    /// (low 64 bits for wider ports).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `h` is not an output handle or `lane >= LANES`.
-    pub fn get_output_lane_h(&self, h: PortHandle, lane: usize) -> u64 {
-        assert!(h.output, "get_output_lane_h needs an output handle");
-        assert!(lane < LANES, "lane {lane} out of range");
-        let (_, slots) = &self.prog.outputs[h.index];
-        let mut v = 0u64;
-        for (i, &slot) in slots.iter().enumerate().take(64) {
-            if (self.values[slot as usize] >> lane) & 1 == 1 {
-                v |= 1 << i;
-            }
-        }
-        v
-    }
-
-    /// Reads an output port in one lane (low 64 bits for wider ports).
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::UnknownPort`] if no output port has that name.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane >= LANES`.
-    pub fn get_output_lane(&self, lane: usize, port: &str) -> Result<u64, SimError> {
-        let h = self.output_handle(port)?;
-        Ok(self.get_output_lane_h(h, lane))
-    }
-
-    /// Settles combinational logic in every lane.
-    pub fn eval(&mut self) {
-        eval_program(&self.prog, &mut self.values, &self.state, |rom, values| {
-            packed_rom_gather(rom, &mut &mut *values);
-        });
-    }
-
-    /// One clock cycle in every lane: eval then per-lane flip-flop
-    /// commit (`q' = rst ? reset_value : (en ? d : q)`, bitwise).
-    pub fn step(&mut self) {
-        self.step_changed();
-    }
-
-    /// [`PackedNetlistSim::step`], reporting whether any flip-flop
-    /// changed in *any* lane.
-    pub fn step_changed(&mut self) -> bool {
-        self.eval();
-        commit_dffs(&self.prog, &self.values, &mut self.state)
-    }
-}
-
-impl NetlistExec for PackedNetlistSim {
-    fn module(&self) -> &Module {
-        PackedNetlistSim::module(self)
-    }
-
-    fn reset_state(&mut self) {
-        PackedNetlistSim::reset_state(self);
-    }
-
-    fn set_input(&mut self, port: &str, value: u64) -> Result<(), SimError> {
-        self.set_input_all(port, value)
-    }
-
-    fn get_output(&self, port: &str) -> Result<u64, SimError> {
-        self.get_output_lane(0, port)
-    }
-
-    fn eval(&mut self) {
-        PackedNetlistSim::eval(self);
-    }
-
-    fn step(&mut self) {
-        PackedNetlistSim::step(self);
-    }
-
-    fn step_changed(&mut self) -> bool {
-        PackedNetlistSim::step_changed(self)
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    //! The compiled program end to end: lowered by the JIT and executed
+    //! by its scalar and 64-lane engines.
+
     use super::*;
-    use crate::NetlistSim;
+    use crate::{JitNetlistSim, JitPackedNetlistSim, NetlistExec, NetlistSim, LANES};
     use lis_netlist::ModuleBuilder;
 
     fn adder_module() -> Module {
@@ -910,16 +213,26 @@ mod tests {
         b.finish().unwrap()
     }
 
+    fn rom_module() -> Module {
+        let mut b = ModuleBuilder::new("romtest");
+        let addr = b.input("addr", 3);
+        let data = b.rom("r", &addr, 8, vec![7, 14, 21, 28, 35, 42, 49, 56]);
+        b.output("data", &data);
+        b.finish().unwrap()
+    }
+
     #[test]
     fn compiled_adder_is_exhaustively_correct() {
-        let mut sim = CompiledNetlistSim::new(adder_module()).unwrap();
+        let mut sim = JitPackedNetlistSim::new(adder_module()).unwrap();
         for x in 0..16u64 {
             for y in 0..16u64 {
-                sim.set_input("x", x).unwrap();
-                sim.set_input("y", y).unwrap();
+                sim.set_input_all("x", x).unwrap();
+                sim.set_input_all("y", y).unwrap();
                 sim.eval();
-                assert_eq!(sim.get_output("sum").unwrap(), (x + y) & 0xF);
-                assert_eq!(sim.get_output("cout").unwrap(), (x + y) >> 4);
+                for lane in [0, LANES - 1] {
+                    assert_eq!(sim.get_output_lane(lane, "sum").unwrap(), (x + y) & 0xF);
+                    assert_eq!(sim.get_output_lane(lane, "cout").unwrap(), (x + y) >> 4);
+                }
             }
         }
     }
@@ -933,23 +246,22 @@ mod tests {
         b.output("count", &count);
         let m = b.finish().unwrap();
         let mut interp = NetlistSim::new(m.clone()).unwrap();
-        let mut compiled = CompiledNetlistSim::new(m).unwrap();
+        let mut packed = JitPackedNetlistSim::new(m).unwrap();
         for cycle in 0..40u64 {
             let en = u64::from(cycle % 3 != 0);
             let rst = u64::from(cycle == 25);
-            interp.set_input("en", en).unwrap();
-            interp.set_input("rst", rst).unwrap();
-            compiled.set_input("en", en).unwrap();
-            compiled.set_input("rst", rst).unwrap();
-            interp.eval();
-            compiled.eval();
+            for s in [&mut interp as &mut dyn NetlistExec, &mut packed] {
+                s.set_input("en", en).unwrap();
+                s.set_input("rst", rst).unwrap();
+                s.eval();
+            }
             assert_eq!(
                 interp.get_output("count").unwrap(),
-                compiled.get_output("count").unwrap(),
+                packed.get_output_lane(LANES - 1, "count").unwrap(),
                 "cycle {cycle}"
             );
             interp.step();
-            compiled.step();
+            packed.step();
         }
     }
 
@@ -960,7 +272,7 @@ mod tests {
         let data = b.rom("r", &addr, 8, vec![10, 20, 30, 40, 50]);
         b.output("data", &data);
         let m = b.finish().unwrap();
-        let mut sim = CompiledNetlistSim::new(m).unwrap();
+        let mut sim = JitNetlistSim::new(m).unwrap();
         for (a, expect) in [(0, 10), (1, 20), (4, 50), (6, 0)] {
             sim.set_input("addr", a).unwrap();
             sim.eval();
@@ -970,7 +282,7 @@ mod tests {
 
     #[test]
     fn packed_lanes_are_independent() {
-        let mut sim = PackedNetlistSim::new(adder_module()).unwrap();
+        let mut sim = JitPackedNetlistSim::new(adder_module()).unwrap();
         for lane in 0..LANES {
             sim.set_input_lane(lane, "x", lane as u64 & 0xF).unwrap();
             sim.set_input_lane(lane, "y", (lane as u64 >> 2) & 0xF)
@@ -997,7 +309,7 @@ mod tests {
         let count = b.counter_mod(4, en, rst, 16);
         b.output("count", &count);
         let m = b.finish().unwrap();
-        let mut sim = PackedNetlistSim::new(m).unwrap();
+        let mut sim = JitPackedNetlistSim::new(m).unwrap();
         let en_h = sim.input_handle("en").unwrap();
         sim.set_input_all("rst", 0).unwrap();
         // Even lanes count every cycle, odd lanes never.
@@ -1018,12 +330,7 @@ mod tests {
 
     #[test]
     fn packed_rom_gathers_per_lane_addresses() {
-        let mut b = ModuleBuilder::new("romtest");
-        let addr = b.input("addr", 3);
-        let data = b.rom("r", &addr, 8, vec![7, 14, 21, 28, 35, 42, 49, 56]);
-        b.output("data", &data);
-        let m = b.finish().unwrap();
-        let mut sim = PackedNetlistSim::new(m).unwrap();
+        let mut sim = JitPackedNetlistSim::new(rom_module()).unwrap();
         for lane in 0..LANES {
             sim.set_input_lane(lane, "addr", (lane % 8) as u64).unwrap();
         }
@@ -1041,16 +348,9 @@ mod tests {
     fn packed_rom_shared_address_fast_path_matches_general() {
         // All lanes share one address -> the gather takes the single-
         // lookup fast path; mixed per-lane addresses take the general
-        // per-lane path. Both must agree with the scalar engine.
-        let build = || {
-            let mut b = ModuleBuilder::new("romtest");
-            let addr = b.input("addr", 3);
-            let data = b.rom("r", &addr, 8, vec![7, 14, 21, 28, 35, 42, 49, 56]);
-            b.output("data", &data);
-            b.finish().unwrap()
-        };
-        let mut scalar = CompiledNetlistSim::new(build()).unwrap();
-        let mut packed = PackedNetlistSim::new(build()).unwrap();
+        // per-lane path. Both must agree with the interpreter.
+        let mut scalar = NetlistSim::new(rom_module()).unwrap();
+        let mut packed = JitPackedNetlistSim::new(rom_module()).unwrap();
         for a in 0..8u64 {
             // Shared-address: every lane drives the same address.
             packed.set_input_all("addr", a).unwrap();
@@ -1067,7 +367,7 @@ mod tests {
             }
         }
         // Mixed addresses in the same program exercise the general
-        // path and must still match the scalar engine lane-by-lane.
+        // path and must still match the interpreter lane-by-lane.
         for lane in 0..LANES {
             packed
                 .set_input_lane(lane, "addr", (lane % 7) as u64)
@@ -1090,13 +390,13 @@ mod tests {
         let m = adder_module();
         let prog = NetlistProgram::compile(&m).unwrap();
         // A 4-bit ripple adder has a deep carry chain.
-        assert!(prog.depth() >= 4);
-        assert_eq!(prog.instr_count(), m.cell_count() - 1); // minus const
+        assert!(prog.level_starts.len() > 4);
+        assert_eq!(prog.instrs.len(), m.cell_count() - 1); // minus const
     }
 
     #[test]
     fn netlist_exec_broadcast_surface_on_packed() {
-        let mut sim = PackedNetlistSim::new(adder_module()).unwrap();
+        let mut sim = JitPackedNetlistSim::new(adder_module()).unwrap();
         NetlistExec::set_input(&mut sim, "x", 6).unwrap();
         NetlistExec::set_input(&mut sim, "y", 7).unwrap();
         NetlistExec::eval(&mut sim);

@@ -1,9 +1,8 @@
 //! JIT-lowered netlist execution: fused superinstructions dispatched in
 //! per-opcode runs, with optional level-parallel packed execution.
 //!
-//! [`NetlistProgram`] executes one `match` per instruction per cycle.
-//! This module post-processes that levelized stream **once** into a
-//! [`JitNetlistProgram`]:
+//! The levelized `NetlistProgram` (`compile.rs`) is the input IR.
+//! This module post-processes it **once** into a [`JitNetlistProgram`]:
 //!
 //! * **peephole fusion + folding** — inverters fuse into their
 //!   consumers (NAND/NOR/and-not/or-not/De-Morgan rewrites and
@@ -23,12 +22,12 @@
 //!   results are bit-identical at any `LIS_SIM_THREADS`.
 //!
 //! [`JitNetlistSim`] (scalar) and [`JitPackedNetlistSim`] (64 lanes per
-//! `u64`) expose the same [`NetlistExec`] surface as the interpreter
-//! and the compiled engines; property tests pin all five engines
-//! cycle-for-cycle equivalent. Dead-code elimination never removes
-//! flip-flops or their pin cones, so `step_changed()` — the quiescence
-//! probe the activity-driven kernel keys on — answers identically to
-//! the unoptimized engines even for state no output observes.
+//! `u64`) expose the same [`NetlistExec`] surface as the interpreter;
+//! property tests pin all three engines cycle-for-cycle equivalent.
+//! Dead-code elimination never removes flip-flops or their pin cones,
+//! so `step_changed()` — the quiescence probe the activity kernel keys
+//! on — answers identically to the interpreter even for state no
+//! output observes.
 
 // Unsafe is confined to `SlotPtr`, the unchecked slot accessor behind
 // the dispatch loops. `JitNetlistProgram::lower` asserts at build time
@@ -37,15 +36,64 @@
 // the level barrier (operands always come from earlier levels).
 #![allow(unsafe_code)]
 
-use crate::compile::{
-    packed_rom_gather, rom_word, CompiledRom, NetlistProgram, OpCode, PortHandle, SimWord,
-};
+use crate::compile::{CompiledRom, NetlistProgram, OpCode};
 use crate::kernel::SimError;
 use crate::netlist_sim::NetlistExec;
 use crate::pool::WorkStealingPool;
 use lis_netlist::{LoweringStats, Module, NetlistError, OpCount};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Number of independent simulation lanes in a [`JitPackedNetlistSim`].
+pub const LANES: usize = 64;
+
+/// A pre-resolved reference to a module port, produced by
+/// [`JitNetlistSim::input_handle`]/[`JitNetlistSim::output_handle`]
+/// (and the packed equivalents). Using a handle skips the name lookup on
+/// every cycle — the fast path for harnesses that drive the same ports
+/// millions of times.
+///
+/// A handle is only meaningful on executors compiled from the same
+/// module; indexing with a foreign handle panics or reads the wrong
+/// port.
+#[derive(Debug, Clone, Copy)]
+pub struct PortHandle {
+    index: usize,
+    output: bool,
+}
+
+/// The word an engine evaluates over: `bool` carries one scalar
+/// simulation, `u64` one bit per lane. Gate semantics are the plain
+/// bitwise operators for both, which is what lets the scalar and packed
+/// engines share one dispatch loop and flip-flop commit instead of
+/// maintaining two hand-synchronized copies.
+trait SimWord:
+    Copy
+    + PartialEq
+    + std::ops::BitAnd<Output = Self>
+    + std::ops::BitOr<Output = Self>
+    + std::ops::BitXor<Output = Self>
+    + std::ops::Not<Output = Self>
+{
+    /// Broadcasts one bit to every lane of the word.
+    fn splat(bit: bool) -> Self;
+}
+
+impl SimWord for bool {
+    fn splat(bit: bool) -> bool {
+        bit
+    }
+}
+
+impl SimWord for u64 {
+    fn splat(bit: bool) -> u64 {
+        if bit {
+            u64::MAX
+        } else {
+            0
+        }
+    }
+}
 
 /// Fused opcodes. Declaration order is the within-level dispatch order
 /// (instructions are grouped into runs by this sort key).
@@ -174,11 +222,11 @@ struct DffClasses {
     full_inv: Vec<u32>,
 }
 
-/// A [`NetlistProgram`] post-processed by fusion, constant folding,
-/// copy propagation, CSE, dead-net elimination, slot remapping and
-/// per-opcode run sorting. Immutable and engine-agnostic, like the
-/// program it was lowered from: [`JitNetlistSim`] executes it over
-/// `bool`, [`JitPackedNetlistSim`] over 64-lane `u64` words.
+/// A module's levelized instruction stream post-processed by fusion,
+/// constant folding, copy propagation, CSE, dead-net elimination, slot
+/// remapping and per-opcode run sorting. Immutable and engine-agnostic:
+/// [`JitNetlistSim`] executes it over `bool`, [`JitPackedNetlistSim`]
+/// over 64-lane `u64` words.
 #[derive(Debug, Clone)]
 pub struct JitNetlistProgram {
     /// Dense live slot count after remapping.
@@ -191,8 +239,8 @@ pub struct JitNetlistProgram {
     args: Vec<u32>,
     /// Constant slots, applied once at initialization.
     consts: Vec<(u32, bool)>,
-    /// All flip-flops, in the same program order as
-    /// [`NetlistProgram`]'s (the checkpoint seam depends on it).
+    /// All flip-flops, in module cell order (the checkpoint seam
+    /// depends on it).
     dffs: Vec<JitDff>,
     classes: DffClasses,
     roms: Vec<CompiledRom>,
@@ -512,7 +560,8 @@ fn arity(op: JitOp) -> usize {
 }
 
 impl JitNetlistProgram {
-    /// Compiles `module` to a [`NetlistProgram`] and lowers it.
+    /// Compiles `module` to a levelized instruction stream and lowers
+    /// it.
     ///
     /// # Errors
     ///
@@ -525,7 +574,7 @@ impl JitNetlistProgram {
     /// Lowers an already-compiled program: fusion, constant folding,
     /// copy propagation, CSE, dead-net elimination, slot remapping and
     /// per-opcode run sorting.
-    pub fn lower(prog: &NetlistProgram) -> Self {
+    pub(crate) fn lower(prog: &NetlistProgram) -> Self {
         let slots = prog.slots;
         let mut lw = Lowerer::new(prog);
         let mut cse: HashMap<(JitOp, u32, u32, u32), u32> = HashMap::new();
@@ -664,7 +713,7 @@ impl JitNetlistProgram {
         // Backward dead-code pass. Roots: output ports plus the pins
         // each flip-flop class actually reads — every flip-flop keeps
         // committing (even ones no output observes) so `step_changed()`
-        // answers exactly like the unoptimized engines.
+        // answers exactly like the interpreter.
         let mut live = vec![false; slots];
         for (_, ss) in &outputs {
             for &s in ss {
@@ -1410,6 +1459,33 @@ unsafe fn exec_slice<W: SimWord, F: Fn(&CompiledRom, SlotPtr<W>)>(
     }
 }
 
+/// Gathers a ROM address bit by bit via `bit_of` and returns the
+/// addressed word: 0 beyond the populated contents, and 0 when any set
+/// address bit lies past bit 63 (such an address can never land inside
+/// a `Vec`-backed table).
+fn rom_word(rom: &CompiledRom, mut bit_of: impl FnMut(u32) -> bool) -> u64 {
+    let mut addr = 0u64;
+    let mut high = false;
+    for (i, &a) in rom.addr.iter().enumerate() {
+        if bit_of(a) {
+            if i < 64 {
+                addr |= 1 << i;
+            } else {
+                high = true;
+            }
+        }
+    }
+    if high {
+        0
+    } else {
+        usize::try_from(addr)
+            .ok()
+            .and_then(|a| rom.contents.get(a))
+            .copied()
+            .unwrap_or(0)
+    }
+}
+
 fn rom_read_scalar(rom: &CompiledRom, s: SlotPtr<bool>) {
     // SAFETY: ROM addr/data indices validated at build time; scalar
     // execution is single-threaded.
@@ -1419,21 +1495,42 @@ fn rom_read_scalar(rom: &CompiledRom, s: SlotPtr<bool>) {
     }
 }
 
-impl crate::compile::RomSlots for SlotPtr<u64> {
-    fn get(&self, s: u32) -> u64 {
-        // SAFETY: ROM addr/data indices validated at build time.
-        unsafe { SlotPtr::get(*self, s) }
-    }
-    fn set(&mut self, s: u32, w: u64) {
-        // SAFETY: as above; in the threaded path one shard owns the
-        // whole ROM instruction, so its data writes don't race.
-        unsafe { SlotPtr::set(*self, s, w) }
-    }
-}
-
+/// One packed ROM read: gathers a per-lane address and scatters the
+/// per-lane word back onto the data slots.
+///
+/// Fast path: wrapper controllers almost always drive every lane to the
+/// *same* ROM address (the slice table is indexed by a shared schedule
+/// counter), which makes each address slot all-zeros or all-ones. In
+/// that case one table lookup serves all 64 lanes and the per-lane
+/// gather/scatter loop is skipped entirely.
 fn rom_read_packed(rom: &CompiledRom, s: SlotPtr<u64>) {
-    let mut s = s;
-    packed_rom_gather(rom, &mut s);
+    // SAFETY: ROM addr indices are validated at build time.
+    let get = |a: u32| unsafe { s.get(a) };
+    // SAFETY: ROM data indices are validated at build time; in the
+    // threaded path one shard owns the whole ROM instruction, so its
+    // data writes don't race.
+    let set = |d: u32, w: u64| unsafe { s.set(d, w) };
+    let shared_addr = rom.addr.iter().all(|&a| {
+        let w = get(a);
+        w == 0 || w == u64::MAX
+    });
+    if shared_addr {
+        let word = rom_word(rom, |a| get(a) == u64::MAX);
+        for (i, &d) in rom.data.iter().enumerate() {
+            set(d, u64::splat((word >> i) & 1 == 1));
+        }
+        return;
+    }
+    let mut out = [0u64; 64];
+    for lane in 0..LANES {
+        let word = rom_word(rom, |a| (get(a) >> lane) & 1 == 1);
+        for (i, slot) in out.iter_mut().enumerate().take(rom.data.len()) {
+            *slot |= ((word >> i) & 1) << lane;
+        }
+    }
+    for (&d, &w) in rom.data.iter().zip(&out) {
+        set(d, w);
+    }
 }
 
 /// Presents registered state on the q slots, then executes every run.
@@ -1461,10 +1558,10 @@ fn eval_jit<W: SimWord, F: Fn(&CompiledRom, SlotPtr<W>)>(
 /// Commits every flip-flop through its class formula; hold-class
 /// flip-flops (enable and reset both tied low) can never change and
 /// are skipped. Returns whether any flip-flop changed value — by
-/// construction identical to what the unoptimized engines report.
+/// construction identical to what the interpreter reports.
 ///
-/// The plain-class loops are the hot path and match the baseline
-/// engines' commit instruction-for-instruction; only the rare `*_inv`
+/// Every class evaluates `q' = rst ? reset_value : (en ? d : q)`
+/// bitwise, specialized to its constant pins; only the rare `*_inv`
 /// classes pay for undoing pin-fused inverters.
 fn commit_jit<W: SimWord>(prog: &JitNetlistProgram, values: &[W], state: &mut [W]) -> bool {
     assert_eq!(values.len(), prog.slots);
@@ -1575,11 +1672,10 @@ fn init_state<W: SimWord>(prog: &JitNetlistProgram) -> Vec<W> {
     prog.dffs.iter().map(|d| W::splat(d.reset_value)).collect()
 }
 
-/// Scalar JIT executor: identical semantics to
-/// [`crate::CompiledNetlistSim`] (and the interpreter), executing the
-/// fused, run-sorted [`JitNetlistProgram`] instead of the raw
-/// instruction stream — fewer instructions, one branch per run, dense
-/// slots.
+/// Scalar JIT executor: identical semantics to the interpreter
+/// ([`crate::NetlistSim`]), executing the fused, run-sorted
+/// [`JitNetlistProgram`] — no per-cell allocation, no id-chasing, one
+/// branch per run, dense slots.
 #[derive(Debug, Clone)]
 pub struct JitNetlistSim {
     module: Module,
@@ -1625,8 +1721,9 @@ impl JitNetlistSim {
         }
     }
 
-    /// The registered flip-flop state, in program order (checkpoint
-    /// seam, interchangeable with [`crate::CompiledNetlistSim`]'s).
+    /// The registered flip-flop state, in module cell order (the
+    /// checkpoint seam, shared with [`JitPackedNetlistSim::dff_state`]'s
+    /// lane planes).
     pub fn dff_state(&self) -> &[bool] {
         &self.state
     }
@@ -1768,8 +1865,13 @@ impl NetlistExec for JitNetlistSim {
 /// [`JitPackedNetlistSim::set_parallel_threshold`]).
 pub const JIT_PARALLEL_MIN_INSTRS: usize = 4096;
 
-/// 64-lane bit-parallel JIT executor: [`crate::PackedNetlistSim`]
-/// semantics over the fused, run-sorted program, with an optional
+/// 64-lane bit-parallel JIT executor: every net slot is a `u64` holding
+/// one bit per lane, so each gate evaluates [`LANES`] independent
+/// simulations with a single bitwise operation. Lanes share the netlist
+/// but nothing else — inputs, outputs and flip-flop state are fully
+/// independent per lane; ROM reads gather a per-lane address. The
+/// [`NetlistExec`] impl broadcasts `set_input` to every lane and reads
+/// `get_output` from lane 0. An optional
 /// **level-parallel threaded mode** ([`JitPackedNetlistSim::set_threads`])
 /// that shards each level's runs across the work-stealing pool in
 /// deterministic index order — bit-identical at any thread count.
@@ -1853,7 +1955,7 @@ impl JitPackedNetlistSim {
 
     /// Number of independent lanes (always [`crate::LANES`]).
     pub fn lanes(&self) -> usize {
-        crate::compile::LANES
+        LANES
     }
 
     /// Resets all flip-flops to their power-up values in every lane.
@@ -1863,9 +1965,9 @@ impl JitPackedNetlistSim {
         }
     }
 
-    /// The registered flip-flop state, in program order, one bit per
-    /// lane (checkpoint seam, interchangeable with
-    /// [`crate::PackedNetlistSim`]'s).
+    /// The registered flip-flop state, in module cell order, one bit per
+    /// lane (the checkpoint seam; lane `l` of each word is a
+    /// [`JitNetlistSim::dff_state`] entry).
     pub fn dff_state(&self) -> &[u64] {
         &self.state
     }
@@ -1930,7 +2032,7 @@ impl JitPackedNetlistSim {
     /// Panics if `h` is not an input handle or `lane` is out of range.
     pub fn set_input_lane_h(&mut self, h: PortHandle, lane: usize, value: u64) {
         assert!(!h.output, "set_input_lane_h needs an input handle");
-        assert!(lane < crate::compile::LANES, "lane {lane} out of range");
+        assert!(lane < LANES, "lane {lane} out of range");
         let (_, slots) = &self.prog.inputs[h.index];
         for (i, &slot) in slots.iter().enumerate() {
             let bit = u64::from(i < 64 && (value >> i) & 1 == 1);
@@ -1979,7 +2081,7 @@ impl JitPackedNetlistSim {
     /// Panics if `h` is not an output handle or `lane` is out of range.
     pub fn get_output_lane_h(&self, h: PortHandle, lane: usize) -> u64 {
         assert!(h.output, "get_output_lane_h needs an output handle");
-        assert!(lane < crate::compile::LANES, "lane {lane} out of range");
+        assert!(lane < LANES, "lane {lane} out of range");
         let (_, slots) = &self.prog.outputs[h.index];
         let mut v = 0u64;
         for (i, &slot) in slots.iter().enumerate().take(64) {
@@ -2100,9 +2202,8 @@ impl NetlistExec for JitPackedNetlistSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::LANES;
-    use crate::{CompiledNetlistSim, NetlistSim};
-    use lis_netlist::ModuleBuilder;
+    use crate::NetlistSim;
+    use lis_netlist::{CellKind, ModuleBuilder};
 
     fn adder_module() -> Module {
         let mut b = ModuleBuilder::new("add4");
@@ -2214,21 +2315,21 @@ mod tests {
     }
 
     #[test]
-    fn jit_rom_reads_match_compiled() {
+    fn jit_rom_reads_match_interpreter() {
         let mut b = ModuleBuilder::new("romtest");
         let addr = b.input("addr", 3);
         let data = b.rom("r", &addr, 8, vec![10, 20, 30, 40, 50]);
         b.output("data", &data);
         let m = b.finish().unwrap();
-        let mut compiled = CompiledNetlistSim::new(m.clone()).unwrap();
+        let mut interp = NetlistSim::new(m.clone()).unwrap();
         let mut jit = JitNetlistSim::new(m).unwrap();
         for a in 0..8u64 {
-            compiled.set_input("addr", a).unwrap();
+            interp.set_input("addr", a).unwrap();
             jit.set_input("addr", a).unwrap();
-            compiled.eval();
+            interp.eval();
             jit.eval();
             assert_eq!(
-                compiled.get_output("data").unwrap(),
+                interp.get_output("data").unwrap(),
                 jit.get_output("data").unwrap(),
                 "addr {a}"
             );
@@ -2270,30 +2371,38 @@ mod tests {
     }
 
     #[test]
-    fn jit_dff_state_seam_is_compatible_with_compiled() {
+    fn jit_dff_state_seam_is_compatible_with_interpreter() {
         let mut b = ModuleBuilder::new("cnt");
         let en = b.input("en", 1).bit(0);
         let rst = b.input("rst", 1).bit(0);
         let count = b.counter_mod(4, en, rst, 10);
         b.output("count", &count);
         let m = b.finish().unwrap();
-        let mut compiled = CompiledNetlistSim::new(m.clone()).unwrap();
-        let mut jit = JitNetlistSim::new(m).unwrap();
+        let mut interp = NetlistSim::new(m.clone()).unwrap();
+        let mut jit = JitNetlistSim::new(m.clone()).unwrap();
         for _ in 0..7 {
-            for s in [&mut compiled as &mut dyn NetlistExec, &mut jit] {
+            for s in [&mut interp as &mut dyn NetlistExec, &mut jit] {
                 s.set_input("en", 1).unwrap();
                 s.set_input("rst", 0).unwrap();
                 s.step();
             }
         }
-        // Checkpoint from the compiled engine restores into the JIT
-        // engine (same program-order state layout).
-        let saved = compiled.dff_state().to_vec();
-        jit.reset_state();
-        jit.set_dff_state(&saved);
-        jit.set_input("en", 0).unwrap();
-        jit.set_input("rst", 0).unwrap();
-        jit.eval();
-        assert_eq!(jit.get_output("count").unwrap(), 7);
+        // The JIT's state vector is the interpreter's registers in
+        // module cell order, so an interpreter snapshot restores into a
+        // fresh JIT engine.
+        interp.eval();
+        let saved: Vec<bool> = m
+            .cells
+            .iter()
+            .filter(|c| matches!(c.kind, CellKind::Dff { .. }))
+            .map(|c| interp.net_value(c.output))
+            .collect();
+        assert_eq!(jit.dff_state(), &saved[..]);
+        let mut resumed = JitNetlistSim::new(m).unwrap();
+        resumed.set_dff_state(&saved);
+        resumed.set_input("en", 0).unwrap();
+        resumed.set_input("rst", 0).unwrap();
+        resumed.eval();
+        assert_eq!(resumed.get_output("count").unwrap(), 7);
     }
 }

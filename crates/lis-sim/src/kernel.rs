@@ -16,9 +16,12 @@
 //! dependency levels, and — when [`System::set_threads`] (or the
 //! `LIS_SIM_THREADS` environment variable) asks for more than one
 //! thread — independent groups of a level evaluated concurrently on a
-//! hand-rolled work-stealing pool. Results are identical for every
-//! thread count and match the legacy full-sweep loop, which is kept as
-//! [`SettleMode::FullSweep`] for reference and differential testing.
+//! hand-rolled work-stealing pool. On top of that schedule runs the
+//! activity kernel ([`SettleMode::FastForward`], the default): it
+//! skips quiescent components and jumps the clock over dead spans.
+//! Results are identical for every thread count and match the blind
+//! full-sweep loop, which is kept as [`SettleMode::FullSweep`] for
+//! reference and differential testing.
 //!
 //! Non-convergence of the settle (a combinational cycle, e.g. a `stop`
 //! loop without a relay station) is reported as
@@ -31,7 +34,8 @@ use crate::signal::{Signal, SignalId, SignalView};
 use std::fmt;
 
 /// What a component's [`Component::tick`] did with its cycle — the
-/// cross-cycle quiescence report driving [`SettleMode::ActivityDriven`].
+/// cross-cycle quiescence report driving the activity kernel
+/// ([`SettleMode::FastForward`]).
 ///
 /// Returning [`Activity::Quiescent`] is a promise: *re-running this tick
 /// with the same observed signal values would change nothing* — no
@@ -45,9 +49,9 @@ use std::fmt;
 /// [`Activity::Sleep`]: nothing about it will change for the next `n`
 /// cycles, but it must run again at `cycle + n` even if no observed
 /// signal changes (a scheduled stall pattern ending, a timed stimulus).
-/// The declarations feed the kernel's event wheel: under
-/// [`SettleMode::FastForward`], when every component is asleep or
-/// quiescent and no signal is pending, the clock jumps straight to the
+/// The declarations feed the kernel's event wheel: when every component
+/// is asleep or quiescent and no signal is pending, [`System::run`] (or
+/// an explicit [`System::fast_forward`]) jumps the clock straight to the
 /// earliest declared wake-up instead of visiting the dead cycles one by
 /// one.
 ///
@@ -129,7 +133,7 @@ pub struct Ports {
     /// Signals `tick` samples *in addition to* `reads`/`writes` (the
     /// registered faces of the LIS protocol: a producer samples `stop`,
     /// a consumer samples `data`/`void` at the clock edge). These drive
-    /// the activity-driven tick wake-up — a quiescent component is
+    /// the activity kernel's tick wake-up — a quiescent component is
     /// re-ticked when any of them changes.
     pub tick_reads: Vec<SignalId>,
 }
@@ -215,7 +219,7 @@ pub trait Component: Send {
     /// signals and internal (registered) state. May be invoked several
     /// times per cycle; must be idempotent for fixed inputs, and with
     /// unchanged inputs *and* state it must rewrite the same values (the
-    /// activity-driven kernel skips it entirely in that case).
+    /// activity kernel skips it entirely in that case).
     fn eval(&mut self, sigs: &mut SignalView<'_>);
 
     /// Clock edge: sample the settled signals and update internal state.
@@ -293,8 +297,8 @@ pub enum SimError {
     NoConvergence {
         /// The cycle index at which the failure occurred.
         cycle: u64,
-        /// Number of sweeps (full-sweep mode) or worklist rounds
-        /// (scheduled mode) attempted.
+        /// Number of sweeps (full-sweep mode) or worklist rounds of the
+        /// offending SCC (activity kernel) attempted.
         sweeps: usize,
         /// Names of the components forming the unconverged combinational
         /// SCC (empty in full-sweep mode, which cannot localize it).
@@ -361,49 +365,35 @@ impl std::error::Error for SimError {}
 /// cycle's fixpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SettleMode {
-    /// The activity-driven kernel (default): the scheduler keeps a
-    /// persistent cross-cycle dirty set — seeded only by components
-    /// whose declared inputs changed during the last settle (tracked
-    /// with per-settle epoch stamps on the dense signal store, so
-    /// seeding is O(writes), not O(signals)) or whose last
-    /// [`Component::tick`] reported [`Activity::Active`] — and skips
-    /// quiescent groups (often whole levels) instead of re-evaluating
-    /// them. The tick phase runs only pending/active components, fanned
-    /// out across the work-stealing pool in deterministic index-ordered
-    /// shards. Bit-identical to the other modes at any thread count.
-    #[default]
-    ActivityDriven,
-    /// The activity-driven kernel plus the event wheel: when a cycle
-    /// ends with nothing dirty, nothing pending and every component
-    /// asleep or quiescent, [`System::run`] (or an explicit
+    /// The activity kernel with the event wheel (default). The scheduler
+    /// keeps a persistent cross-cycle dirty set — seeded only by
+    /// components whose declared inputs changed during the last settle
+    /// (tracked with per-settle epoch stamps on the dense signal store,
+    /// so seeding is O(writes), not O(signals)) or whose declared
+    /// wake-up time ([`Activity`]) has come — and skips quiescent groups
+    /// (often whole levels) instead of re-evaluating them. The tick
+    /// phase runs only pending/active components, fanned out across the
+    /// work-stealing pool in deterministic index-ordered shards. When a
+    /// cycle ends with nothing dirty, nothing pending and every
+    /// component asleep or quiescent, [`System::run`] (or an explicit
     /// [`System::fast_forward`]) jumps the clock straight to the
     /// earliest declared wake-up ([`Activity::Sleep`]) instead of
-    /// visiting the dead cycles. Signal values, streams and executed
-    /// work are bit-identical to [`SettleMode::ActivityDriven`] at any
-    /// thread count; only the per-visited-cycle *skip* diagnostics (and
-    /// wall clock) differ.
+    /// visiting the dead cycles; a caller that wants every cycle
+    /// visited steps with [`System::step`] alone. Signal values, streams
+    /// and executed work are bit-identical either way and at any thread
+    /// count; only the per-visited-cycle *skip* diagnostics (and wall
+    /// clock) differ.
+    #[default]
     FastForward,
-    /// The dependency-aware sharded scheduler of the previous kernel:
-    /// one pass over the SCC-condensed dependency levels every settle,
-    /// every component ticked serially every cycle. Kept as a reference
-    /// point and differential baseline.
-    Worklist,
-    /// The legacy blind loop: sweep every component until no signal
-    /// changes. Kept as the reference semantics for differential tests
-    /// and baselines.
+    /// The reference loop: sweep every component until no signal
+    /// changes, then tick every component. Ignores declared ports and
+    /// keeps no activity counters. Kept as the reference semantics for
+    /// differential tests and as the bounded model checker's settle.
     FullSweep,
 }
 
-impl SettleMode {
-    /// Whether this mode maintains the scheduler's cross-cycle activity
-    /// state (dirty sets, wake-up times, change epochs).
-    pub fn uses_activity(self) -> bool {
-        matches!(self, SettleMode::ActivityDriven | SettleMode::FastForward)
-    }
-}
-
 /// Extra sweeps the full-sweep reference allows beyond the component
-/// count (the scheduled mode derives its bounds per SCC instead).
+/// count (the activity kernel derives its bounds per SCC instead).
 const FULL_SWEEP_MARGIN: usize = 8;
 
 /// A synchronous system: signal arena plus component list.
@@ -448,11 +438,11 @@ pub struct System {
     threads: usize,
     sched: Option<Scheduler>,
     /// Persistent cross-cycle dirty/quiescence state
-    /// ([`SettleMode::ActivityDriven`]); rebuilt all-dirty with the
+    /// ([`SettleMode::FastForward`]); rebuilt all-dirty with the
     /// scheduler.
     activity: Option<ActivityState>,
-    /// Signals poked since the last activity-driven settle (drained into
-    /// the dirty seed; only recorded in activity modes).
+    /// Signals poked since the last activity settle (drained into the
+    /// dirty seed; not recorded under [`SettleMode::FullSweep`]).
     poked: Vec<u32>,
     /// Changed-signal accumulator feeding the skip-aware tracing hook
     /// ([`System::trace_changes`]); armed lazily by the first drain.
@@ -513,12 +503,12 @@ impl System {
     }
 
     /// Sets how the settle fixpoint is computed (default:
-    /// [`SettleMode::ActivityDriven`]).
+    /// [`SettleMode::FastForward`]).
     pub fn set_settle_mode(&mut self, mode: SettleMode) {
         if mode != self.mode {
             self.mode = mode;
-            // Cross-cycle quiescence bookkeeping is only maintained while
-            // in activity modes; a mode switch restarts it all-dirty.
+            // Cross-cycle quiescence bookkeeping is only maintained by
+            // the activity kernel; a mode switch restarts it all-dirty.
             self.activity = None;
             self.poked.clear();
             self.trace_log = None;
@@ -651,7 +641,7 @@ impl System {
         if self.signals[id.index()].value != masked {
             self.signals[id.index()].value = masked;
             self.settled = false;
-            if self.mode.uses_activity() {
+            if self.mode == SettleMode::FastForward {
                 // Seed the next activity settle: readers, co-writers and
                 // tick-observers of a poked signal must wake up.
                 self.poked.push(id.0);
@@ -666,8 +656,8 @@ impl System {
 
     /// Statistics of the sealed scheduler (builds it if needed):
     /// structural group/level counts, SCC census, parallel width, plus —
-    /// in [`SettleMode::ActivityDriven`] — the cumulative skip/eval/tick
-    /// counters of the run so far.
+    /// under [`SettleMode::FastForward`] — the cumulative
+    /// skip/eval/tick/jump counters of the run so far.
     pub fn scheduler_stats(&mut self) -> SchedulerStats {
         self.seal();
         let mut stats = self.sched.as_ref().expect("sealed").stats();
@@ -685,7 +675,7 @@ impl System {
                 self.signals.len(),
             ));
         }
-        if self.mode.uses_activity() && self.activity.is_none() {
+        if self.mode == SettleMode::FastForward && self.activity.is_none() {
             self.activity = Some(
                 self.sched
                     .as_ref()
@@ -711,21 +701,7 @@ impl System {
         }
         match self.mode {
             SettleMode::FullSweep => self.settle_full_sweep()?,
-            SettleMode::Worklist => {
-                self.seal();
-                let pool = if self.threads > 1 {
-                    self.pool.as_ref()
-                } else {
-                    None
-                };
-                self.sched.as_ref().expect("sealed").settle(
-                    &mut self.signals,
-                    &mut self.components,
-                    self.cycle,
-                    pool,
-                )?;
-            }
-            SettleMode::ActivityDriven | SettleMode::FastForward => {
+            SettleMode::FastForward => {
                 self.seal();
                 let pool = if self.threads > 1 {
                     self.pool.as_ref()
@@ -761,8 +737,8 @@ impl System {
     /// skip-aware tracing hook.
     ///
     /// Returns `None` when the kernel cannot vouch for completeness and
-    /// the caller must fall back to scanning every watched signal: in
-    /// the legacy settle modes (which track no change epochs), and on
+    /// the caller must fall back to scanning every watched signal: under
+    /// [`SettleMode::FullSweep`] (which tracks no change epochs), and on
     /// the first call after (re)arming — construction, a structural
     /// change, or a mode switch reset the log, so intervening changes
     /// were not recorded. After a `None` the log is armed and subsequent
@@ -770,7 +746,7 @@ impl System {
     /// Single-consumer: two traces draining one system would steal each
     /// other's changes.
     pub(crate) fn trace_changes(&mut self) -> Option<Vec<u32>> {
-        if !self.mode.uses_activity() {
+        if self.mode == SettleMode::FullSweep {
             self.trace_log = None;
             return None;
         }
@@ -792,7 +768,7 @@ impl System {
         }
     }
 
-    /// The legacy reference settle: blindly re-evaluate every component
+    /// The reference settle: blindly re-evaluate every component
     /// until no signal changes, bounded by `components + margin` sweeps.
     /// Ignores declared ports entirely.
     fn settle_full_sweep(&mut self) -> Result<(), SimError> {
@@ -815,11 +791,13 @@ impl System {
 
     /// One full clock cycle: settle, then commit sequential state.
     ///
-    /// In [`SettleMode::ActivityDriven`] only pending/active components
+    /// Under [`SettleMode::FastForward`] only pending/active components
     /// are ticked — fanned out across the work-stealing pool in
     /// deterministic index-ordered shards — and their reported
-    /// [`Activity`] seeds the next cycle's dirty set. The legacy modes
-    /// tick every component serially, as before.
+    /// [`Activity`] seeds the next cycle's dirty set. The
+    /// [`SettleMode::FullSweep`] reference ticks every component
+    /// serially. Either way exactly one cycle is visited: stepping
+    /// without [`System::fast_forward`] is the per-cycle loop.
     ///
     /// # Errors
     ///
@@ -827,7 +805,7 @@ impl System {
     pub fn step(&mut self) -> Result<(), SimError> {
         self.settle()?;
         match self.mode {
-            SettleMode::ActivityDriven | SettleMode::FastForward => {
+            SettleMode::FastForward => {
                 let pool = if self.threads > 1 {
                     self.pool.as_ref()
                 } else {
@@ -841,7 +819,7 @@ impl System {
                     pool,
                 );
             }
-            _ => {
+            SettleMode::FullSweep => {
                 let view = SignalView::unguarded(&mut self.signals, self.cycle);
                 for comp in &mut self.components {
                     comp.tick(&view);
@@ -854,13 +832,13 @@ impl System {
         Ok(())
     }
 
-    /// In [`SettleMode::FastForward`], jumps the clock over provably
-    /// dead cycles: when no component is dirty, no tick is pending, no
-    /// poke is unconsumed, and every component's declared wake-up lies
-    /// in the future, the cycle counter advances directly to the
-    /// earliest wake-up (clamped to `bound`). Returns the number of
-    /// cycles skipped — 0 in any other mode, or whenever work is due at
-    /// the current cycle.
+    /// Jumps the clock over provably dead cycles: when no component is
+    /// dirty, no tick is pending, no poke is unconsumed, and every
+    /// component's declared wake-up lies in the future, the cycle
+    /// counter advances directly to the earliest wake-up (clamped to
+    /// `bound`). Returns the number of cycles skipped — 0 under
+    /// [`SettleMode::FullSweep`], or whenever work is due at the
+    /// current cycle.
     ///
     /// [`System::run`]/[`System::run_until`] call this after every step;
     /// drivers with their own step loops (tracing, predicates) should do
@@ -885,7 +863,7 @@ impl System {
         skipped
     }
 
-    /// Runs `n` clock cycles (in [`SettleMode::FastForward`], visiting
+    /// Runs `n` clock cycles (under [`SettleMode::FastForward`], visiting
     /// only the live ones — the cycle counter still advances by exactly
     /// `n`).
     ///
@@ -1039,8 +1017,8 @@ impl System {
     /// Runs until `predicate` returns true (checked after each settled
     /// cycle) or `max_cycles` elapse. Returns whether the predicate fired.
     ///
-    /// In [`SettleMode::FastForward`] the predicate is only consulted at
-    /// *visited* cycles; fast-forwarded spans are by construction free
+    /// Under [`SettleMode::FastForward`] the predicate is only consulted
+    /// at *visited* cycles; fast-forwarded spans are by construction free
     /// of signal changes, so a predicate over signal values cannot flip
     /// inside one.
     ///
@@ -1345,7 +1323,7 @@ mod tests {
     #[test]
     fn disagreeing_multi_writers_report_their_merged_group() {
         // Two components persistently write different values to one
-        // signal. The legacy sweep would re-evaluate them forever and
+        // signal. The full sweep would re-evaluate them forever and
         // report non-convergence; the scheduler must merge them into
         // one group and do the same, naming both.
         let mut sys = System::new();
@@ -1399,11 +1377,13 @@ mod tests {
         }
     }
 
+    /// `run` (which jumps dead spans) against the activity-driven
+    /// per-cycle loop of the same kernel: `step` alone, every cycle
+    /// visited.
     #[test]
     fn fast_forward_matches_activity_driven_bit_exactly() {
-        let build = |mode: SettleMode| {
+        let build = |jump: bool| {
             let mut sys = System::new();
-            sys.set_settle_mode(mode);
             let p = sys.add_signal("pulse", 16);
             let dbl = sys.add_signal("double", 16);
             sys.add_component(Pulser {
@@ -1420,12 +1400,18 @@ mod tests {
                 },
                 |_| Activity::Quiescent,
             ));
-            sys.run(100).unwrap();
+            if jump {
+                sys.run(100).unwrap();
+            } else {
+                for _ in 0..100 {
+                    sys.step().unwrap();
+                }
+            }
             sys.settle().unwrap();
             (sys.signal_values(), sys.cycle(), sys.scheduler_stats())
         };
-        let (vals_ad, cycle_ad, stats_ad) = build(SettleMode::ActivityDriven);
-        let (vals_ff, cycle_ff, stats_ff) = build(SettleMode::FastForward);
+        let (vals_ad, cycle_ad, stats_ad) = build(false);
+        let (vals_ff, cycle_ff, stats_ff) = build(true);
         assert_eq!(vals_ff, vals_ad);
         assert_eq!(cycle_ff, cycle_ad);
         // Executed work is identical; only cycles *visited* differ.
@@ -1442,7 +1428,6 @@ mod tests {
     #[test]
     fn fast_forward_jumps_to_bound_when_everything_is_quiescent() {
         let mut sys = System::new();
-        sys.set_settle_mode(SettleMode::FastForward);
         let a = sys.add_signal("a", 8);
         let b = sys.add_signal("b", 8);
         sys.add_component(FnComponent::new(
@@ -1471,7 +1456,6 @@ mod tests {
     #[test]
     fn fast_forward_is_inert_while_work_is_pending() {
         let mut sys = System::new();
-        sys.set_settle_mode(SettleMode::FastForward);
         let out = sys.add_signal("count", 16);
         sys.add_component(Counter { out, state: 0 });
         // An always-active component never lets the clock jump.

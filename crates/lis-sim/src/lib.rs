@@ -7,41 +7,40 @@
 //!   [`Component::ports`]; each cycle the kernel seeds a dirty set,
 //!   **settles** combinational outputs to a fixpoint (LIS `stop`/`void`
 //!   wires ripple through several shells within one cycle) and then
-//!   **ticks** sequential state. By default the kernel is
-//!   *activity-driven* ([`SettleMode::ActivityDriven`]): each tick
-//!   reports an [`Activity`], quiescent components are skipped — evals
-//!   and ticks both — until a declared signal changes, and the tick
-//!   phase shards across the same work-stealing [`pool`]
-//!   (`LIS_SIM_THREADS` or [`System::set_threads`]) the settle uses,
-//!   with results bit-identical at any thread count. The settle itself
-//!   runs on the dependency-aware sharded scheduler: the signal→reader
-//!   graph is sealed once, combinational SCCs are condensed at build
-//!   time, and independent groups evaluate concurrently. Combinational
-//!   loops are detected and reported with the component names forming
-//!   the cycle; the prior kernels survive as [`SettleMode::Worklist`]
-//!   and [`SettleMode::FullSweep`] for differential testing.
+//!   **ticks** sequential state. The production kernel is the
+//!   *activity kernel* with its event wheel ([`SettleMode::FastForward`],
+//!   the default): each tick reports an [`Activity`], quiescent
+//!   components are skipped — evals and ticks both — until a declared
+//!   signal changes or their declared wake-up arrives, and
+//!   [`System::run`] jumps the clock over spans in which nothing is due.
+//!   The settle runs on the dependency-aware scheduler: the
+//!   signal→reader graph is sealed once, combinational SCCs are
+//!   condensed at build time, and independent groups (and the tick
+//!   phase) can shard across the work-stealing [`pool`]
+//!   (`LIS_SIM_THREADS` or [`System::set_threads`]), with results
+//!   bit-identical at any thread count. Combinational loops are
+//!   detected and reported with the component names forming the cycle.
+//!   The blind sweep-everything loop survives as
+//!   [`SettleMode::FullSweep`], the reference for differential testing.
 //! * [`NetlistSim`] — a gate-level interpreter for
 //!   [`lis_netlist::Module`]s, used as the reference executor for
 //!   generated wrapper hardware. [`NetlistComponent`] drops a netlist
 //!   into a component system for co-simulation against behavioural
 //!   models.
 //!
-//! On top of the interpreter sits a ladder of four faster engines.
-//! [`NetlistProgram`] lowers a module into a levelized flat instruction
-//! stream; [`CompiledNetlistSim`] executes it scalar (a drop-in, much
-//! faster [`NetlistExec`]) and [`PackedNetlistSim`] executes 64
-//! independent Monte-Carlo lanes per `u64` word. A second lowering
-//! stage, [`JitNetlistProgram`], post-processes that stream — fusing
-//! superinstructions (inverted-input gates, 3-input chains, wide
-//! AndN/OrN sum-of-products trees), folding constants, propagating
-//! copies, deduplicating and dead-code-eliminating — and sorts each
-//! level into contiguous per-opcode runs so dispatch costs one branch
-//! per run, not per gate. [`JitNetlistSim`] executes it scalar;
-//! [`JitPackedNetlistSim`] executes 64 lanes and can fan each level's
-//! runs across the work-stealing [`pool`] in deterministic shards
-//! (bit-identical at any `LIS_SIM_THREADS`). Harnesses accept any
-//! [`NetlistExec`], so the engines are interchangeable; property tests
-//! pin all five cycle-for-cycle equivalent.
+//! On top of the interpreter sit two fast engines. A module is lowered
+//! once into a levelized flat instruction stream, then post-processed
+//! into a [`JitNetlistProgram`] — fusing superinstructions
+//! (inverted-input gates, 3-input chains, wide AndN/OrN sum-of-products
+//! trees), folding constants, propagating copies, deduplicating and
+//! dead-code-eliminating — with each level sorted into contiguous
+//! per-opcode runs so dispatch costs one branch per run, not per gate.
+//! [`JitNetlistSim`] executes it scalar; [`JitPackedNetlistSim`]
+//! executes [`LANES`] independent lanes per `u64` word and can fan each
+//! level's runs across the work-stealing [`pool`] in deterministic
+//! shards (bit-identical at any `LIS_SIM_THREADS`). Harnesses accept
+//! any [`NetlistExec`], so the engines are interchangeable; property
+//! tests pin all three cycle-for-cycle equivalent.
 //!
 //! [`Trace`] records signals per cycle and renders standard VCD.
 //!
@@ -84,8 +83,10 @@ mod signal;
 mod trace;
 
 pub use checkpoint::{hash_words128, SystemCheckpoint};
-pub use compile::{CompiledNetlistSim, NetlistProgram, PackedNetlistSim, PortHandle, LANES};
-pub use jit::{JitNetlistProgram, JitNetlistSim, JitPackedNetlistSim, JIT_PARALLEL_MIN_INSTRS};
+pub use jit::{
+    JitNetlistProgram, JitNetlistSim, JitPackedNetlistSim, PortHandle, JIT_PARALLEL_MIN_INSTRS,
+    LANES,
+};
 pub use kernel::{Activity, Component, FnComponent, Ports, SettleMode, SimError, System};
 pub use lanes::{load_plane_lanes, save_plane_lanes, transpose64};
 pub use netlist_sim::{NetlistComponent, NetlistExec, NetlistSim};

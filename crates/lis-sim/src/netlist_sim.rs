@@ -2,9 +2,10 @@
 //!
 //! [`NetlistSim`] is the reference executor for generated wrapper
 //! hardware: `lis-wrappers` proves each wrapper netlist equivalent to its
-//! behavioural model by co-simulating both on random stimuli. The
-//! compiled engine in [`crate::compile`] is proven equivalent to this
-//! interpreter property-test by property-test, which is why the
+//! behavioural model by co-simulating both on random stimuli. The JIT
+//! engines ([`crate::JitNetlistSim`], [`crate::JitPackedNetlistSim`])
+//! are proven equivalent to this interpreter property-test by
+//! property-test, which is why the
 //! interpreter stays deliberately simple: it re-walks the topological
 //! order every cycle and evaluates one cell at a time.
 
@@ -13,10 +14,11 @@ use crate::signal::{SignalId, SignalView};
 use lis_netlist::{topo_order, CellKind, CombNode, Module, NetlistError};
 
 /// Common surface over netlist executors: the interpreting
-/// [`NetlistSim`], the compiled [`crate::CompiledNetlistSim`], and the
-/// fused direct-threaded [`crate::JitNetlistSim`] expose identical
-/// two-phase semantics, so harnesses (and [`NetlistComponent`]) can
-/// swap engines without caring which one is underneath.
+/// [`NetlistSim`], the fused direct-threaded [`crate::JitNetlistSim`],
+/// and the 64-lane [`crate::JitPackedNetlistSim`] (broadcast inputs,
+/// lane-0 outputs) expose identical two-phase semantics, so harnesses
+/// (and [`NetlistComponent`]) can swap engines without caring which one
+/// is underneath.
 ///
 /// # Examples
 ///
@@ -25,7 +27,7 @@ use lis_netlist::{topo_order, CellKind, CombNode, Module, NetlistError};
 ///
 /// ```
 /// use lis_netlist::ModuleBuilder;
-/// use lis_sim::{CompiledNetlistSim, JitNetlistSim, NetlistExec, NetlistSim};
+/// use lis_sim::{JitNetlistSim, JitPackedNetlistSim, NetlistExec, NetlistSim};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// // A gate-level mod-3 counter.
@@ -36,11 +38,11 @@ use lis_netlist::{topo_order, CellKind, CombNode, Module, NetlistError};
 /// b.output("q", &q);
 /// let module = b.finish()?;
 ///
-/// // Interpreter, compiled and JIT engines behind the same trait.
+/// // Interpreter, scalar JIT and packed JIT behind the same trait.
 /// let mut engines: Vec<Box<dyn NetlistExec>> = vec![
 ///     Box::new(NetlistSim::new(module.clone())?),
-///     Box::new(CompiledNetlistSim::new(module.clone())?),
-///     Box::new(JitNetlistSim::new(module)?),
+///     Box::new(JitNetlistSim::new(module.clone())?),
+///     Box::new(JitPackedNetlistSim::new(module)?),
 /// ];
 /// for engine in &mut engines {
 ///     let counts: Vec<u64> = (0..5)
@@ -86,7 +88,7 @@ pub trait NetlistExec: Send {
     fn step(&mut self);
 
     /// One clock cycle, reporting whether any flip-flop changed value —
-    /// the quiescence probe of the activity-driven component kernel
+    /// the quiescence probe of the component kernel's activity tracking
     /// (unchanged state + unchanged inputs means the next cycle is a
     /// no-op). The default conservatively steps and reports `true`;
     /// engines override it with an exact commit-time comparison.
@@ -565,7 +567,7 @@ mod tests {
         let x = sys.add_signal("x", 4);
         let y = sys.add_signal("y", 4);
         let sum = sys.add_signal("sum", 4);
-        let sim = crate::CompiledNetlistSim::new(adder_module()).unwrap();
+        let sim = crate::JitNetlistSim::new(adder_module()).unwrap();
         sys.add_component(NetlistComponent::new(
             "adder",
             sim,

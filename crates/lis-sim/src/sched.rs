@@ -16,13 +16,13 @@
 //! 3. **Levelling** — groups are bucketed by longest path in the
 //!    condensation DAG. Every signal a group reads is written at a
 //!    strictly lower level, so one pass over the levels reaches the
-//!    same fixpoint the legacy full-sweep loop iterated towards, and
+//!    same fixpoint the reference full-sweep loop iterated towards, and
 //!    groups within a level touch disjoint write sets — they are safe to
 //!    evaluate concurrently on the work-stealing pool, with results
 //!    independent of thread count.
 //!
-//! On top of the sealed schedule sits the **activity-driven kernel**
-//! ([`crate::SettleMode::ActivityDriven`], the default): an
+//! On top of the sealed schedule sits the **activity kernel**
+//! ([`crate::SettleMode::FastForward`], the default): an
 //! [`ActivityState`] carries a persistent cross-cycle dirty set. A
 //! settle evaluates only groups holding a dirty member; every tracked
 //! signal change is recorded once per settle (epoch stamps on the dense
@@ -37,7 +37,7 @@
 //! quiescent component re-ticked on unchanged inputs would change
 //! nothing by contract, the skipped work is exactly the work whose
 //! results are already in place — the fixpoint and every token stream
-//! stay bit-identical to the legacy modes at any thread count.
+//! stay bit-identical to the full-sweep reference at any thread count.
 //!
 //! The dirty set is seeded through a per-component **wake time**
 //! (`wake_at`): an executed tick declares when the component must next
@@ -46,9 +46,8 @@
 //! start of each settle re-dirties exactly the components whose time
 //! has come. The same wake times form the kernel's event wheel:
 //! [`ActivityState::next_event`] reports the earliest future wake-up
-//! when nothing is due now, which
-//! [`crate::System::fast_forward`] ([`crate::SettleMode::FastForward`])
-//! uses to jump the clock over provably dead cycles.
+//! when nothing is due now, which [`crate::System::fast_forward`] uses
+//! to jump the clock over provably dead cycles.
 
 #![allow(unsafe_code)]
 
@@ -59,7 +58,7 @@ use std::sync::Mutex;
 
 /// Extra worklist rounds a cyclic group may take beyond its member
 /// count before the settle is declared non-convergent (mirrors the
-/// margin the legacy full-sweep bound used globally).
+/// margin the full-sweep reference bound uses globally).
 const SCC_ROUND_MARGIN: usize = 8;
 
 /// One evaluation unit: a set of components owning a disjoint signal
@@ -75,8 +74,8 @@ struct Group {
 
 /// Summary of a sealed scheduler: the structural fields (groups, levels,
 /// SCC census, width) are stable across runs; the activity counters
-/// accumulate over the run in [`crate::SettleMode::ActivityDriven`] and
-/// stay zero in the legacy modes.
+/// accumulate over the run under [`crate::SettleMode::FastForward`] and
+/// stay zero under [`crate::SettleMode::FullSweep`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SchedulerStats {
     /// Number of components scheduled.
@@ -89,17 +88,16 @@ pub struct SchedulerStats {
     pub cyclic_groups: usize,
     /// Largest number of groups in one level (the parallelism width).
     pub max_level_width: usize,
-    /// Groups evaluated by activity-driven settles (cumulative).
+    /// Groups evaluated by activity settles (cumulative).
     pub groups_evaluated: u64,
-    /// Groups skipped as quiescent by activity-driven settles
-    /// (cumulative).
+    /// Groups skipped as quiescent by activity settles (cumulative).
     pub groups_skipped: u64,
-    /// Component ticks executed by activity-driven steps (cumulative).
+    /// Component ticks executed by activity steps (cumulative).
     pub components_ticked: u64,
     /// Component ticks skipped as quiescent (cumulative).
     pub components_quiescent: u64,
     /// Cycles the event wheel jumped over without visiting
-    /// ([`crate::SettleMode::FastForward`]; cumulative, deterministic).
+    /// ([`crate::System::fast_forward`]; cumulative, deterministic).
     pub cycles_fast_forwarded: u64,
 }
 
@@ -150,8 +148,8 @@ pub(crate) struct Scheduler {
     /// kernel).
     eval_readers: Vec<Vec<u32>>,
     /// Per-signal declared writers (a poked signal re-dirties them so
-    /// the next settle overwrites the poke exactly like the legacy
-    /// modes would).
+    /// the next settle overwrites the poke exactly like the full sweep
+    /// would).
     writers_of: Vec<Vec<u32>>,
     /// Per-signal tick observers (components whose tick mask covers the
     /// signal — a change wakes their tick).
@@ -242,8 +240,8 @@ impl Scheduler {
         }
 
         // 1. Cluster components sharing a written signal (multi-writer
-        //    signals keep legacy insertion-order semantics by evaluating
-        //    all their writers inside one group).
+        //    signals keep the full sweep's insertion-order semantics by
+        //    evaluating all their writers inside one group).
         let mut uf = UnionFind::new(n);
         for w in &writers {
             for pair in w.windows(2) {
@@ -331,7 +329,7 @@ impl Scheduler {
                 .collect();
             members.sort_unstable();
             // Cyclic iff the group needs an inner fixpoint: a condensed
-            // multi-cluster SCC, a multi-writer cluster (legacy sweeps
+            // multi-cluster SCC, a multi-writer cluster (full sweeps
             // re-evaluate disagreeing writers until they agree — or
             // never converge), or a member reading its own group's
             // written signals.
@@ -456,64 +454,6 @@ impl Scheduler {
         }
     }
 
-    /// Runs one settle: every group evaluated once in dependency order
-    /// (cyclic groups to their inner fixpoint), levels in sequence,
-    /// groups within a level fanned out on `pool` when present.
-    pub(crate) fn settle(
-        &self,
-        signals: &mut [Signal],
-        components: &mut [Box<dyn Component>],
-        cycle: u64,
-        pool: Option<&WorkStealingPool>,
-    ) -> Result<(), SimError> {
-        debug_assert_eq!(components.len(), self.names.len());
-        let arenas = Arenas {
-            sigs: signals.as_mut_ptr(),
-            sig_len: signals.len(),
-            comps: components.as_mut_ptr(),
-        };
-        for l in 0..self.levels.len().saturating_sub(1) {
-            let (start, end) = (self.levels[l], self.levels[l + 1]);
-            let run_serial = pool.is_none() || end - start < 2;
-            if run_serial {
-                for gi in start..end {
-                    // SAFETY: single-threaded here; arenas outlive the call.
-                    unsafe { self.run_group(gi, arenas, cycle)? };
-                }
-            } else {
-                let pool = pool.expect("checked");
-                let chunks = (end - start).min(pool.threads() * 2);
-                let per = (end - start).div_ceil(chunks);
-                let errors: Mutex<Vec<(usize, SimError)>> = Mutex::new(Vec::new());
-                let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..chunks)
-                    .map(|k| {
-                        let lo = start + k * per;
-                        let hi = (lo + per).min(end);
-                        let errors = &errors;
-                        Box::new(move || {
-                            for gi in lo..hi {
-                                // SAFETY: groups in one level have
-                                // disjoint members and write sets; reads
-                                // come from completed levels. See
-                                // `Arenas`.
-                                if let Err(e) = unsafe { self.run_group(gi, arenas, cycle) } {
-                                    errors.lock().unwrap().push((gi, e));
-                                }
-                            }
-                        }) as Box<dyn FnOnce() + Send + '_>
-                    })
-                    .collect();
-                pool.run(jobs);
-                let mut errors = errors.into_inner().unwrap();
-                errors.sort_by_key(|(gi, _)| *gi);
-                if let Some((_, e)) = errors.into_iter().next() {
-                    return Err(e);
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Component `c`'s windowed guard mask inside one of the bit arenas.
     fn window<'a>(&'a self, bits: &'a [u64], c: u32) -> BitWindow<'a> {
         let c = c as usize;
@@ -547,65 +487,12 @@ impl Scheduler {
         }
     }
 
-    /// Evaluates one group.
-    ///
-    /// # Safety
-    ///
-    /// The caller must guarantee no other thread concurrently runs a
-    /// group sharing members or written signals with `g` (scheduler
-    /// level invariant).
-    unsafe fn run_group(&self, gi: usize, a: Arenas, cycle: u64) -> Result<(), SimError> {
-        let g = &self.groups[gi];
-        if !g.cyclic {
-            for &m in &g.members {
-                self.eval_member(m, a, cycle, None);
-            }
-            return Ok(());
-        }
-        // Inner worklist: all members start dirty; a member is re-marked
-        // only when a signal it declared as read actually changed.
-        let k = g.members.len();
-        let mut dirty = vec![true; k];
-        let mut changed: Vec<u32> = Vec::new();
-        let max_rounds = k + SCC_ROUND_MARGIN;
-        for _ in 0..max_rounds {
-            let mut evaluated = false;
-            for mi in 0..k {
-                if !dirty[mi] {
-                    continue;
-                }
-                dirty[mi] = false;
-                evaluated = true;
-                let m = g.members[mi];
-                changed.clear();
-                self.eval_member(m, a, cycle, Some(&mut changed));
-                for &cid in &changed {
-                    self.redirty_members(gi as u32, cid, &mut dirty);
-                }
-            }
-            if !evaluated {
-                return Ok(());
-            }
-            if dirty.iter().all(|d| !d) {
-                return Ok(());
-            }
-        }
-        Err(SimError::NoConvergence {
-            cycle,
-            sweeps: max_rounds,
-            components: g
-                .members
-                .iter()
-                .map(|&m| self.names[m as usize].clone())
-                .collect(),
-        })
-    }
-
     /// Evaluates one member with a guarded view.
     ///
     /// # Safety
     ///
-    /// As [`Scheduler::run_group`]; additionally `m` must be in-bounds.
+    /// As [`Scheduler::run_group_activity`]; additionally `m` must be
+    /// in-bounds.
     unsafe fn eval_member(&self, m: u32, a: Arenas, cycle: u64, track: Option<&mut Vec<u32>>) {
         let guard = Guard {
             component: &self.names[m as usize],
@@ -621,7 +508,7 @@ impl Scheduler {
         comp.eval(view);
     }
 
-    /// One activity-driven settle: groups without a dirty member are
+    /// One activity settle: groups without a dirty member are
     /// skipped wholesale; every evaluated group reports the signals it
     /// actually changed, which wake exactly the declared downstream
     /// readers (always at strictly higher levels, so one pass still
@@ -651,8 +538,8 @@ impl Scheduler {
         }
 
         // Pokes wake their readers (and the declared writers, which
-        // will overwrite the poke next settle exactly as the legacy
-        // modes' blanket re-evaluation would).
+        // will overwrite the poke next settle exactly as the full
+        // sweep's blanket re-evaluation would).
         for &s in poked.iter() {
             state.record_changed(s);
             for &c in &self.eval_readers[s as usize] {
@@ -782,7 +669,9 @@ impl Scheduler {
     ///
     /// # Safety
     ///
-    /// As [`Scheduler::run_group`].
+    /// The caller must guarantee no other thread concurrently runs a
+    /// group sharing members or written signals with `gi` (scheduler
+    /// level invariant).
     unsafe fn run_group_activity(
         &self,
         gi: usize,
@@ -820,7 +709,7 @@ impl Scheduler {
                 for &cid in &changed {
                     // A changed signal re-dirties its readers; a signal
                     // with several writers also re-dirties the
-                    // co-writers (legacy sweeps re-evaluate disagreeing
+                    // co-writers (full sweeps re-evaluate disagreeing
                     // writers until they agree, or report
                     // non-convergence). Sole writers are idempotent by
                     // contract — re-evaluating them is pure waste.
@@ -842,7 +731,7 @@ impl Scheduler {
         })
     }
 
-    /// The activity-driven tick phase: runs only components whose
+    /// The activity tick phase: runs only components whose
     /// observed signals changed (`tick_pending`) or whose declared
     /// wake-up time has arrived (`wake_at`), in component-index order,
     /// sharded across `pool` when present. Every executed tick gets a
@@ -947,7 +836,7 @@ impl Scheduler {
     }
 }
 
-/// Persistent cross-cycle state of the activity-driven kernel: the
+/// Persistent cross-cycle state of the activity kernel: the
 /// dirty/pending/active sets, the per-settle change record, and the
 /// cumulative skip counters. Created all-dirty by
 /// [`Scheduler::new_activity_state`] and rebuilt whenever the system's

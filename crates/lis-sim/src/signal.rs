@@ -91,7 +91,7 @@ impl BitWindow<'_> {
 /// `reads`/`writes` are bitsets over signal ids (the component's declared
 /// port sets); `track` collects the ids of signals whose value actually
 /// changed, which drives the worklist inside cyclic groups and the
-/// cross-cycle dirty seeding of the activity-driven kernel. During the
+/// cross-cycle dirty seeding of the activity kernel. During the
 /// tick phase `tick` is set: `reads` holds the full observable set
 /// (`reads ∪ writes ∪ tick_reads`), `writes` is empty, and the panic
 /// messages name the tick-phase rules.

@@ -48,10 +48,10 @@ impl Trace {
 
     /// Samples the watched signals (call once per settled cycle).
     ///
-    /// In the activity-driven settle modes only signals the kernel
-    /// recorded as changed since the previous sample are re-read; the
-    /// legacy modes (and the first sample after a structural change)
-    /// fall back to scanning every watched signal. Values are masked to
+    /// Under the activity kernel only signals it recorded as changed
+    /// since the previous sample are re-read; the full sweep (and the
+    /// first sample after a structural change) falls back to scanning
+    /// every watched signal. Values are masked to
     /// the signal's declared width and stored only when they differ
     /// from the previous recorded value.
     pub fn sample(&mut self, system: &mut System) {
@@ -328,8 +328,8 @@ b1001 !
         assert_eq!(trace.to_vcd("tb"), expected);
     }
 
-    /// The change-driven sampling path (activity modes) must record
-    /// exactly what the full-scan fallback (legacy modes) records.
+    /// The change-driven sampling path (activity kernel) must record
+    /// exactly what the full-scan fallback (full sweep) records.
     #[test]
     fn change_driven_sampling_matches_full_scan() {
         let render = |mode: SettleMode| {
@@ -348,8 +348,7 @@ b1001 !
             trace.to_vcd("tb")
         };
         let reference = render(SettleMode::FullSweep);
-        assert_eq!(render(SettleMode::ActivityDriven), reference);
-        assert_eq!(render(SettleMode::Worklist), reference);
+        assert_eq!(render(SettleMode::FastForward), reference);
     }
 
     /// Regression: watching a signal after sampling has begun used to
@@ -411,7 +410,6 @@ b1001 !
     #[test]
     fn fast_forward_spans_record_as_time_jumps() {
         let mut sys = System::new();
-        sys.set_settle_mode(SettleMode::FastForward);
         let out = sys.add_signal("pulse", 8);
         let state = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
         let s2 = std::sync::Arc::clone(&state);

@@ -1,11 +1,10 @@
 //! Property tests pinning every fast engine to the interpreter —
-//! five-way: interpreter / compiled / packed / JIT scalar /
-//! JIT threaded-packed.
+//! three-way: interpreter / JIT scalar / JIT packed (sequential and
+//! level-parallel threaded).
 //!
-//! [`NetlistSim`] is the simple, auditable reference; the levelized
-//! [`CompiledNetlistSim`], the 64-lane [`PackedNetlistSim`], and the
-//! fused direct-threaded [`JitNetlistSim`] / [`JitPackedNetlistSim`]
-//! are the fast engines the harnesses actually run. These properties
+//! [`NetlistSim`] is the simple, auditable reference; the fused
+//! direct-threaded [`JitNetlistSim`] / [`JitPackedNetlistSim`] are the
+//! engines the harnesses actually run. These properties
 //! build random feed-forward netlists — gates, muxes, DFF chains with
 //! random reset values and reset wiring, ROM cells with random
 //! contents, and single-reader sum-of-products / product-of-sums trees
@@ -17,9 +16,7 @@
 //! CI matrix exercises it at 1 and 4 workers.
 
 use lis_netlist::{Bus, Module, ModuleBuilder, NetId};
-use lis_sim::{
-    CompiledNetlistSim, JitNetlistSim, JitPackedNetlistSim, NetlistSim, PackedNetlistSim,
-};
+use lis_sim::{JitNetlistSim, JitPackedNetlistSim, NetlistExec, NetlistSim};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -184,33 +181,9 @@ fn reference_run(module: &Module, stim: &[Vec<u64>]) -> Vec<Vec<u64>> {
 }
 
 proptest! {
-    /// The scalar compiled engine agrees with the interpreter cycle for
-    /// cycle on every output of random netlists.
-    #[test]
-    fn compiled_matches_interpreter(seed in any::<u64>(), n_gates in 1usize..80, cycles in 1usize..40) {
-        let module = random_module(seed, n_gates);
-        let stim = stimulus(seed, &module, cycles);
-        let expected = reference_run(&module, &stim);
-
-        let mut compiled = CompiledNetlistSim::new(module.clone()).unwrap();
-        for (t, step) in stim.iter().enumerate() {
-            for (port, &v) in module.inputs.iter().zip(step) {
-                compiled.set_input(&port.name, v).unwrap();
-            }
-            compiled.eval();
-            for (o, port) in module.outputs.iter().enumerate() {
-                prop_assert_eq!(
-                    compiled.get_output(&port.name).unwrap(),
-                    expected[t][o],
-                    "cycle {} output {} (seed {:#x})", t, &port.name, seed
-                );
-            }
-            compiled.step();
-        }
-    }
-
-    /// The 64-lane packed engine agrees with the interpreter in every
-    /// checked lane, each lane carrying an independent stimulus stream.
+    /// The 64-lane packed JIT engine, on its sequential path, agrees with
+    /// the interpreter in every checked lane, each lane carrying an
+    /// independent stimulus stream.
     #[test]
     fn packed_lanes_match_interpreter(seed in any::<u64>(), n_gates in 1usize..60, cycles in 1usize..25) {
         let module = random_module(seed, n_gates);
@@ -223,7 +196,7 @@ proptest! {
         let expected: Vec<Vec<Vec<u64>>> =
             streams.iter().map(|s| reference_run(&module, s)).collect();
 
-        let mut packed = PackedNetlistSim::new(module.clone()).unwrap();
+        let mut packed = JitPackedNetlistSim::new(module.clone()).unwrap();
         for t in 0..cycles {
             for (li, &lane) in lanes.iter().enumerate() {
                 for (port, &v) in module.inputs.iter().zip(&streams[li][t]) {
@@ -246,32 +219,33 @@ proptest! {
 
     /// `reset_state` returns the engines to an identical power-up
     /// state: re-running the same stimulus reproduces the same outputs,
-    /// on the compiled and JIT scalar engines alike.
+    /// on the scalar and (broadcast) packed JIT engines alike.
     #[test]
     fn reset_state_restores_power_up_equivalence(seed in any::<u64>(), n_gates in 1usize..40) {
         let module = random_module(seed, n_gates);
         let stim = stimulus(seed, &module, 10);
         let expected = reference_run(&module, &stim);
 
-        let mut compiled = CompiledNetlistSim::new(module.clone()).unwrap();
-        let mut jit = JitNetlistSim::new(module.clone()).unwrap();
+        let mut engines: Vec<Box<dyn NetlistExec>> = vec![
+            Box::new(JitNetlistSim::new(module.clone()).unwrap()),
+            Box::new(JitPackedNetlistSim::new(module.clone()).unwrap()),
+        ];
         for _ in 0..2 {
             for (t, step) in stim.iter().enumerate() {
-                for (port, &v) in module.inputs.iter().zip(step) {
-                    compiled.set_input(&port.name, v).unwrap();
-                    jit.set_input(&port.name, v).unwrap();
+                for engine in &mut engines {
+                    for (port, &v) in module.inputs.iter().zip(step) {
+                        engine.set_input(&port.name, v).unwrap();
+                    }
+                    engine.eval();
+                    for (o, port) in module.outputs.iter().enumerate() {
+                        prop_assert_eq!(engine.get_output(&port.name).unwrap(), expected[t][o]);
+                    }
+                    engine.step();
                 }
-                compiled.eval();
-                jit.eval();
-                for (o, port) in module.outputs.iter().enumerate() {
-                    prop_assert_eq!(compiled.get_output(&port.name).unwrap(), expected[t][o]);
-                    prop_assert_eq!(jit.get_output(&port.name).unwrap(), expected[t][o]);
-                }
-                compiled.step();
-                jit.step();
             }
-            compiled.reset_state();
-            jit.reset_state();
+            for engine in &mut engines {
+                engine.reset_state();
+            }
         }
     }
 
@@ -342,25 +316,25 @@ proptest! {
         }
     }
 
-    /// `step_changed` — the quiescence signal the activity-driven
-    /// kernel relies on — agrees between the compiled and JIT scalar
-    /// engines cycle for cycle under identical stimulus.
+    /// `step_changed` — the quiescence signal the activity kernel
+    /// relies on — agrees between the interpreter and the JIT scalar
+    /// engine cycle for cycle under identical stimulus.
     #[test]
-    fn step_changed_agrees_between_compiled_and_jit(seed in any::<u64>(), n_gates in 1usize..60, cycles in 1usize..25) {
+    fn step_changed_agrees_between_interpreter_and_jit(seed in any::<u64>(), n_gates in 1usize..60, cycles in 1usize..25) {
         let module = random_module(seed, n_gates);
         let stim = stimulus(seed, &module, cycles);
 
-        let mut compiled = CompiledNetlistSim::new(module.clone()).unwrap();
+        let mut interp = NetlistSim::new(module.clone()).unwrap();
         let mut jit = JitNetlistSim::new(module.clone()).unwrap();
         for (t, step) in stim.iter().enumerate() {
             for (port, &v) in module.inputs.iter().zip(step) {
-                compiled.set_input(&port.name, v).unwrap();
+                interp.set_input(&port.name, v).unwrap();
                 jit.set_input(&port.name, v).unwrap();
             }
-            compiled.eval();
+            interp.eval();
             jit.eval();
             prop_assert_eq!(
-                compiled.step_changed(),
+                interp.step_changed(),
                 jit.step_changed(),
                 "cycle {} step_changed (seed {:#x})", t, seed
             );

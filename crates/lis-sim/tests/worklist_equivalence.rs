@@ -1,18 +1,18 @@
-//! Property tests pinning the scheduled settle engines to the legacy
-//! full-sweep settle, cycle for cycle over every signal.
+//! Property tests pinning the activity kernel to the full-sweep
+//! reference settle, cycle for cycle over every signal.
 //!
 //! Random component networks — mixing-function DAGs in shuffled
 //! insertion order, self-latching components (combinational self-loops
 //! with a stable fixpoint), contracting two-component cycles, and
 //! saturating components that *go quiescent* mid-run, and periodic
 //! pulse generators that *sleep* between scheduled events — are stepped
-//! under random per-cycle stimulus once per engine:
-//! [`SettleMode::FullSweep`], [`SettleMode::Worklist`], the
-//! activity-driven kernel ([`SettleMode::ActivityDriven`]), and the
-//! event-wheel kernel ([`SettleMode::FastForward`]) at random thread
-//! counts. Every signal must match after every cycle — for fast-forward,
-//! after every *visited* cycle (jump boundary), with the legacy engines
-//! stepped to the same cycle number before comparing.
+//! under random per-cycle stimulus once per engine: the
+//! [`SettleMode::FullSweep`] reference and the activity kernel
+//! ([`SettleMode::FastForward`]) at random thread counts, stepped cycle
+//! by cycle and jumping dead spans. Every signal must match after every
+//! cycle — for the jumping run, after every *visited* cycle (jump
+//! boundary), with the stepped systems walked to the same cycle number
+//! before comparing.
 
 use lis_sim::{Activity, Component, Ports, SettleMode, SignalId, SignalView, System};
 use proptest::prelude::*;
@@ -388,78 +388,15 @@ fn build(net: &Net, mode: SettleMode, threads: usize) -> (System, Vec<SignalId>)
 }
 
 proptest! {
-    /// The scheduler — at any thread count — matches the full sweep on
-    /// every signal after every cycle, under random stimulus.
+    /// The activity kernel — persistent dirty set, skipped groups,
+    /// sharded selective ticks — matches the full sweep on every signal
+    /// after every cycle, at any thread count, including networks with
+    /// components that genuinely quiesce mid-run.
     #[test]
-    fn worklist_matches_full_sweep(
+    fn fast_forward_matches_full_sweep(
         seed in any::<u64>(),
         n_inputs in 1usize..4,
         n_mixers in 1usize..14,
-        n_latches in 0usize..3,
-        n_pairs in 0usize..3,
-        threads in 1usize..5,
-        cycles in 1usize..12,
-    ) {
-        let net = random_net(seed, n_inputs, n_mixers, n_latches, n_pairs, 0, 0);
-        let (mut reference, ref_inputs) = build(&net, SettleMode::FullSweep, 1);
-        let (mut scheduled, sched_inputs) = build(&net, SettleMode::Worklist, threads);
-        let mut stim = StdRng::seed_from_u64(seed ^ 0xDEAD_BEEF);
-        for cycle in 0..cycles {
-            for (&a, &b) in ref_inputs.iter().zip(&sched_inputs) {
-                let v = stim.next_u64();
-                reference.poke(a, v);
-                scheduled.poke(b, v);
-            }
-            reference.step().unwrap();
-            scheduled.step().unwrap();
-            // settle() after step so peeked values are the cycle's
-            // settled outputs in both systems.
-            reference.settle().unwrap();
-            scheduled.settle().unwrap();
-            prop_assert_eq!(
-                reference.signal_values(),
-                scheduled.signal_values(),
-                "divergence at cycle {} (threads={})", cycle, threads
-            );
-        }
-    }
-
-    /// Scheduler results are independent of the thread count.
-    #[test]
-    fn thread_count_does_not_change_results(
-        seed in any::<u64>(),
-        n_mixers in 1usize..10,
-        cycles in 1usize..8,
-    ) {
-        let net = random_net(seed, 2, n_mixers, 1, 1, 0, 0);
-        let mut final_values: Option<Vec<u64>> = None;
-        for threads in [1usize, 2, 4] {
-            let (mut sys, inputs) = build(&net, SettleMode::Worklist, threads);
-            let mut stim = StdRng::seed_from_u64(seed ^ 0xF00D);
-            for _ in 0..cycles {
-                for &i in &inputs {
-                    sys.poke(i, stim.next_u64());
-                }
-                sys.step().unwrap();
-            }
-            sys.settle().unwrap();
-            let values = sys.signal_values();
-            match &final_values {
-                None => final_values = Some(values),
-                Some(expected) => prop_assert_eq!(expected, &values, "threads={}", threads),
-            }
-        }
-    }
-
-    /// The activity-driven kernel — persistent dirty set, skipped
-    /// groups, sharded selective ticks — matches BOTH legacy engines on
-    /// every signal after every cycle, at any thread count, including
-    /// networks with components that genuinely quiesce mid-run.
-    #[test]
-    fn activity_driven_matches_both_legacy_engines(
-        seed in any::<u64>(),
-        n_inputs in 1usize..4,
-        n_mixers in 1usize..12,
         n_latches in 0usize..3,
         n_pairs in 0usize..3,
         n_saturs in 0usize..4,
@@ -469,116 +406,36 @@ proptest! {
     ) {
         let net = random_net(seed, n_inputs, n_mixers, n_latches, n_pairs, n_saturs, n_pulsers);
         let (mut full, full_in) = build(&net, SettleMode::FullSweep, 1);
-        let (mut worklist, wl_in) = build(&net, SettleMode::Worklist, 1);
-        let (mut activity, act_in) = build(&net, SettleMode::ActivityDriven, threads);
+        let (mut activity, act_in) = build(&net, SettleMode::FastForward, threads);
         let mut stim = StdRng::seed_from_u64(seed ^ 0xAC71_77E5);
         for cycle in 0..cycles {
             // Hold inputs constant on some cycles so quiescence actually
             // kicks in (fresh randoms would re-dirty everything).
             let hold = cycle % 3 == 2;
-            for ((&a, &b), &c) in full_in.iter().zip(&wl_in).zip(&act_in) {
+            for (&a, &b) in full_in.iter().zip(&act_in) {
                 if !hold {
                     let v = stim.next_u64();
                     full.poke(a, v);
-                    worklist.poke(b, v);
-                    activity.poke(c, v);
+                    activity.poke(b, v);
                 }
             }
             full.step().unwrap();
-            worklist.step().unwrap();
             activity.step().unwrap();
+            // settle() after step so peeked values are the cycle's
+            // settled outputs in both systems.
             full.settle().unwrap();
-            worklist.settle().unwrap();
             activity.settle().unwrap();
             prop_assert_eq!(
                 full.signal_values(),
                 activity.signal_values(),
                 "activity vs full-sweep divergence at cycle {} (threads={})", cycle, threads
             );
-            prop_assert_eq!(
-                worklist.signal_values(),
-                activity.signal_values(),
-                "activity vs worklist divergence at cycle {} (threads={})", cycle, threads
-            );
         }
     }
 
-    /// The event-wheel kernel matches both the full sweep and the
-    /// cycle-by-cycle activity kernel at every cycle it *visits* — after
-    /// each step-or-jump the legacy systems are stepped to the same
-    /// cycle number and every signal compared. Nets mix sleeping pulse
-    /// generators (real next-event declarations), saturating components
-    /// and stateless combinational logic, with stimulus held between
-    /// phases so whole-system quiescence actually occurs. At the end the
-    /// executed-work counters must agree exactly: fast-forward evaluates
-    /// the same groups and ticks the same components as activity-driven,
-    /// it just never visits the dead cycles in between.
+    /// Activity-kernel results are independent of the thread count.
     #[test]
-    fn fast_forward_matches_at_every_jump_boundary(
-        seed in any::<u64>(),
-        n_inputs in 1usize..3,
-        n_latches in 0usize..3,
-        n_pairs in 0usize..2,
-        n_saturs in 0usize..4,
-        n_pulsers in 1usize..4,
-        threads in 1usize..5,
-        phases in 2usize..5,
-        span in 8u64..30,
-    ) {
-        let net = random_net(seed, n_inputs, 0, n_latches, n_pairs, n_saturs, n_pulsers);
-        let (mut full, full_in) = build(&net, SettleMode::FullSweep, 1);
-        let (mut activity, act_in) = build(&net, SettleMode::ActivityDriven, 1);
-        let (mut ff, ff_in) = build(&net, SettleMode::FastForward, threads);
-        let mut stim = StdRng::seed_from_u64(seed ^ 0x00FA_57F0);
-        for _ in 0..phases {
-            for ((&a, &b), &c) in full_in.iter().zip(&act_in).zip(&ff_in) {
-                let v = stim.next_u64();
-                full.poke(a, v);
-                activity.poke(b, v);
-                ff.poke(c, v);
-            }
-            let target = ff.cycle() + span;
-            while ff.cycle() < target {
-                ff.step().unwrap();
-                ff.fast_forward(target);
-                // Walk the reference engines to the cycle fast-forward
-                // landed on; the skipped cycles must be no-ops for them.
-                while full.cycle() < ff.cycle() {
-                    full.step().unwrap();
-                }
-                while activity.cycle() < ff.cycle() {
-                    activity.step().unwrap();
-                }
-                full.settle().unwrap();
-                activity.settle().unwrap();
-                ff.settle().unwrap();
-                prop_assert_eq!(
-                    full.signal_values(),
-                    ff.signal_values(),
-                    "fast-forward vs full-sweep divergence at cycle {} (threads={})",
-                    ff.cycle(), threads
-                );
-                prop_assert_eq!(
-                    activity.signal_values(),
-                    ff.signal_values(),
-                    "fast-forward vs activity divergence at cycle {} (threads={})",
-                    ff.cycle(), threads
-                );
-            }
-        }
-        let ad = activity.scheduler_stats();
-        let fs = ff.scheduler_stats();
-        prop_assert_eq!(
-            (ad.groups_evaluated, ad.components_ticked),
-            (fs.groups_evaluated, fs.components_ticked),
-            "fast-forward must execute exactly the activity kernel's work"
-        );
-        prop_assert_eq!(ad.cycles_fast_forwarded, 0, "activity never jumps");
-    }
-
-    /// Activity-driven results are independent of the thread count.
-    #[test]
-    fn activity_thread_count_does_not_change_results(
+    fn thread_count_does_not_change_results(
         seed in any::<u64>(),
         n_mixers in 1usize..10,
         cycles in 1usize..8,
@@ -586,7 +443,7 @@ proptest! {
         let net = random_net(seed, 2, n_mixers, 1, 1, 2, 1);
         let mut final_values: Option<Vec<u64>> = None;
         for threads in [1usize, 2, 4] {
-            let (mut sys, inputs) = build(&net, SettleMode::ActivityDriven, threads);
+            let (mut sys, inputs) = build(&net, SettleMode::FastForward, threads);
             let mut stim = StdRng::seed_from_u64(seed ^ 0xFEED);
             for _ in 0..cycles {
                 for &i in &inputs {
@@ -602,11 +459,86 @@ proptest! {
             }
         }
     }
+
+    /// `run`'s jumps match both the full sweep and a `step()`-only loop
+    /// of the same kernel at every cycle the jumping run *visits* —
+    /// after each step-or-jump the stepped systems are walked to the
+    /// same cycle number and every signal compared. Nets mix sleeping
+    /// pulse generators (real next-event declarations), saturating
+    /// components and stateless combinational logic, with stimulus held
+    /// between phases so whole-system quiescence actually occurs. At
+    /// the end the executed-work counters must agree exactly: the
+    /// jumping run evaluates the same groups and ticks the same
+    /// components as the stepped one, it just never visits the dead
+    /// cycles in between.
+    #[test]
+    fn fast_forward_matches_at_every_jump_boundary(
+        seed in any::<u64>(),
+        n_inputs in 1usize..3,
+        n_latches in 0usize..3,
+        n_pairs in 0usize..2,
+        n_saturs in 0usize..4,
+        n_pulsers in 1usize..4,
+        threads in 1usize..5,
+        phases in 2usize..5,
+        span in 8u64..30,
+    ) {
+        let net = random_net(seed, n_inputs, 0, n_latches, n_pairs, n_saturs, n_pulsers);
+        let (mut full, full_in) = build(&net, SettleMode::FullSweep, 1);
+        let (mut stepped, step_in) = build(&net, SettleMode::FastForward, 1);
+        let (mut ff, ff_in) = build(&net, SettleMode::FastForward, threads);
+        let mut stim = StdRng::seed_from_u64(seed ^ 0x00FA_57F0);
+        for _ in 0..phases {
+            for ((&a, &b), &c) in full_in.iter().zip(&step_in).zip(&ff_in) {
+                let v = stim.next_u64();
+                full.poke(a, v);
+                stepped.poke(b, v);
+                ff.poke(c, v);
+            }
+            let target = ff.cycle() + span;
+            while ff.cycle() < target {
+                ff.step().unwrap();
+                ff.fast_forward(target);
+                // Walk the reference systems to the cycle fast-forward
+                // landed on; the skipped cycles must be no-ops for them.
+                while full.cycle() < ff.cycle() {
+                    full.step().unwrap();
+                }
+                while stepped.cycle() < ff.cycle() {
+                    stepped.step().unwrap();
+                }
+                full.settle().unwrap();
+                stepped.settle().unwrap();
+                ff.settle().unwrap();
+                prop_assert_eq!(
+                    full.signal_values(),
+                    ff.signal_values(),
+                    "fast-forward vs full-sweep divergence at cycle {} (threads={})",
+                    ff.cycle(), threads
+                );
+                prop_assert_eq!(
+                    stepped.signal_values(),
+                    ff.signal_values(),
+                    "fast-forward vs stepped divergence at cycle {} (threads={})",
+                    ff.cycle(), threads
+                );
+            }
+        }
+        let st = stepped.scheduler_stats();
+        let fs = ff.scheduler_stats();
+        prop_assert_eq!(
+            (st.groups_evaluated, st.components_ticked),
+            (fs.groups_evaluated, fs.components_ticked),
+            "jumping must execute exactly the stepped kernel's work"
+        );
+        prop_assert_eq!(st.cycles_fast_forwarded, 0, "step() alone never jumps");
+    }
 }
 
 /// Deterministic skip regression: once a saturating chain has settled
 /// into quiescence under constant stimulus, the activity kernel must
-/// actually skip — groups in the settle and components in the tick.
+/// actually skip — groups in the settle and components in the tick —
+/// on every cycle it visits (`step()` alone visits every cycle).
 #[test]
 fn quiescent_chain_is_skipped_not_recomputed() {
     let mut sys = System::new();
@@ -624,10 +556,14 @@ fn quiescent_chain_is_skipped_not_recomputed() {
         prev = out;
     }
     sys.poke(input, 0xAB);
-    // Warm up until the chain saturates, then run quiescent cycles.
-    sys.run(10).unwrap();
+    // Warm up until the chain saturates, then step quiescent cycles.
+    for _ in 0..10 {
+        sys.step().unwrap();
+    }
     let warm = sys.scheduler_stats();
-    sys.run(10).unwrap();
+    for _ in 0..10 {
+        sys.step().unwrap();
+    }
     let done = sys.scheduler_stats();
     let evaluated = done.groups_evaluated - warm.groups_evaluated;
     let skipped = done.groups_skipped - warm.groups_skipped;

@@ -129,7 +129,8 @@ impl TopologyBuilder {
         }
     }
 
-    /// Selects the settle engine (default: the activity-driven kernel).
+    /// Selects the settle engine (default: the activity kernel,
+    /// [`SettleMode::FastForward`]).
     #[must_use]
     pub fn settle_mode(mut self, mode: SettleMode) -> Self {
         self.mode = mode;

@@ -1,5 +1,5 @@
 //! The E7 activity-kernel bench: stress-mesh settle throughput under
-//! the three settle engines and four traffic regimes.
+//! the two settle engines and five traffic regimes.
 //!
 //! The paper's synchronization processor exists so most of a
 //! latency-insensitive SoC can *stall cheaply* — and in a stalled or
@@ -7,17 +7,18 @@
 //! measures what the simulator makes of that: the 8×8 gate-level SP
 //! stress mesh (the E6 hot path) is driven under streaming, bursty,
 //! hotspot, saturating back-pressured, and periodically back-pressured
-//! traffic, once per settle engine (`full-sweep`, `worklist`,
-//! `activity`, `fast-forward`). Every configuration must deliver
-//! bit-identical token streams — checksummed — while the
-//! activity-family kernels additionally record how much of the mesh
-//! they *skipped* (quiescent groups per settle, quiescent components
-//! per tick, and — for fast-forward — whole cycles jumped by the event
-//! wheel). Two headline bars, asserted by the bench binary's `--check`:
-//! activity-driven simulates the back-pressured stress run at ≥ 2× the
-//! worklist engine's kilocycles per second, and fast-forward simulates
-//! the *periodically* back-pressured run (scheduled stall spans the
-//! event wheel can jump) at ≥ 10× activity-driven.
+//! traffic, once per settle engine (the `full-sweep` reference and the
+//! `fast-forward` activity kernel). Every configuration must deliver
+//! bit-identical token streams — checksummed — while the activity rows
+//! additionally record how much of the mesh they *skipped* (quiescent
+//! groups per settle, quiescent components per tick, and — under `run`
+//! — whole cycles jumped by the event wheel). Two headline bars,
+//! asserted by the bench binary's `--check`: on the back-pressured
+//! stress run the kernel skips at least half of all group evaluations
+//! and half of all ticks (the full sweep evaluates and ticks
+//! everything every cycle), and `run` simulates the *periodically*
+//! back-pressured run (scheduled stall spans the event wheel can jump)
+//! at ≥ 10× the same mesh stepped cycle by cycle (`step-only`).
 
 use crate::build::TopologyBuilder;
 use crate::topology::{NodeModel, SyncVariant, TopologyShape, TopologySpec, TrafficPattern};
@@ -43,8 +44,8 @@ pub struct E7Config {
     pub relay_budget: u32,
     /// Traffic regimes of the engine-comparison sweep.
     pub sweep_traffics: Vec<TrafficPattern>,
-    /// Cycles per sweep row (kept modest: the full sweep engine pays
-    /// ~10× the worklist's wall clock on this mesh).
+    /// Cycles per sweep row (kept modest: the full sweep pays up to
+    /// ~10× the activity kernel's wall clock on this mesh).
     pub sweep_cycles: u64,
     /// The saturating regime of the headline run.
     pub backpressure: TrafficPattern,
@@ -56,12 +57,12 @@ pub struct E7Config {
     /// windows must be long enough to dominate the cycle-by-cycle
     /// kernel's wall clock before jumping it pays off 10-fold.
     pub periodic: TrafficPattern,
-    /// Cycles of the headline back-pressured run (worklist vs activity).
+    /// Cycles of the headline back-pressured run (the skip bar).
     pub check_cycles: u64,
-    /// Cycles of the headline periodic run (activity vs fast-forward) —
-    /// a few full periods. Far larger than `check_cycles`: the
-    /// activity kernel crosses dead cycles at ~100× its saturated
-    /// speed, and fast-forward doesn't visit them at all.
+    /// Cycles of the headline periodic run (step-only vs fast-forward)
+    /// — a few full periods. Far larger than `check_cycles`: stepping
+    /// crosses dead cycles at ~100× its saturated speed, and
+    /// fast-forward doesn't visit them at all.
     pub periodic_check_cycles: u64,
     /// Tokens each source offers (ample; sources must never dry up).
     pub tokens_per_source: usize,
@@ -103,7 +104,9 @@ impl Default for E7Config {
 pub struct E7Row {
     /// Traffic regime label.
     pub traffic: String,
-    /// Settle engine label.
+    /// Settle engine label: `full-sweep`, `fast-forward` (driven by
+    /// `Soc::run`), or `step-only` (the activity kernel driven by
+    /// `System::step` alone, every cycle visited).
     pub engine: String,
     /// Evaluation threads.
     pub threads: usize,
@@ -116,17 +119,17 @@ pub struct E7Row {
     pub checksum: u64,
     /// Whether every sink stream matched the dataflow oracle.
     pub stream_exact: bool,
-    /// Groups evaluated by activity-driven settles (stable; 0 for
-    /// legacy engines).
+    /// Groups evaluated by activity settles (stable; 0 for the full
+    /// sweep).
     pub groups_evaluated: u64,
-    /// Groups skipped as quiescent (stable; 0 for legacy engines).
+    /// Groups skipped as quiescent (stable; 0 for the full sweep).
     pub groups_skipped: u64,
-    /// Component ticks executed (stable; 0 for legacy engines).
+    /// Component ticks executed (stable; 0 for the full sweep).
     pub components_ticked: u64,
-    /// Component ticks skipped as quiescent (stable; 0 for legacy
-    /// engines).
+    /// Component ticks skipped as quiescent (stable; 0 for the full
+    /// sweep).
     pub components_quiescent: u64,
-    /// Cycles jumped by the event wheel (stable; 0 unless the engine is
+    /// Cycles jumped by the event wheel (stable; 0 unless the row runs
     /// fast-forward and the traffic leaves whole cycles dead).
     pub cycles_fast_forwarded: u64,
     /// Wall time (volatile; excluded from drift checks).
@@ -194,16 +197,13 @@ pub struct E7Report {
     pub signals: usize,
     /// Engine × traffic sweep rows.
     pub sweep: Vec<E7Row>,
-    /// Headline rows: back-pressured (worklist@1, activity@1,
-    /// activity@threads), then periodic (activity@1, fast-forward@1,
-    /// fast-forward@threads).
+    /// Headline rows: back-pressured (fast-forward@1,
+    /// fast-forward@threads), then periodic (step-only@1,
+    /// fast-forward@1, fast-forward@threads).
     pub check: Vec<E7Row>,
-    /// Activity@1 vs worklist@1 kcyc/s on the back-pressured run
-    /// (volatile; the `--check` bar).
-    pub speedup_activity_vs_worklist: f64,
-    /// Fast-forward@1 vs activity@1 kcyc/s on the periodic run
+    /// Fast-forward@1 vs step-only@1 kcyc/s on the periodic run
     /// (volatile; the event-wheel `--check` bar).
-    pub speedup_fast_forward_vs_activity: f64,
+    pub speedup_fast_forward_vs_step: f64,
 }
 
 fn spec_for(cfg: &E7Config, traffic: TrafficPattern) -> TopologySpec {
@@ -224,17 +224,30 @@ fn spec_for(cfg: &E7Config, traffic: TrafficPattern) -> TopologySpec {
     }
 }
 
+/// How a row drives its mesh.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Drive {
+    /// `Soc::run` under the given settle mode.
+    Run(SettleMode),
+    /// The activity kernel stepped with `System::step` alone.
+    StepOnly,
+}
+
 /// Runs one (traffic, engine, threads) configuration for `cycles`,
 /// filling `census` with the mesh's structural stats on the first call.
 fn run_one(
     cfg: &E7Config,
     traffic: TrafficPattern,
-    mode: SettleMode,
+    drive: Drive,
     threads: usize,
     cycles: u64,
     census: &mut Option<crate::build::TopoStats>,
 ) -> E7Row {
     let spec = spec_for(cfg, traffic);
+    let mode = match drive {
+        Drive::Run(mode) => mode,
+        Drive::StepOnly => SettleMode::FastForward,
+    };
     let mut topo = TopologyBuilder::new(spec)
         .settle_mode(mode)
         .threads(threads)
@@ -244,13 +257,24 @@ fn run_one(
         *census = Some(topo.stats.clone());
     }
     let start = Instant::now();
-    topo.soc.run(cycles).expect("E7 simulation");
+    match drive {
+        Drive::Run(_) => topo.soc.run(cycles).expect("E7 simulation"),
+        Drive::StepOnly => {
+            for _ in 0..cycles {
+                topo.soc.system_mut().step().expect("E7 simulation");
+            }
+        }
+    }
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(topo.soc.violations(), 0, "{traffic}/{mode:?}: violations");
+    assert_eq!(topo.soc.violations(), 0, "{traffic}/{drive:?}: violations");
     let stats = topo.soc.scheduler_stats();
+    let engine = match drive {
+        Drive::Run(mode) => lis_core::experiment::engine_name(mode),
+        Drive::StepOnly => "step-only",
+    };
     E7Row {
         traffic: traffic.to_string(),
-        engine: lis_core::experiment::engine_name(mode).to_owned(),
+        engine: engine.to_owned(),
         threads,
         cycles,
         tokens: topo.total_received(),
@@ -267,22 +291,17 @@ fn run_one(
 }
 
 /// Runs the full E7 bench: the engine×traffic sweep plus the two
-/// headline comparisons — back-pressured worklist-vs-activity and
-/// periodic activity-vs-fast-forward.
+/// headline runs — back-pressured (the skip bar) and periodic
+/// (step-only vs fast-forward).
 pub fn e7_bench(cfg: &E7Config, threads: usize) -> E7Report {
     let mut census = None;
     let mut sweep = Vec::new();
     for &traffic in &cfg.sweep_traffics {
-        for mode in [
-            SettleMode::FullSweep,
-            SettleMode::Worklist,
-            SettleMode::ActivityDriven,
-            SettleMode::FastForward,
-        ] {
+        for mode in [SettleMode::FullSweep, SettleMode::FastForward] {
             sweep.push(run_one(
                 cfg,
                 traffic,
-                mode,
+                Drive::Run(mode),
                 1,
                 cfg.sweep_cycles,
                 &mut census,
@@ -290,67 +309,27 @@ pub fn e7_bench(cfg: &E7Config, threads: usize) -> E7Report {
         }
     }
 
-    let worklist = run_one(
-        cfg,
-        cfg.backpressure,
-        SettleMode::Worklist,
-        1,
-        cfg.check_cycles,
-        &mut census,
-    );
-    let activity = run_one(
-        cfg,
-        cfg.backpressure,
-        SettleMode::ActivityDriven,
-        1,
-        cfg.check_cycles,
-        &mut census,
-    );
-    let speedup = activity.kcps / worklist.kcps;
+    let mut run = |traffic, drive, threads, cycles| {
+        run_one(cfg, traffic, drive, threads, cycles, &mut census)
+    };
+    let ff = Drive::Run(SettleMode::FastForward);
     // Always emit a multi-thread row (even on single-core hosts) so the
     // recorded row structure — and the bit-identity proof across thread
     // counts — is machine-independent.
-    let activity_nt = run_one(
-        cfg,
-        cfg.backpressure,
-        SettleMode::ActivityDriven,
-        threads.max(2),
-        cfg.check_cycles,
-        &mut census,
-    );
+    let nt = threads.max(2);
+    let backpressured = run(cfg.backpressure, ff, 1, cfg.check_cycles);
+    let backpressured_nt = run(cfg.backpressure, ff, nt, cfg.check_cycles);
 
-    // The event-wheel headline: same mesh, scheduled stalls. Activity
-    // must visit every dead cycle; fast-forward jumps them.
-    let periodic_activity = run_one(
-        cfg,
-        cfg.periodic,
-        SettleMode::ActivityDriven,
-        1,
-        cfg.periodic_check_cycles,
-        &mut census,
-    );
-    let periodic_ff = run_one(
-        cfg,
-        cfg.periodic,
-        SettleMode::FastForward,
-        1,
-        cfg.periodic_check_cycles,
-        &mut census,
-    );
-    let speedup_ff = periodic_ff.kcps / periodic_activity.kcps;
-    let periodic_ff_nt = run_one(
-        cfg,
-        cfg.periodic,
-        SettleMode::FastForward,
-        threads.max(2),
-        cfg.periodic_check_cycles,
-        &mut census,
-    );
+    // The event-wheel headline: same mesh, scheduled stalls. Stepping
+    // visits every dead cycle; `run` jumps them.
+    let periodic_step = run(cfg.periodic, Drive::StepOnly, 1, cfg.periodic_check_cycles);
+    let periodic_ff = run(cfg.periodic, ff, 1, cfg.periodic_check_cycles);
+    let periodic_ff_nt = run(cfg.periodic, ff, nt, cfg.periodic_check_cycles);
+    let speedup_ff = periodic_ff.kcps / periodic_step.kcps;
     let check = vec![
-        worklist,
-        activity,
-        activity_nt,
-        periodic_activity,
+        backpressured,
+        backpressured_nt,
+        periodic_step,
         periodic_ff,
         periodic_ff_nt,
     ];
@@ -364,18 +343,17 @@ pub fn e7_bench(cfg: &E7Config, threads: usize) -> E7Report {
         signals: stats.signals,
         sweep,
         check,
-        speedup_activity_vs_worklist: speedup,
-        speedup_fast_forward_vs_activity: speedup_ff,
+        speedup_fast_forward_vs_step: speedup_ff,
     }
 }
 
 /// Asserts the E7 stream-identity claim: within each traffic regime,
 /// every engine/thread configuration delivered the identical token
-/// stream (same count, same checksum) and stayed oracle-exact, the
-/// activity-family rows (activity, fast-forward) actually skipped work
-/// *and* agree exactly on how much work they executed — fast-forward
-/// must evaluate the same groups and tick the same components as
-/// cycle-by-cycle activity-driven, at any thread count, jumps or not.
+/// stream (same count, same checksum) and stayed oracle-exact, and the
+/// activity rows (fast-forward, step-only) actually skipped work *and*
+/// agree exactly on how much work they executed — `run` must evaluate
+/// the same groups and tick the same components as stepping cycle by
+/// cycle, at any thread count, jumps or not.
 ///
 /// # Panics
 ///
@@ -396,10 +374,10 @@ pub fn assert_e7_streams(rows: &[E7Row]) {
                 );
             }
         }
-        if row.engine == "activity" || row.engine == "fast-forward" {
+        if row.engine == "fast-forward" || row.engine == "step-only" {
             assert!(
                 row.groups_skipped > 0 && row.components_quiescent > 0,
-                "activity-family row skipped nothing: {row}"
+                "activity row skipped nothing: {row}"
             );
             match family.iter().find(|(t, _)| *t == row.traffic) {
                 None => family.push((&row.traffic, row)),
@@ -407,7 +385,7 @@ pub fn assert_e7_streams(rows: &[E7Row]) {
                     assert_eq!(
                         (first.groups_evaluated, first.components_ticked),
                         (row.groups_evaluated, row.components_ticked),
-                        "fast-forward must execute exactly the work activity-driven \
+                        "fast-forward must execute exactly the work stepping \
                          executes:\n  {first}\n  {row}"
                     );
                 }
@@ -416,13 +394,13 @@ pub fn assert_e7_streams(rows: &[E7Row]) {
             assert_eq!(
                 (row.groups_evaluated, row.components_ticked),
                 (0, 0),
-                "legacy engines must not report activity counters: {row}"
+                "the full sweep must not report activity counters: {row}"
             );
         }
         if row.engine != "fast-forward" {
             assert_eq!(
                 row.cycles_fast_forwarded, 0,
-                "only the fast-forward engine may jump cycles: {row}"
+                "only `run` under fast-forward may jump cycles: {row}"
             );
         }
     }
@@ -433,8 +411,8 @@ mod tests {
     use super::*;
 
     /// A miniature E7 exercising the whole pipeline: all engines and
-    /// traffic regimes stream-identical, activity genuinely skipping,
-    /// fast-forward genuinely jumping.
+    /// traffic regimes stream-identical, the activity kernel genuinely
+    /// skipping, `run` genuinely jumping.
     #[test]
     fn miniature_e7_is_stream_identical_and_skips() {
         let cfg = E7Config {
@@ -452,29 +430,21 @@ mod tests {
             ..E7Config::default()
         };
         let report = e7_bench(&cfg, 2);
-        assert_eq!(report.sweep.len(), 8);
-        assert_eq!(report.check.len(), 6);
+        assert_eq!(report.sweep.len(), 4);
+        assert_eq!(report.check.len(), 5);
         assert_e7_streams(&report.sweep);
         assert_e7_streams(&report.check);
         assert!(report.pearls == 4 && report.relay_stations > 0);
         // The back-pressured mesh must be mostly asleep under the
         // activity kernel.
-        let bp_activity = report
-            .check
-            .iter()
-            .find(|r| r.engine == "activity")
-            .expect("activity row");
+        let bp_activity = &report.check[0];
         assert!(
             bp_activity.tick_skip_pct() > 30.0,
             "back-pressure must induce real quiescence: {bp_activity}"
         );
         // The scheduled stall spans of the periodic run must produce
         // real clock jumps.
-        let ff = report
-            .check
-            .iter()
-            .find(|r| r.engine == "fast-forward")
-            .expect("fast-forward row");
+        let ff = &report.check[3];
         assert!(
             ff.cycles_fast_forwarded > 0,
             "the event wheel must jump dead spans: {ff}"

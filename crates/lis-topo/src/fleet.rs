@@ -220,7 +220,8 @@ impl FleetTopologyBuilder {
         }
     }
 
-    /// Selects the settle engine (default: the activity-driven kernel).
+    /// Selects the settle engine (default: the activity kernel,
+    /// [`SettleMode::FastForward`]).
     #[must_use]
     pub fn settle_mode(mut self, mode: SettleMode) -> Self {
         self.mode = mode;

@@ -26,7 +26,7 @@
 //! sustained relay back-pressure. And the **E7 kernel bench**
 //! ([`e7_bench`]): the same stress mesh under streaming / bursty /
 //! hotspot / saturating back-pressured traffic, once per settle engine
-//! — proving the activity-driven kernel delivers bit-identical streams
+//! — proving the activity kernel delivers bit-identical streams
 //! while skipping most of the quiescent mesh. And the **fleet bench**
 //! ([`fleet_bench`]): up to 64 independent traffic scenarios of the
 //! stress mesh lane-batched through one shared packed instruction

@@ -68,8 +68,8 @@ fn deep_streams_wrap_at_channel_width_consistently() {
     );
 }
 
-/// The sharded scheduler and the legacy full-sweep settle agree on a
-/// generated gate-level topology, and the worklist is thread-count
+/// The activity kernel and the full-sweep reference settle agree on a
+/// generated gate-level topology, and the kernel is thread-count
 /// independent.
 #[test]
 fn settle_engines_agree_on_generated_topologies() {
@@ -94,8 +94,8 @@ fn settle_engines_agree_on_generated_topologies() {
         topo.received()
     };
     let reference = run(SettleMode::FullSweep, 1);
-    assert_eq!(reference, run(SettleMode::Worklist, 1));
-    assert_eq!(reference, run(SettleMode::Worklist, 4));
+    assert_eq!(reference, run(SettleMode::FastForward, 1));
+    assert_eq!(reference, run(SettleMode::FastForward, 4));
     assert!(reference.iter().any(|s| !s.is_empty()), "data must flow");
 }
 

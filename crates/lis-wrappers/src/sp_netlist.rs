@@ -289,7 +289,7 @@ mod tests {
     #[test]
     fn run_counter_survives_100_000_quiet_cycles() {
         use lis_schedule::{compress_bursty, OpEncoding};
-        use lis_sim::CompiledNetlistSim;
+        use lis_sim::JitNetlistSim;
 
         let s = ScheduleBuilder::new(1, 1)
             .read(0)
@@ -307,7 +307,7 @@ mod tests {
         assert_eq!(OpEncoding::minimal_for(&p).run_bits, 17);
 
         let m = generate_sp(&p).unwrap();
-        let mut sim = CompiledNetlistSim::new(m).unwrap();
+        let mut sim = JitNetlistSim::new(m).unwrap();
         sim.set_input("rst", 0).unwrap();
         sim.set_input("ne", 0b1).unwrap();
         sim.set_input("nf", 0b1).unwrap();

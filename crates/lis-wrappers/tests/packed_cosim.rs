@@ -1,13 +1,13 @@
-//! Monte-Carlo co-simulation sweeps on the packed netlist engine.
+//! Monte-Carlo co-simulation sweeps on the packed JIT netlist engine.
 //!
-//! One [`PackedNetlistSim`] carries 64 *independent* random traffic
+//! One [`JitPackedNetlistSim`] carries 64 *independent* random traffic
 //! scenarios (one per lane) through a wrapper controller netlist in a
 //! single pass; every lane is then checked against its own scalar
 //! interpreter run. This is the sweep workload the packed engine exists
 //! for: 64 co-simulations for the price of one instruction walk.
 
 use lis_schedule::{compress, compress_bursty, ScheduleBuilder, SpProgram};
-use lis_sim::{NetlistSim, PackedNetlistSim, LANES};
+use lis_sim::{JitPackedNetlistSim, NetlistSim, LANES};
 use lis_wrappers::{generate_fsm, generate_sp, FsmEncoding};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -27,7 +27,7 @@ fn viterbi_like_program() -> SpProgram {
 /// the packed engine and verifies every lane against a scalar
 /// interpreter fed the identical stimulus.
 fn monte_carlo_sweep(module: lis_netlist::Module, n_in: usize, n_out: usize, cycles: usize) {
-    let mut packed = PackedNetlistSim::new(module.clone()).unwrap();
+    let mut packed = JitPackedNetlistSim::new(module.clone()).unwrap();
     let mut refs: Vec<NetlistSim> = (0..LANES)
         .map(|_| NetlistSim::new(module.clone()).unwrap())
         .collect();
