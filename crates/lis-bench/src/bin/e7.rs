@@ -4,8 +4,8 @@
 //! streaming, bursty, hotspot, saturating back-pressured, and
 //! periodically back-pressured traffic, once per settle engine — the
 //! full-sweep reference and the activity kernel (cross-cycle quiescence
-//! skipping, sharded selective ticks, and an event wheel that jumps the
-//! clock over fully quiescent spans). Every configuration must deliver
+//! skipping, selective ticks, and an event wheel that jumps the clock
+//! over fully quiescent spans). Every configuration must deliver
 //! bit-identical token streams; the activity rows additionally report
 //! how much of the mesh they skipped and how many cycles they jumped.
 //!
@@ -17,26 +17,38 @@
 //! simulates the periodically back-pressured run at ≥ 10× the kcyc/s
 //! of the same mesh stepped cycle by cycle.
 
-use lis_bench::{print_rows, section, threads_from_args};
+use lis_bench::{print_rows, section, Arg, Cli, Flag};
 use lis_topo::{assert_e7_streams, e7_bench, E7Config};
 use serde::{Serialize, Value};
 
+const FLAGS: &[Flag] = &[
+    Flag {
+        name: "--check",
+        arg: Arg::Switch,
+        help: "enforce the skip and event-wheel bars",
+    },
+    Flag {
+        name: "--json",
+        arg: Arg::Path,
+        help: "write the rows as a JSON baseline (e.g. BENCH_e7.json)",
+    },
+];
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .map(|i| args.get(i + 1).expect("--json needs a path").clone());
-    let check = args.iter().any(|a| a == "--check");
-    let threads = threads_from_args(&args);
+    let cli = Cli::from_env(
+        "E7: the activity kernel vs the full sweep on the 8x8 stress mesh.",
+        FLAGS,
+    );
+    let json_path = cli.value("--json");
+    let check = cli.switch("--check");
 
     let cfg = E7Config::default();
     section("E7 — activity kernel vs full sweep (stress mesh)");
     println!(
-        "mesh {}x{} gate-level SP shells, compute latency {}, hop {} / budget {} (threads {threads})",
+        "mesh {}x{} gate-level SP shells, compute latency {}, hop {} / budget {}",
         cfg.rows, cfg.cols, cfg.compute_latency, cfg.hop_distance, cfg.relay_budget
     );
-    let report = e7_bench(&cfg, threads);
+    let report = e7_bench(&cfg);
     println!(
         "{} pearls, {} relay stations, {} components / {} signals",
         report.pearls, report.relay_stations, report.components, report.signals
@@ -52,15 +64,15 @@ fn main() {
     let backpressured = &report.check[0];
     let (eval_skip, tick_skip) = (backpressured.eval_skip_pct(), backpressured.tick_skip_pct());
     println!(
-        "back-pressured fast-forward@1 skipped {eval_skip:.1}% of group evals, \
+        "back-pressured fast-forward skipped {eval_skip:.1}% of group evals, \
          {tick_skip:.1}% of ticks"
     );
     println!(
-        "speedup fast-forward@1 vs step-only@1 (periodic): {:.2}x",
+        "speedup fast-forward vs step-only (periodic): {:.2}x",
         report.speedup_fast_forward_vs_step
     );
 
-    if let Some(path) = &json_path {
+    if let Some(path) = json_path {
         let baseline = Value::Object(vec![
             ("e7_config".into(), report.config.to_value()),
             ("pearls".into(), Value::UInt(report.pearls as u64)),
@@ -96,8 +108,25 @@ fn main() {
         );
         println!(
             "--check passed: skipped {eval_skip:.1}% / {tick_skip:.1}% >= 50%, {:.2}x >= 10x, \
-             streams bit-identical across engines and thread counts",
+             streams bit-identical across engines",
             report.speedup_fast_forward_vs_step
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lis_bench::CliError;
+
+    /// The kernel is single-threaded, so a leftover `--threads 4` fails
+    /// loudly instead of being ignored.
+    #[test]
+    fn rejects_a_stale_threads_flag() {
+        let args = ["--threads".to_owned(), "4".to_owned()];
+        assert_eq!(
+            Cli::parse(FLAGS, &args).unwrap_err(),
+            CliError::Bad("unknown flag `--threads`".to_owned())
         );
     }
 }

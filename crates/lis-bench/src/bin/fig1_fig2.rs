@@ -3,10 +3,14 @@
 //! synchronization-processor wrapper) from the actual generators, plus
 //! ASCII renderings of the two architectures.
 
-use lis_bench::section;
+use lis_bench::{section, Cli};
 use lis_core::experiment::figures;
 
 fn main() {
+    Cli::from_env(
+        "Figures 1 and 2: the two wrapper architectures, regenerated.",
+        &[],
+    );
     section("Figure 1 / Figure 2 — wrapper architectures (regenerated)");
     let figs = figures().expect("figure generation");
     for f in &figs {

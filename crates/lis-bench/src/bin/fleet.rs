@@ -15,18 +15,36 @@
 //! throughput (scenario-cycles per wall second) must reach ≥ 8× the
 //! sequential solo runs'.
 
-use lis_bench::{print_rows, section, threads_from_args};
+use lis_bench::{default_threads, print_rows, section, Arg, Cli, Flag};
 use lis_topo::{assert_fleet_lanes, fleet_bench, FleetBenchConfig};
 use serde::{Serialize, Value};
 
+const FLAGS: &[Flag] = &[
+    Flag {
+        name: "--check",
+        arg: Arg::Switch,
+        help: "enforce the >=8x scenario-throughput bar",
+    },
+    Flag {
+        name: "--json",
+        arg: Arg::Path,
+        help: "write the rows as a JSON baseline (e.g. BENCH_fleet.json)",
+    },
+    Flag {
+        name: "--threads",
+        arg: Arg::Count,
+        help: "pool workers fanning out lane batches (default: cores, at most 8)",
+    },
+];
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .map(|i| args.get(i + 1).expect("--json needs a path").clone());
-    let check = args.iter().any(|a| a == "--check");
-    let threads = threads_from_args(&args);
+    let cli = Cli::from_env(
+        "Fleet: 64 lane-batched scenarios vs sequential solo runs of the stress mesh.",
+        FLAGS,
+    );
+    let json_path = cli.value("--json");
+    let check = cli.switch("--check");
+    let threads = cli.count("--threads").unwrap_or_else(default_threads);
 
     let cfg = FleetBenchConfig::default();
     section("Fleet — 64 lane-batched scenarios vs sequential solo runs (stress mesh)");
@@ -53,7 +71,7 @@ fn main() {
         report.speedup_scenario_throughput, report.config.lanes
     );
 
-    if let Some(path) = &json_path {
+    if let Some(path) = json_path {
         let baseline = Value::Object(vec![
             ("fleet_config".into(), report.config.to_value()),
             ("fleet_stats".into(), report.stats.to_value()),

@@ -11,7 +11,7 @@
 //! A third sweep measures **simulation throughput** over the same
 //! growing schedules, on all three netlist engines: the interpreting
 //! `NetlistSim` (the oracle) and the two JIT-lowered engines (fused
-//! direct-threaded scalar, and 64-lane level-parallel packed). Both the
+//! direct-threaded scalar, and 64-lane packed). Both the
 //! FSM wrapper (whose netlist grows with schedule length — the hard
 //! case) and the SP wrapper (constant logic) are swept. This is the
 //! baseline every future perf PR has to beat; `--json <path>` records
@@ -19,11 +19,11 @@
 //! `--check` enforces the JIT speedup bars over the interpreter at the
 //! largest FSM point.
 
-use lis_bench::{bar, pool_from_args, print_rows, section};
+use lis_bench::{bar, default_threads, print_rows, section, Arg, Cli, Flag};
 use lis_core::experiment::{scaling_by_length_with, scaling_by_ports_with};
 use lis_netlist::{LoweringStats, Module, NetlistStats};
 use lis_schedule::{random_schedule, IoSchedule, RandomScheduleParams};
-use lis_sim::{JitNetlistSim, JitPackedNetlistSim, NetlistSim, LANES};
+use lis_sim::{JitNetlistSim, JitPackedNetlistSim, NetlistSim, WorkStealingPool, LANES};
 use lis_synth::TechParams;
 use lis_wrappers::{FsmEncoding, WrapperKind};
 use rand::rngs::StdRng;
@@ -144,9 +144,8 @@ fn time_jit(module: &Module, cycles: u64) -> (f64, u64) {
 /// Times the JIT-lowered packed engine under [`packed_stimulus`].
 /// Returns (seconds, lane-0 enable-count checksum) so the caller can
 /// pin it against the interpreter's stream.
-fn time_jit_packed(module: &Module, cycles: u64, threads: usize) -> (f64, u64) {
-    let mut sim =
-        JitPackedNetlistSim::with_threads(module.clone(), threads).expect("wrapper validates");
+fn time_jit_packed(module: &Module, cycles: u64) -> (f64, u64) {
+    let mut sim = JitPackedNetlistSim::new(module.clone()).expect("wrapper validates");
     let h_ne = sim.input_handle("ne").unwrap();
     let h_nf = sim.input_handle("nf").unwrap();
     let h_en = sim.output_handle("enable").unwrap();
@@ -166,7 +165,7 @@ fn time_jit_packed(module: &Module, cycles: u64, threads: usize) -> (f64, u64) {
     (start.elapsed().as_secs_f64(), checksum)
 }
 
-fn sim_scaling_rows(periods: &[usize], threads: usize) -> Vec<SimScalingRow> {
+fn sim_scaling_rows(periods: &[usize]) -> Vec<SimScalingRow> {
     let mut rows = Vec::new();
     for &period in periods {
         let schedule: IoSchedule = random_schedule(
@@ -196,8 +195,8 @@ fn sim_scaling_rows(periods: &[usize], threads: usize) -> Vec<SimScalingRow> {
             // Same stimulus stream => same enable checksum; a cheap
             // cross-check that the engines agreed while being timed.
             assert_eq!(c1, c2, "jit engine diverged during timing");
-            let (jp1, pc1) = time_jit_packed(&module, cycles * 2, threads);
-            let (jp2, _) = time_jit_packed(&module, cycles * 2, threads);
+            let (jp1, pc1) = time_jit_packed(&module, cycles * 2);
+            let (jp2, _) = time_jit_packed(&module, cycles * 2);
             let jit_packed_s = jp1.min(jp2);
             let pc2 = interp_lane0_checksum(&module, cycles * 2);
             assert_eq!(pc1, pc2, "jit packed engine diverged during timing");
@@ -228,23 +227,42 @@ fn sim_scaling_rows(periods: &[usize], threads: usize) -> Vec<SimScalingRow> {
     rows
 }
 
+const FLAGS: &[Flag] = &[
+    Flag {
+        name: "--sweep",
+        arg: Arg::OneOf(&["length", "ports", "sim", "both"]),
+        help: "run one sweep only (default: all of them)",
+    },
+    Flag {
+        name: "--json",
+        arg: Arg::Path,
+        help: "write every sweep as a JSON baseline (e.g. BENCH_scaling.json)",
+    },
+    Flag {
+        name: "--check",
+        arg: Arg::Switch,
+        help: "enforce the JIT speedup bars at the largest FSM point",
+    },
+    Flag {
+        name: "--threads",
+        arg: Arg::Count,
+        help: "pool workers fanning out the syntheses (default: cores, at most 8)",
+    },
+];
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let what = args
-        .iter()
-        .position(|a| a == "--sweep")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("both");
+    let cli = Cli::from_env(
+        "E3/E4: wrapper area and fmax vs schedule length and port count, plus \
+         netlist simulation throughput.",
+        FLAGS,
+    );
+    let what = cli.value("--sweep").unwrap_or("both");
     // `--json <path>` snapshots all sweeps as a machine-readable
     // baseline, e.g. BENCH_scaling.json (throughput fields are volatile
     // and excluded from the CI drift diff). The baseline must be
     // complete to pass that diff, so --json overrides a partial --sweep
     // rather than silently recording empty arrays.
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .map(|i| args.get(i + 1).expect("--json needs a path").clone());
+    let json_path = cli.value("--json");
     let what = if json_path.is_some() && what != "both" {
         eprintln!("--json needs every sweep for a complete baseline; ignoring --sweep {what}");
         "both"
@@ -255,14 +273,14 @@ fn main() {
     // point, both against the interpreter and best-of-two on each side
     // so the comparison is symmetric: jit >= 15.4x and jit-packed
     // >= 872x in lane throughput.
-    let check = args.iter().any(|a| a == "--check");
+    let check = cli.switch("--check");
     let what = if check && (what == "ports" || what == "length") {
         eprintln!("--check needs the sim sweep; ignoring --sweep {what}");
         "both"
     } else {
         what
     };
-    let pool = pool_from_args(&args);
+    let pool = WorkStealingPool::new(cli.count("--threads").unwrap_or_else(default_threads));
     eprintln!("synthesis fan-out: {} threads", pool.threads());
     let params = TechParams::default();
     let periods = [16usize, 64, 256, 1024, 4096];
@@ -298,7 +316,7 @@ fn main() {
         section(
             "Simulation throughput vs schedule length (interpreter / jit / 64-lane jit packed)",
         );
-        sim_rows = sim_scaling_rows(&periods, pool.threads());
+        sim_rows = sim_scaling_rows(&periods);
         print_rows(&sim_rows);
         section("JIT lowering (per row: fusion / folding / elimination counters)");
         for r in &sim_rows {
@@ -334,7 +352,7 @@ fn main() {
         }
     }
 
-    if let Some(path) = &json_path {
+    if let Some(path) = json_path {
         let baseline = Value::Object(vec![
             ("rows_length".into(), length_rows.to_value()),
             ("rows_ports".into(), port_rows.to_value()),

@@ -11,21 +11,32 @@
 //! RS    4/2957/1  2610    71     24   105    -99   +47
 //! ```
 
-use lis_bench::{pool_from_args, section};
+use lis_bench::{default_threads, section, Arg, Cli, Flag};
 use lis_core::experiment::table1_with;
+use lis_sim::WorkStealingPool;
 use lis_synth::TechParams;
 use std::time::Instant;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    // `--json <path>` additionally snapshots the rows (plus the flow's
-    // wall time) as a machine-readable baseline, e.g. BENCH_table1.json.
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .map(|i| args.get(i + 1).expect("--json needs a path").clone());
+const FLAGS: &[Flag] = &[
+    Flag {
+        name: "--json",
+        arg: Arg::Path,
+        help: "also write the rows and the flow's wall time as a JSON baseline",
+    },
+    Flag {
+        name: "--threads",
+        arg: Arg::Count,
+        help: "pool workers fanning out the syntheses (default: cores, at most 8)",
+    },
+];
 
-    let pool = pool_from_args(&args);
+fn main() {
+    let cli = Cli::from_env(
+        "Table 1: FSM vs SP wrapper synthesis for the Viterbi and RS decoder IPs.",
+        FLAGS,
+    );
+    let json_path = cli.value("--json");
+    let pool = WorkStealingPool::new(cli.count("--threads").unwrap_or_else(default_threads));
     let params = TechParams::default();
     section("Table 1 — Applicative Results (reproduction)");
     eprintln!("synthesis fan-out: {} threads", pool.threads());
@@ -36,7 +47,7 @@ fn main() {
     let flow_start = Instant::now();
     let rows = table1_with(&params, Some(&pool)).expect("table 1 synthesis");
     let flow_ms = flow_start.elapsed().as_secs_f64() * 1e3;
-    if let Some(path) = &json_path {
+    if let Some(path) = json_path {
         use serde::{Serialize, Value};
         let baseline = Value::Object(vec![
             ("table1_flow_wall_ms".into(), Value::Float(flow_ms)),

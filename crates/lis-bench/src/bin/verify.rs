@@ -9,9 +9,9 @@
 //! assignment — checked exhaustively-within-bound instead of sampled.
 //!
 //! Each exploration shards its BFS levels across `--threads`
-//! configuration twins (default: `LIS_SIM_THREADS`, else 1) with the
-//! configuration's partial-order and symmetry reductions on; the merge
-//! is deterministic, so every structural number is identical at any
+//! configuration twins (default 1) with the configuration's
+//! partial-order and symmetry reductions on; the merge is
+//! deterministic, so every structural number is identical at any
 //! thread count.
 //!
 //! `--json <path>` records the structural results (e.g.
@@ -33,7 +33,7 @@
 //! * every mutant is caught with the expected verdict kind, and its
 //!   minimized counterexample still reproduces.
 
-use lis_bench::section;
+use lis_bench::{section, Arg, Cli, Flag};
 use lis_verify::{
     build_config, explore_pool, ExploreOptions, ExploreReport, CORRECT_CONFIGS, MUTANT_CONFIGS,
 };
@@ -154,34 +154,46 @@ fn report_value(run: &Run) -> Value {
     ])
 }
 
+const FLAGS: &[Flag] = &[
+    Flag {
+        name: "--check",
+        arg: Arg::Switch,
+        help: "enforce the depth, coverage, reduction and mutant bars",
+    },
+    Flag {
+        name: "--json",
+        arg: Arg::Path,
+        help: "write the structural results as a JSON baseline (e.g. BENCH_verify.json)",
+    },
+    Flag {
+        name: "--corpus",
+        arg: Arg::Path,
+        help: "re-emit each mutant's minimized counterexample into this directory",
+    },
+    Flag {
+        name: "--depth",
+        arg: Arg::Count,
+        help: "override every correct configuration's depth bound",
+    },
+    Flag {
+        name: "--threads",
+        arg: Arg::Count,
+        help: "configuration twins per exploration (default: 1)",
+    },
+];
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .map(|i| args.get(i + 1).expect("--json needs a path").clone());
-    let check = args.iter().any(|a| a == "--check");
-    let corpus_dir = args
-        .iter()
-        .position(|a| a == "--corpus")
-        .map(|i| args.get(i + 1).expect("--corpus needs a directory").clone());
-    let depth_override: Option<u32> = args
-        .iter()
-        .position(|a| a == "--depth")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--depth needs a number"));
-    let threads: usize = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--threads needs a number"))
-        .or_else(|| {
-            std::env::var("LIS_SIM_THREADS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-        })
-        .unwrap_or(1)
-        .max(1);
+    let cli = Cli::from_env(
+        "Verify: bounded model checking of the SP wrapper protocol over every stall schedule.",
+        FLAGS,
+    );
+    let json_path = cli.value("--json");
+    let check = cli.switch("--check");
+    let corpus_dir = cli.value("--corpus");
+    let depth_override = cli
+        .count("--depth")
+        .map(|d| u32::try_from(d).expect("counts fit in u32"));
+    let threads = cli.count("--threads").unwrap_or(1);
 
     section("Verify — correct configurations (every stall schedule to the depth bound)");
     println!("threads: {threads} configuration twin(s) per exploration");
@@ -243,7 +255,7 @@ fn main() {
         mutants.push(run);
     }
 
-    if let Some(dir) = &corpus_dir {
+    if let Some(dir) = corpus_dir {
         std::fs::create_dir_all(dir).expect("create corpus directory");
         for run in &mutants {
             if let Some(cx) = run.report.counterexamples.first() {
@@ -254,7 +266,7 @@ fn main() {
         }
     }
 
-    if let Some(path) = &json_path {
+    if let Some(path) = json_path {
         let baseline = Value::Object(vec![
             (
                 "verify_correct".into(),

@@ -429,7 +429,7 @@ pub fn throughput_sweep(latencies: &[usize], stalls: &[f64], cycles: u64) -> Vec
 /// pearls deep, linked through relay stations.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct SettleBenchConfig {
-    /// Independent pearl pipelines (the parallelism width).
+    /// Independent pearl pipelines (the width of each dependency level).
     pub chains: usize,
     /// Pearls per pipeline.
     pub depth: usize,
@@ -477,7 +477,7 @@ pub struct SettleBenchShape {
     pub sched_levels: usize,
     /// Condensed combinational SCCs needing an inner fixpoint.
     pub sched_cyclic_groups: usize,
-    /// Widest level (available parallelism).
+    /// Groups in the widest dependency level.
     pub sched_max_level_width: usize,
 }
 
@@ -486,13 +486,13 @@ pub struct SettleBenchShape {
 pub struct SettleBenchRow {
     /// Settle engine ("full-sweep" or "fast-forward").
     pub engine: String,
-    /// Evaluation threads.
-    pub threads: usize,
     /// Cycles simulated.
     pub cycles: u64,
-    /// Wall time (volatile; excluded from drift checks).
+    /// Median wall time over the timed runs (volatile; excluded from
+    /// drift checks).
     pub wall_ms: f64,
-    /// Simulated kilocycles per second (volatile).
+    /// Simulated kilocycles per second at the median wall time
+    /// (volatile).
     pub kcps: f64,
     /// Total informative tokens delivered across all sinks (stable —
     /// must be identical for every engine).
@@ -515,14 +515,8 @@ impl fmt::Display for SettleBenchRow {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{:10} threads={}: {:8.1} kcyc/s ({:7.1} ms for {} cycles), {} tokens, checksum {:#x}",
-            self.engine,
-            self.threads,
-            self.kcps,
-            self.wall_ms,
-            self.cycles,
-            self.received,
-            self.checksum
+            "{:12}: {:8.1} kcyc/s ({:7.1} ms for {} cycles), {} tokens, checksum {:#x}",
+            self.engine, self.kcps, self.wall_ms, self.cycles, self.received, self.checksum
         )?;
         let evals = self.groups_evaluated + self.groups_skipped;
         let ticks = self.components_ticked + self.components_quiescent;
@@ -541,10 +535,9 @@ impl fmt::Display for SettleBenchRow {
 /// Builds the many-pearl settle-bench SoC: `chains` × `depth` gate-level
 /// SP-wrapped accumulators (the complete Figure 2 shell, ports included,
 /// so every settle evaluates real gate-level logic).
-fn settle_bench_soc(cfg: &SettleBenchConfig, mode: SettleMode, threads: usize) -> crate::soc::Soc {
+fn settle_bench_soc(cfg: &SettleBenchConfig, mode: SettleMode) -> crate::soc::Soc {
     let mut b = SocBuilder::new();
     b.set_settle_mode(mode);
-    b.set_threads(threads);
     for c in 0..cfg.chains {
         let mut upstream: Option<lis_proto::LisChannel> = None;
         for d in 0..cfg.depth {
@@ -595,23 +588,33 @@ pub fn engine_name(mode: SettleMode) -> &'static str {
 }
 
 /// E5 (settle path): wall-clock throughput of the component kernel on a
-/// many-pearl SoC, per settle engine and thread count. Every
-/// configuration must deliver the identical token streams — the
-/// checksum column proves it.
+/// many-pearl SoC, one row per settle engine. Each engine is timed
+/// `reps` times (at least once) on a freshly built SoC, the engines
+/// alternating within every round so that drift on a shared host hits
+/// them alike; a row reports the median wall time. Every run must
+/// deliver the identical token streams — the checksum column proves it
+/// — and repeat its engine's work counters exactly.
+///
+/// # Panics
+///
+/// Panics if `engines` is empty, if a run diverges, or if the SoC
+/// reports protocol violations.
 pub fn settle_bench(
     cfg: &SettleBenchConfig,
-    engines: &[(SettleMode, usize)],
+    engines: &[SettleMode],
+    reps: usize,
 ) -> (SettleBenchShape, Vec<SettleBenchRow>) {
     let mut shape: Option<SettleBenchShape> = None;
-    let rows = engines
-        .iter()
-        .map(|&(mode, threads)| {
-            let mut soc = settle_bench_soc(cfg, mode, threads);
+    let mut rows: Vec<Option<SettleBenchRow>> = vec![None; engines.len()];
+    let mut walls: Vec<Vec<f64>> = vec![Vec::new(); engines.len()];
+    for _ in 0..reps.max(1) {
+        for (i, &mode) in engines.iter().enumerate() {
+            let mut soc = settle_bench_soc(cfg, mode);
             if shape.is_none() {
-                // The structural shape is mode/thread-independent; read
-                // it off the first engine's SoC before timing it (the
-                // scheduler seal this triggers is work every engine
-                // would do inside its first settle anyway).
+                // The structural shape is mode-independent; read it off
+                // the first SoC before timing it (the scheduler seal
+                // this triggers is work every engine would do inside its
+                // first settle anyway).
                 let stats: SchedulerStats = soc.system_mut().scheduler_stats();
                 shape = Some(SettleBenchShape {
                     pearls: cfg.chains * cfg.depth,
@@ -625,7 +628,7 @@ pub fn settle_bench(
             }
             let start = Instant::now();
             soc.run(cfg.cycles).expect("settle bench simulation");
-            let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+            walls[i].push(start.elapsed().as_secs_f64() * 1e3);
             let mut received = 0u64;
             let mut checksum = 0u64;
             for c in 0..cfg.chains {
@@ -636,19 +639,49 @@ pub fn settle_bench(
             }
             assert_eq!(soc.violations(), 0, "settle bench must stay protocol-clean");
             let run_stats = soc.scheduler_stats();
-            SettleBenchRow {
+            let row = SettleBenchRow {
                 engine: engine_name(mode).to_owned(),
-                threads,
                 cycles: cfg.cycles,
-                wall_ms,
-                kcps: cfg.cycles as f64 / 1e3 / (wall_ms / 1e3),
+                wall_ms: 0.0,
+                kcps: 0.0,
                 received,
                 checksum,
                 groups_evaluated: run_stats.groups_evaluated,
                 groups_skipped: run_stats.groups_skipped,
                 components_ticked: run_stats.components_ticked,
                 components_quiescent: run_stats.components_quiescent,
+            };
+            let stable = |r: &SettleBenchRow| {
+                (
+                    r.received,
+                    r.checksum,
+                    r.groups_evaluated,
+                    r.groups_skipped,
+                    r.components_ticked,
+                    r.components_quiescent,
+                )
+            };
+            match &rows[i] {
+                None => rows[i] = Some(row),
+                Some(first) => assert_eq!(
+                    stable(first),
+                    stable(&row),
+                    "{} must repeat its run exactly",
+                    row.engine
+                ),
             }
+        }
+    }
+    let rows = rows
+        .into_iter()
+        .zip(walls)
+        .map(|(row, mut walls)| {
+            let mut row = row.expect("every engine ran");
+            walls.sort_by(f64::total_cmp);
+            let n = walls.len();
+            row.wall_ms = (walls[(n - 1) / 2] + walls[n / 2]) / 2.0;
+            row.kcps = cfg.cycles as f64 / 1e3 / (row.wall_ms / 1e3);
+            row
         })
         .collect();
     (shape.expect("at least one engine"), rows)
@@ -947,18 +980,12 @@ mod tests {
             cycles: 120,
             stall: 0.2,
         };
-        let (shape, rows) = settle_bench(
-            &cfg,
-            &[
-                (SettleMode::FullSweep, 1),
-                (SettleMode::FastForward, 1),
-                (SettleMode::FastForward, 4),
-            ],
-        );
+        let (shape, rows) =
+            settle_bench(&cfg, &[SettleMode::FullSweep, SettleMode::FastForward], 2);
         assert_eq!(shape.pearls, 4);
         assert!(
             shape.sched_max_level_width >= cfg.chains,
-            "independent chains must be schedulable in parallel: {shape:?}"
+            "independent chains must share dependency levels: {shape:?}"
         );
         assert!(rows[0].received > 0, "data must flow: {:?}", rows[0]);
         for pair in rows.windows(2) {

@@ -19,7 +19,7 @@
 //!
 //! The correctness bar is strict: lane `k` of a fleet is bit-identical
 //! (streams, checksums, violation counts) to a solo [`crate::Soc`] run
-//! with the same seeds, at any thread count.
+//! with the same seeds, at any pool width.
 
 use lis_proto::{
     LaneDemux, LaneMux, LisChannel, PackedLisChannel, PackedRelayStation, PackedTokenSink,
@@ -350,13 +350,6 @@ impl FleetBuilder {
         self.system.set_settle_mode(mode);
     }
 
-    /// Sets the evaluation thread count of the underlying [`System`]
-    /// (fleets usually pin 1: parallelism comes from fanning batches
-    /// across the pool, not from sharding one batch).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.system.set_threads(threads);
-    }
-
     /// Mutable access to the underlying [`System`].
     pub fn system_mut(&mut self) -> &mut System {
         &mut self.system
@@ -607,7 +600,6 @@ mod tests {
     /// carries its own seed and stall probability.
     fn build_batch(lanes: usize, gate_level: bool) -> FleetBatch {
         let mut b = FleetBuilder::new(lanes);
-        b.set_threads(1);
         let ip = if gate_level {
             b.add_ip_full_netlist("acc", lane_pearls(lanes), WrapperKind::Sp)
         } else {
@@ -644,7 +636,6 @@ mod tests {
     /// The solo twin of lane `lane` from [`build_batch`].
     fn solo_received(lane: usize, gate_level: bool) -> (Vec<u64>, u64) {
         let mut b = SocBuilder::new();
-        b.set_threads(1);
         let pearl = Box::new(AccumulatorPearl::new("acc", 1, 1, 2));
         let ip = if gate_level {
             b.add_ip_full_netlist("acc", pearl, WrapperKind::Sp)
@@ -700,7 +691,6 @@ mod tests {
             // shifted by 4 so each global lane has a distinct scenario.
             let lanes = 3;
             let mut b = FleetBuilder::new(lanes);
-            b.set_threads(1);
             let ip = b.add_ip_full_netlist("acc", lane_pearls(lanes), WrapperKind::Sp);
             b.feed("src", &ip.inputs[0], |l| {
                 let lane = l + 4;

@@ -343,11 +343,6 @@ impl SocBuilder {
         self.system.set_settle_mode(mode);
     }
 
-    /// Sets the evaluation thread count of the underlying [`System`].
-    pub fn set_threads(&mut self, threads: usize) {
-        self.system.set_threads(threads);
-    }
-
     /// Finalizes the SoC.
     pub fn build(self) -> Soc {
         Soc {

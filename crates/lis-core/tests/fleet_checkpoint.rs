@@ -20,7 +20,6 @@ fn build_batch() -> FleetBatch {
             .collect()
     };
     let mut b = FleetBuilder::new(lanes);
-    b.set_threads(1);
     let first = b.add_ip_full_netlist("first", pearls(1), WrapperKind::Sp);
     let second = b.add_ip_full_netlist("second", pearls(1), WrapperKind::Sp);
     b.link(&first.outputs[0], &second.inputs[0], 2);

@@ -1,11 +1,11 @@
 //! Property tests pinning the activity kernel to the full-sweep
 //! reference settle on *randomized SoCs*: random pearl pipelines
 //! (behavioural and gate-level wrappers), random relay/wire link
-//! latencies, serializer/deserializer width conversions, random stall
-//! patterns — seeded-random and clock-scheduled periodic — and random
-//! thread counts — stepped cycle by cycle with every signal compared
-//! after each settle, plus `run`'s event-wheel jumps compared against
-//! a stepped twin at chunk boundaries.
+//! latencies, serializer/deserializer width conversions, and random
+//! stall patterns — seeded-random and clock-scheduled periodic —
+//! stepped cycle by cycle with every signal compared after each settle,
+//! plus `run`'s event-wheel jumps compared against a stepped twin at
+//! chunk boundaries.
 
 use lis_core::SocBuilder;
 use lis_proto::{AccumulatorPearl, Deserializer, LisChannel, Serializer, StallPattern};
@@ -59,10 +59,9 @@ fn wrapper_kind(sel: u8) -> WrapperKind {
     }
 }
 
-fn build(spec: &SocSpec, mode: SettleMode, threads: usize) -> lis_core::Soc {
+fn build(spec: &SocSpec, mode: SettleMode) -> lis_core::Soc {
     let mut b = SocBuilder::new();
     b.set_settle_mode(mode);
-    b.set_threads(threads);
     for (c, chain) in spec.chains.iter().enumerate() {
         let mut upstream: Option<LisChannel> = None;
         for (d, stage) in chain.stages.iter().enumerate() {
@@ -168,8 +167,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The activity kernel — cross-cycle quiescence skipping plus the
-    /// sharded selective tick phase, at a random thread count — matches
-    /// the full sweep cycle for cycle on every signal of a random SoC
+    /// selective tick phase — matches the full sweep cycle for cycle on
+    /// every signal of a random SoC
     /// (behavioural and gate-level shells, relays, serdes, random
     /// stalls), with identical streams and violation counts. Sources
     /// dry up and sinks stall mid-run, so real quiescence windows are
@@ -177,19 +176,18 @@ proptest! {
     #[test]
     fn random_socs_settle_identically(
         chains in prop::collection::vec(chain_strategy(), 1..3),
-        threads in 1usize..5,
         cycles in 40u64..120,
     ) {
         let spec = SocSpec { chains };
-        let mut reference = build(&spec, SettleMode::FullSweep, 1);
-        let mut activity = build(&spec, SettleMode::FastForward, threads);
+        let mut reference = build(&spec, SettleMode::FullSweep);
+        let mut activity = build(&spec, SettleMode::FastForward);
         for cycle in 0..cycles {
             reference.run(1).unwrap();
             activity.run(1).unwrap();
             prop_assert_eq!(
                 reference.system().signal_values(),
                 activity.system().signal_values(),
-                "activity vs full-sweep divergence at cycle {} (threads={})", cycle, threads
+                "activity vs full-sweep divergence at cycle {}", cycle
             );
         }
         for c in 0..spec.chains.len() {
@@ -210,13 +208,12 @@ proptest! {
     #[test]
     fn fast_forward_socs_settle_identically(
         chains in prop::collection::vec(chain_strategy(), 1..3),
-        threads in 1usize..5,
         chunks in 4u64..12,
         chunk_len in 5u64..16,
     ) {
         let spec = SocSpec { chains };
-        let mut activity = build(&spec, SettleMode::FastForward, 1);
-        let mut ff = build(&spec, SettleMode::FastForward, threads);
+        let mut activity = build(&spec, SettleMode::FastForward);
+        let mut ff = build(&spec, SettleMode::FastForward);
         for chunk in 0..chunks {
             for _ in 0..chunk_len {
                 activity.system_mut().step().unwrap();
@@ -226,8 +223,8 @@ proptest! {
             prop_assert_eq!(
                 activity.system().signal_values(),
                 ff.system().signal_values(),
-                "fast-forward divergence after chunk {} (cycle {}, threads={})",
-                chunk, ff.cycle(), threads
+                "fast-forward divergence after chunk {} (cycle {})",
+                chunk, ff.cycle()
             );
         }
         for c in 0..spec.chains.len() {

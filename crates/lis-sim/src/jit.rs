@@ -1,5 +1,5 @@
 //! JIT-lowered netlist execution: fused superinstructions dispatched in
-//! per-opcode runs, with optional level-parallel packed execution.
+//! per-opcode runs.
 //!
 //! The levelized `NetlistProgram` (`compile.rs`) is the input IR.
 //! This module post-processes it **once** into a [`JitNetlistProgram`]:
@@ -13,13 +13,7 @@
 //! * **direct-threaded dispatch** — surviving instructions are sorted
 //!   into contiguous same-opcode *runs* within each level, so execution
 //!   branches once per run instead of once per gate, and dead nets are
-//!   remapped away leaving a dense, cache-ordered slot space;
-//! * **level-parallel packed execution** — [`JitPackedNetlistSim`] can
-//!   fan each level's runs across the work-stealing
-//!   [`pool`](crate::pool) in deterministic index-ordered shards.
-//!   Every slot is written by exactly one instruction and operands come
-//!   from strictly earlier levels, so sharding a level is race-free and
-//!   results are bit-identical at any `LIS_SIM_THREADS`.
+//!   remapped away leaving a dense, cache-ordered slot space.
 //!
 //! [`JitNetlistSim`] (scalar) and [`JitPackedNetlistSim`] (64 lanes per
 //! `u64`) expose the same [`NetlistExec`] surface as the interpreter;
@@ -32,17 +26,14 @@
 // Unsafe is confined to `SlotPtr`, the unchecked slot accessor behind
 // the dispatch loops. `JitNetlistProgram::lower` asserts at build time
 // that every operand/dest index is in bounds and every dest is written
-// by exactly one instruction; the threaded path additionally relies on
-// the level barrier (operands always come from earlier levels).
+// by exactly one instruction.
 #![allow(unsafe_code)]
 
 use crate::compile::{CompiledRom, NetlistProgram, OpCode};
 use crate::kernel::SimError;
 use crate::netlist_sim::NetlistExec;
-use crate::pool::WorkStealingPool;
 use lis_netlist::{LoweringStats, Module, NetlistError, OpCount};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Number of independent simulation lanes in a [`JitPackedNetlistSim`].
 pub const LANES: usize = 64;
@@ -176,16 +167,6 @@ struct Run {
     end: u32,
 }
 
-/// One non-empty level: a span of runs and the instruction range they
-/// cover (`instr_lo..instr_hi` is exactly the union of the runs).
-#[derive(Debug, Clone, Copy)]
-struct LevelSpan {
-    run_lo: u32,
-    run_hi: u32,
-    instr_lo: u32,
-    instr_hi: u32,
-}
-
 const INV_D: u8 = 1;
 const INV_EN: u8 = 2;
 const INV_RST: u8 = 4;
@@ -232,8 +213,8 @@ pub struct JitNetlistProgram {
     /// Dense live slot count after remapping.
     slots: usize,
     instrs: Vec<JitInstr>,
+    /// Per-opcode runs; a run never spans two levels.
     runs: Vec<Run>,
-    levels: Vec<LevelSpan>,
     /// Operand pool for the wide [`JitOp::AndN`]/[`JitOp::OrN`]
     /// accumulator instructions (each reads a span of this table).
     args: Vec<u32>,
@@ -951,7 +932,7 @@ impl JitNetlistProgram {
         let mut roms = roms;
         let mut instrs: Vec<JitInstr> = Vec::with_capacity(pend.len());
         let mut runs: Vec<Run> = Vec::new();
-        let mut levels: Vec<LevelSpan> = Vec::new();
+        let mut levels = 0;
         let mut lo = 0;
         while lo < pend.len() {
             let mut hi = lo;
@@ -959,7 +940,6 @@ impl JitNetlistProgram {
                 hi += 1;
             }
             pend[lo..hi].sort_by_key(|p| p.op);
-            let run_lo = runs.len() as u32;
             let instr_lo = instrs.len() as u32;
             for p in &pend[lo..hi] {
                 // Open a new run unless the last run is this level's
@@ -1003,12 +983,7 @@ impl JitNetlistProgram {
                 instrs.push(JitInstr { a, b, c, dest });
                 runs.last_mut().expect("run pushed above").end = instrs.len() as u32;
             }
-            levels.push(LevelSpan {
-                run_lo,
-                run_hi: runs.len() as u32,
-                instr_lo,
-                instr_hi: instrs.len() as u32,
-            });
+            levels += 1;
             lo = hi;
         }
 
@@ -1088,7 +1063,7 @@ impl JitNetlistProgram {
         let mut stats = lw.stats;
         stats.instrs_after = instrs.len();
         stats.nets_after = slots_after;
-        stats.levels = levels.len();
+        stats.levels = levels;
         stats.runs = runs.len();
         let mut census: BTreeMap<&'static str, (usize, usize)> = BTreeMap::new();
         for r in &runs {
@@ -1109,7 +1084,6 @@ impl JitNetlistProgram {
             slots: slots_after,
             instrs,
             runs,
-            levels,
             args,
             consts,
             dffs,
@@ -1166,19 +1140,6 @@ impl JitNetlistProgram {
             }
         }
         assert_eq!(covered, self.instrs.len() as u32, "runs must tile instrs");
-        let mut level_end = 0u32;
-        for l in &self.levels {
-            assert_eq!(l.instr_lo, level_end, "levels must tile instrs");
-            assert!(l.run_lo <= l.run_hi && (l.run_hi as usize) <= self.runs.len());
-            assert_eq!(self.runs[l.run_lo as usize].start, l.instr_lo);
-            assert_eq!(self.runs[l.run_hi as usize - 1].end, l.instr_hi);
-            level_end = l.instr_hi;
-        }
-        assert_eq!(
-            level_end,
-            self.instrs.len() as u32,
-            "levels must tile instrs"
-        );
         for rom in &self.roms {
             for &s in rom.addr.iter().chain(&rom.data) {
                 ck(s);
@@ -1234,7 +1195,7 @@ impl JitNetlistProgram {
 
     /// Non-empty levels after lowering.
     pub fn depth(&self) -> usize {
-        self.levels.len()
+        self.stats.levels
     }
 
     /// Dense live slot count after remapping.
@@ -1273,7 +1234,7 @@ impl JitNetlistProgram {
         })
     }
 
-    /// Executes the run range `[run_lo, run_hi)` in order.
+    /// Executes every run in order.
     ///
     /// # Safety
     ///
@@ -1283,11 +1244,9 @@ impl JitNetlistProgram {
     unsafe fn exec_runs<W: SimWord, F: Fn(&CompiledRom, SlotPtr<W>)>(
         &self,
         s: SlotPtr<W>,
-        run_lo: usize,
-        run_hi: usize,
         rom_read: &F,
     ) {
-        for r in &self.runs[run_lo..run_hi] {
+        for r in &self.runs {
             exec_slice(
                 r.op,
                 &self.instrs[r.start as usize..r.end as usize],
@@ -1298,50 +1257,11 @@ impl JitNetlistProgram {
             );
         }
     }
-
-    /// Executes the intersection of one level's runs with the
-    /// instruction index range `[lo, hi)` — a deterministic shard of
-    /// the level.
-    ///
-    /// # Safety
-    ///
-    /// As [`JitNetlistProgram::exec_runs`]; additionally, concurrent
-    /// shards of the *same level* must cover disjoint `[lo, hi)`
-    /// ranges. Every instruction writes only its own dest (ROM reads
-    /// write only that ROM's data slots, owned by the single shard
-    /// holding the instruction), and operands come from strictly
-    /// earlier levels, so disjoint shards never race.
-    unsafe fn exec_level_shard<W: SimWord, F: Fn(&CompiledRom, SlotPtr<W>)>(
-        &self,
-        s: SlotPtr<W>,
-        level: &LevelSpan,
-        lo: u32,
-        hi: u32,
-        rom_read: &F,
-    ) {
-        for r in &self.runs[level.run_lo as usize..level.run_hi as usize] {
-            let start = r.start.max(lo);
-            let end = r.end.min(hi);
-            if start < end {
-                exec_slice(
-                    r.op,
-                    &self.instrs[start as usize..end as usize],
-                    &self.roms,
-                    &self.args,
-                    s,
-                    rom_read,
-                );
-            }
-        }
-    }
 }
 
 /// Raw slot-buffer accessor shared by the dispatch loops. Bounds are
 /// guaranteed by [`JitNetlistProgram::validate_indices`] at build time,
-/// so the hot loops skip per-access bounds checks. `Send + Sync` so
-/// level shards can write disjoint dests concurrently (see
-/// [`JitNetlistProgram::exec_level_shard`] for the non-overlap
-/// argument).
+/// so the hot loops skip per-access bounds checks.
 struct SlotPtr<W> {
     ptr: *mut W,
 }
@@ -1352,17 +1272,11 @@ impl<W> Clone for SlotPtr<W> {
     }
 }
 impl<W> Copy for SlotPtr<W> {}
-// SAFETY: a SlotPtr is just an index-checked base pointer; the shard
-// disjointness argument in `exec_level_shard` is what makes concurrent
-// use sound.
-unsafe impl<W: Send> Send for SlotPtr<W> {}
-unsafe impl<W: Send> Sync for SlotPtr<W> {}
 
 impl<W: Copy> SlotPtr<W> {
     /// # Safety
     ///
-    /// `i` must be in bounds of the buffer this pointer was made from,
-    /// and no concurrent writer may target slot `i`.
+    /// `i` must be in bounds of the buffer this pointer was made from.
     #[inline(always)]
     unsafe fn get(self, i: u32) -> W {
         *self.ptr.add(i as usize)
@@ -1370,8 +1284,7 @@ impl<W: Copy> SlotPtr<W> {
 
     /// # Safety
     ///
-    /// `i` must be in bounds and this must be the only thread writing
-    /// slot `i` during the current level.
+    /// `i` must be in bounds of the buffer this pointer was made from.
     #[inline(always)]
     unsafe fn set(self, i: u32, v: W) {
         *self.ptr.add(i as usize) = v;
@@ -1384,7 +1297,7 @@ impl<W: Copy> SlotPtr<W> {
 /// # Safety
 ///
 /// See [`SlotPtr`]: every index in `instrs` (and in the referenced
-/// ROMs) must be in bounds of `s`'s buffer, with shard-disjoint dests.
+/// ROMs) must be in bounds of `s`'s buffer.
 unsafe fn exec_slice<W: SimWord, F: Fn(&CompiledRom, SlotPtr<W>)>(
     op: JitOp,
     instrs: &[JitInstr],
@@ -1487,8 +1400,7 @@ fn rom_word(rom: &CompiledRom, mut bit_of: impl FnMut(u32) -> bool) -> u64 {
 }
 
 fn rom_read_scalar(rom: &CompiledRom, s: SlotPtr<bool>) {
-    // SAFETY: ROM addr/data indices validated at build time; scalar
-    // execution is single-threaded.
+    // SAFETY: ROM addr/data indices validated at build time.
     let word = rom_word(rom, |a| unsafe { s.get(a) });
     for (i, &d) in rom.data.iter().enumerate() {
         unsafe { s.set(d, (word >> i) & 1 == 1) };
@@ -1506,9 +1418,7 @@ fn rom_read_scalar(rom: &CompiledRom, s: SlotPtr<bool>) {
 fn rom_read_packed(rom: &CompiledRom, s: SlotPtr<u64>) {
     // SAFETY: ROM addr indices are validated at build time.
     let get = |a: u32| unsafe { s.get(a) };
-    // SAFETY: ROM data indices are validated at build time; in the
-    // threaded path one shard owns the whole ROM instruction, so its
-    // data writes don't race.
+    // SAFETY: ROM data indices are validated at build time.
     let set = |d: u32, w: u64| unsafe { s.set(d, w) };
     let shared_addr = rom.addr.iter().all(|&a| {
         let w = get(a);
@@ -1552,7 +1462,7 @@ fn eval_jit<W: SimWord, F: Fn(&CompiledRom, SlotPtr<W>)>(
     };
     // SAFETY: `values` has `prog.slots` words (asserted above) and is
     // exclusively borrowed; all indices were validated at build time.
-    unsafe { prog.exec_runs(s, 0, prog.runs.len(), rom_read) }
+    unsafe { prog.exec_runs(s, rom_read) }
 }
 
 /// Commits every flip-flop through its class formula; hold-class
@@ -1619,45 +1529,6 @@ fn commit_jit<W: SimWord>(prog: &JitNetlistProgram, values: &[W], state: &mut [W
         (rst & rv) | (!rst & ((en & d) | (!en & q)))
     });
     changed
-}
-
-/// Sense-reversing spin barrier for the level-parallel path. One pool
-/// scope per `eval` would be cheap but one *per level* would not, so
-/// the shards run as long-lived jobs and synchronize between levels
-/// here: spin briefly, then yield (the pool may be oversubscribed).
-struct SpinBarrier {
-    n: usize,
-    arrived: AtomicUsize,
-    generation: AtomicUsize,
-}
-
-impl SpinBarrier {
-    fn new(n: usize) -> Self {
-        SpinBarrier {
-            n,
-            arrived: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
-        }
-    }
-
-    fn wait(&self) {
-        let gen = self.generation.load(Ordering::Acquire);
-        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
-            self.arrived.store(0, Ordering::Release);
-            self.generation
-                .store(gen.wrapping_add(1), Ordering::Release);
-        } else {
-            let mut spins = 0u32;
-            while self.generation.load(Ordering::Acquire) == gen {
-                spins += 1;
-                if spins < 64 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
 }
 
 fn init_values<W: SimWord>(prog: &JitNetlistProgram) -> Vec<W> {
@@ -1858,23 +1729,13 @@ impl NetlistExec for JitNetlistSim {
     }
 }
 
-/// Below this many instructions per cycle the per-scope pool handoff
-/// costs more than a level-parallel eval saves, so
-/// [`JitPackedNetlistSim`] stays single-threaded (results are
-/// bit-identical either way; see
-/// [`JitPackedNetlistSim::set_parallel_threshold`]).
-pub const JIT_PARALLEL_MIN_INSTRS: usize = 4096;
-
 /// 64-lane bit-parallel JIT executor: every net slot is a `u64` holding
 /// one bit per lane, so each gate evaluates [`LANES`] independent
 /// simulations with a single bitwise operation. Lanes share the netlist
 /// but nothing else — inputs, outputs and flip-flop state are fully
 /// independent per lane; ROM reads gather a per-lane address. The
 /// [`NetlistExec`] impl broadcasts `set_input` to every lane and reads
-/// `get_output` from lane 0. An optional
-/// **level-parallel threaded mode** ([`JitPackedNetlistSim::set_threads`])
-/// that shards each level's runs across the work-stealing pool in
-/// deterministic index order — bit-identical at any thread count.
+/// `get_output` from lane 0.
 #[derive(Debug)]
 pub struct JitPackedNetlistSim {
     module: Module,
@@ -1882,14 +1743,11 @@ pub struct JitPackedNetlistSim {
     values: Vec<u64>,
     /// Registered state, indexed like `prog.dffs`; one bit per lane.
     state: Vec<u64>,
-    pool: Option<WorkStealingPool>,
-    par_threshold: usize,
 }
 
 impl JitPackedNetlistSim {
     /// Compiles, lowers and initializes a 64-lane executor for
-    /// `module`, single-threaded until
-    /// [`JitPackedNetlistSim::set_threads`] is called.
+    /// `module`.
     ///
     /// # Errors
     ///
@@ -1903,44 +1761,7 @@ impl JitPackedNetlistSim {
             prog,
             values,
             state,
-            pool: None,
-            par_threshold: JIT_PARALLEL_MIN_INSTRS,
         })
-    }
-
-    /// [`JitPackedNetlistSim::new`] with `threads` workers already
-    /// attached.
-    ///
-    /// # Errors
-    ///
-    /// Returns any [`NetlistError`] found while validating the module.
-    pub fn with_threads(module: Module, threads: usize) -> Result<Self, NetlistError> {
-        let mut sim = Self::new(module)?;
-        sim.set_threads(threads);
-        Ok(sim)
-    }
-
-    /// Sets the worker count for level-parallel eval; `n <= 1` drops
-    /// back to single-threaded. Results are bit-identical at any
-    /// setting.
-    pub fn set_threads(&mut self, n: usize) {
-        self.pool = if n > 1 {
-            Some(WorkStealingPool::new(n))
-        } else {
-            None
-        };
-    }
-
-    /// Current worker count (1 when single-threaded).
-    pub fn threads(&self) -> usize {
-        self.pool.as_ref().map_or(1, WorkStealingPool::threads)
-    }
-
-    /// Overrides [`JIT_PARALLEL_MIN_INSTRS`], the program size below
-    /// which eval stays single-threaded even with a pool attached
-    /// (tests pass 0 to force the threaded path on small programs).
-    pub fn set_parallel_threshold(&mut self, instrs: usize) {
-        self.par_threshold = instrs;
     }
 
     /// The module this executor was compiled from.
@@ -2106,53 +1927,9 @@ impl JitPackedNetlistSim {
         Ok(self.get_output_lane_h(h, lane))
     }
 
-    /// Settles combinational logic in every lane: single-threaded run
-    /// walk, or level-parallel shards when a pool is attached and the
-    /// program is large enough to pay for the handoff.
+    /// Settles combinational logic in every lane.
     pub fn eval(&mut self) {
-        let prog = &self.prog;
-        debug_assert_eq!(self.values.len(), prog.slots);
-        for (i, dff) in prog.dffs.iter().enumerate() {
-            self.values[dff.q as usize] = self.state[i];
-        }
-        let s = SlotPtr {
-            ptr: self.values.as_mut_ptr(),
-        };
-        match &self.pool {
-            Some(pool) if prog.instr_count() >= self.par_threshold => {
-                let shards = pool.threads() as u32;
-                let barrier = SpinBarrier::new(shards as usize);
-                let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..shards)
-                    .map(|j| {
-                        let barrier = &barrier;
-                        Box::new(move || {
-                            for level in &prog.levels {
-                                let len = level.instr_hi - level.instr_lo;
-                                let chunk = len.div_ceil(shards);
-                                let lo = level.instr_lo + j * chunk;
-                                let hi = (lo + chunk).min(level.instr_hi);
-                                if lo < hi {
-                                    // SAFETY: shards cover disjoint
-                                    // index ranges of this level and
-                                    // the barrier below separates
-                                    // levels; see exec_level_shard.
-                                    unsafe {
-                                        prog.exec_level_shard(s, level, lo, hi, &rom_read_packed)
-                                    };
-                                }
-                                barrier.wait();
-                            }
-                        }) as Box<dyn FnOnce() + Send + '_>
-                    })
-                    .collect();
-                pool.run(jobs);
-            }
-            _ => {
-                // SAFETY: `values` is exclusively borrowed and sized
-                // `prog.slots`; indices validated at build time.
-                unsafe { prog.exec_runs(s, 0, prog.runs.len(), &rom_read_packed) }
-            }
-        }
+        eval_jit(&self.prog, &mut self.values, &self.state, &rom_read_packed);
     }
 
     /// One clock cycle in every lane: eval then per-class, per-lane
@@ -2333,40 +2110,6 @@ mod tests {
                 jit.get_output("data").unwrap(),
                 "addr {a}"
             );
-        }
-    }
-
-    #[test]
-    fn jit_packed_threaded_matches_scalar_jit_per_lane() {
-        let m = fusion_rich_module();
-        let mut packed = JitPackedNetlistSim::with_threads(m.clone(), 3).unwrap();
-        packed.set_parallel_threshold(0); // force the threaded path
-        assert_eq!(packed.threads(), 3);
-        let mut scalars: Vec<JitNetlistSim> = (0..LANES)
-            .map(|_| JitNetlistSim::new(m.clone()).unwrap())
-            .collect();
-        for cycle in 0..32u64 {
-            for (lane, s) in scalars.iter_mut().enumerate() {
-                let x = (cycle + lane as u64 * 3) & 0xF;
-                s.set_input("x", x).unwrap();
-                packed.set_input_lane(lane, "x", x).unwrap();
-            }
-            packed.eval();
-            for (lane, s) in scalars.iter_mut().enumerate() {
-                s.eval();
-                for o in ["m1", "chain2", "q0", "q1", "q2", "q4"] {
-                    assert_eq!(
-                        s.get_output(o).unwrap(),
-                        packed.get_output_lane(lane, o).unwrap(),
-                        "output {o} lane {lane} cycle {cycle}"
-                    );
-                }
-            }
-            let changed_any = scalars
-                .iter_mut()
-                .map(|s| s.step_changed())
-                .fold(false, |x, y| x | y);
-            assert_eq!(packed.step_changed(), changed_any, "cycle {cycle}");
         }
     }
 

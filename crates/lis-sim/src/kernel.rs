@@ -12,23 +12,19 @@
 //! Components declare their evaluation-phase read/write signal sets via
 //! [`Component::ports`]. From those declarations the kernel seals a
 //! dependency-aware [`crate::sched`] scheduler: signal→reader edges,
-//! combinational SCCs condensed at build time, groups bucketed into
-//! dependency levels, and — when [`System::set_threads`] (or the
-//! `LIS_SIM_THREADS` environment variable) asks for more than one
-//! thread — independent groups of a level evaluated concurrently on a
-//! hand-rolled work-stealing pool. On top of that schedule runs the
-//! activity kernel ([`SettleMode::FastForward`], the default): it
-//! skips quiescent components and jumps the clock over dead spans.
-//! Results are identical for every thread count and match the blind
-//! full-sweep loop, which is kept as [`SettleMode::FullSweep`] for
-//! reference and differential testing.
+//! combinational SCCs condensed at build time, and groups ordered by
+//! dependency level so one sequential pass reaches the fixpoint. On top
+//! of that schedule runs the activity kernel
+//! ([`SettleMode::FastForward`], the default): it skips quiescent
+//! components and jumps the clock over dead spans. Results match the
+//! blind full-sweep loop, which is kept as [`SettleMode::FullSweep`]
+//! for reference and differential testing.
 //!
 //! Non-convergence of the settle (a combinational cycle, e.g. a `stop`
 //! loop without a relay station) is reported as
 //! [`SimError::NoConvergence`] naming the components of the offending
 //! SCC rather than silently producing garbage.
 
-use crate::pool::WorkStealingPool;
 use crate::sched::{ActivityState, Scheduler, SchedulerStats};
 use crate::signal::{Signal, SignalId, SignalView};
 use std::fmt;
@@ -201,9 +197,9 @@ impl Ports {
 ///
 /// Implementations hold their signal ids (obtained from
 /// [`System::add_signal`]) and internal registers. Components must be
-/// [`Send`]: the scheduler may evaluate independent components on worker
-/// threads (shared handles inside a component should use `Arc`
-/// +&nbsp;atomics/`Mutex`, not `Rc`/`RefCell`).
+/// [`Send`]: whole systems move to worker threads (fleet batches, model
+/// checker twins), so shared handles inside a component should use
+/// `Arc` +&nbsp;atomics/`Mutex`, not `Rc`/`RefCell`.
 pub trait Component: Send {
     /// Instance name, for diagnostics and traces.
     fn name(&self) -> &str;
@@ -372,17 +368,15 @@ pub enum SettleMode {
     /// so seeding is O(writes), not O(signals)) or whose declared
     /// wake-up time ([`Activity`]) has come — and skips quiescent groups
     /// (often whole levels) instead of re-evaluating them. The tick
-    /// phase runs only pending/active components, fanned out across the
-    /// work-stealing pool in deterministic index-ordered shards. When a
+    /// phase runs only pending/active components, in index order. When a
     /// cycle ends with nothing dirty, nothing pending and every
     /// component asleep or quiescent, [`System::run`] (or an explicit
     /// [`System::fast_forward`]) jumps the clock straight to the
     /// earliest declared wake-up ([`Activity::Sleep`]) instead of
     /// visiting the dead cycles; a caller that wants every cycle
     /// visited steps with [`System::step`] alone. Signal values, streams
-    /// and executed work are bit-identical either way and at any thread
-    /// count; only the per-visited-cycle *skip* diagnostics (and wall
-    /// clock) differ.
+    /// and executed work are bit-identical either way; only the
+    /// per-visited-cycle *skip* diagnostics (and wall clock) differ.
     #[default]
     FastForward,
     /// The reference loop: sweep every component until no signal
@@ -433,9 +427,6 @@ pub struct System {
     /// redundant settles inside [`System::step`]).
     settled: bool,
     mode: SettleMode,
-    /// Requested evaluation parallelism (resolved from
-    /// `LIS_SIM_THREADS` at construction; overridable).
-    threads: usize,
     sched: Option<Scheduler>,
     /// Persistent cross-cycle dirty/quiescence state
     /// ([`SettleMode::FastForward`]); rebuilt all-dirty with the
@@ -447,7 +438,6 @@ pub struct System {
     /// Changed-signal accumulator feeding the skip-aware tracing hook
     /// ([`System::trace_changes`]); armed lazily by the first drain.
     trace_log: Option<TraceLog>,
-    pool: Option<WorkStealingPool>,
 }
 
 /// Deduplicating accumulator of signals whose value changed since a
@@ -467,7 +457,6 @@ impl fmt::Debug for System {
             .field("components", &self.components.len())
             .field("cycle", &self.cycle)
             .field("mode", &self.mode)
-            .field("threads", &self.threads)
             .finish()
     }
 }
@@ -479,8 +468,7 @@ impl Default for System {
 }
 
 impl System {
-    /// Creates an empty system. Evaluation parallelism defaults to the
-    /// `LIS_SIM_THREADS` environment variable (1 when unset or invalid).
+    /// Creates an empty system.
     pub fn new() -> Self {
         System {
             signals: Vec::new(),
@@ -489,16 +477,10 @@ impl System {
             cycle: 0,
             settled: false,
             mode: SettleMode::default(),
-            threads: std::env::var("LIS_SIM_THREADS")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&n| n >= 1)
-                .unwrap_or(1),
             sched: None,
             activity: None,
             poked: Vec::new(),
             trace_log: None,
-            pool: None,
         }
     }
 
@@ -519,21 +501,6 @@ impl System {
     /// The configured [`SettleMode`].
     pub fn settle_mode(&self) -> SettleMode {
         self.mode
-    }
-
-    /// Sets the number of evaluation threads (1 = fully sequential).
-    /// Results are independent of the thread count.
-    pub fn set_threads(&mut self, threads: usize) {
-        let threads = threads.max(1);
-        if threads != self.threads {
-            self.threads = threads;
-            self.pool = None;
-        }
-    }
-
-    /// The configured evaluation thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Declares a signal of `width` bits (1..=64) initialized to 0.
@@ -655,7 +622,7 @@ impl System {
     }
 
     /// Statistics of the sealed scheduler (builds it if needed):
-    /// structural group/level counts, SCC census, parallel width, plus —
+    /// structural group/level counts, SCC census, level width, plus —
     /// under [`SettleMode::FastForward`] — the cumulative
     /// skip/eval/tick/jump counters of the run so far.
     pub fn scheduler_stats(&mut self) -> SchedulerStats {
@@ -683,9 +650,6 @@ impl System {
                     .new_activity_state(self.signals.len()),
             );
         }
-        if self.threads > 1 && self.pool.is_none() {
-            self.pool = Some(WorkStealingPool::new(self.threads));
-        }
     }
 
     /// Runs component evaluation to a combinational fixpoint (a no-op if
@@ -703,18 +667,12 @@ impl System {
             SettleMode::FullSweep => self.settle_full_sweep()?,
             SettleMode::FastForward => {
                 self.seal();
-                let pool = if self.threads > 1 {
-                    self.pool.as_ref()
-                } else {
-                    None
-                };
                 self.sched.as_ref().expect("sealed").settle_activity(
                     &mut self.signals,
                     &mut self.components,
                     self.activity.as_mut().expect("sealed"),
                     &mut self.poked,
                     self.cycle,
-                    pool,
                 )?;
                 // Feed the skip-aware tracing hook from this settle's
                 // change epoch (only while a trace has armed the log).
@@ -792,9 +750,8 @@ impl System {
     /// One full clock cycle: settle, then commit sequential state.
     ///
     /// Under [`SettleMode::FastForward`] only pending/active components
-    /// are ticked — fanned out across the work-stealing pool in
-    /// deterministic index-ordered shards — and their reported
-    /// [`Activity`] seeds the next cycle's dirty set. The
+    /// are ticked, in index order, and their reported [`Activity`]
+    /// seeds the next cycle's dirty set. The
     /// [`SettleMode::FullSweep`] reference ticks every component
     /// serially. Either way exactly one cycle is visited: stepping
     /// without [`System::fast_forward`] is the per-cycle loop.
@@ -806,17 +763,11 @@ impl System {
         self.settle()?;
         match self.mode {
             SettleMode::FastForward => {
-                let pool = if self.threads > 1 {
-                    self.pool.as_ref()
-                } else {
-                    None
-                };
                 self.sched.as_ref().expect("sealed").tick_activity(
                     &mut self.signals,
                     &mut self.components,
                     self.activity.as_mut().expect("sealed"),
                     self.cycle,
-                    pool,
                 );
             }
             SettleMode::FullSweep => {
@@ -1599,32 +1550,5 @@ mod tests {
         let mut ck = sys.checkpoint();
         ck.component_states.push(Vec::new());
         sys.restore(&ck);
-    }
-
-    #[test]
-    fn threaded_settle_matches_sequential() {
-        let build = |threads: usize| {
-            let mut sys = System::new();
-            sys.set_threads(threads);
-            let mut outs = Vec::new();
-            for i in 0..13 {
-                let a = sys.add_signal(format!("a{i}"), 16);
-                let b = sys.add_signal(format!("b{i}"), 16);
-                sys.add_component(FnComponent::new(
-                    format!("f{i}"),
-                    Ports::new([a], [b]),
-                    move |s: &mut SignalView<'_>| {
-                        let v = s.get(a);
-                        s.set(b, v * 3 + i);
-                    },
-                    |_| {},
-                ));
-                sys.poke(a, 100 + i);
-                outs.push(b);
-            }
-            sys.settle().unwrap();
-            outs.iter().map(|&b| sys.peek(b)).collect::<Vec<_>>()
-        };
-        assert_eq!(build(1), build(4));
     }
 }

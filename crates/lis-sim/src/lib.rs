@@ -15,10 +15,8 @@
 //!   [`System::run`] jumps the clock over spans in which nothing is due.
 //!   The settle runs on the dependency-aware scheduler: the
 //!   signal→reader graph is sealed once, combinational SCCs are
-//!   condensed at build time, and independent groups (and the tick
-//!   phase) can shard across the work-stealing [`pool`]
-//!   (`LIS_SIM_THREADS` or [`System::set_threads`]), with results
-//!   bit-identical at any thread count. Combinational loops are
+//!   condensed at build time, and one sequential pass over the groups
+//!   in dependency order reaches the fixpoint. Combinational loops are
 //!   detected and reported with the component names forming the cycle.
 //!   The blind sweep-everything loop survives as
 //!   [`SettleMode::FullSweep`], the reference for differential testing.
@@ -36,11 +34,13 @@
 //! dead-code-eliminating — with each level sorted into contiguous
 //! per-opcode runs so dispatch costs one branch per run, not per gate.
 //! [`JitNetlistSim`] executes it scalar; [`JitPackedNetlistSim`]
-//! executes [`LANES`] independent lanes per `u64` word and can fan each
-//! level's runs across the work-stealing [`pool`] in deterministic
-//! shards (bit-identical at any `LIS_SIM_THREADS`). Harnesses accept
+//! executes [`LANES`] independent lanes per `u64` word. Harnesses accept
 //! any [`NetlistExec`], so the engines are interchangeable; property
 //! tests pin all three cycle-for-cycle equivalent.
+//!
+//! Both executors are single-threaded. Parallelism lives one level up,
+//! over whole independent jobs: the work-stealing [`pool`] fans out
+//! fleet batches, model-checker twins and synthesis runs.
 //!
 //! [`Trace`] records signals per cycle and renders standard VCD.
 //!
@@ -66,8 +66,9 @@
 //! # }
 //! ```
 
-// Unsafe is confined to the scheduler/pool/signal-view trio, where each
-// use documents the disjointness invariant that justifies it.
+// Unsafe is confined to the pool's scoped-lifetime erasure and the
+// JIT's bounds-validated slot accessor, where each use documents the
+// invariant that justifies it.
 #![deny(unsafe_code)]
 #![deny(missing_docs)]
 
@@ -83,10 +84,7 @@ mod signal;
 mod trace;
 
 pub use checkpoint::{hash_words128, SystemCheckpoint};
-pub use jit::{
-    JitNetlistProgram, JitNetlistSim, JitPackedNetlistSim, PortHandle, JIT_PARALLEL_MIN_INSTRS,
-    LANES,
-};
+pub use jit::{JitNetlistProgram, JitNetlistSim, JitPackedNetlistSim, PortHandle, LANES};
 pub use kernel::{Activity, Component, FnComponent, Ports, SettleMode, SimError, System};
 pub use lanes::{load_plane_lanes, save_plane_lanes, transpose64};
 pub use netlist_sim::{NetlistComponent, NetlistExec, NetlistSim};

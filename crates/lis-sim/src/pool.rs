@@ -1,12 +1,14 @@
 //! A hand-rolled work-stealing thread pool.
 //!
 //! The offline-dependency constraint rules out rayon, so this module
-//! provides the minimal pool the scheduler (and the synthesis fan-out in
-//! `lis-bench`) needs: persistent workers, one deque per worker, and
-//! stealing from the back of other workers' deques when a worker's own
-//! deque drains. Jobs are submitted in *scopes* — [`WorkStealingPool::run`]
-//! does not return until every submitted job has finished, which is what
-//! lets jobs borrow stack data from the caller.
+//! provides the minimal pool the workspace's batch-level parallelism
+//! needs — fleet batches (`SocFleet::run`), model-checker twins
+//! (`explore_pool`) and the synthesis fan-out (`synthesize_batch`):
+//! persistent workers, one deque per worker, and stealing from the back
+//! of other workers' deques when a worker's own deque drains. Work is
+//! submitted through [`WorkStealingPool::map`], one *scope* per call: it
+//! does not return until every job has finished, which is what lets
+//! jobs borrow stack data from the caller.
 //!
 //! Claiming is counter-based: a worker first claims the *right* to one
 //! job under the sync lock (or sleeps on the condvar when none are
@@ -41,9 +43,9 @@ struct Shared {
     queues: Vec<Mutex<VecDeque<Job>>>,
     sync: Mutex<SyncState>,
     /// Lock-free mirror of `SyncState::unclaimed`, letting idle workers
-    /// spin briefly (the per-settle-level scopes of the simulator are
-    /// microseconds apart; paying a condvar wakeup per scope would
-    /// dominate) before parking on the condvar.
+    /// spin briefly before parking on the condvar: back-to-back scopes
+    /// (the model checker maps one per frontier super-chunk) then skip
+    /// a futex wakeup per scope.
     pending: AtomicUsize,
     shutting_down: AtomicBool,
     /// Spin budget before parking; zero when the machine cannot host
@@ -60,7 +62,7 @@ struct Shared {
 pub struct WorkStealingPool {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    /// Serializes scopes: two concurrent `run` calls would otherwise
+    /// Serializes scopes: two concurrent `map` calls would otherwise
     /// wait on each other's jobs.
     scope_lock: Mutex<()>,
 }
@@ -111,7 +113,7 @@ impl WorkStealingPool {
     /// Runs every job to completion before returning. Jobs may borrow
     /// from the caller's stack; if any job panics, the first panic is
     /// re-raised here after the whole scope has drained.
-    pub fn run<'scope>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
+    fn run<'scope>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
         if jobs.is_empty() {
             return;
         }
@@ -146,7 +148,9 @@ impl WorkStealingPool {
         }
     }
 
-    /// Applies `f` to every item on the pool, preserving order.
+    /// Applies `f` to every item on the pool, preserving order. Items
+    /// run as one scope: the call returns once all of them finished,
+    /// re-raising the first panic, so `f` may borrow from the caller.
     pub fn map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
@@ -185,8 +189,8 @@ impl Drop for WorkStealingPool {
 }
 
 /// Spin iterations before a worker parks on the condvar (roughly tens
-/// of microseconds — enough to bridge the tick phase between two settle
-/// levels without a futex round-trip).
+/// of microseconds — enough to bridge the gap between two back-to-back
+/// scopes without a futex round-trip).
 const SPIN_ITERS: u32 = 20_000;
 
 fn worker_loop(shared: &Shared, me: usize) {

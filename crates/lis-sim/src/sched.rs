@@ -1,4 +1,4 @@
-//! The dependency-aware sharded scheduler behind [`crate::System::settle`].
+//! The dependency-aware scheduler behind [`crate::System::settle`].
 //!
 //! Built once from the components' declared port sets
 //! ([`crate::Component::ports`]) and sealed until the system changes:
@@ -14,12 +14,10 @@
 //!    SCC-derived round limit. A group that fails to converge reports
 //!    the *names* of the components forming the combinational loop.
 //! 3. **Levelling** — groups are bucketed by longest path in the
-//!    condensation DAG. Every signal a group reads is written at a
-//!    strictly lower level, so one pass over the levels reaches the
-//!    same fixpoint the reference full-sweep loop iterated towards, and
-//!    groups within a level touch disjoint write sets — they are safe to
-//!    evaluate concurrently on the work-stealing pool, with results
-//!    independent of thread count.
+//!    condensation DAG and stored in level order. Every signal a group
+//!    reads is written at a strictly lower level (or inside the group
+//!    itself), so one pass over the groups in that order reaches the
+//!    same fixpoint the reference full-sweep loop iterated towards.
 //!
 //! On top of the sealed schedule sits the **activity kernel**
 //! ([`crate::SettleMode::FastForward`], the default): an
@@ -28,16 +26,19 @@
 //! signal change is recorded once per settle (epoch stamps on the dense
 //! signal store make the dedupe O(writes)) and wakes exactly the
 //! declared readers downstream — quiescent groups, and usually whole
-//! levels, are skipped without being touched. The tick phase then runs
-//! only components whose observed signals changed or whose previous
-//! [`crate::Component::tick`] reported [`crate::Activity::Active`],
-//! fanned out across the work-stealing pool in index-ordered shards
-//! behind read-only guarded views (a tick that writes a signal, or
-//! reads one outside `reads ∪ writes ∪ tick_reads`, panics). Because a
-//! quiescent component re-ticked on unchanged inputs would change
-//! nothing by contract, the skipped work is exactly the work whose
-//! results are already in place — the fixpoint and every token stream
-//! stay bit-identical to the full-sweep reference at any thread count.
+//! levels, are skipped without being touched. The tick phase then runs,
+//! in component-index order, only components whose observed signals
+//! changed or whose previous [`crate::Component::tick`] reported
+//! [`crate::Activity::Active`], each behind a read-only guarded view
+//! (a tick that writes a signal, or reads one outside
+//! `reads ∪ writes ∪ tick_reads`, panics). Because a quiescent
+//! component re-ticked on unchanged inputs would change nothing by
+//! contract, the skipped work is exactly the work whose results are
+//! already in place — the fixpoint and every token stream stay
+//! bit-identical to the full-sweep reference. The guards are what make
+//! that sound: dirty propagation follows the *declared* ports, so an
+//! undeclared access would silently go stale; they stay on in release
+//! builds.
 //!
 //! The dirty set is seeded through a per-component **wake time**
 //! (`wake_at`): an executed tick declares when the component must next
@@ -49,12 +50,8 @@
 //! when nothing is due now, which [`crate::System::fast_forward`] uses
 //! to jump the clock over provably dead cycles.
 
-#![allow(unsafe_code)]
-
 use crate::kernel::{Activity, Component, Ports, SimError};
-use crate::pool::WorkStealingPool;
 use crate::signal::{bit, BitWindow, Guard, Signal, SignalView};
-use std::sync::Mutex;
 
 /// Extra worklist rounds a cyclic group may take beyond its member
 /// count before the settle is declared non-convergent (mirrors the
@@ -86,7 +83,9 @@ pub struct SchedulerStats {
     pub levels: usize,
     /// Groups needing an inner fixpoint (condensed combinational SCCs).
     pub cyclic_groups: usize,
-    /// Largest number of groups in one level (the parallelism width).
+    /// Largest number of groups in one level — how many groups share a
+    /// dependency depth (a structural census; groups are evaluated one
+    /// after another).
     pub max_level_width: usize,
     /// Groups evaluated by activity settles (cumulative).
     pub groups_evaluated: u64,
@@ -100,23 +99,6 @@ pub struct SchedulerStats {
     /// ([`crate::System::fast_forward`]; cumulative, deterministic).
     pub cycles_fast_forwarded: u64,
 }
-
-/// Raw arena pointers shared with worker threads during one level.
-///
-/// Safety: groups running concurrently have disjoint component-index
-/// sets and disjoint signal write sets, and only read signals written at
-/// strictly lower (already completed) levels — established by
-/// [`Scheduler::build`] and enforced at runtime by the guarded
-/// [`SignalView`].
-#[derive(Clone, Copy)]
-struct Arenas {
-    sigs: *mut Signal,
-    sig_len: usize,
-    comps: *mut Box<dyn Component>,
-}
-
-unsafe impl Send for Arenas {}
-unsafe impl Sync for Arenas {}
 
 /// The sealed schedule. See the module docs.
 #[derive(Debug)]
@@ -445,7 +427,6 @@ impl Scheduler {
             wake_at: vec![0; n],
             sig_epoch: vec![0; n_signals],
             changed: Vec::new(),
-            runnable: Vec::new(),
             groups_evaluated: 0,
             groups_skipped: 0,
             components_ticked: 0,
@@ -488,33 +469,33 @@ impl Scheduler {
     }
 
     /// Evaluates one member with a guarded view.
-    ///
-    /// # Safety
-    ///
-    /// As [`Scheduler::run_group_activity`]; additionally `m` must be
-    /// in-bounds.
-    unsafe fn eval_member(&self, m: u32, a: Arenas, cycle: u64, track: Option<&mut Vec<u32>>) {
+    fn eval_member(
+        &self,
+        m: u32,
+        signals: &mut [Signal],
+        component: &mut dyn Component,
+        cycle: u64,
+        track: &mut Vec<u32>,
+    ) {
         let guard = Guard {
             component: &self.names[m as usize],
             reads: self.window(&self.read_bits, m),
             writes: self.window(&self.write_bits, m),
-            track,
+            track: Some(track),
             tick: false,
         };
-        // SAFETY: per the caller contract, this thread has exclusive
-        // access to component `m` and to every signal in its write mask.
-        let view = &mut SignalView::guarded(a.sigs, a.sig_len, cycle, guard);
-        let comp = &mut *a.comps.add(m as usize);
-        comp.eval(view);
+        component.eval(&mut SignalView::guarded(signals, cycle, guard));
     }
 
     /// One activity settle: groups without a dirty member are
     /// skipped wholesale; every evaluated group reports the signals it
     /// actually changed, which wake exactly the declared downstream
-    /// readers (always at strictly higher levels, so one pass still
-    /// reaches the fixpoint). Pending pokes are folded into the dirty
-    /// seed first, and at the end every change recorded this settle
-    /// arms the tick of its observers.
+    /// readers. Groups run in level order and each group's changes are
+    /// absorbed right after it: a changed signal's readers sit at
+    /// strictly higher levels or inside the same (already converged)
+    /// group, so one pass still reaches the fixpoint. Pending pokes are
+    /// folded into the dirty seed first, and at the end every change
+    /// recorded this settle arms the tick of its observers.
     pub(crate) fn settle_activity(
         &self,
         signals: &mut [Signal],
@@ -522,7 +503,6 @@ impl Scheduler {
         state: &mut ActivityState,
         poked: &mut Vec<u32>,
         cycle: u64,
-        pool: Option<&WorkStealingPool>,
     ) -> Result<(), SimError> {
         debug_assert_eq!(components.len(), self.names.len());
         state.epoch += 1;
@@ -551,105 +531,32 @@ impl Scheduler {
         }
         poked.clear();
 
-        let arenas = Arenas {
-            sigs: signals.as_mut_ptr(),
-            sig_len: signals.len(),
-            comps: components.as_mut_ptr(),
-        };
-        // Group-index/changed-signal pairs of one level, in group order.
-        let mut level_results: Vec<(usize, Vec<u32>)> = Vec::new();
-        for l in 0..self.levels.len().saturating_sub(1) {
-            let (start, end) = (self.levels[l], self.levels[l + 1]);
-            let dirty_groups: Vec<usize> =
-                (start..end).filter(|&gi| state.group_dirty[gi]).collect();
-            state.groups_skipped += (end - start - dirty_groups.len()) as u64;
-            if dirty_groups.is_empty() {
+        let mut changes = Vec::new();
+        for gi in 0..self.groups.len() {
+            if !state.group_dirty[gi] {
+                state.groups_skipped += 1;
                 continue;
             }
-            level_results.clear();
-            let run_serial = pool.is_none() || dirty_groups.len() < 2;
-            if run_serial {
-                for &gi in &dirty_groups {
-                    let mut changes = Vec::new();
-                    // SAFETY: single-threaded here; arenas outlive the
-                    // call.
-                    unsafe {
-                        self.run_group_activity(
-                            gi,
-                            arenas,
-                            cycle,
-                            &state.comp_dirty,
-                            &mut changes,
-                        )?;
-                    }
-                    level_results.push((gi, changes));
-                }
-            } else {
-                let pool = pool.expect("checked");
-                let chunks = dirty_groups.len().min(pool.threads() * 2);
-                let per = dirty_groups.len().div_ceil(chunks);
-                let results: Mutex<Vec<(usize, Vec<u32>)>> = Mutex::new(Vec::new());
-                let errors: Mutex<Vec<(usize, SimError)>> = Mutex::new(Vec::new());
-                {
-                    let comp_dirty = &state.comp_dirty;
-                    let dirty_groups = &dirty_groups;
-                    let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..chunks)
-                        .map(|k| {
-                            let lo = (k * per).min(dirty_groups.len());
-                            let hi = (lo + per).min(dirty_groups.len());
-                            let results = &results;
-                            let errors = &errors;
-                            Box::new(move || {
-                                let mut local: Vec<(usize, Vec<u32>)> = Vec::new();
-                                for &gi in &dirty_groups[lo..hi] {
-                                    let mut changes = Vec::new();
-                                    // SAFETY: groups in one level have
-                                    // disjoint members and write sets;
-                                    // reads come from completed levels.
-                                    // See `Arenas`.
-                                    match unsafe {
-                                        self.run_group_activity(
-                                            gi,
-                                            arenas,
-                                            cycle,
-                                            comp_dirty,
-                                            &mut changes,
-                                        )
-                                    } {
-                                        Ok(()) => local.push((gi, changes)),
-                                        Err(e) => errors.lock().unwrap().push((gi, e)),
-                                    }
-                                }
-                                results.lock().unwrap().extend(local);
-                            }) as Box<dyn FnOnce() + Send + '_>
-                        })
-                        .collect();
-                    pool.run(jobs);
-                }
-                let mut errors = errors.into_inner().unwrap();
-                errors.sort_by_key(|(gi, _)| *gi);
-                if let Some((_, e)) = errors.into_iter().next() {
-                    return Err(e);
-                }
-                level_results = results.into_inner().unwrap();
-                level_results.sort_by_key(|(gi, _)| *gi);
+            changes.clear();
+            self.run_group_activity(
+                gi,
+                signals,
+                components,
+                cycle,
+                &state.comp_dirty,
+                &mut changes,
+            )?;
+            // Absorb the group: clear its evaluated dirt, record each
+            // changed signal once per settle, and wake its readers.
+            state.groups_evaluated += 1;
+            state.group_dirty[gi] = false;
+            for &m in &self.groups[gi].members {
+                state.comp_dirty[m as usize] = false;
             }
-            // Absorb the level (serial, in group order): clear the
-            // evaluated dirt, record each changed signal once per
-            // settle, and wake its readers — all of which sit at
-            // strictly higher levels or inside the same (already
-            // converged) group.
-            for (gi, changes) in &level_results {
-                state.groups_evaluated += 1;
-                state.group_dirty[*gi] = false;
-                for &m in &self.groups[*gi].members {
-                    state.comp_dirty[m as usize] = false;
-                }
-                for &s in changes {
-                    if state.record_changed(s) {
-                        for &c in &self.eval_readers[s as usize] {
-                            state.mark_dirty(c, self.group_of[c as usize]);
-                        }
+            for &s in &changes {
+                if state.record_changed(s) {
+                    for &c in &self.eval_readers[s as usize] {
+                        state.mark_dirty(c, self.group_of[c as usize]);
                     }
                 }
             }
@@ -666,16 +573,11 @@ impl Scheduler {
 
     /// Evaluates one dirty group, accumulating every changed signal id
     /// (with duplicates) into `changes`.
-    ///
-    /// # Safety
-    ///
-    /// The caller must guarantee no other thread concurrently runs a
-    /// group sharing members or written signals with `gi` (scheduler
-    /// level invariant).
-    unsafe fn run_group_activity(
+    fn run_group_activity(
         &self,
         gi: usize,
-        a: Arenas,
+        signals: &mut [Signal],
+        components: &mut [Box<dyn Component>],
         cycle: u64,
         comp_dirty: &[bool],
         changes: &mut Vec<u32>,
@@ -684,7 +586,7 @@ impl Scheduler {
         if !g.cyclic {
             // Acyclic groups are always single-member.
             for &m in &g.members {
-                self.eval_member(m, a, cycle, Some(changes));
+                self.eval_member(m, signals, &mut *components[m as usize], cycle, changes);
             }
             return Ok(());
         }
@@ -704,7 +606,13 @@ impl Scheduler {
                 evaluated = true;
                 let m = g.members[mi];
                 changed.clear();
-                self.eval_member(m, a, cycle, Some(&mut changed));
+                self.eval_member(
+                    m,
+                    signals,
+                    &mut *components[m as usize],
+                    cycle,
+                    &mut changed,
+                );
                 changes.extend_from_slice(&changed);
                 for &cid in &changed {
                     // A changed signal re-dirties its readers; a signal
@@ -731,96 +639,44 @@ impl Scheduler {
         })
     }
 
-    /// The activity tick phase: runs only components whose
-    /// observed signals changed (`tick_pending`) or whose declared
-    /// wake-up time has arrived (`wake_at`), in component-index order,
-    /// sharded across `pool` when present. Every executed tick gets a
-    /// read-only guarded view over its declared observable set; its
-    /// reported [`Activity`] sets the component's next wake-up time,
-    /// which seeds the next settle's dirty set (and the event wheel).
-    ///
-    /// Sharding is deterministic: the runnable list is index-ordered and
-    /// split into contiguous chunks, components never share mutable
-    /// state (shared counters are atomics), and ticks cannot write
-    /// signals — so results are bit-identical at any thread count.
+    /// The activity tick phase: runs, in component-index order, only
+    /// components whose observed signals changed (`tick_pending`) or
+    /// whose declared wake-up time has arrived (`wake_at`). Every
+    /// executed tick gets a read-only guarded view over its declared
+    /// observable set; its reported [`Activity`] sets the component's
+    /// next wake-up time, which seeds the next settle's dirty set (and
+    /// the event wheel).
     pub(crate) fn tick_activity(
         &self,
         signals: &mut [Signal],
         components: &mut [Box<dyn Component>],
         state: &mut ActivityState,
         cycle: u64,
-        pool: Option<&WorkStealingPool>,
     ) {
         let n = self.names.len();
-        let mut runnable = std::mem::take(&mut state.runnable);
-        runnable.clear();
-        for c in 0..n {
+        let mut ticked = 0;
+        for (c, component) in components.iter_mut().enumerate() {
+            // A tick only moves its own component's wake time, so the
+            // condition of every later component is unaffected.
             if state.tick_pending[c] || state.wake_at[c] <= cycle {
-                runnable.push(c as u32);
+                let act = self.tick_member(c as u32, signals, &mut **component, cycle);
+                state.apply_tick(c as u32, act, cycle);
+                ticked += 1;
             }
         }
-        state.components_ticked += runnable.len() as u64;
-        state.components_quiescent += (n - runnable.len()) as u64;
-        let arenas = Arenas {
-            sigs: signals.as_mut_ptr(),
-            sig_len: signals.len(),
-            comps: components.as_mut_ptr(),
-        };
-        let run_serial = pool.is_none() || runnable.len() < 2;
-        if run_serial {
-            for &c in &runnable {
-                // SAFETY: single-threaded here; arenas outlive the call.
-                let act = unsafe { self.tick_member(c, arenas, cycle) };
-                state.apply_tick(c, act, cycle);
-            }
-        } else {
-            let pool = pool.expect("checked");
-            let chunks = runnable.len().min(pool.threads() * 2);
-            let per = runnable.len().div_ceil(chunks);
-            let results: Mutex<Vec<(u32, Activity)>> =
-                Mutex::new(Vec::with_capacity(runnable.len()));
-            {
-                let runnable = &runnable;
-                let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..chunks)
-                    .map(|k| {
-                        let lo = (k * per).min(runnable.len());
-                        let hi = (lo + per).min(runnable.len());
-                        let results = &results;
-                        Box::new(move || {
-                            let mut local = Vec::with_capacity(hi - lo);
-                            for &c in &runnable[lo..hi] {
-                                // SAFETY: chunks hold disjoint component
-                                // indices, and the guarded view is
-                                // read-only (empty write mask), so
-                                // concurrent ticks never race. See
-                                // `Arenas`.
-                                let act = unsafe { self.tick_member(c, arenas, cycle) };
-                                local.push((c, act));
-                            }
-                            results.lock().unwrap().extend(local);
-                        }) as Box<dyn FnOnce() + Send + '_>
-                    })
-                    .collect();
-                pool.run(jobs);
-            }
-            // Per-component updates commute; the merge order is
-            // irrelevant to the resulting state.
-            for (c, act) in results.into_inner().unwrap() {
-                state.apply_tick(c, act, cycle);
-            }
-        }
-        state.runnable = runnable;
+        state.components_ticked += ticked as u64;
+        state.components_quiescent += (n - ticked) as u64;
     }
 
     /// Ticks one component behind a read-only guard over its declared
     /// observable set.
-    ///
-    /// # Safety
-    ///
-    /// No other thread may concurrently access component `c`, and no
-    /// thread may write any signal while ticks run (the tick phase
-    /// starts after the settle completes and ticks cannot write).
-    unsafe fn tick_member(&self, c: u32, a: Arenas, cycle: u64) -> Activity {
+    fn tick_member(
+        &self,
+        c: u32,
+        signals: &mut [Signal],
+        component: &mut dyn Component,
+        cycle: u64,
+    ) -> Activity {
         let guard = Guard {
             component: &self.names[c as usize],
             reads: self.window(&self.tick_bits, c),
@@ -828,11 +684,7 @@ impl Scheduler {
             track: None,
             tick: true,
         };
-        // SAFETY: exclusive component access per the caller contract;
-        // the empty write mask makes the view read-only.
-        let view = SignalView::guarded(a.sigs, a.sig_len, cycle, guard);
-        let comp = &mut *a.comps.add(c as usize);
-        comp.tick(&view)
+        component.tick(&SignalView::guarded(signals, cycle, guard))
     }
 }
 
@@ -863,8 +715,6 @@ pub(crate) struct ActivityState {
     sig_epoch: Vec<u64>,
     /// Signals changed during the current settle (deduped).
     changed: Vec<u32>,
-    /// Scratch: runnable tick list (kept to reuse its allocation).
-    runnable: Vec<u32>,
     groups_evaluated: u64,
     groups_skipped: u64,
     components_ticked: u64,

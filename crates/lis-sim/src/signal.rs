@@ -1,15 +1,14 @@
 //! Signals: the wires of a component-level simulation.
 //!
-//! [`SignalView`] is the access token components hold during evaluation.
-//! It is raw-pointer based so the scheduler can hand *disjoint* guarded
-//! views over one signal arena to several worker threads at once; the
-//! per-component guard (declared read/write bitsets) is checked **before**
-//! every access, which is what makes the parallel settle phase sound.
-
-#![allow(unsafe_code)]
+//! [`SignalView`] is the access token components hold during evaluation:
+//! a mutable borrow of the system's signal arena plus, under the
+//! activity kernel, a per-component guard (declared read/write bitsets)
+//! checked on every access. The guards stay on in release builds: the
+//! kernel wakes components along their *declared* ports, so an
+//! undeclared read or write would silently leave a stale value behind
+//! instead of failing.
 
 use std::fmt;
-use std::marker::PhantomData;
 
 /// Identifier of a signal inside one [`crate::System`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -110,21 +109,17 @@ pub(crate) struct Guard<'a> {
 /// During scheduled evaluation the view is *guarded*: a component may
 /// only touch the signals it declared in [`crate::Component::ports`],
 /// and any undeclared access panics (naming the component and signal).
-/// The check happens before the memory access, so concurrently live
-/// guarded views with disjoint write sets never race.
 pub struct SignalView<'a> {
-    ptr: *mut Signal,
-    len: usize,
+    signals: &'a mut [Signal],
     cycle: u64,
     pub(crate) changed: bool,
     pub(crate) guard: Option<Guard<'a>>,
-    _marker: PhantomData<&'a mut [Signal]>,
 }
 
 impl fmt::Debug for SignalView<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SignalView")
-            .field("signals", &self.len)
+            .field("signals", &self.signals.len())
             .field("changed", &self.changed)
             .field("guarded", &self.guard.is_some())
             .finish()
@@ -132,42 +127,24 @@ impl fmt::Debug for SignalView<'_> {
 }
 
 impl<'a> SignalView<'a> {
-    /// An unrestricted view over `signals` (used for the tick phase, the
-    /// full-sweep reference settle, and top-level stimuli).
+    /// An unrestricted view over `signals` (used by the full-sweep
+    /// reference settle and tick).
     pub(crate) fn unguarded(signals: &'a mut [Signal], cycle: u64) -> Self {
         SignalView {
-            ptr: signals.as_mut_ptr(),
-            len: signals.len(),
+            signals,
             cycle,
             changed: false,
             guard: None,
-            _marker: PhantomData,
         }
     }
 
-    /// A guarded view over a raw signal arena.
-    ///
-    /// # Safety
-    ///
-    /// `ptr..ptr+len` must be a live `Signal` arena outliving `'a`, and
-    /// for as long as this view is live no other thread may access any
-    /// signal in the guard's `writes` set, nor write any signal in the
-    /// guard's `reads` set. The scheduler establishes this by merging
-    /// components sharing written signals into one group and by only
-    /// running groups of the same dependency level concurrently.
-    pub(crate) unsafe fn guarded(
-        ptr: *mut Signal,
-        len: usize,
-        cycle: u64,
-        guard: Guard<'a>,
-    ) -> Self {
+    /// A view over `signals` restricted to `guard`'s declared sets.
+    pub(crate) fn guarded(signals: &'a mut [Signal], cycle: u64, guard: Guard<'a>) -> Self {
         SignalView {
-            ptr,
-            len,
+            signals,
             cycle,
             changed: false,
             guard: Some(guard),
-            _marker: PhantomData,
         }
     }
 
@@ -184,12 +161,10 @@ impl<'a> SignalView<'a> {
     }
 
     #[inline]
-    fn slot(&self, id: SignalId) -> *mut Signal {
+    fn index(&self, id: SignalId) -> usize {
         let i = id.index();
-        assert!(i < self.len, "signal {id} out of range");
-        // SAFETY: bounds just checked; arena liveness per constructor
-        // contract.
-        unsafe { self.ptr.add(i) }
+        assert!(i < self.signals.len(), "signal {id} out of range");
+        i
     }
 
     /// Reads a signal value.
@@ -199,12 +174,10 @@ impl<'a> SignalView<'a> {
     /// Panics on a guarded view if the signal is not in the evaluating
     /// component's declared read or write set.
     pub fn get(&self, id: SignalId) -> u64 {
-        let slot = self.slot(id);
+        let i = self.index(id);
         if let Some(g) = &self.guard {
-            if !g.reads.bit(id.index()) && !g.writes.bit(id.index()) {
-                // SAFETY: names are immutable after construction; reading
-                // one never races with concurrent `value` writes.
-                let name = unsafe { &(*slot).name };
+            if !g.reads.bit(i) && !g.writes.bit(i) {
+                let name = &self.signals[i].name;
                 if g.tick {
                     panic!(
                         "component `{}` read undeclared signal {id} (`{name}`) during tick: \
@@ -219,9 +192,7 @@ impl<'a> SignalView<'a> {
                 );
             }
         }
-        // SAFETY: guard check above guarantees exclusive-or-stable access
-        // (scheduler invariant); unguarded views are never concurrent.
-        unsafe { (*slot).value }
+        self.signals[i].value
     }
 
     /// Reads a signal as a boolean (bit 0).
@@ -236,11 +207,10 @@ impl<'a> SignalView<'a> {
     /// Panics on a guarded view if the signal is not in the evaluating
     /// component's declared write set.
     pub fn set(&mut self, id: SignalId, value: u64) {
-        let slot = self.slot(id);
+        let i = self.index(id);
         if let Some(g) = &self.guard {
-            if !g.writes.bit(id.index()) {
-                // SAFETY: names are immutable after construction.
-                let name = unsafe { &(*slot).name };
+            if !g.writes.bit(i) {
+                let name = &self.signals[i].name;
                 if g.tick {
                     panic!(
                         "component `{}` wrote signal {id} (`{name}`) during tick: \
@@ -255,17 +225,16 @@ impl<'a> SignalView<'a> {
                 );
             }
         }
-        // SAFETY: write permission checked above; the scheduler guarantees
-        // no other live view covers this signal.
-        let sig = unsafe { &mut *slot };
+        let sig = &mut self.signals[i];
         let masked = value & sig.mask();
         if sig.value != masked {
             sig.value = masked;
             self.changed = true;
-            if let Some(g) = &mut self.guard {
-                if let Some(track) = g.track.as_deref_mut() {
-                    track.push(id.0);
-                }
+            if let Some(Guard {
+                track: Some(track), ..
+            }) = &mut self.guard
+            {
+                track.push(id.0);
             }
         }
     }
@@ -352,26 +321,23 @@ mod tests {
         let reads = vec![0b01u64]; // may read signal 0
         let writes = vec![0b10u64]; // may write signal 1
         let mut track = Vec::new();
-        let mut view = unsafe {
-            SignalView::guarded(
-                signals.as_mut_ptr(),
-                signals.len(),
-                0,
-                Guard {
-                    component: "t",
-                    reads: BitWindow {
-                        start_word: 0,
-                        words: &reads,
-                    },
-                    writes: BitWindow {
-                        start_word: 0,
-                        words: &writes,
-                    },
-                    track: Some(&mut track),
-                    tick: false,
+        let mut view = SignalView::guarded(
+            &mut signals,
+            0,
+            Guard {
+                component: "t",
+                reads: BitWindow {
+                    start_word: 0,
+                    words: &reads,
                 },
-            )
-        };
+                writes: BitWindow {
+                    start_word: 0,
+                    words: &writes,
+                },
+                track: Some(&mut track),
+                tick: false,
+            },
+        );
         assert_eq!(view.get(SignalId(0)), 0);
         view.set(SignalId(1), 9);
         view.set(SignalId(1), 9); // unchanged: not tracked twice
@@ -384,20 +350,17 @@ mod tests {
     #[should_panic(expected = "read undeclared signal")]
     fn guarded_view_panics_on_undeclared_read() {
         let mut signals = arena();
-        let view = unsafe {
-            SignalView::guarded(
-                signals.as_mut_ptr(),
-                signals.len(),
-                0,
-                Guard {
-                    component: "t",
-                    reads: BitWindow::EMPTY,
-                    writes: BitWindow::EMPTY,
-                    track: None,
-                    tick: false,
-                },
-            )
-        };
+        let view = SignalView::guarded(
+            &mut signals,
+            0,
+            Guard {
+                component: "t",
+                reads: BitWindow::EMPTY,
+                writes: BitWindow::EMPTY,
+                track: None,
+                tick: false,
+            },
+        );
         let _ = view.get(SignalId(0));
     }
 
@@ -406,23 +369,20 @@ mod tests {
     fn guarded_view_panics_on_undeclared_write() {
         let mut signals = arena();
         let reads = vec![0b11u64];
-        let mut view = unsafe {
-            SignalView::guarded(
-                signals.as_mut_ptr(),
-                signals.len(),
-                0,
-                Guard {
-                    component: "t",
-                    reads: BitWindow {
-                        start_word: 0,
-                        words: &reads,
-                    },
-                    writes: BitWindow::EMPTY,
-                    track: None,
-                    tick: false,
+        let mut view = SignalView::guarded(
+            &mut signals,
+            0,
+            Guard {
+                component: "t",
+                reads: BitWindow {
+                    start_word: 0,
+                    words: &reads,
                 },
-            )
-        };
+                writes: BitWindow::EMPTY,
+                track: None,
+                tick: false,
+            },
+        );
         view.set(SignalId(0), 1);
     }
 }

@@ -1,6 +1,5 @@
 //! Property tests pinning every fast engine to the interpreter —
-//! three-way: interpreter / JIT scalar / JIT packed (sequential and
-//! level-parallel threaded).
+//! three-way: interpreter / JIT scalar / JIT packed.
 //!
 //! [`NetlistSim`] is the simple, auditable reference; the fused
 //! direct-threaded [`JitNetlistSim`] / [`JitPackedNetlistSim`] are the
@@ -11,9 +10,7 @@
 //! (the exact shapes the JIT lowering collapses into wide
 //! superinstructions) — and assert all executors agree **cycle for
 //! cycle on every output port** under random stimulus, including reset
-//! pulses. The threaded-packed engine runs with the level-parallel
-//! path forced on and the worker count from `LIS_SIM_THREADS`, so the
-//! CI matrix exercises it at 1 and 4 workers.
+//! pulses.
 
 use lis_netlist::{Bus, Module, ModuleBuilder, NetId};
 use lis_sim::{JitNetlistSim, JitPackedNetlistSim, NetlistExec, NetlistSim};
@@ -275,47 +272,6 @@ proptest! {
         }
     }
 
-    /// The threaded packed JIT engine agrees with the interpreter in
-    /// every checked lane, with the level-parallel path forced on even
-    /// for tiny programs and the worker count from `LIS_SIM_THREADS`
-    /// (the CI matrix runs this at 1 and 4 workers).
-    #[test]
-    fn jit_packed_threaded_lanes_match_interpreter(seed in any::<u64>(), n_gates in 1usize..60, cycles in 1usize..25) {
-        let module = random_module(seed, n_gates);
-        let lanes = [0usize, 1, 7, 31, 63];
-        let streams: Vec<Vec<Vec<u64>>> = lanes
-            .iter()
-            .map(|&l| stimulus(seed.wrapping_add(l as u64), &module, cycles))
-            .collect();
-        let expected: Vec<Vec<Vec<u64>>> =
-            streams.iter().map(|s| reference_run(&module, s)).collect();
-
-        let threads = std::env::var("LIS_SIM_THREADS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(4);
-        let mut packed = JitPackedNetlistSim::with_threads(module.clone(), threads).unwrap();
-        packed.set_parallel_threshold(0);
-        for t in 0..cycles {
-            for (li, &lane) in lanes.iter().enumerate() {
-                for (port, &v) in module.inputs.iter().zip(&streams[li][t]) {
-                    packed.set_input_lane(lane, &port.name, v).unwrap();
-                }
-            }
-            packed.eval();
-            for (li, &lane) in lanes.iter().enumerate() {
-                for (o, port) in module.outputs.iter().enumerate() {
-                    prop_assert_eq!(
-                        packed.get_output_lane(lane, &port.name).unwrap(),
-                        expected[li][t][o],
-                        "cycle {} lane {} output {} (seed {:#x})", t, lane, &port.name, seed
-                    );
-                }
-            }
-            packed.step();
-        }
-    }
-
     /// `step_changed` — the quiescence signal the activity kernel
     /// relies on — agrees between the interpreter and the JIT scalar
     /// engine cycle for cycle under identical stimulus.
@@ -370,8 +326,7 @@ fn fully_eliminated_program_still_steps() {
         assert!(!jit.step_changed(), "a dead program must stay quiescent");
     }
 
-    let mut packed = JitPackedNetlistSim::with_threads(module, 2).unwrap();
-    packed.set_parallel_threshold(0);
+    let mut packed = JitPackedNetlistSim::new(module).unwrap();
     for _ in 0..3 {
         packed.eval();
         assert_eq!(packed.get_output_lane(63, "k").unwrap(), 1);

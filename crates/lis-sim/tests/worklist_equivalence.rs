@@ -8,8 +8,8 @@
 //! pulse generators that *sleep* between scheduled events — are stepped
 //! under random per-cycle stimulus once per engine: the
 //! [`SettleMode::FullSweep`] reference and the activity kernel
-//! ([`SettleMode::FastForward`]) at random thread counts, stepped cycle
-//! by cycle and jumping dead spans. Every signal must match after every
+//! ([`SettleMode::FastForward`]), stepped cycle by cycle and jumping
+//! dead spans. Every signal must match after every
 //! cycle — for the jumping run, after every *visited* cycle (jump
 //! boundary), with the stepped systems walked to the same cycle number
 //! before comparing.
@@ -296,10 +296,9 @@ fn random_net(
 
 /// Instantiates the network in one `System`, honoring the shuffled
 /// insertion order. Returns the input signal ids.
-fn build(net: &Net, mode: SettleMode, threads: usize) -> (System, Vec<SignalId>) {
+fn build(net: &Net, mode: SettleMode) -> (System, Vec<SignalId>) {
     let mut sys = System::new();
     sys.set_settle_mode(mode);
-    sys.set_threads(threads);
     let ids: Vec<SignalId> = (0..net.total_signals)
         .map(|i| sys.add_signal(format!("s{i}"), 64))
         .collect();
@@ -389,9 +388,9 @@ fn build(net: &Net, mode: SettleMode, threads: usize) -> (System, Vec<SignalId>)
 
 proptest! {
     /// The activity kernel — persistent dirty set, skipped groups,
-    /// sharded selective ticks — matches the full sweep on every signal
-    /// after every cycle, at any thread count, including networks with
-    /// components that genuinely quiesce mid-run.
+    /// selective ticks — matches the full sweep on every signal after
+    /// every cycle, including networks with components that genuinely
+    /// quiesce mid-run.
     #[test]
     fn fast_forward_matches_full_sweep(
         seed in any::<u64>(),
@@ -401,12 +400,11 @@ proptest! {
         n_pairs in 0usize..3,
         n_saturs in 0usize..4,
         n_pulsers in 0usize..3,
-        threads in 1usize..5,
         cycles in 1usize..14,
     ) {
         let net = random_net(seed, n_inputs, n_mixers, n_latches, n_pairs, n_saturs, n_pulsers);
-        let (mut full, full_in) = build(&net, SettleMode::FullSweep, 1);
-        let (mut activity, act_in) = build(&net, SettleMode::FastForward, threads);
+        let (mut full, full_in) = build(&net, SettleMode::FullSweep);
+        let (mut activity, act_in) = build(&net, SettleMode::FastForward);
         let mut stim = StdRng::seed_from_u64(seed ^ 0xAC71_77E5);
         for cycle in 0..cycles {
             // Hold inputs constant on some cycles so quiescence actually
@@ -428,35 +426,8 @@ proptest! {
             prop_assert_eq!(
                 full.signal_values(),
                 activity.signal_values(),
-                "activity vs full-sweep divergence at cycle {} (threads={})", cycle, threads
+                "activity vs full-sweep divergence at cycle {}", cycle
             );
-        }
-    }
-
-    /// Activity-kernel results are independent of the thread count.
-    #[test]
-    fn thread_count_does_not_change_results(
-        seed in any::<u64>(),
-        n_mixers in 1usize..10,
-        cycles in 1usize..8,
-    ) {
-        let net = random_net(seed, 2, n_mixers, 1, 1, 2, 1);
-        let mut final_values: Option<Vec<u64>> = None;
-        for threads in [1usize, 2, 4] {
-            let (mut sys, inputs) = build(&net, SettleMode::FastForward, threads);
-            let mut stim = StdRng::seed_from_u64(seed ^ 0xFEED);
-            for _ in 0..cycles {
-                for &i in &inputs {
-                    sys.poke(i, stim.next_u64());
-                }
-                sys.step().unwrap();
-            }
-            sys.settle().unwrap();
-            let values = sys.signal_values();
-            match &final_values {
-                None => final_values = Some(values),
-                Some(expected) => prop_assert_eq!(expected, &values, "threads={}", threads),
-            }
         }
     }
 
@@ -479,14 +450,13 @@ proptest! {
         n_pairs in 0usize..2,
         n_saturs in 0usize..4,
         n_pulsers in 1usize..4,
-        threads in 1usize..5,
         phases in 2usize..5,
         span in 8u64..30,
     ) {
         let net = random_net(seed, n_inputs, 0, n_latches, n_pairs, n_saturs, n_pulsers);
-        let (mut full, full_in) = build(&net, SettleMode::FullSweep, 1);
-        let (mut stepped, step_in) = build(&net, SettleMode::FastForward, 1);
-        let (mut ff, ff_in) = build(&net, SettleMode::FastForward, threads);
+        let (mut full, full_in) = build(&net, SettleMode::FullSweep);
+        let (mut stepped, step_in) = build(&net, SettleMode::FastForward);
+        let (mut ff, ff_in) = build(&net, SettleMode::FastForward);
         let mut stim = StdRng::seed_from_u64(seed ^ 0x00FA_57F0);
         for _ in 0..phases {
             for ((&a, &b), &c) in full_in.iter().zip(&step_in).zip(&ff_in) {
@@ -513,14 +483,14 @@ proptest! {
                 prop_assert_eq!(
                     full.signal_values(),
                     ff.signal_values(),
-                    "fast-forward vs full-sweep divergence at cycle {} (threads={})",
-                    ff.cycle(), threads
+                    "fast-forward vs full-sweep divergence at cycle {}",
+                    ff.cycle()
                 );
                 prop_assert_eq!(
                     stepped.signal_values(),
                     ff.signal_values(),
-                    "fast-forward vs stepped divergence at cycle {} (threads={})",
-                    ff.cycle(), threads
+                    "fast-forward vs stepped divergence at cycle {}",
+                    ff.cycle()
                 );
             }
         }

@@ -12,7 +12,7 @@
 //!   the run-counter-compressed SP stores one word per *synchronization
 //!   point* and stays flat;
 //! * **behaviour** — every variant drives the same generated traffic
-//!   through gate-level shells on the sharded scheduler, and every
+//!   through gate-level shells on the activity kernel, and every
 //!   stream must stay token-exact against the dataflow oracle.
 
 use crate::build::TopologyBuilder;
@@ -183,7 +183,7 @@ fn synthesize_variant(
 
 /// Runs the E6 topology ablation: per (scale, variant), synthesize the
 /// pearl controller and drive the generated mesh gate-level through the
-/// sharded scheduler.
+/// activity kernel.
 ///
 /// # Errors
 ///
@@ -191,7 +191,6 @@ fn synthesize_variant(
 pub fn topology_ablation(
     cfg: &AblationBenchConfig,
     params: &TechParams,
-    threads: usize,
 ) -> Result<Vec<TopoAblationRow>, lis_netlist::NetlistError> {
     let mut rows = Vec::new();
     for scale in &cfg.scales {
@@ -214,7 +213,7 @@ pub fn topology_ablation(
                 tokens_per_source: 4 * scale.sim_cycles as usize,
                 seed: cfg.seed,
             };
-            let mut topo = TopologyBuilder::new(spec).threads(threads).build();
+            let mut topo = TopologyBuilder::new(spec).build();
             let start = Instant::now();
             topo.soc.run(scale.sim_cycles).expect("ablation simulation");
             let wall_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -388,7 +387,7 @@ impl fmt::Display for StressReport {
 /// back-pressure (pearls consume one token per period, sources offer
 /// continuously, so `stop` is asserted on the boundary links most of
 /// the run).
-pub fn stress_run(cfg: &StressConfig, threads: usize) -> StressReport {
+pub fn stress_run(cfg: &StressConfig) -> StressReport {
     let shape = TopologyShape::Mesh {
         rows: cfg.rows,
         cols: cfg.cols,
@@ -405,7 +404,7 @@ pub fn stress_run(cfg: &StressConfig, threads: usize) -> StressReport {
         tokens_per_source: cfg.tokens_per_source,
         seed: cfg.seed,
     };
-    let mut topo = TopologyBuilder::new(spec).threads(threads).build();
+    let mut topo = TopologyBuilder::new(spec).build();
     let start = Instant::now();
     topo.soc.run(cfg.cycles).expect("stress simulation");
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -450,7 +449,7 @@ mod tests {
             ],
             ..AblationBenchConfig::default()
         };
-        let rows = topology_ablation(&cfg, &TechParams::default(), 1).unwrap();
+        let rows = topology_ablation(&cfg, &TechParams::default()).unwrap();
         assert_eq!(rows.len(), 6);
         assert_e6_claim(&rows, 0.10);
     }
@@ -465,7 +464,7 @@ mod tests {
             tokens_per_source: 400,
             ..StressConfig::default()
         };
-        let report = stress_run(&cfg, 1);
+        let report = stress_run(&cfg);
         assert!(report.token_exact, "{report}");
         assert_eq!(report.violations, 0);
         assert!(report.received_total > 0);

@@ -15,7 +15,7 @@ use lis_wrappers::{generate_sp, FsmEncoding, SpPolicy, WrapperKind};
 use serde::{Deserialize, Serialize};
 
 /// Structural census of a generated SoC (stable across machines and
-/// thread counts — drift-checkable).
+/// settle engines — drift-checkable).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TopoStats {
     /// Pearls instantiated.
@@ -101,7 +101,7 @@ impl GeneratedSoc {
 ///     relay_budget: 1, // every hop gets 2 relay stations
 ///     ..TopologySpec::default()
 /// };
-/// let mut topo = TopologyBuilder::new(spec).threads(1).build();
+/// let mut topo = TopologyBuilder::new(spec).build();
 /// assert_eq!(topo.stats.nodes, 4);
 /// assert!(topo.stats.relay_stations > 0);
 /// topo.soc.run(300)?;
@@ -116,7 +116,6 @@ impl GeneratedSoc {
 pub struct TopologyBuilder {
     spec: TopologySpec,
     mode: SettleMode,
-    threads: Option<usize>,
 }
 
 impl TopologyBuilder {
@@ -125,7 +124,6 @@ impl TopologyBuilder {
         TopologyBuilder {
             spec,
             mode: SettleMode::default(),
-            threads: None,
         }
     }
 
@@ -137,11 +135,10 @@ impl TopologyBuilder {
         self
     }
 
-    /// Pins the evaluation thread count (default: the `LIS_SIM_THREADS`
-    /// environment variable via [`lis_sim::System`]).
+    /// Does nothing: the simulation kernel is single-threaded.
+    #[deprecated(note = "the simulation kernel is single-threaded; drop the call")]
     #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
+    pub fn threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -159,9 +156,6 @@ impl TopologyBuilder {
 
         let mut b = SocBuilder::new();
         b.set_settle_mode(self.mode);
-        if let Some(threads) = self.threads {
-            b.set_threads(threads);
-        }
 
         // 1. Every node becomes an accumulator pearl behind the selected
         //    synchronizer shell.

@@ -99,7 +99,7 @@ impl Default for E7Config {
     }
 }
 
-/// One measured (traffic, engine, threads) configuration.
+/// One measured (traffic, engine) configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct E7Row {
     /// Traffic regime label.
@@ -108,14 +108,12 @@ pub struct E7Row {
     /// `Soc::run`), or `step-only` (the activity kernel driven by
     /// `System::step` alone, every cycle visited).
     pub engine: String,
-    /// Evaluation threads.
-    pub threads: usize,
     /// Cycles simulated.
     pub cycles: u64,
     /// Informative tokens delivered across all sinks (stable).
     pub tokens: u64,
     /// Order-sensitive stream checksum (stable; must match across
-    /// engines and thread counts within a traffic regime).
+    /// engines within a traffic regime).
     pub checksum: u64,
     /// Whether every sink stream matched the dataflow oracle.
     pub stream_exact: bool,
@@ -164,11 +162,10 @@ impl fmt::Display for E7Row {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{:20} {:12} threads={}: {:8.1} kcyc/s ({} cycles, {} jumped), {:6} tok, exact={}, \
+            "{:20} {:12}: {:8.1} kcyc/s ({} cycles, {} jumped), {:6} tok, exact={}, \
              skip eval {:5.1}% tick {:5.1}%, checksum {:#018x}",
             self.traffic,
             self.engine,
-            self.threads,
             self.kcps,
             self.cycles,
             self.cycles_fast_forwarded,
@@ -197,12 +194,11 @@ pub struct E7Report {
     pub signals: usize,
     /// Engine × traffic sweep rows.
     pub sweep: Vec<E7Row>,
-    /// Headline rows: back-pressured (fast-forward@1,
-    /// fast-forward@threads), then periodic (step-only@1,
-    /// fast-forward@1, fast-forward@threads).
+    /// Headline rows: back-pressured (fast-forward), then periodic
+    /// (step-only, fast-forward).
     pub check: Vec<E7Row>,
-    /// Fast-forward@1 vs step-only@1 kcyc/s on the periodic run
-    /// (volatile; the event-wheel `--check` bar).
+    /// Fast-forward vs step-only kcyc/s on the periodic run (volatile;
+    /// the event-wheel `--check` bar).
     pub speedup_fast_forward_vs_step: f64,
 }
 
@@ -233,13 +229,12 @@ enum Drive {
     StepOnly,
 }
 
-/// Runs one (traffic, engine, threads) configuration for `cycles`,
-/// filling `census` with the mesh's structural stats on the first call.
+/// Runs one (traffic, engine) configuration for `cycles`, filling
+/// `census` with the mesh's structural stats on the first call.
 fn run_one(
     cfg: &E7Config,
     traffic: TrafficPattern,
     drive: Drive,
-    threads: usize,
     cycles: u64,
     census: &mut Option<crate::build::TopoStats>,
 ) -> E7Row {
@@ -248,12 +243,9 @@ fn run_one(
         Drive::Run(mode) => mode,
         Drive::StepOnly => SettleMode::FastForward,
     };
-    let mut topo = TopologyBuilder::new(spec)
-        .settle_mode(mode)
-        .threads(threads)
-        .build();
+    let mut topo = TopologyBuilder::new(spec).settle_mode(mode).build();
     if census.is_none() {
-        // The census is traffic/engine/thread independent.
+        // The census is traffic/engine independent.
         *census = Some(topo.stats.clone());
     }
     let start = Instant::now();
@@ -275,7 +267,6 @@ fn run_one(
     E7Row {
         traffic: traffic.to_string(),
         engine: engine.to_owned(),
-        threads,
         cycles,
         tokens: topo.total_received(),
         checksum: topo.checksum(),
@@ -293,7 +284,7 @@ fn run_one(
 /// Runs the full E7 bench: the engine×traffic sweep plus the two
 /// headline runs — back-pressured (the skip bar) and periodic
 /// (step-only vs fast-forward).
-pub fn e7_bench(cfg: &E7Config, threads: usize) -> E7Report {
+pub fn e7_bench(cfg: &E7Config) -> E7Report {
     let mut census = None;
     let mut sweep = Vec::new();
     for &traffic in &cfg.sweep_traffics {
@@ -302,37 +293,22 @@ pub fn e7_bench(cfg: &E7Config, threads: usize) -> E7Report {
                 cfg,
                 traffic,
                 Drive::Run(mode),
-                1,
                 cfg.sweep_cycles,
                 &mut census,
             ));
         }
     }
 
-    let mut run = |traffic, drive, threads, cycles| {
-        run_one(cfg, traffic, drive, threads, cycles, &mut census)
-    };
+    let mut run = |traffic, drive, cycles| run_one(cfg, traffic, drive, cycles, &mut census);
     let ff = Drive::Run(SettleMode::FastForward);
-    // Always emit a multi-thread row (even on single-core hosts) so the
-    // recorded row structure — and the bit-identity proof across thread
-    // counts — is machine-independent.
-    let nt = threads.max(2);
-    let backpressured = run(cfg.backpressure, ff, 1, cfg.check_cycles);
-    let backpressured_nt = run(cfg.backpressure, ff, nt, cfg.check_cycles);
+    let backpressured = run(cfg.backpressure, ff, cfg.check_cycles);
 
     // The event-wheel headline: same mesh, scheduled stalls. Stepping
     // visits every dead cycle; `run` jumps them.
-    let periodic_step = run(cfg.periodic, Drive::StepOnly, 1, cfg.periodic_check_cycles);
-    let periodic_ff = run(cfg.periodic, ff, 1, cfg.periodic_check_cycles);
-    let periodic_ff_nt = run(cfg.periodic, ff, nt, cfg.periodic_check_cycles);
+    let periodic_step = run(cfg.periodic, Drive::StepOnly, cfg.periodic_check_cycles);
+    let periodic_ff = run(cfg.periodic, ff, cfg.periodic_check_cycles);
     let speedup_ff = periodic_ff.kcps / periodic_step.kcps;
-    let check = vec![
-        backpressured,
-        backpressured_nt,
-        periodic_step,
-        periodic_ff,
-        periodic_ff_nt,
-    ];
+    let check = vec![backpressured, periodic_step, periodic_ff];
 
     let stats = census.expect("at least one run recorded the census");
     E7Report {
@@ -348,12 +324,12 @@ pub fn e7_bench(cfg: &E7Config, threads: usize) -> E7Report {
 }
 
 /// Asserts the E7 stream-identity claim: within each traffic regime,
-/// every engine/thread configuration delivered the identical token
-/// stream (same count, same checksum) and stayed oracle-exact, and the
-/// activity rows (fast-forward, step-only) actually skipped work *and*
-/// agree exactly on how much work they executed — `run` must evaluate
-/// the same groups and tick the same components as stepping cycle by
-/// cycle, at any thread count, jumps or not.
+/// every engine delivered the identical token stream (same count, same
+/// checksum) and stayed oracle-exact, and the activity rows
+/// (fast-forward, step-only) actually skipped work *and* agree exactly
+/// on how much work they executed — `run` must evaluate the same groups
+/// and tick the same components as stepping cycle by cycle, jumps or
+/// not.
 ///
 /// # Panics
 ///
@@ -429,9 +405,9 @@ mod tests {
             tokens_per_source: 5_000,
             ..E7Config::default()
         };
-        let report = e7_bench(&cfg, 2);
+        let report = e7_bench(&cfg);
         assert_eq!(report.sweep.len(), 4);
-        assert_eq!(report.check.len(), 5);
+        assert_eq!(report.check.len(), 3);
         assert_e7_streams(&report.sweep);
         assert_e7_streams(&report.check);
         assert!(report.pearls == 4 && report.relay_stations > 0);
@@ -444,7 +420,7 @@ mod tests {
         );
         // The scheduled stall spans of the periodic run must produce
         // real clock jumps.
-        let ff = &report.check[3];
+        let ff = &report.check[2];
         assert!(
             ff.cycles_fast_forwarded > 0,
             "the event wheel must jump dead spans: {ff}"

@@ -60,7 +60,7 @@ impl FleetScenario {
 }
 
 /// Structural census of a generated fleet (stable across machines and
-/// thread counts — drift-checkable).
+/// pool widths — drift-checkable).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FleetStats {
     /// Scenario lanes across all batches.
@@ -130,16 +130,23 @@ impl GeneratedFleet {
     /// Whether lane `lane`'s received streams are exact prefixes of the
     /// oracle's.
     pub fn lane_token_exact(&self, lane: usize) -> bool {
-        let want = self.expected();
-        self.lane_received(lane)
-            .iter()
-            .zip(&want)
-            .all(|(got, want)| got.len() <= want.len() && got[..] == want[..got.len()])
+        self.lane_matches(lane, &self.expected())
     }
 
-    /// Whether *every* lane is token-exact.
+    /// Whether *every* lane is token-exact. The oracle is derived once
+    /// and shared by every lane's comparison.
     pub fn token_exact(&self) -> bool {
-        (0..self.scenarios.len()).all(|lane| self.lane_token_exact(lane))
+        let want = self.expected();
+        (0..self.scenarios.len()).all(|lane| self.lane_matches(lane, &want))
+    }
+
+    /// Whether lane `lane`'s received streams are exact prefixes of
+    /// `want`, the oracle's streams in sink index order.
+    fn lane_matches(&self, lane: usize, want: &[Vec<u64>]) -> bool {
+        self.lane_received(lane)
+            .iter()
+            .zip(want)
+            .all(|(got, want)| got.len() <= want.len() && got[..] == want[..got.len()])
     }
 
     /// Order-sensitive checksum over lane `lane`'s received streams.
@@ -189,7 +196,7 @@ impl GeneratedFleet {
 ///         seed: 40 + lane,
 ///     })
 ///     .collect();
-/// let mut fleet = FleetTopologyBuilder::new(spec, scenarios).threads(1).build();
+/// let mut fleet = FleetTopologyBuilder::new(spec, scenarios).build();
 /// fleet.run(400, &WorkStealingPool::new(1))?;
 /// // Every lane stays token-exact, whatever its stall schedule.
 /// assert!(fleet.token_exact());
@@ -201,7 +208,6 @@ pub struct FleetTopologyBuilder {
     spec: TopologySpec,
     scenarios: Vec<FleetScenario>,
     mode: SettleMode,
-    threads: Option<usize>,
 }
 
 impl FleetTopologyBuilder {
@@ -216,7 +222,6 @@ impl FleetTopologyBuilder {
             spec,
             scenarios,
             mode: SettleMode::default(),
-            threads: None,
         }
     }
 
@@ -228,11 +233,12 @@ impl FleetTopologyBuilder {
         self
     }
 
-    /// Pins the per-batch evaluation thread count (fleets usually pin
-    /// 1: parallelism comes from fanning batches across the pool).
+    /// Does nothing: each batch runs single-threaded, and parallelism
+    /// comes from fanning whole batches across the pool
+    /// ([`GeneratedFleet::run`]).
+    #[deprecated(note = "batches run single-threaded; drop the call")]
     #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
+    pub fn threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -253,7 +259,7 @@ impl FleetTopologyBuilder {
         let mut components = 0;
         let mut signals = 0;
         for chunk in self.scenarios.chunks(LANES) {
-            let (batch, names, relays) = build_batch(spec, &graph, chunk, self.mode, self.threads);
+            let (batch, names, relays) = build_batch(spec, &graph, chunk, self.mode);
             components += batch.system().component_count();
             signals += batch.system().signal_count();
             relay_stations = relays;
@@ -290,13 +296,9 @@ fn build_batch(
     graph: &TopologyGraph,
     chunk: &[FleetScenario],
     mode: SettleMode,
-    threads: Option<usize>,
 ) -> (lis_core::FleetBatch, Vec<String>, usize) {
     let mut b = FleetBuilder::new(chunk.len());
     b.set_settle_mode(mode);
-    if let Some(threads) = threads {
-        b.set_threads(threads);
-    }
 
     // 1. Every node becomes one accumulator pearl *per lane* behind the
     //    selected synchronizer shell (packed when gate-level).
@@ -577,7 +579,7 @@ pub fn fleet_bench(cfg: &FleetBenchConfig, threads: usize) -> FleetReport {
     let mut solo_wall_ms = 0.0;
     let mut solo_exact = true;
     for sc in &scenarios {
-        let mut topo = TopologyBuilder::new(sc.solo_spec(&base)).threads(1).build();
+        let mut topo = TopologyBuilder::new(sc.solo_spec(&base)).build();
         let start = Instant::now();
         topo.soc.run(cfg.cycles).expect("fleet bench solo run");
         solo_wall_ms += start.elapsed().as_secs_f64() * 1e3;
@@ -598,9 +600,7 @@ pub fn fleet_bench(cfg: &FleetBenchConfig, threads: usize) -> FleetReport {
     };
 
     // Fleet pass: the same scenarios through shared packed shells.
-    let mut fleet = FleetTopologyBuilder::new(base, scenarios)
-        .threads(1)
-        .build();
+    let mut fleet = FleetTopologyBuilder::new(base, scenarios).build();
     let pool = WorkStealingPool::new(threads);
     let start = Instant::now();
     fleet.run(cfg.cycles, &pool).expect("fleet bench fleet run");

@@ -9,13 +9,13 @@
 //! instantiates it as a runnable latency-insensitive system, inserting
 //! `ceil(distance / budget) − 1` relay stations on every link and
 //! driving behavioural or full gate-level wrapper shells through
-//! `lis-sim`'s sharded scheduler.
+//! `lis-sim`'s activity kernel.
 //!
 //! Correctness at any scale is checked against the dataflow
 //! **oracle** ([`expected_sink_streams`]): generated topologies are
 //! acyclic Kahn process networks of accumulator pearls, so every sink's
 //! informative stream is a pure function of the graph — independent of
-//! latencies, relays, stalls, wrapper model, and thread count. A run is
+//! latencies, relays, stalls, wrapper model, and settle engine. A run is
 //! *token-exact* ([`GeneratedSoc::token_exact`]) when each received
 //! stream is a prefix of the oracle's.
 //!

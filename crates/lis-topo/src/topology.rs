@@ -171,7 +171,7 @@ pub enum NodeModel {
     /// Behavioural wrapper (policy-level) — fast, for property sweeps.
     Behavioural,
     /// Complete gate-level shell (controller netlist plus port FIFOs,
-    /// the paper's Figure 2) driven through the sharded scheduler.
+    /// the paper's Figure 2) driven through the activity kernel.
     GateLevel,
 }
 

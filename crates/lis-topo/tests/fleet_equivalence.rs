@@ -2,8 +2,7 @@
 //! random shape, latency assignment, synchronizer variant — and any
 //! random per-lane traffic/seed assignment, every fleet lane must be
 //! bit-identical (streams, violations) to a solo SoC run of that lane's
-//! scenario, and the fleet itself must be deterministic across
-//! per-batch evaluation thread counts.
+//! scenario.
 
 use lis_sim::WorkStealingPool;
 use lis_topo::{
@@ -68,17 +67,13 @@ fn scenario_from(traffic_sel: u8, stall: f64, seed: u64, lane: usize) -> FleetSc
     }
 }
 
-/// Runs the fleet at the given per-batch thread count and returns each
-/// lane's (streams, violations).
+/// Runs the fleet and returns each lane's (streams, violations).
 fn run_fleet(
     spec: &TopologySpec,
     scenarios: &[FleetScenario],
-    threads: usize,
     cycles: u64,
 ) -> Vec<(Vec<Vec<u64>>, u64)> {
-    let mut fleet = FleetTopologyBuilder::new(spec.clone(), scenarios.to_vec())
-        .threads(threads)
-        .build();
+    let mut fleet = FleetTopologyBuilder::new(spec.clone(), scenarios.to_vec()).build();
     fleet
         .run(cycles, &WorkStealingPool::new(1))
         .expect("fleets must never hit NoConvergence");
@@ -99,9 +94,7 @@ fn run_solo(spec: &TopologySpec, sc: &FleetScenario, cycles: u64) -> (Vec<Vec<u6
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Behavioural fleets: every lane bit-identical to its solo twin,
-    /// and the whole fleet invariant under the per-batch evaluation
-    /// thread count.
+    /// Behavioural fleets: every lane bit-identical to its solo twin.
     #[test]
     fn random_behavioural_fleet_lanes_match_solo_twins(
         shape_sel in any::<u8>(),
@@ -124,13 +117,10 @@ proptest! {
         let scenarios: Vec<FleetScenario> = (0..lanes)
             .map(|lane| scenario_from(traffic_sel, stall, seed, lane))
             .collect();
-        let got_1t = run_fleet(&spec, &scenarios, 1, cycles);
-        let got_4t = run_fleet(&spec, &scenarios, 4, cycles);
-        prop_assert_eq!(&got_1t, &got_4t,
-            "per-batch thread count changed the fleet for {:?}", &spec);
+        let got = run_fleet(&spec, &scenarios, cycles);
         for (lane, sc) in scenarios.iter().enumerate() {
             let want = run_solo(&spec, sc, cycles);
-            prop_assert_eq!(&got_1t[lane], &want,
+            prop_assert_eq!(&got[lane], &want,
                 "lane {} diverged from its solo twin for {:?}", lane, &spec);
         }
     }
@@ -163,7 +153,7 @@ proptest! {
         let scenarios: Vec<FleetScenario> = (0..lanes)
             .map(|lane| scenario_from(traffic_sel, stall, seed, lane))
             .collect();
-        let got = run_fleet(&spec, &scenarios, 1, 150);
+        let got = run_fleet(&spec, &scenarios, 150);
         for (lane, sc) in scenarios.iter().enumerate() {
             let want = run_solo(&spec, sc, 150);
             prop_assert_eq!(&got[lane], &want,

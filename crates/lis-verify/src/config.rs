@@ -302,7 +302,6 @@ fn checker_system() -> System {
     // and these systems are small enough that blind sweeps win over
     // rebuilding scheduler activity state every step.
     system.set_settle_mode(SettleMode::FullSweep);
-    system.set_threads(1);
     system
 }
 

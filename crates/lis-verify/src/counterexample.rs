@@ -167,7 +167,6 @@ pub fn replay_on_soc(cx: &Counterexample, seeded: bool) -> ReplayVerdict {
     let scripts = cx.edge_scripts();
 
     let mut b = SocBuilder::new();
-    b.set_threads(1);
     let vio = b.violations_handle();
     let pearl = JoinPearl::new("join", shape.branches.len(), 1, &vio);
     let policy: Box<dyn SyncPolicy> = match shape.mutant {

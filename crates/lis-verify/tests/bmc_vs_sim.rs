@@ -41,7 +41,6 @@ fn sim_twin(
         .map(|e| schedule.iter().map(|m| (m >> e) & 1).collect())
         .collect();
     let mut b = SocBuilder::new();
-    b.set_threads(1);
     let vio = b.violations_handle();
     let pearl = JoinPearl::new("join", 1, 1, &vio);
     let policy = Box::new(SpPolicy::from_schedule(pearl.schedule()));
