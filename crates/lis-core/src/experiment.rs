@@ -579,6 +579,18 @@ fn settle_bench_soc(cfg: &SettleBenchConfig, mode: SettleMode) -> crate::soc::So
     b.build()
 }
 
+/// The median of repeated timings: the mean of the middle two for an
+/// even count.
+///
+/// # Panics
+///
+/// Panics if `xs` is empty.
+pub fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let n = xs.len();
+    (xs[(n - 1) / 2] + xs[n / 2]) / 2.0
+}
+
 /// Canonical bench label of a [`SettleMode`].
 pub fn engine_name(mode: SettleMode) -> &'static str {
     match mode {
@@ -675,11 +687,9 @@ pub fn settle_bench(
     let rows = rows
         .into_iter()
         .zip(walls)
-        .map(|(row, mut walls)| {
+        .map(|(row, walls)| {
             let mut row = row.expect("every engine ran");
-            walls.sort_by(f64::total_cmp);
-            let n = walls.len();
-            row.wall_ms = (walls[(n - 1) / 2] + walls[n / 2]) / 2.0;
+            row.wall_ms = median(walls);
             row.kcps = cfg.cycles as f64 / 1e3 / (row.wall_ms / 1e3);
             row
         })

@@ -118,13 +118,8 @@ impl FleetBuilder {
     ) -> FleetIpHandle {
         let name = name.into();
         assert_eq!(pearls.len(), self.lanes, "one pearl per lane");
-        let (inputs, outputs) = wrap_pearls_packed_full_netlist(
-            &mut self.system,
-            &name,
-            pearls,
-            controller,
-            &self.violations,
-        );
+        let (inputs, outputs) =
+            wrap_pearls_packed_full_netlist(&mut self.system, &name, pearls, controller);
         FleetIpHandle {
             name,
             inputs,
@@ -276,7 +271,6 @@ impl FleetBuilder {
                 &format!("{name}_l{lane}"),
                 pearl,
                 controller,
-                &self.violations[lane],
             );
             lane_inputs.push(ins);
             lane_outputs.push(outs);

@@ -200,8 +200,7 @@ impl SocBuilder {
         let controller = kind
             .generate_netlist(pearl.schedule())
             .expect("wrapper generation failed");
-        let (inputs, outputs) =
-            wrap_pearl_full_netlist(&mut self.system, &name, pearl, controller, &self.violations);
+        let (inputs, outputs) = wrap_pearl_full_netlist(&mut self.system, &name, pearl, controller);
         IpHandle {
             name,
             inputs,
@@ -218,8 +217,8 @@ impl SocBuilder {
     /// uncompressed or burst-compressed program
     /// ([`lis_wrappers::generate_sp`] over any
     /// [`lis_schedule::SpProgram`]). The controller must implement the
-    /// pearl's schedule; the wrapper harness checks protocol conformance
-    /// at runtime via the shared violation counter.
+    /// pearl's schedule: the gate-level shell records no violations, so
+    /// a wrong program shows only in the token streams.
     pub fn add_ip_full_netlist_with_controller(
         &mut self,
         name: impl Into<String>,
@@ -227,8 +226,7 @@ impl SocBuilder {
         controller: lis_netlist::Module,
     ) -> IpHandle {
         let name = name.into();
-        let (inputs, outputs) =
-            wrap_pearl_full_netlist(&mut self.system, &name, pearl, controller, &self.violations);
+        let (inputs, outputs) = wrap_pearl_full_netlist(&mut self.system, &name, pearl, controller);
         IpHandle {
             name,
             inputs,

@@ -82,9 +82,8 @@ impl Pearl for CrcPearl {
         &self.schedule
     }
 
-    fn clock(&mut self, inputs: &PortValues) -> PortValues {
+    fn clock(&mut self, inputs: &PortValues, out: &mut PortValues) {
         let io = self.schedule.at(self.step);
-        let mut out = PortValues::empty(1);
         if io.reads.contains(0) {
             let byte = inputs.get(0).expect("scheduled byte") as u8;
             self.crc ^= u32::from(byte);
@@ -101,7 +100,6 @@ impl Pearl for CrcPearl {
             self.crc = 0xFFFF_FFFF;
         }
         self.step = (self.step + 1) % self.schedule.period();
-        out
     }
 
     fn reset(&mut self) {
@@ -133,7 +131,8 @@ mod tests {
         for (i, &byte) in data.iter().enumerate() {
             let mut ins = PortValues::empty(1);
             ins.set(0, u64::from(byte));
-            let produced = pearl.clock(&ins);
+            let mut produced = PortValues::empty(1);
+            pearl.clock(&ins, &mut produced);
             if let Some(v) = produced.get(0) {
                 outs.push(v as u32);
             }
@@ -159,7 +158,7 @@ mod tests {
         let mut pearl = CrcPearl::new("crc");
         let mut ins = PortValues::empty(1);
         ins.set(0, 0xAB);
-        pearl.clock(&ins);
+        pearl.clock(&ins, &mut PortValues::empty(1));
         pearl.reset();
         assert_eq!(pearl.step, 0);
         assert_eq!(pearl.crc, 0xFFFF_FFFF);

@@ -106,7 +106,7 @@ impl Pearl for DataflowPearl {
         &self.schedule
     }
 
-    fn clock(&mut self, inputs: &PortValues) -> PortValues {
+    fn clock(&mut self, inputs: &PortValues, outputs: &mut PortValues) {
         let io = self.schedule.at(self.step);
         for port in io.reads.iter() {
             self.collected[port].push(inputs.get(port).expect("scheduled input"));
@@ -123,12 +123,10 @@ impl Pearl for DataflowPearl {
             }
             self.collected.iter_mut().for_each(Vec::clear);
         }
-        let mut out = PortValues::empty(self.pending.len());
         for port in io.writes.iter() {
-            out.set(port, self.pending[port].pop_front().unwrap_or(0));
+            outputs.set(port, self.pending[port].pop_front().unwrap_or(0));
         }
         self.step = (self.step + 1) % self.schedule.period();
-        out
     }
 
     fn reset(&mut self) {
@@ -196,7 +194,7 @@ impl Pearl for MatMulPearl {
         &self.schedule
     }
 
-    fn clock(&mut self, inputs: &PortValues) -> PortValues {
+    fn clock(&mut self, inputs: &PortValues, outputs: &mut PortValues) {
         let n2 = MATMUL_DIM * MATMUL_DIM;
         let io = self.schedule.at(self.step);
         if io.reads.contains(0) {
@@ -222,12 +220,10 @@ impl Pearl for MatMulPearl {
             self.a.clear();
             self.b.clear();
         }
-        let mut out = PortValues::empty(1);
         if io.writes.contains(0) {
-            out.set(0, self.c.pop_front().unwrap_or(0));
+            outputs.set(0, self.c.pop_front().unwrap_or(0));
         }
         self.step = (self.step + 1) % self.schedule.period();
-        out
     }
 
     fn reset(&mut self) {
@@ -259,7 +255,9 @@ mod tests {
                 inputs.set(port, input_for(port, seen[port]));
                 seen[port] += 1;
             }
-            for (port, v) in pearl.clock(&inputs).occupied() {
+            let mut produced = PortValues::empty(n_out);
+            pearl.clock(&inputs, &mut produced);
+            for (port, v) in produced.occupied() {
                 outs[port].push(v);
             }
         }
@@ -309,13 +307,14 @@ mod tests {
         .unwrap();
         let mut ins = PortValues::empty(1);
         ins.set(0, 42);
-        pearl.clock(&ins);
+        pearl.clock(&ins, &mut PortValues::empty(1));
         pearl.reset();
         // After reset, the first period starts fresh.
         let mut ins = PortValues::empty(1);
         ins.set(0, 7);
-        pearl.clock(&ins);
-        let out = pearl.clock(&PortValues::empty(1));
+        pearl.clock(&ins, &mut PortValues::empty(1));
+        let mut out = PortValues::empty(1);
+        pearl.clock(&PortValues::empty(1), &mut out);
         // period = 2: write happens at step 1.
         assert!(out.get(0).is_none() || out.get(0) == Some(7));
     }

@@ -88,9 +88,8 @@ impl Pearl for ViterbiPearl {
         &self.schedule
     }
 
-    fn clock(&mut self, inputs: &PortValues) -> PortValues {
+    fn clock(&mut self, inputs: &PortValues, out: &mut PortValues) {
         let io = self.schedule.at(self.step);
-        let mut out = PortValues::empty(3);
         if io.reads.contains(0) {
             self.ctrl = inputs.get(0).expect("scheduled ctrl");
             self.symbols.clear();
@@ -125,7 +124,6 @@ impl Pearl for ViterbiPearl {
             self.frame += 1;
         }
         self.step = (self.step + 1) % self.schedule.period();
-        out
     }
 
     fn reset(&mut self) {
@@ -214,9 +212,8 @@ impl Pearl for RsPearl {
         &self.schedule
     }
 
-    fn clock(&mut self, inputs: &PortValues) -> PortValues {
+    fn clock(&mut self, inputs: &PortValues, out: &mut PortValues) {
         let io = self.schedule.at(self.step);
-        let mut out = PortValues::empty(2);
         if io.reads.contains(1) {
             let _frame_id = inputs.get(1).expect("scheduled marker");
         }
@@ -245,7 +242,6 @@ impl Pearl for RsPearl {
             );
         }
         self.step = (self.step + 1) % self.schedule.period();
-        out
     }
 
     fn reset(&mut self) {
@@ -311,9 +307,8 @@ impl Pearl for FirPearl {
         &self.schedule
     }
 
-    fn clock(&mut self, inputs: &PortValues) -> PortValues {
+    fn clock(&mut self, inputs: &PortValues, out: &mut PortValues) {
         let io = self.schedule.at(self.step);
-        let mut out = PortValues::empty(1);
         if io.reads.contains(0) {
             let raw = inputs.get(0).expect("scheduled sample") as u16 as i16;
             self.delay_line.rotate_right(1);
@@ -329,7 +324,6 @@ impl Pearl for FirPearl {
             out.set(0, (self.pending as i32) as u32 as u64);
         }
         self.step = (self.step + 1) % self.schedule.period();
-        out
     }
 
     fn reset(&mut self) {
@@ -387,7 +381,8 @@ mod tests {
                 inputs.set(port, input_for(port, reads_seen[port]));
                 reads_seen[port] += 1;
             }
-            let produced = pearl.clock(&inputs);
+            let mut produced = PortValues::empty(n_out);
+            pearl.clock(&inputs, &mut produced);
             for (port, v) in produced.occupied() {
                 outs[port].push(v);
             }
@@ -494,13 +489,13 @@ mod tests {
         let mut p = ViterbiPearl::new("v");
         let mut ins = PortValues::empty(2);
         ins.set(0, 7);
-        p.clock(&ins);
+        p.clock(&ins, &mut PortValues::empty(3));
         p.reset();
         assert_eq!(p.step, 0);
         let mut r = RsPearl::new("r");
         let mut ins = PortValues::empty(2);
         ins.set(1, 7);
-        r.clock(&ins);
+        r.clock(&ins, &mut PortValues::empty(2));
         r.reset();
         assert_eq!(r.step, 0);
     }

@@ -57,6 +57,11 @@ impl PortValues {
         self.values[port] = Some(value);
     }
 
+    /// Marks every port absent, keeping the frame's size and storage.
+    pub fn clear(&mut self) {
+        self.values.fill(None);
+    }
+
     /// Ports carrying a value this cycle.
     pub fn occupied(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.values
@@ -86,9 +91,11 @@ impl fmt::Display for PortValues {
 ///
 /// The shell calls [`Pearl::clock`] exactly once per enabled cycle, in
 /// schedule order: on enabled cycle `t`, `inputs` carries a value for
-/// every port in `schedule().at(t).reads`, and the returned frame must
-/// carry a value for every port in `schedule().at(t).writes` (and no
-/// others). [`Pearl::reset`] rewinds to enabled cycle 0.
+/// every port in `schedule().at(t).reads`, and the pearl must set a
+/// value in `outputs` for every port in `schedule().at(t).writes` (and
+/// no others). The shell owns both frames and reuses them from cycle to
+/// cycle, so clocking a pearl allocates nothing. [`Pearl::reset`]
+/// rewinds to enabled cycle 0.
 pub trait Pearl: Send {
     /// Instance name.
     fn name(&self) -> &str;
@@ -99,8 +106,9 @@ pub trait Pearl: Send {
     /// The cyclic I/O schedule the wrapper enforces.
     fn schedule(&self) -> &IoSchedule;
 
-    /// Executes one enabled cycle.
-    fn clock(&mut self, inputs: &PortValues) -> PortValues;
+    /// Executes one enabled cycle, writing its outputs into `outputs`:
+    /// one slot per output port, every slot absent on entry.
+    fn clock(&mut self, inputs: &PortValues, outputs: &mut PortValues);
 
     /// Returns to the power-up state (enabled cycle 0).
     fn reset(&mut self);
@@ -179,10 +187,8 @@ impl Pearl for AccumulatorPearl {
         &self.schedule
     }
 
-    fn clock(&mut self, inputs: &PortValues) -> PortValues {
+    fn clock(&mut self, inputs: &PortValues, outputs: &mut PortValues) {
         let io = self.schedule.at(self.step);
-        let n_out = self.schedule.n_outputs();
-        let mut out = PortValues::empty(n_out);
         for port in io.reads.iter() {
             self.held[port] = inputs
                 .get(port)
@@ -193,11 +199,10 @@ impl Pearl for AccumulatorPearl {
                 .acc
                 .wrapping_add(self.held.iter().copied().fold(0u64, u64::wrapping_add));
             for port in io.writes.iter() {
-                out.set(port, self.acc);
+                outputs.set(port, self.acc);
             }
         }
         self.step = (self.step + 1) % self.schedule.period();
-        out
     }
 
     fn reset(&mut self) {
@@ -236,6 +241,15 @@ mod tests {
         assert_eq!(pv.occupied().collect::<Vec<_>>(), vec![(1, 42)]);
         assert_eq!(pv.to_string(), "[·, 42, ·]");
         assert_eq!(pv.get(17), None, "out of range reads are None");
+        pv.clear();
+        assert_eq!(pv, PortValues::empty(3), "clear keeps the frame size");
+    }
+
+    /// Clocks `p` once into a fresh output frame.
+    fn clock(p: &mut AccumulatorPearl, inputs: &PortValues) -> PortValues {
+        let mut out = PortValues::empty(p.schedule().n_outputs());
+        p.clock(inputs, &mut out);
+        out
     }
 
     #[test]
@@ -249,26 +263,26 @@ mod tests {
         let mut ins = PortValues::empty(2);
         ins.set(0, 10);
         ins.set(1, 5);
-        let out = p.clock(&ins);
+        let out = clock(&mut p, &ins);
         assert_eq!(out.occupied().count(), 0);
         // Quiet cycles.
         for _ in 0..3 {
-            let out = p.clock(&PortValues::empty(2));
+            let out = clock(&mut p, &PortValues::empty(2));
             assert_eq!(out.occupied().count(), 0);
         }
         // Write cycle: emits accumulated sum.
-        let out = p.clock(&PortValues::empty(2));
+        let out = clock(&mut p, &PortValues::empty(2));
         assert_eq!(out.get(0), Some(15));
 
         // Second period accumulates again.
         let mut ins = PortValues::empty(2);
         ins.set(0, 1);
         ins.set(1, 2);
-        p.clock(&ins);
+        clock(&mut p, &ins);
         for _ in 0..3 {
-            p.clock(&PortValues::empty(2));
+            clock(&mut p, &PortValues::empty(2));
         }
-        let out = p.clock(&PortValues::empty(2));
+        let out = clock(&mut p, &PortValues::empty(2));
         assert_eq!(out.get(0), Some(18));
     }
 
@@ -277,12 +291,12 @@ mod tests {
         let mut p = AccumulatorPearl::new("acc", 1, 1, 0);
         let mut ins = PortValues::empty(1);
         ins.set(0, 7);
-        p.clock(&ins);
+        clock(&mut p, &ins);
         p.reset();
         let mut ins = PortValues::empty(1);
         ins.set(0, 3);
-        p.clock(&ins);
-        let out = p.clock(&PortValues::empty(1));
+        clock(&mut p, &ins);
+        let out = clock(&mut p, &PortValues::empty(1));
         assert_eq!(out.get(0), Some(3), "accumulator cleared by reset");
     }
 }

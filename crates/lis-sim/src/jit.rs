@@ -1547,6 +1547,13 @@ fn init_state<W: SimWord>(prog: &JitNetlistProgram) -> Vec<W> {
 /// ([`crate::NetlistSim`]), executing the fused, run-sorted
 /// [`JitNetlistProgram`] — no per-cell allocation, no id-chasing, one
 /// branch per run, dense slots.
+///
+/// The engine knows whether its slot values are *settled*: computed
+/// from the current inputs and flip-flop state. Driving an input with a
+/// new word, a commit that moves a flip-flop, [`JitNetlistSim::set_dff_state`]
+/// and [`JitNetlistSim::reset_state`] make them stale;
+/// [`JitNetlistSim::step_changed`] evaluates only stale values, while
+/// [`JitNetlistSim::eval`] always runs a pass.
 #[derive(Debug, Clone)]
 pub struct JitNetlistSim {
     module: Module,
@@ -1555,6 +1562,13 @@ pub struct JitNetlistSim {
     /// Registered state, indexed like `prog.dffs` (same program order
     /// as the other engines — the checkpoint seam).
     state: Vec<bool>,
+    /// The word last driven on each input port, masked to the port's
+    /// width, so re-driving an unchanged word costs one compare.
+    input_words: Vec<u64>,
+    /// `values` are settled for the current inputs and state.
+    settled: bool,
+    /// Program passes run so far.
+    passes: u64,
 }
 
 impl JitNetlistSim {
@@ -1567,11 +1581,15 @@ impl JitNetlistSim {
         let prog = JitNetlistProgram::compile(&module)?;
         let values = init_values(&prog);
         let state = init_state(&prog);
+        let input_words = vec![0; prog.inputs.len()];
         Ok(JitNetlistSim {
             module,
             prog,
             values,
             state,
+            input_words,
+            settled: false,
+            passes: 0,
         })
     }
 
@@ -1590,6 +1608,7 @@ impl JitNetlistSim {
         for (s, d) in self.state.iter_mut().zip(&self.prog.dffs) {
             *s = d.reset_value;
         }
+        self.settled = false;
     }
 
     /// The registered flip-flop state, in module cell order (the
@@ -1608,6 +1627,7 @@ impl JitNetlistSim {
     pub fn set_dff_state(&mut self, state: &[bool]) {
         assert_eq!(state.len(), self.state.len(), "dff state length mismatch");
         self.state.copy_from_slice(state);
+        self.settled = false;
     }
 
     /// Resolves an input port name to a [`PortHandle`].
@@ -1628,7 +1648,8 @@ impl JitNetlistSim {
         self.prog.resolve_output(&self.module, name)
     }
 
-    /// Drives an input port through a pre-resolved handle.
+    /// Drives an input port through a pre-resolved handle. Re-driving
+    /// the word the port already holds leaves the values settled.
     ///
     /// # Panics
     ///
@@ -1636,6 +1657,16 @@ impl JitNetlistSim {
     pub fn set_input_h(&mut self, h: PortHandle, value: u64) {
         assert!(!h.output, "set_input_h needs an input handle");
         let (_, slots) = &self.prog.inputs[h.index];
+        let value = if slots.len() < 64 {
+            value & ((1 << slots.len()) - 1)
+        } else {
+            value
+        };
+        if self.input_words[h.index] == value {
+            return;
+        }
+        self.input_words[h.index] = value;
+        self.settled = false;
         for (i, &slot) in slots.iter().enumerate() {
             self.values[slot as usize] = i < 64 && (value >> i) & 1 == 1;
         }
@@ -1680,22 +1711,37 @@ impl JitNetlistSim {
     }
 
     /// Settles combinational logic: flip-flop outputs take their stored
-    /// state, then every run executes once.
+    /// state, then every run executes once. Always runs a pass, even
+    /// when the values are already settled.
     pub fn eval(&mut self) {
         eval_jit(&self.prog, &mut self.values, &self.state, &rom_read_scalar);
+        self.settled = true;
+        self.passes += 1;
     }
 
-    /// One clock cycle: [`JitNetlistSim::eval`] then per-class
-    /// flip-flop commit.
+    /// One clock cycle: [`JitNetlistSim::eval`] unless the values are
+    /// already settled, then per-class flip-flop commit.
     pub fn step(&mut self) {
         self.step_changed();
     }
 
     /// [`JitNetlistSim::step`], reporting whether any flip-flop changed
-    /// value.
+    /// value. The outputs keep their pre-commit values, as after any
+    /// step.
     pub fn step_changed(&mut self) -> bool {
-        self.eval();
-        commit_jit(&self.prog, &self.values, &mut self.state)
+        if !self.settled {
+            self.eval();
+        }
+        let changed = commit_jit(&self.prog, &self.values, &mut self.state);
+        self.settled &= !changed;
+        changed
+    }
+
+    /// Program passes run so far: every [`JitNetlistSim::eval`], plus
+    /// the evaluations [`JitNetlistSim::step_changed`] ran on stale
+    /// values.
+    pub fn passes(&self) -> u64 {
+        self.passes
     }
 }
 
@@ -1736,6 +1782,11 @@ impl NetlistExec for JitNetlistSim {
 /// independent per lane; ROM reads gather a per-lane address. The
 /// [`NetlistExec`] impl broadcasts `set_input` to every lane and reads
 /// `get_output` from lane 0.
+///
+/// Values are settled or stale exactly as in [`JitNetlistSim`]: a lane
+/// word that changes any input bit, a commit that moves a flip-flop in
+/// any lane, [`JitPackedNetlistSim::set_dff_state`] and
+/// [`JitPackedNetlistSim::reset_state`] make them stale.
 #[derive(Debug)]
 pub struct JitPackedNetlistSim {
     module: Module,
@@ -1743,6 +1794,10 @@ pub struct JitPackedNetlistSim {
     values: Vec<u64>,
     /// Registered state, indexed like `prog.dffs`; one bit per lane.
     state: Vec<u64>,
+    /// `values` are settled for the current inputs and state.
+    settled: bool,
+    /// Program passes run so far.
+    passes: u64,
 }
 
 impl JitPackedNetlistSim {
@@ -1761,6 +1816,8 @@ impl JitPackedNetlistSim {
             prog,
             values,
             state,
+            settled: false,
+            passes: 0,
         })
     }
 
@@ -1784,6 +1841,7 @@ impl JitPackedNetlistSim {
         for (s, d) in self.state.iter_mut().zip(&self.prog.dffs) {
             *s = if d.reset_value { u64::MAX } else { 0 };
         }
+        self.settled = false;
     }
 
     /// The registered flip-flop state, in module cell order, one bit per
@@ -1802,6 +1860,7 @@ impl JitPackedNetlistSim {
     pub fn set_dff_state(&mut self, state: &[u64]) {
         assert_eq!(state.len(), self.state.len(), "dff state length mismatch");
         self.state.copy_from_slice(state);
+        self.settled = false;
     }
 
     /// Resolves an input port name to a [`PortHandle`].
@@ -1831,7 +1890,9 @@ impl JitPackedNetlistSim {
     pub fn set_input_bit_lanes(&mut self, h: PortHandle, bit: usize, lanes: u64) {
         assert!(!h.output, "set_input_bit_lanes needs an input handle");
         let (_, slots) = &self.prog.inputs[h.index];
-        self.values[slots[bit] as usize] = lanes;
+        let w = &mut self.values[slots[bit] as usize];
+        self.settled &= *w == lanes;
+        *w = lanes;
     }
 
     /// Reads bit `bit` of an output port across all lanes.
@@ -1858,7 +1919,9 @@ impl JitPackedNetlistSim {
         for (i, &slot) in slots.iter().enumerate() {
             let bit = u64::from(i < 64 && (value >> i) & 1 == 1);
             let w = &mut self.values[slot as usize];
-            *w = (*w & !(1 << lane)) | (bit << lane);
+            let lanes = (*w & !(1 << lane)) | (bit << lane);
+            self.settled &= *w == lanes;
+            *w = lanes;
         }
     }
 
@@ -1886,11 +1949,10 @@ impl JitPackedNetlistSim {
         let h = self.input_handle(port)?;
         let (_, slots) = &self.prog.inputs[h.index];
         for (i, &slot) in slots.iter().enumerate() {
-            self.values[slot as usize] = if i < 64 && (value >> i) & 1 == 1 {
-                u64::MAX
-            } else {
-                0
-            };
+            let lanes = u64::splat(i < 64 && (value >> i) & 1 == 1);
+            let w = &mut self.values[slot as usize];
+            self.settled &= *w == lanes;
+            *w = lanes;
         }
         Ok(())
     }
@@ -1927,22 +1989,37 @@ impl JitPackedNetlistSim {
         Ok(self.get_output_lane_h(h, lane))
     }
 
-    /// Settles combinational logic in every lane.
+    /// Settles combinational logic in every lane. Always runs a pass,
+    /// even when the values are already settled.
     pub fn eval(&mut self) {
         eval_jit(&self.prog, &mut self.values, &self.state, &rom_read_packed);
+        self.settled = true;
+        self.passes += 1;
     }
 
-    /// One clock cycle in every lane: eval then per-class, per-lane
+    /// One clock cycle in every lane: [`JitPackedNetlistSim::eval`]
+    /// unless the values are already settled, then per-class, per-lane
     /// flip-flop commit.
     pub fn step(&mut self) {
         self.step_changed();
     }
 
     /// [`JitPackedNetlistSim::step`], reporting whether any flip-flop
-    /// changed in *any* lane.
+    /// changed in *any* lane. The outputs keep their pre-commit values.
     pub fn step_changed(&mut self) -> bool {
-        self.eval();
-        commit_jit(&self.prog, &self.values, &mut self.state)
+        if !self.settled {
+            self.eval();
+        }
+        let changed = commit_jit(&self.prog, &self.values, &mut self.state);
+        self.settled &= !changed;
+        changed
+    }
+
+    /// Program passes run so far: every [`JitPackedNetlistSim::eval`],
+    /// plus the evaluations [`JitPackedNetlistSim::step_changed`] ran
+    /// on stale values.
+    pub fn passes(&self) -> u64 {
+        self.passes
     }
 }
 

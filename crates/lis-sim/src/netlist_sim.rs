@@ -164,6 +164,28 @@ impl NetlistSim {
         }
     }
 
+    /// The registered flip-flop state, in module cell order (the layout
+    /// of [`crate::JitNetlistSim::dff_state`]).
+    pub fn dff_state(&self) -> Vec<bool> {
+        self.seq_cells.iter().map(|&i| self.ff_state[i]).collect()
+    }
+
+    /// Restores flip-flop state captured by [`NetlistSim::dff_state`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` does not have one entry per flip-flop.
+    pub fn set_dff_state(&mut self, state: &[bool]) {
+        assert_eq!(
+            state.len(),
+            self.seq_cells.len(),
+            "dff state length mismatch"
+        );
+        for (&i, &q) in self.seq_cells.iter().zip(state) {
+            self.ff_state[i] = q;
+        }
+    }
+
     /// Drives an input port with `value` (LSB-first).
     ///
     /// Ports wider than 64 bits are driven explicitly: bit `i >= 64`

@@ -10,7 +10,10 @@
 //! (the exact shapes the JIT lowering collapses into wide
 //! superinstructions) — and assert all executors agree **cycle for
 //! cycle on every output port** under random stimulus, including reset
-//! pulses.
+//! pulses. Random call sequences — repeated input words, `eval`,
+//! `step_changed` and output reads back to back, flip-flop loads and
+//! resets mid-run — pin the JIT engines' settled-value tracking to the
+//! interpreter, which evaluates on every call.
 
 use lis_netlist::{Bus, Module, ModuleBuilder, NetId};
 use lis_sim::{JitNetlistSim, JitPackedNetlistSim, NetlistExec, NetlistSim};
@@ -177,7 +180,160 @@ fn reference_run(module: &Module, stim: &[Vec<u64>]) -> Vec<Vec<u64>> {
         .collect()
 }
 
+/// One call of a [`Trio`] sequence.
+#[derive(Debug, Clone)]
+enum Call {
+    /// Drive every input port: lane 0 of the packed engine, or every
+    /// lane when the flag is set.
+    Inputs(Vec<u64>, bool),
+    Eval,
+    Step,
+    StepChanged,
+    /// Load flip-flop state: lane 0's bits, then the other lanes'.
+    SetDffState(Vec<bool>, Vec<u64>),
+    ResetState,
+}
+
+/// A random call sequence: input words repeat half the time, and every
+/// call kind can follow every other.
+fn call_sequence(seed: u64, module: &Module, dffs: usize, len: usize) -> Vec<Call> {
+    let mut rng = Mix::seeded(seed ^ 0x5EC5);
+    let mut last: Vec<u64> = module.inputs.iter().map(|_| 0).collect();
+    (0..len)
+        .map(|_| match rng.below(6) {
+            0 => {
+                if rng.chance(50) {
+                    for (word, port) in last.iter_mut().zip(&module.inputs) {
+                        *word = if port.name == "rst" {
+                            u64::from(rng.chance(20))
+                        } else {
+                            rng.next()
+                        };
+                    }
+                }
+                Call::Inputs(last.clone(), rng.chance(50))
+            }
+            1 => Call::Eval,
+            2 => Call::Step,
+            3 => Call::StepChanged,
+            4 if rng.chance(50) => Call::ResetState,
+            _ => Call::SetDffState(
+                (0..dffs).map(|_| rng.chance(50)).collect(),
+                (0..dffs).map(|_| rng.next()).collect(),
+            ),
+        })
+        .collect()
+}
+
+/// The interpreter, the scalar JIT and the packed JIT, driven in step.
+struct Trio {
+    interp: NetlistSim,
+    jit: JitNetlistSim,
+    packed: JitPackedNetlistSim,
+}
+
+impl Trio {
+    fn new(module: &Module) -> Self {
+        let mut trio = Trio {
+            interp: NetlistSim::new(module.clone()).unwrap(),
+            jit: JitNetlistSim::new(module.clone()).unwrap(),
+            packed: JitPackedNetlistSim::new(module.clone()).unwrap(),
+        };
+        // Constant nets exist only after a first evaluation.
+        trio.call(module, &Call::Eval);
+        trio
+    }
+
+    /// Applies `call` to all three engines; returns the `step_changed`
+    /// answers of the interpreter and the scalar JIT, if it was one.
+    fn call(&mut self, module: &Module, call: &Call) -> Option<(bool, bool)> {
+        match call {
+            Call::Inputs(words, broadcast) => {
+                for (port, &v) in module.inputs.iter().zip(words) {
+                    self.interp.set_input(&port.name, v).unwrap();
+                    self.jit.set_input(&port.name, v).unwrap();
+                    if *broadcast {
+                        self.packed.set_input_all(&port.name, v).unwrap();
+                    } else {
+                        self.packed.set_input_lane(0, &port.name, v).unwrap();
+                    }
+                }
+            }
+            Call::Eval => {
+                self.interp.eval();
+                self.jit.eval();
+                self.packed.eval();
+            }
+            Call::Step => {
+                self.interp.step();
+                self.jit.step();
+                self.packed.step();
+            }
+            Call::StepChanged => {
+                let answers = (self.interp.step_changed(), self.jit.step_changed());
+                self.packed.step_changed();
+                return Some(answers);
+            }
+            Call::SetDffState(lane0, others) => {
+                self.interp.set_dff_state(lane0);
+                self.jit.set_dff_state(lane0);
+                let planes: Vec<u64> = lane0
+                    .iter()
+                    .zip(others)
+                    .map(|(&bit, &rest)| (rest & !1) | u64::from(bit))
+                    .collect();
+                self.packed.set_dff_state(&planes);
+            }
+            Call::ResetState => {
+                self.interp.reset_state();
+                self.jit.reset_state();
+                self.packed.reset_state();
+            }
+        }
+        None
+    }
+}
+
 proptest! {
+    /// Every engine agrees on the flip-flop state after every call of a
+    /// random sequence, and on every output whenever outputs are defined
+    /// (no input driven since the last evaluating call), so no call may
+    /// leave a JIT engine committing or reading values that are no
+    /// longer settled.
+    #[test]
+    fn call_sequences_agree_after_every_call(seed in any::<u64>(), n_gates in 1usize..60, len in 1usize..40) {
+        let module = random_module(seed, n_gates);
+        let dffs = NetlistSim::new(module.clone()).unwrap().dff_state().len();
+        let calls = call_sequence(seed, &module, dffs, len);
+        let mut trio = Trio::new(&module);
+        let mut outputs_defined = true;
+        for (t, call) in calls.iter().enumerate() {
+            if let Some((interp, jit)) = trio.call(&module, call) {
+                prop_assert_eq!(interp, jit, "call {} {:?}: step_changed (seed {:#x})", t, call, seed);
+            }
+            match call {
+                Call::Inputs(..) => outputs_defined = false,
+                Call::Eval | Call::Step | Call::StepChanged => outputs_defined = true,
+                Call::SetDffState(..) | Call::ResetState => {}
+            }
+            for port in module.outputs.iter().filter(|_| outputs_defined) {
+                let want = trio.interp.get_output(&port.name).unwrap();
+                prop_assert_eq!(
+                    trio.jit.get_output(&port.name).unwrap(), want,
+                    "call {} {:?}: jit output {} (seed {:#x})", t, call, &port.name, seed
+                );
+                prop_assert_eq!(
+                    trio.packed.get_output_lane(0, &port.name).unwrap(), want,
+                    "call {} {:?}: packed output {} (seed {:#x})", t, call, &port.name, seed
+                );
+            }
+            let state = trio.interp.dff_state();
+            prop_assert_eq!(trio.jit.dff_state(), &state[..], "call {} {:?} (seed {:#x})", t, call, seed);
+            let lane0: Vec<bool> = trio.packed.dff_state().iter().map(|w| w & 1 == 1).collect();
+            prop_assert_eq!(lane0, state, "call {} {:?}: packed lane 0 (seed {:#x})", t, call, seed);
+        }
+    }
+
     /// The 64-lane packed JIT engine, on its sequential path, agrees with
     /// the interpreter in every checked lane, each lane carrying an
     /// independent stimulus stream.

@@ -24,6 +24,7 @@ use crate::topology::{
     source_token, Endpoint, NodeModel, SyncVariant, TopologyGraph, TopologyShape, TopologySpec,
     TrafficPattern, CHANNEL_WIDTH,
 };
+use lis_core::experiment::median;
 use lis_core::{FleetBuilder, FleetIpHandle, SocFleet};
 use lis_proto::{AccumulatorPearl, PackedLisChannel, Pearl};
 use lis_schedule::uncompressed;
@@ -564,22 +565,74 @@ pub struct FleetReport {
     pub speedup_scenario_throughput: f64,
 }
 
-/// Runs the fleet bench: every scenario solo and sequentially, then the
-/// same scenarios lane-batched, comparing streams lane by lane.
+/// Timed rounds of the fleet bench; each side reports its median.
+pub const FLEET_BENCH_REPS: usize = 5;
+
+/// Runs the fleet bench [`FLEET_BENCH_REPS`] times: every scenario
+/// solo and sequentially, then the same scenarios lane-batched,
+/// comparing streams lane by lane. The two sides alternate within every
+/// round, so drift on a shared host hits them alike; each row reports
+/// its median wall time, and the speedup is the ratio of the two
+/// medians. Every round must repeat the first one's streams exactly.
+///
+/// # Panics
+///
+/// Panics if a round's stable fields differ from the first round's.
 pub fn fleet_bench(cfg: &FleetBenchConfig, threads: usize) -> FleetReport {
     let base = cfg.base_spec();
     let scenarios: Vec<FleetScenario> = (0..cfg.lanes)
         .map(|lane| fleet_scenario(cfg.base_seed, lane))
         .collect();
+    let pool = WorkStealingPool::new(threads);
+    let stable = |r: &FleetReport| {
+        (
+            (r.solo.tokens, r.solo.checksum, r.solo.stream_exact),
+            (r.fleet.tokens, r.fleet.checksum, r.fleet.stream_exact),
+            r.lanes_bit_identical,
+        )
+    };
+    let mut first: Option<FleetReport> = None;
+    let (mut solo_walls, mut fleet_walls) = (Vec::new(), Vec::new());
+    for _ in 0..FLEET_BENCH_REPS {
+        let round = fleet_round(cfg, &base, &scenarios, &pool);
+        solo_walls.push(round.solo.wall_ms);
+        fleet_walls.push(round.fleet.wall_ms);
+        match &first {
+            None => first = Some(round),
+            Some(first) => assert_eq!(
+                stable(first),
+                stable(&round),
+                "every fleet bench round must repeat the first exactly"
+            ),
+        }
+    }
+    let mut report = first.expect("at least one round");
+    for (row, walls) in [
+        (&mut report.solo, solo_walls),
+        (&mut report.fleet, fleet_walls),
+    ] {
+        row.wall_ms = median(walls);
+        row.scenario_kcps = (cfg.lanes as u64 * cfg.cycles) as f64 / row.wall_ms;
+    }
+    report.speedup_scenario_throughput = report.fleet.scenario_kcps / report.solo.scenario_kcps;
+    report
+}
 
+/// One fleet-bench round: the solo pass, then the fleet pass.
+fn fleet_round(
+    cfg: &FleetBenchConfig,
+    base: &TopologySpec,
+    scenarios: &[FleetScenario],
+    pool: &WorkStealingPool,
+) -> FleetReport {
     // Solo pass: one SoC per scenario, run back to back. Build time is
     // excluded on both sides; the rows time simulation only.
     let mut solo_streams = Vec::with_capacity(cfg.lanes);
     let mut solo_violations = Vec::with_capacity(cfg.lanes);
     let mut solo_wall_ms = 0.0;
     let mut solo_exact = true;
-    for sc in &scenarios {
-        let mut topo = TopologyBuilder::new(sc.solo_spec(&base)).build();
+    for sc in scenarios {
+        let mut topo = TopologyBuilder::new(sc.solo_spec(base)).build();
         let start = Instant::now();
         topo.soc.run(cfg.cycles).expect("fleet bench solo run");
         solo_wall_ms += start.elapsed().as_secs_f64() * 1e3;
@@ -600,10 +653,9 @@ pub fn fleet_bench(cfg: &FleetBenchConfig, threads: usize) -> FleetReport {
     };
 
     // Fleet pass: the same scenarios through shared packed shells.
-    let mut fleet = FleetTopologyBuilder::new(base, scenarios).build();
-    let pool = WorkStealingPool::new(threads);
+    let mut fleet = FleetTopologyBuilder::new(base.clone(), scenarios.to_vec()).build();
     let start = Instant::now();
-    fleet.run(cfg.cycles, &pool).expect("fleet bench fleet run");
+    fleet.run(cfg.cycles, pool).expect("fleet bench fleet run");
     let fleet_wall_ms = start.elapsed().as_secs_f64() * 1e3;
 
     let mut lanes_bit_identical = true;

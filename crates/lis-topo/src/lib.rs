@@ -73,7 +73,7 @@ pub use build::{build_soc, GeneratedSoc, TopoStats, TopologyBuilder};
 pub use e7::{assert_e7_streams, e7_bench, E7Config, E7Report, E7Row};
 pub use fleet::{
     assert_fleet_lanes, build_fleet, fleet_bench, fleet_scenario, FleetBenchConfig, FleetReport,
-    FleetRow, FleetScenario, FleetStats, FleetTopologyBuilder, GeneratedFleet,
+    FleetRow, FleetScenario, FleetStats, FleetTopologyBuilder, GeneratedFleet, FLEET_BENCH_REPS,
 };
 pub use oracle::{expected_sink_streams, stream_checksum};
 pub use topology::{

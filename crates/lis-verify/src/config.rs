@@ -319,8 +319,7 @@ pub fn packed_sp(name: &str, relays_before: usize, relays_after: usize) -> Close
     let controller = WrapperKind::Sp
         .generate_netlist(&schedule)
         .expect("SP controller for the join schedule");
-    let (ins, outs) =
-        wrap_pearls_packed_full_netlist(&mut system, "sp", pearls, controller, &lane_violations);
+    let (ins, outs) = wrap_pearls_packed_full_netlist(&mut system, "sp", pearls, controller);
 
     let mut probes = vec![
         Probe::Packed(ins[0].clone()),
@@ -443,8 +442,7 @@ pub fn packed_spj(name: &str) -> ClosedConfig {
     let controller = WrapperKind::Sp
         .generate_netlist(&schedule)
         .expect("SP controller for the join schedule");
-    let (ins, outs) =
-        wrap_pearls_packed_full_netlist(&mut system, "spj", pearls, controller, &lane_violations);
+    let (ins, outs) = wrap_pearls_packed_full_netlist(&mut system, "spj", pearls, controller);
 
     let mut probes = vec![Probe::Packed(outs[0].clone())];
     let mut edges = Vec::new();

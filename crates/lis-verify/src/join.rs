@@ -74,9 +74,8 @@ impl Pearl for JoinPearl {
         &self.schedule
     }
 
-    fn clock(&mut self, inputs: &PortValues) -> PortValues {
+    fn clock(&mut self, inputs: &PortValues, outputs: &mut PortValues) {
         let io = self.schedule.at(self.step);
-        let mut out = PortValues::empty(1);
         for port in io.reads.iter() {
             self.held[port] = inputs
                 .get(port)
@@ -86,10 +85,9 @@ impl Pearl for JoinPearl {
             if self.held.iter().any(|&v| v != self.held[0]) {
                 self.mismatches.record();
             }
-            out.set(0, self.held[0]);
+            outputs.set(0, self.held[0]);
         }
         self.step = (self.step + 1) % self.schedule.period();
-        out
     }
 
     fn reset(&mut self) {
@@ -114,6 +112,13 @@ impl Pearl for JoinPearl {
 mod tests {
     use super::*;
 
+    /// Clocks `p` once into a fresh output frame.
+    fn clock(p: &mut JoinPearl, inputs: &PortValues) -> PortValues {
+        let mut out = PortValues::empty(1);
+        p.clock(inputs, &mut out);
+        out
+    }
+
     #[test]
     fn identity_join_forwards_input_zero() {
         let counter = ViolationCounter::new();
@@ -121,9 +126,13 @@ mod tests {
         assert_eq!(p.schedule().period(), 3);
         let mut ins = PortValues::empty(1);
         ins.set(0, 42);
-        assert_eq!(p.clock(&ins).get(0), None, "read step emits nothing");
-        assert_eq!(p.clock(&PortValues::empty(1)).get(0), None, "quiet step");
-        assert_eq!(p.clock(&PortValues::empty(1)).get(0), Some(42));
+        assert_eq!(clock(&mut p, &ins).get(0), None, "read step emits nothing");
+        assert_eq!(
+            clock(&mut p, &PortValues::empty(1)).get(0),
+            None,
+            "quiet step"
+        );
+        assert_eq!(clock(&mut p, &PortValues::empty(1)).get(0), Some(42));
         assert_eq!(counter.count(), 0);
     }
 
@@ -134,8 +143,8 @@ mod tests {
         let mut ins = PortValues::empty(2);
         ins.set(0, 7);
         ins.set(1, 8);
-        p.clock(&ins);
-        let out = p.clock(&PortValues::empty(2));
+        clock(&mut p, &ins);
+        let out = clock(&mut p, &PortValues::empty(2));
         assert_eq!(out.get(0), Some(7), "output follows branch 0");
         assert_eq!(counter.count(), 1);
     }
@@ -147,7 +156,7 @@ mod tests {
         let mut ins = PortValues::empty(2);
         ins.set(0, 5);
         ins.set(1, 5);
-        p.clock(&ins);
+        clock(&mut p, &ins);
         let mut words = Vec::new();
         p.save_state(&mut words);
         let mut q = JoinPearl::new("j", 2, 2, &counter);

@@ -13,7 +13,7 @@
 
 use crate::fifo_netlist::assemble_full_wrapper;
 use lis_netlist::Module;
-use lis_proto::{LisChannel, Pearl, PortValues, Token, ViolationCounter};
+use lis_proto::{LisChannel, Pearl, PortValues, Token};
 use lis_sim::{Activity, Component, JitNetlistSim, PortHandle, Ports, SignalView, System};
 
 /// A patient process whose complete shell is a gate-level netlist.
@@ -37,11 +37,14 @@ pub struct FullNetlistPatientProcess {
     out_channels: Vec<LisChannel>,
     /// Pearl outputs for the current cycle (presented on `pearl_out*`).
     pearl_out: Vec<u64>,
-    /// Whether the pearl has been clocked for the current cycle
-    /// (settle may evaluate several times; the decision inputs are all
-    /// registered inside the shell, so the first evaluation is final).
+    /// The pearl's port frames, reused by every clock.
+    frame_in: PortValues,
+    frame_out: PortValues,
+    /// Whether the pearl has been clocked for the current cycle. The
+    /// decision inputs are all registered inside the shell, so the
+    /// first evaluation of a cycle decides; later ones cannot clock the
+    /// pearl again.
     clocked_this_cycle: bool,
-    violations: ViolationCounter,
 }
 
 impl std::fmt::Debug for FullNetlistPatientProcess {
@@ -67,7 +70,6 @@ impl FullNetlistPatientProcess {
         controller: Module,
         in_channels: Vec<LisChannel>,
         out_channels: Vec<LisChannel>,
-        violations: ViolationCounter,
     ) -> Self {
         let iface = pearl.interface();
         assert_eq!(in_channels.len(), iface.input_count());
@@ -116,8 +118,9 @@ impl FullNetlistPatientProcess {
             in_channels,
             out_channels,
             pearl_out: vec![0; n_out],
+            frame_in: PortValues::empty(in_widths.len()),
+            frame_out: PortValues::empty(n_out),
             clocked_this_cycle: false,
-            violations,
         }
     }
 
@@ -138,30 +141,29 @@ impl FullNetlistPatientProcess {
         }
     }
 
-    /// Clocks the pearl once per cycle when the shell's enable is high.
-    /// All decision inputs (FIFO occupancies, ROM word) are registered,
-    /// so `enable` and the `pearl_in*` heads are stable from the first
-    /// settle sweep — this is what makes the one-shot latch sound.
+    /// Clocks the pearl once per cycle when the shell's enable is high,
+    /// reading `enable` and the `pearl_in*` heads from the shell's
+    /// settled values. All decision inputs (FIFO occupancies, ROM word)
+    /// are registered, so they are stable from the first evaluation of
+    /// a cycle — this is what makes the one-shot latch sound.
     fn maybe_clock_pearl(&mut self) {
-        if self.clocked_this_cycle {
-            return;
-        }
-        self.shell.eval();
-        if self.shell.get_output_h(self.h_enable) != 1 {
+        if self.clocked_this_cycle || self.shell.get_output_h(self.h_enable) != 1 {
             return;
         }
         self.clocked_this_cycle = true;
         let io = self.pearl.schedule().at(self.schedule_step);
-        let mut inputs = PortValues::empty(self.in_channels.len());
+        self.frame_in.clear();
         for port in io.reads.iter() {
             // The head the FIFO presents this cycle; if the queue is
             // actually empty (burst underrun) the hardware hands over
-            // whatever the register holds — poisoned data, which the
-            // violation counter cannot see at this level by design.
-            inputs.set(port, self.shell.get_output_h(self.h_pearl_in[port]));
+            // whatever the register holds — poisoned data, which this
+            // gate-level model does not flag, by design.
+            self.frame_in
+                .set(port, self.shell.get_output_h(self.h_pearl_in[port]));
         }
-        let outputs = self.pearl.clock(&inputs);
-        for (port, value) in outputs.occupied() {
+        self.frame_out.clear();
+        self.pearl.clock(&self.frame_in, &mut self.frame_out);
+        for (port, value) in self.frame_out.occupied() {
             self.pearl_out[port] = value;
         }
         self.schedule_step = (self.schedule_step + 1) % self.pearl.schedule().period();
@@ -188,9 +190,12 @@ impl Component for FullNetlistPatientProcess {
     }
 
     fn eval(&mut self, sigs: &mut SignalView<'_>) {
+        // One pass per visit: the pearl clocks from it and the channel
+        // wires are driven from it. A pearl write reaches `pearl_out*`
+        // at the next drive, as a register would.
         self.drive_shell_inputs(sigs);
-        self.maybe_clock_pearl();
         self.shell.eval();
+        self.maybe_clock_pearl();
         for (i, ch) in self.in_channels.iter().enumerate() {
             let stop = self.shell.get_output_h(self.h_in_stop[i]) == 1;
             ch.write_stop(sigs, stop);
@@ -203,17 +208,20 @@ impl Component for FullNetlistPatientProcess {
     }
 
     fn tick(&mut self, sigs: &SignalView<'_>) -> Activity {
+        // The kernel ticks a shell only in a cycle in which it also
+        // evaluated it, and `enable` depends on registered state alone,
+        // so that visit already decided the pearl's clock. The settled
+        // wires equal the visit's, so re-driving them leaves the shell
+        // settled unless the pearl wrote a new word; only then does the
+        // commit need a pass of its own.
         self.drive_shell_inputs(sigs);
-        self.maybe_clock_pearl();
         let ff_changed = self.shell.step_changed();
-        let pearl_clocked = self.clocked_this_cycle;
-        self.clocked_this_cycle = false;
-        let _ = &self.violations; // reserved for future shell-level checks
-                                  // The shell's outputs are a pure function of its flip-flops and
-                                  // the channel wires (all declared eval reads): with both frozen
-                                  // and the pearl not clocked, the whole gate-level shell — FIFOs,
-                                  // controller, ROM — can sleep. This is the state a back-pressured
-                                  // mesh keeps most of its shells in.
+        let pearl_clocked = std::mem::take(&mut self.clocked_this_cycle);
+        // The shell's outputs are a pure function of its flip-flops and
+        // the channel wires (all declared eval reads): with both frozen
+        // and the pearl not clocked, the whole gate-level shell — FIFOs,
+        // controller, ROM — can sleep. This is the state a back-pressured
+        // mesh keeps most of its shells in.
         Activity::from_changed(ff_changed || pearl_clocked)
     }
 
@@ -249,7 +257,6 @@ pub fn wrap_pearl_full_netlist(
     name: &str,
     pearl: Box<dyn Pearl>,
     controller: Module,
-    violations: &ViolationCounter,
 ) -> (Vec<LisChannel>, Vec<LisChannel>) {
     let iface = pearl.interface();
     let in_channels: Vec<LisChannel> = iface
@@ -266,7 +273,6 @@ pub fn wrap_pearl_full_netlist(
         controller,
         in_channels.clone(),
         out_channels.clone(),
-        violations.clone(),
     );
     system.add_component(pp);
     (in_channels, out_channels)
@@ -277,7 +283,9 @@ mod tests {
     use super::*;
     use crate::kind::WrapperKind;
     use crate::patient::wrap_pearl;
-    use lis_proto::{AccumulatorPearl, TokenSink, TokenSource};
+    use lis_proto::{AccumulatorPearl, TokenSink, TokenSource, ViolationCounter};
+    use lis_sim::SettleMode;
+    use std::sync::{Arc, Mutex};
 
     /// The fully gate-level shell must match the behavioural wrapper
     /// token for token under irregular traffic.
@@ -291,7 +299,7 @@ mod tests {
             let pearl = AccumulatorPearl::new("acc", 2, 1, 4);
             let (ins, outs) = if gate_level {
                 let controller = kind.generate_netlist(&schedule).unwrap();
-                wrap_pearl_full_netlist(&mut sys, "pp", Box::new(pearl), controller, &violations)
+                wrap_pearl_full_netlist(&mut sys, "pp", Box::new(pearl), controller)
             } else {
                 let (i, o, _) = wrap_pearl(
                     &mut sys,
@@ -338,5 +346,112 @@ mod tests {
     #[test]
     fn full_fsm_shell_matches_behavioural_irregular() {
         cosim_full(WrapperKind::Fsm(Default::default()), 0.3, 0.2);
+    }
+
+    /// What one kernel call into a [`PassProbe`] cost, in shell passes.
+    #[derive(Debug, Clone, Copy)]
+    enum Visit {
+        Eval { passes: u64 },
+        Tick { passes: u64, pearl_wrote: bool },
+    }
+
+    /// Forwards every kernel call to a shell harness and logs the JIT
+    /// passes each one ran.
+    struct PassProbe {
+        inner: FullNetlistPatientProcess,
+        /// `pearl_out` as the last eval visit drove it.
+        driven: Vec<u64>,
+        log: Arc<Mutex<Vec<Visit>>>,
+    }
+
+    impl Component for PassProbe {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn ports(&self) -> Ports {
+            self.inner.ports()
+        }
+
+        fn eval(&mut self, sigs: &mut SignalView<'_>) {
+            let before = self.inner.shell.passes();
+            self.driven.clone_from(&self.inner.pearl_out);
+            self.inner.eval(sigs);
+            let passes = self.inner.shell.passes() - before;
+            self.log.lock().unwrap().push(Visit::Eval { passes });
+        }
+
+        fn tick(&mut self, sigs: &SignalView<'_>) -> Activity {
+            let before = self.inner.shell.passes();
+            let pearl_wrote = self.inner.pearl_out != self.driven;
+            let activity = self.inner.tick(sigs);
+            let passes = self.inner.shell.passes() - before;
+            self.log.lock().unwrap().push(Visit::Tick {
+                passes,
+                pearl_wrote,
+            });
+            activity
+        }
+    }
+
+    /// The shell protocol, pinned on both settle engines: every eval
+    /// visit runs exactly one pass, a tick runs one only when the pearl
+    /// wrote a new `pearl_out` word since that visit, and none
+    /// otherwise.
+    #[test]
+    fn shell_runs_one_pass_per_visit_and_ticks_only_after_pearl_writes() {
+        for mode in [SettleMode::FastForward, SettleMode::FullSweep] {
+            let mut sys = System::new();
+            sys.set_settle_mode(mode);
+            let pearl = AccumulatorPearl::new("acc", 2, 1, 4);
+            let controller = WrapperKind::Sp.generate_netlist(pearl.schedule()).unwrap();
+            let ins: Vec<LisChannel> = (0..2)
+                .map(|i| LisChannel::new(&mut sys, &format!("in{i}"), 32))
+                .collect();
+            let out = LisChannel::new(&mut sys, "out", 32);
+            let inner = FullNetlistPatientProcess::new(
+                "pp",
+                Box::new(pearl),
+                controller,
+                ins.clone(),
+                vec![out],
+            );
+            let log = Arc::new(Mutex::new(Vec::new()));
+            sys.add_component(PassProbe {
+                inner,
+                driven: vec![0],
+                log: Arc::clone(&log),
+            });
+            sys.add_component(TokenSource::new("s0", ins[0], 1..=60).with_stalls(0.3, 3));
+            sys.add_component(TokenSource::new("s1", ins[1], 1..=60).with_stalls(0.1, 4));
+            sys.add_component(TokenSink::new("k", out).with_stalls(0.25, 5));
+            sys.run(400).unwrap();
+
+            let log = log.lock().unwrap();
+            let (mut evals, mut quiet_ticks, mut write_ticks) = (0, 0, 0);
+            for visit in log.iter() {
+                match *visit {
+                    Visit::Eval { passes } => {
+                        assert_eq!(passes, 1, "{mode:?}: an eval visit runs one pass");
+                        evals += 1;
+                    }
+                    Visit::Tick {
+                        passes,
+                        pearl_wrote,
+                    } => {
+                        assert_eq!(passes, u64::from(pearl_wrote), "{mode:?}: {visit:?}");
+                        if pearl_wrote {
+                            write_ticks += 1;
+                        } else {
+                            quiet_ticks += 1;
+                        }
+                    }
+                }
+            }
+            assert!(
+                evals > 0 && quiet_ticks > 0 && write_ticks > 0,
+                "{mode:?}: {evals} evals, {quiet_ticks} quiet ticks, {write_ticks} write ticks"
+            );
+        }
     }
 }

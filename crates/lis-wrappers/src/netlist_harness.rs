@@ -35,6 +35,9 @@ pub struct NetlistPatientProcess {
     out_queues: Vec<VecDeque<u64>>,
     in_stop: Vec<bool>,
     violations: ViolationCounter,
+    /// The pearl's port frames, reused by every clock.
+    frame_in: PortValues,
+    frame_out: PortValues,
 }
 
 impl std::fmt::Debug for NetlistPatientProcess {
@@ -88,6 +91,8 @@ impl NetlistPatientProcess {
             in_channels,
             out_channels,
             violations,
+            frame_in: PortValues::empty(n_in),
+            frame_out: PortValues::empty(n_out),
         }
     }
 
@@ -166,20 +171,21 @@ impl Component for NetlistPatientProcess {
         if enable {
             changed = true;
             let io = self.pearl.schedule().at(self.schedule_step);
-            let mut inputs = PortValues::empty(self.in_queues.len());
+            self.frame_in.clear();
             for (i, q) in self.in_queues.iter_mut().enumerate() {
                 if io.reads.contains(i) {
                     match q.pop_front() {
-                        Some(v) => inputs.set(i, v),
+                        Some(v) => self.frame_in.set(i, v),
                         None => {
                             self.violations.record();
-                            inputs.set(i, 0);
+                            self.frame_in.set(i, 0);
                         }
                     }
                 }
             }
-            let outputs = self.pearl.clock(&inputs);
-            for (port, value) in outputs.occupied() {
+            self.frame_out.clear();
+            self.pearl.clock(&self.frame_in, &mut self.frame_out);
+            for (port, value) in self.frame_out.occupied() {
                 if self.out_queues[port].len() < PORT_QUEUE_CAPACITY {
                     self.out_queues[port].push_back(value);
                 } else {

@@ -17,10 +17,10 @@
 
 use crate::fifo_netlist::assemble_full_wrapper;
 use lis_netlist::Module;
-use lis_proto::{PackedLisChannel, Pearl, PortValues, ViolationCounter};
+use lis_proto::{PackedLisChannel, Pearl, PortValues};
 use lis_sim::{
-    load_plane_lanes, save_plane_lanes, Activity, Component, JitPackedNetlistSim, PortHandle,
-    Ports, SignalView, System, LANES,
+    load_plane_lanes, save_plane_lanes, transpose64, Activity, Component, JitPackedNetlistSim,
+    PortHandle, Ports, SignalView, System, LANES,
 };
 
 /// A patient process whose gate-level shell executes up to [`LANES`]
@@ -28,9 +28,12 @@ use lis_sim::{
 ///
 /// All lanes share one JIT-lowered shell program; per-lane state is the
 /// packed flip-flop words plus one pearl, schedule position and
-/// deferred `pearl_out` register set per lane. Unused lanes (when fewer
-/// than [`LANES`] scenarios are batched) are held in reset so they stay
-/// quiescent and never disturb [`Activity`] reporting.
+/// deferred `pearl_out` register set per lane. Pearl ports cross the
+/// shell boundary a word at a time: one 64×64 [`transpose64`] per port
+/// turns the shell's bit-planes into per-lane words and back. Unused
+/// lanes (when fewer than [`LANES`] scenarios are batched) are held in
+/// reset so they stay quiescent and never disturb [`Activity`]
+/// reporting.
 pub struct PackedFullNetlistPatientProcess {
     name: String,
     /// One pearl per lane; all share interface and schedule shape.
@@ -55,17 +58,24 @@ pub struct PackedFullNetlistPatientProcess {
     in_channels: Vec<PackedLisChannel>,
     /// One packed channel per pearl output port.
     out_channels: Vec<PackedLisChannel>,
-    /// Pearl outputs presented on `pearl_out*`, per lane.
-    pearl_out: Vec<Vec<u64>>,
+    /// Pearl outputs presented on `pearl_out*`: word `lane` of entry
+    /// `o` is lane `lane`'s register for output port `o`.
+    pearl_out: Vec<[u64; LANES]>,
+    /// `pearl_out` changed since the shell was last driven with it (a
+    /// lane's pearl wrote, or a state load).
+    pearl_out_dirty: bool,
+    /// Per-lane `pearl_in*` heads, transposed from the shell's
+    /// bit-planes when an enabled lane reads the port.
+    pearl_in: Vec<[u64; LANES]>,
+    /// The pearls' port frames, reused by every lane clock.
+    frame_in: PortValues,
+    frame_out: PortValues,
     /// Lanes whose pearl has been clocked this cycle (same one-shot
     /// latch as the scalar harness, one bit per lane).
     clocked_mask: u64,
     /// Bit set for every populated lane; the complement is held in
     /// reset.
     active_mask: u64,
-    /// Per-lane violation counters (reserved for shell-level checks,
-    /// mirroring the scalar harness).
-    violations: Vec<ViolationCounter>,
 }
 
 impl std::fmt::Debug for PackedFullNetlistPatientProcess {
@@ -85,23 +95,20 @@ impl PackedFullNetlistPatientProcess {
     /// # Panics
     ///
     /// Panics if there are zero or more than [`LANES`] pearls, if the
-    /// pearls disagree on interface shape, if the channel or
-    /// violation-counter counts mismatch, or if the assembled shell
-    /// fails validation.
+    /// pearls disagree on interface shape, if the channel counts
+    /// mismatch, or if the assembled shell fails validation.
     pub fn new(
         name: impl Into<String>,
         pearls: Vec<Box<dyn Pearl>>,
         controller: Module,
         in_channels: Vec<PackedLisChannel>,
         out_channels: Vec<PackedLisChannel>,
-        violations: Vec<ViolationCounter>,
     ) -> Self {
         let lanes = pearls.len();
         assert!(
             (1..=LANES).contains(&lanes),
             "a packed harness batches 1..={LANES} lanes, got {lanes}"
         );
-        assert_eq!(violations.len(), lanes, "one violation counter per lane");
         let iface = pearls[0].interface();
         let in_widths: Vec<usize> = iface.inputs().map(|p| p.width as usize).collect();
         let out_widths: Vec<usize> = iface.outputs().map(|p| p.width as usize).collect();
@@ -186,15 +193,18 @@ impl PackedFullNetlistPatientProcess {
             h_out_stop,
             h_out_data,
             h_out_void,
-            in_widths,
-            out_widths,
             schedule_steps: vec![0; lanes],
             in_channels,
             out_channels,
-            pearl_out: vec![vec![0; n_out]; lanes],
+            pearl_out: vec![[0; LANES]; n_out],
+            pearl_out_dirty: true,
+            pearl_in: vec![[0; LANES]; in_widths.len()],
+            frame_in: PortValues::empty(in_widths.len()),
+            frame_out: PortValues::empty(n_out),
             clocked_mask: 0,
             active_mask,
-            violations,
+            in_widths,
+            out_widths,
         }
     }
 
@@ -211,16 +221,13 @@ impl PackedFullNetlistPatientProcess {
         );
     }
 
-    /// Drives one input port with a per-lane value, transposed into
-    /// per-bit lane words (one shell write per port bit, not per lane).
-    fn drive_port(shell: &mut JitPackedNetlistSim, h: PortHandle, width: usize, values: &[u64]) {
-        for bit in 0..width {
-            let mut word = 0u64;
-            for (lane, v) in values.iter().enumerate() {
-                word |= ((v >> bit) & 1) << lane;
-            }
-            shell.set_input_bit_lanes(h, bit, word);
+    /// Restores lane `lane`'s `pearl_out` registers, one word per
+    /// output port; the shell sees them at the next drive.
+    fn load_pearl_out(&mut self, lane: usize, words: &[u64]) {
+        for (port, &word) in self.pearl_out.iter_mut().zip(words) {
+            port[lane] = word;
         }
+        self.pearl_out_dirty = true;
     }
 
     fn drive_shell_inputs(&mut self, sigs: &SignalView<'_>) {
@@ -237,49 +244,69 @@ impl PackedFullNetlistPatientProcess {
             let void = ch.read_void(sigs) | !self.active_mask;
             self.shell.set_input_bit_lanes(self.h_in_void[i], 0, void);
         }
-        let mut data = vec![0u64; self.lanes()];
-        for (o, &width) in self.out_widths.iter().enumerate() {
+        for (o, ch) in self.out_channels.iter().enumerate() {
             // Idle lanes see permanent back-pressure as well as reset.
-            let stop = self.out_channels[o].read_stop(sigs) | !self.active_mask;
+            let stop = ch.read_stop(sigs) | !self.active_mask;
             self.shell.set_input_bit_lanes(self.h_out_stop[o], 0, stop);
-            for (lane, pearl_out) in self.pearl_out.iter().enumerate() {
-                data[lane] = pearl_out[o];
+        }
+        if std::mem::take(&mut self.pearl_out_dirty) {
+            for (o, &width) in self.out_widths.iter().enumerate() {
+                let mut planes = self.pearl_out[o];
+                transpose64(&mut planes);
+                for (bit, &plane) in planes.iter().enumerate().take(width) {
+                    self.shell
+                        .set_input_bit_lanes(self.h_pearl_out[o], bit, plane);
+                }
             }
-            Self::drive_port(&mut self.shell, self.h_pearl_out[o], width, &data);
         }
     }
 
-    /// Clocks each lane's pearl at most once per cycle, exactly when
-    /// that lane's shell raises `enable` — the packed twin of the
-    /// scalar harness's one-shot latch. Lanes the shell has not enabled
-    /// stay pending and are re-examined on the next settle sweep.
-    fn maybe_clock_pearls(&mut self) {
-        let pending = !self.clocked_mask & self.active_mask;
-        if pending == 0 {
-            return;
+    /// Transposes the shell's `pearl_in{port}` bit-planes into per-lane
+    /// heads.
+    fn load_pearl_in(&mut self, port: usize) {
+        let heads = &mut self.pearl_in[port];
+        for (bit, head) in heads.iter_mut().enumerate() {
+            *head = if bit < self.in_widths[port] {
+                self.shell.get_output_bit_lanes(self.h_pearl_in[port], bit)
+            } else {
+                0
+            };
         }
-        self.shell.eval();
-        let enabled = self.shell.get_output_bit_lanes(self.h_enable, 0) & pending;
+        transpose64(heads);
+    }
+
+    /// Clocks each lane's pearl at most once per cycle, exactly when
+    /// that lane's shell raises `enable` in the settled values — the
+    /// packed twin of the scalar harness's one-shot latch.
+    fn maybe_clock_pearls(&mut self) {
+        let enabled = self.shell.get_output_bit_lanes(self.h_enable, 0)
+            & !self.clocked_mask
+            & self.active_mask;
+        self.clocked_mask |= enabled;
+        // Input ports whose heads are transposed for this call.
+        let mut loaded = 0u64;
         let mut lanes = enabled;
         while lanes != 0 {
             let lane = lanes.trailing_zeros() as usize;
             lanes &= lanes - 1;
             let io = self.pearls[lane].schedule().at(self.schedule_steps[lane]);
-            let mut inputs = PortValues::empty(self.in_widths.len());
+            self.frame_in.clear();
             for port in io.reads.iter() {
-                inputs.set(
-                    port,
-                    self.shell.get_output_lane_h(self.h_pearl_in[port], lane),
-                );
+                if loaded & (1 << port) == 0 {
+                    loaded |= 1 << port;
+                    self.load_pearl_in(port);
+                }
+                self.frame_in.set(port, self.pearl_in[port][lane]);
             }
-            let outputs = self.pearls[lane].clock(&inputs);
-            for (port, value) in outputs.occupied() {
-                self.pearl_out[lane][port] = value;
+            self.frame_out.clear();
+            self.pearls[lane].clock(&self.frame_in, &mut self.frame_out);
+            for (port, value) in self.frame_out.occupied() {
+                self.pearl_out[port][lane] = value;
+                self.pearl_out_dirty = true;
             }
             self.schedule_steps[lane] =
                 (self.schedule_steps[lane] + 1) % self.pearls[lane].schedule().period();
         }
-        self.clocked_mask |= enabled;
     }
 }
 
@@ -300,9 +327,10 @@ impl Component for PackedFullNetlistPatientProcess {
     }
 
     fn eval(&mut self, sigs: &mut SignalView<'_>) {
+        // One pass per visit, exactly as in the scalar harness.
         self.drive_shell_inputs(sigs);
-        self.maybe_clock_pearls();
         self.shell.eval();
+        self.maybe_clock_pearls();
         for (i, h) in self.h_in_stop.iter().enumerate() {
             let stops = self.shell.get_output_bit_lanes(*h, 0) | !self.active_mask;
             self.in_channels[i].write_stop(sigs, stops);
@@ -321,16 +349,16 @@ impl Component for PackedFullNetlistPatientProcess {
     }
 
     fn tick(&mut self, sigs: &SignalView<'_>) -> Activity {
+        // As in the scalar harness: the visit this cycle clocked every
+        // enabled lane, and the commit evaluates only if some lane's
+        // pearl wrote a new word since then.
         self.drive_shell_inputs(sigs);
-        self.maybe_clock_pearls();
         let ff_changed = self.shell.step_changed();
-        let pearl_clocked = self.clocked_mask != 0;
-        self.clocked_mask = 0;
-        let _ = &self.violations; // reserved, as in the scalar harness
-                                  // Quiescence is a whole-batch property: the shared shell sleeps
-                                  // only when *no* lane's flip-flops moved and no pearl clocked.
-                                  // Individual idle lanes still produce bit-identical streams —
-                                  // re-evaluating them on unchanged signals changes nothing.
+        let pearl_clocked = std::mem::take(&mut self.clocked_mask) != 0;
+        // Quiescence is a whole-batch property: the shared shell sleeps
+        // only when *no* lane's flip-flops moved and no pearl clocked.
+        // Individual idle lanes still produce bit-identical streams —
+        // re-evaluating them on unchanged signals changes nothing.
         Activity::from_changed(ff_changed || pearl_clocked)
     }
 
@@ -341,7 +369,7 @@ impl Component for PackedFullNetlistPatientProcess {
         out.extend(dffs.iter().copied());
         for lane in 0..self.lanes() {
             out.push(self.schedule_steps[lane] as u64);
-            out.extend(self.pearl_out[lane].iter().copied());
+            out.extend(self.pearl_out.iter().map(|words| words[lane]));
             let mut pearl = Vec::new();
             self.pearls[lane].save_state(&mut pearl);
             out.push(pearl.len() as u64);
@@ -357,7 +385,7 @@ impl Component for PackedFullNetlistPatientProcess {
         let n_out = self.out_widths.len();
         for lane in 0..self.lanes() {
             self.schedule_steps[lane] = data[at] as usize;
-            self.pearl_out[lane].copy_from_slice(&data[at + 1..at + 1 + n_out]);
+            self.load_pearl_out(lane, &data[at + 1..at + 1 + n_out]);
             let n_pearl = data[at + 1 + n_out] as usize;
             self.pearls[lane].load_state(&data[at + 2 + n_out..at + 2 + n_out + n_pearl]);
             at += 2 + n_out + n_pearl;
@@ -372,7 +400,7 @@ impl Component for PackedFullNetlistPatientProcess {
         save_plane_lanes(self.shell.dff_state(), first, outs);
         for (lane, out) in (first..).zip(outs) {
             out.push(self.schedule_steps[lane] as u64);
-            out.extend_from_slice(&self.pearl_out[lane]);
+            out.extend(self.pearl_out.iter().map(|words| words[lane]));
             let at = out.len();
             out.push(0);
             self.pearls[lane].save_state(out);
@@ -389,7 +417,7 @@ impl Component for PackedFullNetlistPatientProcess {
         let n_out = self.out_widths.len();
         for (lane, data) in (first..).zip(blobs) {
             self.schedule_steps[lane] = data[at] as usize;
-            self.pearl_out[lane].copy_from_slice(&data[at + 1..at + 1 + n_out]);
+            self.load_pearl_out(lane, &data[at + 1..at + 1 + n_out]);
             let n_pearl = data[at + 1 + n_out] as usize;
             self.pearls[lane].load_state(&data[at + 2 + n_out..at + 2 + n_out + n_pearl]);
             self.clocked_mask &= !(1 << lane);
@@ -412,7 +440,6 @@ pub fn wrap_pearls_packed_full_netlist(
     name: &str,
     pearls: Vec<Box<dyn Pearl>>,
     controller: Module,
-    violations: &[ViolationCounter],
 ) -> (Vec<PackedLisChannel>, Vec<PackedLisChannel>) {
     let iface = pearls[0].interface();
     let ins: Vec<PackedLisChannel> = iface
@@ -423,14 +450,8 @@ pub fn wrap_pearls_packed_full_netlist(
         .outputs()
         .map(|p| PackedLisChannel::new(system, &format!("{name}_{}", p.name), p.width))
         .collect();
-    let pp = PackedFullNetlistPatientProcess::new(
-        name,
-        pearls,
-        controller,
-        ins.clone(),
-        outs.clone(),
-        violations.to_vec(),
-    );
+    let pp =
+        PackedFullNetlistPatientProcess::new(name, pearls, controller, ins.clone(), outs.clone());
     system.add_component(pp);
     (ins, outs)
 }
@@ -443,21 +464,18 @@ mod tests {
     use lis_proto::{
         AccumulatorPearl, PackedTokenSink, PackedTokenSource, StallPattern, TokenSink, TokenSource,
     };
+    use lis_schedule::ScheduleBuilder;
 
     /// Runs `lanes` scenarios (different stall seeds per lane) through
-    /// one packed harness and returns each lane's sink stream and
-    /// violation count.
-    fn run_packed(lanes: usize, cycles: u64) -> Vec<(Vec<u64>, u64)> {
+    /// one packed harness and returns each lane's sink stream.
+    fn run_packed(lanes: usize, cycles: u64) -> Vec<Vec<u64>> {
         let schedule = AccumulatorPearl::new("acc", 2, 1, 4).schedule().clone();
         let controller = WrapperKind::Sp.generate_netlist(&schedule).unwrap();
         let mut sys = System::new();
         let pearls: Vec<Box<dyn Pearl>> = (0..lanes)
             .map(|_| Box::new(AccumulatorPearl::new("acc", 2, 1, 4)) as Box<dyn Pearl>)
             .collect();
-        let violations: Vec<ViolationCounter> =
-            (0..lanes).map(|_| ViolationCounter::new()).collect();
-        let (ins, outs) =
-            wrap_pearls_packed_full_netlist(&mut sys, "pp", pearls, controller, &violations);
+        let (ins, outs) = wrap_pearls_packed_full_netlist(&mut sys, "pp", pearls, controller);
         sys.add_component(PackedTokenSource::new(
             "s0",
             ins[0].clone(),
@@ -501,20 +519,17 @@ mod tests {
         sys.run(cycles).unwrap();
         received
             .iter()
-            .zip(&violations)
-            .map(|(got, v)| (got.lock().unwrap().clone(), v.count()))
+            .map(|got| got.lock().unwrap().clone())
             .collect()
     }
 
     /// One solo scalar-harness run with lane `lane`'s exact traffic.
-    fn run_solo(lane: usize, cycles: u64) -> (Vec<u64>, u64) {
+    fn run_solo(lane: usize, cycles: u64) -> Vec<u64> {
         let schedule = AccumulatorPearl::new("acc", 2, 1, 4).schedule().clone();
         let controller = WrapperKind::Sp.generate_netlist(&schedule).unwrap();
         let mut sys = System::new();
-        let violations = ViolationCounter::new();
         let pearl = AccumulatorPearl::new("acc", 2, 1, 4);
-        let (ins, outs) =
-            wrap_pearl_full_netlist(&mut sys, "pp", Box::new(pearl), controller, &violations);
+        let (ins, outs) = wrap_pearl_full_netlist(&mut sys, "pp", Box::new(pearl), controller);
         let (s0, s1, k) = lane_stalls(lane);
         sys.add_component(
             TokenSource::new("s0", ins[0], (1..=12).map(|v| v * 7))
@@ -525,8 +540,8 @@ mod tests {
         let got = sink.received();
         sys.add_component(sink);
         sys.run(cycles).unwrap();
-        let r = got.lock().unwrap().clone();
-        (r, violations.count())
+        let stream = got.lock().unwrap().clone();
+        stream
     }
 
     /// Per-lane stall probabilities: lane 0 smooth, others irregular.
@@ -543,11 +558,10 @@ mod tests {
     fn packed_lanes_match_solo_scalar_runs() {
         let lanes = 6;
         let packed = run_packed(lanes, 1500);
-        for (lane, (got, violations)) in packed.iter().enumerate() {
-            let (solo, solo_violations) = run_solo(lane, 1500);
+        for (lane, got) in packed.iter().enumerate() {
+            let solo = run_solo(lane, 1500);
             assert!(!solo.is_empty(), "lane {lane} must produce tokens");
             assert_eq!(got, &solo, "lane {lane} diverges from its solo twin");
-            assert_eq!(*violations, solo_violations, "lane {lane} violations");
         }
     }
 
@@ -557,9 +571,8 @@ mod tests {
         // the smooth-lane prefix it would produce solo.
         let packed = run_packed(LANES, 400);
         let solo: Vec<_> = (0..4).map(|lane| run_solo(lane, 400)).collect();
-        for (lane, (got, _)) in packed.iter().enumerate() {
-            let (want, _) = &solo[lane % 4];
-            assert_eq!(got, want, "lane {lane}");
+        for (lane, got) in packed.iter().enumerate() {
+            assert_eq!(got, &solo[lane % 4], "lane {lane}");
         }
     }
 
@@ -572,10 +585,8 @@ mod tests {
             let pearls: Vec<Box<dyn Pearl>> = (0..lanes)
                 .map(|_| Box::new(AccumulatorPearl::new("acc", 2, 1, 4)) as Box<dyn Pearl>)
                 .collect();
-            let violations: Vec<ViolationCounter> =
-                (0..lanes).map(|_| ViolationCounter::new()).collect();
             let (ins, outs) =
-                wrap_pearls_packed_full_netlist(sys, "pp", pearls, controller.clone(), &violations);
+                wrap_pearls_packed_full_netlist(sys, "pp", pearls, controller.clone());
             sys.add_component(PackedTokenSource::new(
                 "s0",
                 ins[0].clone(),
@@ -632,6 +643,64 @@ mod tests {
         assert_eq!(got, want, "restored packed run diverges");
     }
 
+    /// One lane whose controller pushes on every enabled cycle while the
+    /// pearl writes on every other one: half the output FIFO's captures
+    /// read the held `pearl_out` register, so a state load that fails to
+    /// present the loaded register shows in the stream.
+    fn held_register_system() -> System {
+        let every_cycle = ScheduleBuilder::new(1, 1).io([0], [0]).build().unwrap();
+        let controller = WrapperKind::Sp.generate_netlist(&every_cycle).unwrap();
+        let pearl: Box<dyn Pearl> = Box::new(AccumulatorPearl::new("acc", 1, 1, 0));
+        let mut sys = System::new();
+        let (ins, outs) = wrap_pearls_packed_full_netlist(&mut sys, "pp", vec![pearl], controller);
+        sys.add_component(PackedTokenSource::new(
+            "src",
+            ins[0].clone(),
+            vec![((1..=400u64).collect(), StallPattern::from(0.2), 7)],
+        ));
+        sys.add_component(PackedTokenSink::new(
+            "k",
+            outs[0].clone(),
+            vec![(StallPattern::from(0.3), 9)],
+        ));
+        sys
+    }
+
+    /// Restoring a checkpoint and loading a lane both re-present the
+    /// loaded `pearl_out` registers to the shell, even into a system
+    /// whose shell already holds other values.
+    #[test]
+    fn state_loads_present_the_held_pearl_out_register() {
+        let end = 300;
+        let mut reference = held_register_system();
+        reference.run(end).unwrap();
+        let want = reference.checkpoint().component_states;
+        for at in 120..124 {
+            let mut source = held_register_system();
+            source.run(at).unwrap();
+            let snap = source.checkpoint();
+            let lane = source.save_lane(0);
+            let mut restored = held_register_system();
+            restored.run(37).unwrap();
+            restored.restore(&snap);
+            restored.run(end - at).unwrap();
+            assert_eq!(
+                restored.checkpoint().component_states,
+                want,
+                "restore at cycle {at}"
+            );
+            let mut loaded = held_register_system();
+            loaded.run(37).unwrap();
+            loaded.load_lane(0, &lane);
+            loaded.run(end - at).unwrap();
+            assert_eq!(
+                loaded.checkpoint().component_states,
+                want,
+                "lane load at cycle {at}"
+            );
+        }
+    }
+
     /// Lane-batched save/load across a whole packed gate-level system —
     /// the shape the bounded explorer drives. Lanes are first forced
     /// apart with lane-dependent sink stalls; then all 64 lanes' states
@@ -639,7 +708,7 @@ mod tests {
     /// must be an exact no-op on the architectural state.
     #[test]
     fn packed_system_lane_states_round_trip() {
-        use lis_proto::{PackedSeqSink, PackedSeqSource, StallControl};
+        use lis_proto::{PackedSeqSink, PackedSeqSource, StallControl, ViolationCounter};
         let schedule = AccumulatorPearl::new("acc", 1, 1, 0).schedule().clone();
         let controller = WrapperKind::Sp.generate_netlist(&schedule).unwrap();
         let mut sys = System::new();
@@ -648,8 +717,7 @@ mod tests {
             .collect();
         let violations: Vec<ViolationCounter> =
             (0..LANES).map(|_| ViolationCounter::new()).collect();
-        let (ins, outs) =
-            wrap_pearls_packed_full_netlist(&mut sys, "pp", pearls, controller, &violations);
+        let (ins, outs) = wrap_pearls_packed_full_netlist(&mut sys, "pp", pearls, controller);
         sys.add_component(PackedSeqSource::new(
             "src",
             ins[0].clone(),

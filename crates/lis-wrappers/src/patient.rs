@@ -61,6 +61,9 @@ pub struct PatientProcess {
     stats: PatientStats,
     violations: ViolationCounter,
     queue_capacity: usize,
+    /// The pearl's port frames, reused by every clock.
+    frame_in: PortValues,
+    frame_out: PortValues,
 }
 
 impl std::fmt::Debug for PatientProcess {
@@ -107,6 +110,8 @@ impl PatientProcess {
             stats: PatientStats::default(),
             violations,
             queue_capacity: PORT_QUEUE_CAPACITY,
+            frame_in: PortValues::empty(n_in),
+            frame_out: PortValues::empty(n_out),
         }
     }
 
@@ -183,21 +188,22 @@ impl Component for PatientProcess {
         if decision.fire {
             changed = true;
             let io = self.pearl.schedule().at(self.sched_step);
-            let mut inputs = PortValues::empty(self.in_queues.len());
+            self.frame_in.clear();
             for port in io.reads.iter() {
                 match self.in_queues[port].pop_front() {
-                    Some(v) => inputs.set(port, v),
+                    Some(v) => self.frame_in.set(port, v),
                     None => {
                         // Static wrappers and burst runs can pop empty
                         // queues; record the protocol violation and feed
                         // a poisoned value.
                         self.violations.record();
-                        inputs.set(port, 0);
+                        self.frame_in.set(port, 0);
                     }
                 }
             }
-            let outputs = self.pearl.clock(&inputs);
-            for (port, value) in outputs.occupied() {
+            self.frame_out.clear();
+            self.pearl.clock(&self.frame_in, &mut self.frame_out);
+            for (port, value) in self.frame_out.occupied() {
                 if self.out_queues[port].len() < self.queue_capacity {
                     self.out_queues[port].push_back(value);
                 } else {
@@ -597,9 +603,8 @@ mod tests {
                 fn schedule(&self) -> &lis_schedule::IoSchedule {
                     &self.schedule
                 }
-                fn clock(&mut self, inputs: &PortValues) -> PortValues {
+                fn clock(&mut self, inputs: &PortValues, out: &mut PortValues) {
                     let io = self.schedule.at(self.step);
-                    let mut out = PortValues::empty(1);
                     if io.reads.contains(0) {
                         self.acc += inputs.get(0).expect("scheduled");
                     }
@@ -608,7 +613,6 @@ mod tests {
                         self.acc = 0;
                     }
                     self.step = (self.step + 1) % self.schedule.period();
-                    out
                 }
                 fn reset(&mut self) {
                     self.step = 0;
