@@ -22,7 +22,7 @@
 //! the medians.
 
 use lis_bench::{bar, default_threads, print_rows, section, Arg, Cli, Flag};
-use lis_core::experiment::{median, scaling_by_length_with, scaling_by_ports_with};
+use lis_core::experiment::{median, scaling_by_length, scaling_by_ports};
 use lis_netlist::{LoweringStats, Module, NetlistStats};
 use lis_schedule::{random_schedule, IoSchedule, RandomScheduleParams};
 use lis_sim::{JitNetlistSim, JitPackedNetlistSim, NetlistSim, WorkStealingPool, LANES};
@@ -300,7 +300,7 @@ fn main() {
     let mut length_rows = Vec::new();
     if what == "both" || what == "length" {
         section("E3 — area & fmax vs schedule length (2 in / 2 out ports)");
-        length_rows = scaling_by_length_with(&periods, &params, Some(&pool)).expect("length sweep");
+        length_rows = scaling_by_length(&periods, &params, &pool).expect("length sweep");
         print_rows(&length_rows);
         section("E3 — slices, charted");
         let max = length_rows.iter().map(|r| r.slices).max().unwrap_or(1) as f64;
@@ -318,8 +318,7 @@ fn main() {
     let mut port_rows = Vec::new();
     if what == "both" || what == "ports" {
         section("E4 — area & fmax vs port count (64-cycle schedule)");
-        port_rows =
-            scaling_by_ports_with(&[2, 4, 8, 16, 32], &params, Some(&pool)).expect("port sweep");
+        port_rows = scaling_by_ports(&[2, 4, 8, 16, 32], &params, &pool).expect("port sweep");
         print_rows(&port_rows);
     }
 

@@ -12,7 +12,7 @@
 //! ```
 
 use lis_bench::{default_threads, section, Arg, Cli, Flag};
-use lis_core::experiment::table1_with;
+use lis_core::experiment::table1;
 use lis_sim::WorkStealingPool;
 use lis_synth::TechParams;
 use std::time::Instant;
@@ -45,7 +45,7 @@ fn main() {
         "IP", "port/wait/run", "FSM slices", "FSM MHz", "SP slices", "SP MHz", "Δslices", "ΔMHz"
     );
     let flow_start = Instant::now();
-    let rows = table1_with(&params, Some(&pool)).expect("table 1 synthesis");
+    let rows = table1(&params, &pool).expect("table 1 synthesis");
     let flow_ms = flow_start.elapsed().as_secs_f64() * 1e3;
     if let Some(path) = json_path {
         use serde::{Serialize, Value};

@@ -13,28 +13,18 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Instant;
 
-/// Runs a batch of independent wrapper syntheses, fanned out across
-/// `pool` when one is given (the jobs share no state; results keep the
-/// submission order either way).
+/// Runs a batch of independent wrapper syntheses across `pool` (the
+/// jobs share no state; results keep the submission order).
 fn synthesize_batch(
     jobs: Vec<(WrapperKind, IoSchedule, SpCompression)>,
     params: &TechParams,
-    pool: Option<&WorkStealingPool>,
+    pool: &WorkStealingPool,
 ) -> Result<Vec<WrapperSynthesis>, lis_netlist::NetlistError> {
-    match pool {
-        Some(pool) => pool
-            .map(jobs, |(kind, schedule, compression)| {
-                synthesize_wrapper(kind, &schedule, compression, params)
-            })
-            .into_iter()
-            .collect(),
-        None => jobs
-            .into_iter()
-            .map(|(kind, schedule, compression)| {
-                synthesize_wrapper(kind, &schedule, compression, params)
-            })
-            .collect(),
-    }
+    pool.map(jobs, |(kind, schedule, compression)| {
+        synthesize_wrapper(kind, &schedule, compression, params)
+    })
+    .into_iter()
+    .collect()
 }
 
 /// Reference values from the paper's Table 1.
@@ -134,24 +124,15 @@ impl fmt::Display for Table1Row {
 }
 
 /// Reproduces Table 1: FSM vs SP synthesis of the Viterbi and RS wrapper
-/// controllers.
+/// controllers, the four independent syntheses fanned out across
+/// `pool`.
 ///
 /// # Errors
 ///
 /// Propagates netlist generation/validation errors.
-pub fn table1(params: &TechParams) -> Result<Vec<Table1Row>, lis_netlist::NetlistError> {
-    table1_with(params, None)
-}
-
-/// [`table1`] with the four independent wrapper syntheses fanned out
-/// across a work-stealing pool.
-///
-/// # Errors
-///
-/// Propagates netlist generation/validation errors.
-pub fn table1_with(
+pub fn table1(
     params: &TechParams,
-    pool: Option<&WorkStealingPool>,
+    pool: &WorkStealingPool,
 ) -> Result<Vec<Table1Row>, lis_netlist::NetlistError> {
     // Viterbi: 5 ports, burst program (4 ops, run up to 198).
     let viterbi_schedule = ViterbiPearl::new("viterbi").schedule().clone();
@@ -242,7 +223,8 @@ fn sweep_schedule(period: usize, n_inputs: usize, n_outputs: usize) -> IoSchedul
     )
 }
 
-/// E3: area/fmax vs schedule length at fixed port count.
+/// E3: area/fmax vs schedule length at fixed port count, the
+/// independent syntheses fanned out across `pool`.
 ///
 /// # Errors
 ///
@@ -250,20 +232,7 @@ fn sweep_schedule(period: usize, n_inputs: usize, n_outputs: usize) -> IoSchedul
 pub fn scaling_by_length(
     periods: &[usize],
     params: &TechParams,
-) -> Result<Vec<ScalingRow>, lis_netlist::NetlistError> {
-    scaling_by_length_with(periods, params, None)
-}
-
-/// [`scaling_by_length`] with the independent syntheses fanned out
-/// across a work-stealing pool.
-///
-/// # Errors
-///
-/// Propagates netlist generation/validation errors.
-pub fn scaling_by_length_with(
-    periods: &[usize],
-    params: &TechParams,
-    pool: Option<&WorkStealingPool>,
+    pool: &WorkStealingPool,
 ) -> Result<Vec<ScalingRow>, lis_netlist::NetlistError> {
     let mut jobs = Vec::new();
     let mut xs = Vec::new();
@@ -293,7 +262,8 @@ pub fn scaling_by_length_with(
         .collect())
 }
 
-/// E4: area/fmax vs port count at fixed schedule length.
+/// E4: area/fmax vs port count at fixed schedule length, the
+/// independent syntheses fanned out across `pool`.
 ///
 /// # Errors
 ///
@@ -301,20 +271,7 @@ pub fn scaling_by_length_with(
 pub fn scaling_by_ports(
     port_counts: &[usize],
     params: &TechParams,
-) -> Result<Vec<ScalingRow>, lis_netlist::NetlistError> {
-    scaling_by_ports_with(port_counts, params, None)
-}
-
-/// [`scaling_by_ports`] with the independent syntheses fanned out across
-/// a work-stealing pool.
-///
-/// # Errors
-///
-/// Propagates netlist generation/validation errors.
-pub fn scaling_by_ports_with(
-    port_counts: &[usize],
-    params: &TechParams,
-    pool: Option<&WorkStealingPool>,
+    pool: &WorkStealingPool,
 ) -> Result<Vec<ScalingRow>, lis_netlist::NetlistError> {
     let mut jobs = Vec::new();
     let mut xs = Vec::new();
@@ -907,7 +864,7 @@ mod tests {
 
     #[test]
     fn table1_reproduces_the_paper_shape() {
-        let rows = table1(&TechParams::default()).unwrap();
+        let rows = table1(&TechParams::default(), &WorkStealingPool::new(1)).unwrap();
         assert_eq!(rows.len(), 2);
         let viterbi = &rows[0];
         let rs = &rows[1];
@@ -946,7 +903,12 @@ mod tests {
 
     #[test]
     fn scaling_by_length_shows_flat_sp() {
-        let rows = scaling_by_length(&[32, 256, 1024], &TechParams::default()).unwrap();
+        let rows = scaling_by_length(
+            &[32, 256, 1024],
+            &TechParams::default(),
+            &WorkStealingPool::new(1),
+        )
+        .unwrap();
         let slices_of = |model: &str, x: usize| {
             rows.iter()
                 .find(|r| r.model == model && r.x == x)
@@ -1007,9 +969,8 @@ mod tests {
     #[test]
     fn parallel_synthesis_matches_sequential() {
         let params = TechParams::default();
-        let pool = WorkStealingPool::new(4);
-        let seq = scaling_by_length(&[32, 64], &params).unwrap();
-        let par = scaling_by_length_with(&[32, 64], &params, Some(&pool)).unwrap();
+        let seq = scaling_by_length(&[32, 64], &params, &WorkStealingPool::new(1)).unwrap();
+        let par = scaling_by_length(&[32, 64], &params, &WorkStealingPool::new(4)).unwrap();
         assert_eq!(seq.len(), par.len());
         for (a, b) in seq.iter().zip(&par) {
             assert_eq!(a.x, b.x);

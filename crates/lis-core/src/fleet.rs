@@ -15,7 +15,8 @@
 //! packed fabric with [`LaneDemux`] / [`LaneMux`].
 //!
 //! A [`SocFleet`] owns a sequence of batches and fans whole batches
-//! across the work-stealing [`WorkStealingPool`].
+//! out across a [`WorkStealingPool`]'s scoped worker threads, the first
+//! of them the caller's.
 //!
 //! The correctness bar is strict: lane `k` of a fleet is bit-identical
 //! (streams, checksums, violation counts) to a solo [`crate::Soc`] run
@@ -454,9 +455,10 @@ pub struct FleetCheckpoint {
 /// A fleet of scenario batches: N independent scenarios packed into
 /// `ceil(N / LANES)` lane-batched [`FleetBatch`]es, advanced together.
 ///
-/// Whole batches fan out across a [`WorkStealingPool`]; each batch runs
-/// single-threaded inside its job, so results are bit-identical at any
-/// pool width.
+/// Whole batches fan out across a [`WorkStealingPool`]'s workers (a
+/// one-worker pool runs them in order on the caller's thread); each
+/// batch runs single-threaded inside its job, so results are
+/// bit-identical at any pool width.
 #[derive(Debug)]
 pub struct SocFleet {
     batches: Vec<FleetBatch>,

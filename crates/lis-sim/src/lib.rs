@@ -39,8 +39,12 @@
 //! tests pin all three cycle-for-cycle equivalent.
 //!
 //! Both executors are single-threaded. Parallelism lives one level up,
-//! over whole independent jobs: the work-stealing [`pool`] fans out
-//! fleet batches, model-checker twins and synthesis runs.
+//! over whole independent jobs: [`map_with`] runs fleet batches,
+//! model-checker twins and synthesis runs in one [`std::thread::scope`]
+//! per call, with the caller's thread as the first worker.
+//! [`WorkStealingPool`] is a worker count for stateless jobs over it;
+//! the type keeps that name only because the benchmark package imports
+//! it.
 //!
 //! [`Trace`] records signals per cycle and renders standard VCD.
 //!
@@ -66,9 +70,9 @@
 //! # }
 //! ```
 
-// Unsafe is confined to the pool's scoped-lifetime erasure and the
-// JIT's bounds-validated slot accessor, where each use documents the
-// invariant that justifies it.
+// Unsafe is confined to the JIT (`jit.rs`), whose unchecked slot
+// accesses rest on build-time bounds validation; each use documents
+// the invariant that justifies it.
 #![deny(unsafe_code)]
 #![deny(missing_docs)]
 
@@ -78,7 +82,7 @@ mod jit;
 mod kernel;
 mod lanes;
 mod netlist_sim;
-pub mod pool;
+mod pool;
 mod sched;
 mod signal;
 mod trace;
@@ -88,7 +92,7 @@ pub use jit::{JitNetlistProgram, JitNetlistSim, JitPackedNetlistSim, PortHandle,
 pub use kernel::{Activity, Component, FnComponent, Ports, SettleMode, SimError, System};
 pub use lanes::{load_plane_lanes, save_plane_lanes, transpose64};
 pub use netlist_sim::{NetlistComponent, NetlistExec, NetlistSim};
-pub use pool::WorkStealingPool;
+pub use pool::{map_with, WorkStealingPool};
 pub use sched::SchedulerStats;
 pub use signal::{Signal, SignalId, SignalView};
 pub use trace::Trace;

@@ -1,261 +1,120 @@
-//! A hand-rolled work-stealing thread pool.
+//! Batch-level parallelism over scoped threads.
 //!
-//! The offline-dependency constraint rules out rayon, so this module
-//! provides the minimal pool the workspace's batch-level parallelism
-//! needs — fleet batches (`SocFleet::run`), model-checker twins
-//! (`explore_pool`) and the synthesis fan-out (`synthesize_batch`):
-//! persistent workers, one deque per worker, and stealing from the back
-//! of other workers' deques when a worker's own deque drains. Work is
-//! submitted through [`WorkStealingPool::map`], one *scope* per call: it
-//! does not return until every job has finished, which is what lets
-//! jobs borrow stack data from the caller.
-//!
-//! Claiming is counter-based: a worker first claims the *right* to one
-//! job under the sync lock (or sleeps on the condvar when none are
-//! pending), then scans the deques for an actual job. The invariant
-//! "unpopped jobs ≥ outstanding claims" makes the scan always succeed,
-//! so no wakeup can be lost and no busy-waiting is needed.
+//! The workspace parallelizes whole independent jobs only — fleet
+//! batches (`SocFleet::run`), model-checker twins (`explore_pool`) and
+//! the synthesis fan-out (`synthesize_batch`) — and every one of them
+//! goes through [`map_with`]: one [`std::thread::scope`] per call, the
+//! caller's thread as the first worker, items pulled in order from one
+//! shared queue, results returned in item order. The scope does not
+//! return before every worker has finished, so jobs may borrow from the
+//! caller, and the compiler checks it.
 
-#![allow(unsafe_code)]
-
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Mutex;
 
-/// A job with an erased lifetime. Safety: [`WorkStealingPool::run`] blocks
-/// until all jobs of its scope completed, so borrows never dangle.
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-#[derive(Default)]
-struct SyncState {
-    /// Jobs pushed but not yet claimed by a worker.
-    unclaimed: usize,
-    /// Jobs claimed and currently executing.
-    inflight: usize,
-    /// First panic payload captured from a job.
-    panic: Option<Box<dyn std::any::Any + Send>>,
-    shutdown: bool,
-}
-
-struct Shared {
-    queues: Vec<Mutex<VecDeque<Job>>>,
-    sync: Mutex<SyncState>,
-    /// Lock-free mirror of `SyncState::unclaimed`, letting idle workers
-    /// spin briefly before parking on the condvar: back-to-back scopes
-    /// (the model checker maps one per frontier super-chunk) then skip
-    /// a futex wakeup per scope.
-    pending: AtomicUsize,
-    shutting_down: AtomicBool,
-    /// Spin budget before parking; zero when the machine cannot host
-    /// every worker on its own core (spinning would steal cycles from
-    /// the submitting thread instead of hiding wakeup latency).
-    spin_iters: u32,
-    /// Workers park here when no job is pending.
-    work_cv: Condvar,
-    /// The submitting thread sleeps here until the scope drains.
-    done_cv: Condvar,
-}
-
-/// A fixed-size work-stealing pool; see the module docs.
-pub struct WorkStealingPool {
-    shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
-    /// Serializes scopes: two concurrent `map` calls would otherwise
-    /// wait on each other's jobs.
-    scope_lock: Mutex<()>,
-}
-
-impl std::fmt::Debug for WorkStealingPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkStealingPool")
-            .field("threads", &self.workers.len())
-            .finish()
+/// Applies `f` to every item on at most `states.len()` workers, each
+/// owning one state, and returns the results in item order.
+///
+/// The caller's thread is the first worker, so one state or one item
+/// spawns no thread. Workers pull items in order from one shared queue.
+/// Every job runs even if another panics; once all have finished, the
+/// first panic's payload is re-raised here.
+///
+/// # Panics
+///
+/// Panics if `states` is empty while `items` is not, and re-raises a
+/// job's panic.
+pub fn map_with<S, T, R, F>(states: &mut [S], items: Vec<T>, f: F) -> Vec<R>
+where
+    S: Send,
+    T: Send,
+    R: Send,
+    F: Fn(&mut S, T) -> R + Sync,
+{
+    if items.is_empty() {
+        return Vec::new();
     }
+    let workers = states.len().min(items.len());
+    let (first, rest) = states[..workers]
+        .split_first_mut()
+        .expect("map_with needs at least one worker state");
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let panic = Mutex::new(None);
+    let work = |state: &mut S| {
+        let mut done = Vec::new();
+        loop {
+            // Bound before matching, so the queue lock is released
+            // before the job runs.
+            let next = queue
+                .lock()
+                .expect("no job runs under the queue lock")
+                .next();
+            let Some((i, item)) = next else {
+                return done;
+            };
+            match catch_unwind(AssertUnwindSafe(|| f(state, item))) {
+                Ok(r) => done.push((i, r)),
+                Err(payload) => {
+                    let mut first = panic.lock().expect("no job runs under the panic lock");
+                    first.get_or_insert(payload);
+                }
+            }
+        }
+    };
+    let work = &work;
+    let mut done = std::thread::scope(|scope| {
+        let spawned: Vec<_> = rest
+            .iter_mut()
+            .map(|state| scope.spawn(move || work(state)))
+            .collect();
+        let mut done = work(first);
+        for h in spawned {
+            done.extend(h.join().expect("job panics are caught inside the worker"));
+        }
+        done
+    });
+    if let Some(payload) = panic
+        .into_inner()
+        .expect("no job runs under the panic lock")
+    {
+        resume_unwind(payload);
+    }
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
+}
+
+/// A fixed worker count for [`map_with`] over stateless jobs.
+///
+/// The name predates the scoped-thread design (nothing is stolen any
+/// more); it is kept because the benchmark package imports it.
+#[derive(Debug)]
+pub struct WorkStealingPool {
+    threads: usize,
 }
 
 impl WorkStealingPool {
-    /// Spawns a pool of `threads` workers (at least 1).
+    /// A pool of `threads` workers (at least 1). No thread starts until
+    /// [`WorkStealingPool::map`] runs.
     pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        let cores = std::thread::available_parallelism().map_or(1, usize::from);
-        let shared = Arc::new(Shared {
-            queues: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            sync: Mutex::new(SyncState::default()),
-            pending: AtomicUsize::new(0),
-            shutting_down: AtomicBool::new(false),
-            spin_iters: if threads < cores { SPIN_ITERS } else { 0 },
-            work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-        });
-        let workers = (0..threads)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("lis-sim-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, i))
-                    .expect("spawn pool worker")
-            })
-            .collect();
         WorkStealingPool {
-            shared,
-            workers,
-            scope_lock: Mutex::new(()),
+            threads: threads.max(1),
         }
     }
 
-    /// Number of worker threads.
+    /// Number of workers.
     pub fn threads(&self) -> usize {
-        self.workers.len()
+        self.threads
     }
 
-    /// Runs every job to completion before returning. Jobs may borrow
-    /// from the caller's stack; if any job panics, the first panic is
-    /// re-raised here after the whole scope has drained.
-    fn run<'scope>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
-        if jobs.is_empty() {
-            return;
-        }
-        // Poison-tolerant: a previous scope may have re-raised a job
-        // panic while holding this lock; the pool itself stays valid.
-        let _scope = self
-            .scope_lock
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let n = jobs.len();
-        for (i, job) in jobs.into_iter().enumerate() {
-            // SAFETY: the loop below does not return until `unclaimed`
-            // and `inflight` are both zero, i.e. every job has run to
-            // completion — no borrow inside a job outlives this call.
-            let job: Job =
-                unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Job>(job) };
-            self.shared.queues[i % self.shared.queues.len()]
-                .lock()
-                .unwrap()
-                .push_back(job);
-        }
-        let mut sync = self.shared.sync.lock().unwrap();
-        sync.unclaimed += n;
-        self.shared.pending.fetch_add(n, Ordering::Release);
-        self.shared.work_cv.notify_all();
-        while sync.unclaimed > 0 || sync.inflight > 0 {
-            sync = self.shared.done_cv.wait(sync).unwrap();
-        }
-        if let Some(payload) = sync.panic.take() {
-            drop(sync);
-            resume_unwind(payload);
-        }
-    }
-
-    /// Applies `f` to every item on the pool, preserving order. Items
-    /// run as one scope: the call returns once all of them finished,
-    /// re-raising the first panic, so `f` may borrow from the caller.
+    /// Applies `f` to every item, preserving order: [`map_with`] over
+    /// [`WorkStealingPool::threads`] unit states.
     pub fn map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
         R: Send,
         F: Fn(T) -> R + Sync,
     {
-        let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = items
-            .into_iter()
-            .enumerate()
-            .map(|(i, item)| {
-                let slots = &slots;
-                let f = &f;
-                Box::new(move || {
-                    *slots[i].lock().unwrap() = Some(f(item));
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        self.run(jobs);
-        slots
-            .into_iter()
-            .map(|s| s.into_inner().unwrap().expect("job filled its slot"))
-            .collect()
-    }
-}
-
-impl Drop for WorkStealingPool {
-    fn drop(&mut self) {
-        self.shared.shutting_down.store(true, Ordering::Release);
-        self.shared.sync.lock().unwrap().shutdown = true;
-        self.shared.work_cv.notify_all();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
-/// Spin iterations before a worker parks on the condvar (roughly tens
-/// of microseconds — enough to bridge the gap between two back-to-back
-/// scopes without a futex round-trip).
-const SPIN_ITERS: u32 = 20_000;
-
-fn worker_loop(shared: &Shared, me: usize) {
-    loop {
-        // Wait for pending work: spin briefly, then park.
-        let mut spins = 0u32;
-        while shared.pending.load(Ordering::Acquire) == 0 {
-            if shared.shutting_down.load(Ordering::Acquire) {
-                return;
-            }
-            spins += 1;
-            if spins > shared.spin_iters {
-                let mut sync = shared.sync.lock().unwrap();
-                loop {
-                    if sync.shutdown {
-                        return;
-                    }
-                    if sync.unclaimed > 0 {
-                        break;
-                    }
-                    sync = shared.work_cv.wait(sync).unwrap();
-                }
-                break;
-            }
-            std::hint::spin_loop();
-        }
-        // Claim the right to one job (another worker may have beaten us
-        // to it — then just go back to waiting).
-        {
-            let mut sync = shared.sync.lock().unwrap();
-            if sync.shutdown {
-                return;
-            }
-            if sync.unclaimed == 0 {
-                continue;
-            }
-            sync.unclaimed -= 1;
-            shared.pending.fetch_sub(1, Ordering::Release);
-            sync.inflight += 1;
-        }
-        // A claim guarantees a job exists somewhere: pop own queue from
-        // the front, steal from the back of the others.
-        let job = 'find: loop {
-            if let Some(job) = shared.queues[me].lock().unwrap().pop_front() {
-                break 'find job;
-            }
-            for k in 1..shared.queues.len() {
-                let victim = (me + k) % shared.queues.len();
-                if let Some(job) = shared.queues[victim].lock().unwrap().pop_back() {
-                    break 'find job;
-                }
-            }
-            // Another claimant popped "our" job between scans; the
-            // invariant says one is still coming — yield and rescan.
-            std::thread::yield_now();
-        };
-        let result = catch_unwind(AssertUnwindSafe(job));
-        let mut sync = shared.sync.lock().unwrap();
-        if let Err(payload) = result {
-            sync.panic.get_or_insert(payload);
-        }
-        sync.inflight -= 1;
-        if sync.unclaimed == 0 && sync.inflight == 0 {
-            shared.done_cv.notify_all();
-        }
+        map_with(&mut vec![(); self.threads], items, |(), item| f(item))
     }
 }
 
@@ -263,6 +122,8 @@ fn worker_loop(shared: &Shared, me: usize) {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::thread::ThreadId;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn map_preserves_order_and_runs_everything() {
@@ -275,20 +136,14 @@ mod tests {
     fn scoped_jobs_may_borrow_stack_data() {
         let pool = WorkStealingPool::new(3);
         let hits = AtomicUsize::new(0);
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..32)
-            .map(|_| {
-                let hits = &hits;
-                Box::new(move || {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        pool.run(jobs);
+        pool.map((0..32).collect(), |_: i32| {
+            hits.fetch_add(1, Ordering::Relaxed);
+        });
         assert_eq!(hits.load(Ordering::Relaxed), 32);
-        // The pool is reusable across scopes.
-        pool.run(vec![Box::new(|| {
-            hits.fetch_add(10, Ordering::Relaxed);
-        })]);
+        // The pool is reusable across calls.
+        pool.map(vec![10], |v| {
+            hits.fetch_add(v, Ordering::Relaxed);
+        });
         assert_eq!(hits.load(Ordering::Relaxed), 42);
     }
 
@@ -297,17 +152,17 @@ mod tests {
         let pool = WorkStealingPool::new(2);
         let done = AtomicUsize::new(0);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
-                Box::new(|| panic!("job boom")),
-                Box::new(|| {
-                    done.fetch_add(1, Ordering::Relaxed);
-                }),
-            ];
-            pool.run(jobs);
+            pool.map(vec![true, false], |boom| {
+                if boom {
+                    panic!("job boom");
+                }
+                done.fetch_add(1, Ordering::Relaxed);
+            })
         }));
-        assert!(result.is_err(), "panic must cross the pool boundary");
+        let payload = result.expect_err("panic must cross the pool boundary");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"job boom"));
         assert_eq!(done.load(Ordering::Relaxed), 1, "other jobs still ran");
-        // And the pool survives for the next scope.
+        // And the pool survives for the next call.
         assert_eq!(pool.map(vec![1, 2], |v| v + 1), vec![2, 3]);
     }
 
@@ -315,5 +170,50 @@ mod tests {
     fn single_thread_pool_works() {
         let pool = WorkStealingPool::new(1);
         assert_eq!(pool.map(vec![5u32], |v| v + 1), vec![6]);
+    }
+
+    #[test]
+    fn one_worker_runs_on_the_callers_thread() {
+        let caller = std::thread::current().id();
+        let on_caller = |pool: WorkStealingPool, items: Vec<u32>| {
+            pool.map(items, |_| std::thread::current().id())
+                .into_iter()
+                .all(|id| id == caller)
+        };
+        assert!(on_caller(WorkStealingPool::new(1), (0..8).collect()));
+        assert!(on_caller(WorkStealingPool::new(4), vec![0]));
+    }
+
+    #[test]
+    fn map_with_gives_each_worker_its_own_state() {
+        #[derive(Default)]
+        struct Seen {
+            thread: Option<ThreadId>,
+            count: usize,
+        }
+        let mut states: Vec<Seen> = (0..3).map(|_| Seen::default()).collect();
+        // A barrier (with a deadline, so a missing worker fails the test
+        // instead of hanging it): each state's first job waits for the
+        // other two to start, so no worker drains the queue alone.
+        let started = AtomicUsize::new(0);
+        let out = map_with(&mut states, (0..100u32).collect(), |seen, v| {
+            let me = std::thread::current().id();
+            if seen.thread.is_none() {
+                seen.thread = Some(me);
+                started.fetch_add(1, Ordering::SeqCst);
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while started.load(Ordering::SeqCst) < 3 && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+            }
+            assert_eq!(seen.thread, Some(me), "a state stays on one thread");
+            seen.count += 1;
+            v * 3
+        });
+        assert_eq!(out, (0..100u32).map(|v| v * 3).collect::<Vec<_>>());
+        assert_eq!(states.iter().map(|s| s.count).sum::<usize>(), 100);
+        let threads: Vec<ThreadId> = states.iter().map(|s| s.thread.unwrap()).collect();
+        assert_eq!(threads[0], std::thread::current().id());
+        assert!(threads[0] != threads[1] && threads[1] != threads[2] && threads[0] != threads[2]);
     }
 }

@@ -17,11 +17,11 @@
 //!   canonical orbit representative under the configuration's branch
 //!   symmetry, if it has one ([`crate::reduce`]).
 //! * **Parallel frontier expansion** — [`explore_pool`] shards each
-//!   BFS level across configuration *twins* driven by a
-//!   [`WorkStealingPool`] worker each. Jobs are batched exactly as in
-//!   the single-threaded walk and merged single-threaded in job order,
-//!   so census, verdicts, and counterexamples are bit-identical at any
-//!   worker count.
+//!   BFS level across configuration *twins*, each owned by one
+//!   [`map_with`] worker (the first on the caller's thread). Jobs are
+//!   batched exactly as in the single-threaded walk and merged
+//!   single-threaded in job order, so census, verdicts, and
+//!   counterexamples are bit-identical at any twin count.
 //!
 //! Every transition is checked against three safety invariants —
 //! sequencing (the sink's order counter), conservation (the KPN ledger
@@ -36,10 +36,9 @@
 use crate::config::ClosedConfig;
 use crate::counterexample::Counterexample;
 use crate::reduce::ReductionPlan;
-use lis_sim::WorkStealingPool;
+use lis_sim::map_with;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
-use std::sync::Mutex;
 
 /// Cap on fully recorded counterexamples per report (the total count
 /// keeps counting past it — a mutant config can violate on a large
@@ -240,26 +239,11 @@ fn run_batch(
         .collect()
 }
 
-/// Locks any free configuration twin (workers outnumber neither twins
-/// nor batches, so a slot is always about to free up).
-fn with_any_slot<R>(
-    slots: &[Mutex<&mut ClosedConfig>],
-    f: impl FnOnce(&mut ClosedConfig) -> R,
-) -> R {
-    loop {
-        for slot in slots {
-            if let Ok(mut cfg) = slot.try_lock() {
-                return f(&mut cfg);
-            }
-        }
-        std::thread::yield_now();
-    }
-}
-
 /// Runs the bounded exploration of `cfgs[0]`, sharding each BFS level
 /// across all the configuration twins in `cfgs` (which must be
-/// independently built copies of the *same* configuration), one
-/// work-stealing worker per twin.
+/// independently built copies of the *same* configuration), each twin
+/// owned by one [`map_with`] worker. One twin runs entirely on the
+/// caller's thread.
 ///
 /// Jobs are batched into lane-sized chunks exactly as in the
 /// single-threaded walk, executed speculatively across the twins, and
@@ -314,42 +298,120 @@ pub fn explore_pool(cfgs: &mut [ClosedConfig], opts: &ExploreOptions) -> Explore
         counterexamples: Vec::new(),
     };
 
-    {
-        let workers = cfgs.len();
-        let pool = (workers > 1).then(|| WorkStealingPool::new(workers));
-        let slots: Vec<Mutex<&mut ClosedConfig>> = cfgs.iter_mut().map(Mutex::new).collect();
+    let mut frontier: Vec<(u32, Vec<u64>)> = vec![(0, initial.clone())];
+    // States awaiting the liveness check (drained level by level; the
+    // check clobbers lanes, so it must not interleave with expansion).
+    let mut pending: Vec<(u32, Vec<u64>)> = vec![(0, initial)];
+    let mut stop = false;
 
-        // Executes a super-chunk of batches: fanned out over the twins
-        // when a pool exists, in order on the one twin otherwise. Either
-        // way each batch's outcome depends only on its own jobs.
-        let run_chunks =
-            |chunks: &[&[(usize, u8)]], frontier: &[(u32, Vec<u64>)]| -> Vec<Vec<JobOut>> {
-                match &pool {
-                    Some(pool) => pool.map(chunks.to_vec(), |chunk| {
-                        with_any_slot(&slots, |cfg| {
-                            run_batch(cfg, frontier, chunk, n_edges, &plan)
-                        })
-                    }),
-                    None => chunks
-                        .iter()
-                        .map(|chunk| {
-                            with_any_slot(&slots, |cfg| {
-                                run_batch(cfg, frontier, chunk, n_edges, &plan)
-                            })
-                        })
-                        .collect(),
+    check_deadlocks(
+        cfgs,
+        lanes,
+        n_edges,
+        horizon,
+        &mut pending,
+        &recs,
+        &mut report,
+        opts,
+        &mut stop,
+    );
+
+    for depth in 0..opts.depth {
+        if stop || frontier.is_empty() {
+            break;
+        }
+        let mut next: Vec<(u32, Vec<u64>)> = Vec::new();
+        // Partial-order reduction: expand one representative per
+        // commuting class — the choice with every inert bit at
+        // "flow". The representative is numerically smallest in its
+        // class, so it is also the first member job order would
+        // reach: first-discovery back-pointers are unchanged.
+        let mut jobs: Vec<(usize, u8)> = Vec::new();
+        for (fi, (_, words)) in frontier.iter().enumerate() {
+            let inert = plan.inert_mask(words);
+            if inert == 0 {
+                jobs.extend((0..branch).map(|c| (fi, c as u8)));
+            } else {
+                let kept = branch >> inert.count_ones();
+                report.por_pruned += u64::from(branch - kept);
+                jobs.extend(
+                    (0..branch)
+                        .filter(|&c| u64::from(c) & inert == 0)
+                        .map(|c| (fi, c as u8)),
+                );
+            }
+        }
+        let chunks: Vec<&[(usize, u8)]> = jobs.chunks(lanes).collect();
+        'level: for superchunk in chunks.chunks(cfgs.len() * 8) {
+            // Each batch's outcome depends only on its own jobs, not
+            // on which twin ran it.
+            let batches = map_with(cfgs, superchunk.to_vec(), |cfg, chunk| {
+                run_batch(cfg, &frontier, chunk, n_edges, &plan)
+            });
+            for batch in batches {
+                for out in batch {
+                    report.transitions += 1;
+                    if let Some((kind, detail)) = out.fault {
+                        report.total_violations += 1;
+                        if report.counterexamples.len() < MAX_RECORDED {
+                            let mut schedule = schedule_to(&recs, out.parent);
+                            schedule.push(u64::from(out.choice));
+                            report.counterexamples.push(Counterexample {
+                                config: report.config.clone(),
+                                kind: kind.to_string(),
+                                edges: report.edges.clone(),
+                                schedule,
+                                free_run: 0,
+                                detail,
+                            });
+                        }
+                        if opts.stop_at_first_violation {
+                            stop = true;
+                            break 'level;
+                        }
+                        continue; // violating states are not expanded
+                    }
+                    if out.folded {
+                        report.sym_folds += 1;
+                    }
+                    if seen.insert(out.key) {
+                        let id = recs.len() as u32;
+                        recs.push(Rec {
+                            parent: out.parent,
+                            choice: out.choice,
+                        });
+                        report.states += 1;
+                        next.push((id, out.words.clone()));
+                        pending.push((id, out.words));
+                        if report.states >= opts.max_states {
+                            report.truncated = true;
+                            stop = true;
+                            break 'level;
+                        }
+                    } else {
+                        report.dedup_hits += 1;
+                    }
                 }
-            };
-
-        let mut frontier: Vec<(u32, Vec<u64>)> = vec![(0, initial.clone())];
-        // States awaiting the liveness check (drained level by level; the
-        // check clobbers lanes, so it must not interleave with expansion).
-        let mut pending: Vec<(u32, Vec<u64>)> = vec![(0, initial)];
-        let mut stop = false;
-
+            }
+        }
+        // Memory guard: every word the exploration retains — the
+        // next frontier, the liveness queue, the dedup fingerprints
+        // (two words each), and the back-pointer arena.
+        let retained: usize = next.iter().map(|(_, w)| w.len()).sum::<usize>()
+            + pending.iter().map(|(_, w)| w.len()).sum::<usize>()
+            + 2 * seen.len()
+            + recs.len();
+        assert!(
+            retained <= opts.max_retained_words,
+            "memory guard: {retained} retained words exceed the {}-word cap \
+             after depth {} with {} states discovered — raise \
+             max_retained_words or lower the depth bound",
+            opts.max_retained_words,
+            depth + 1,
+            report.states,
+        );
         check_deadlocks(
-            pool.as_ref(),
-            &slots,
+            cfgs,
             lanes,
             n_edges,
             horizon,
@@ -359,110 +421,7 @@ pub fn explore_pool(cfgs: &mut [ClosedConfig], opts: &ExploreOptions) -> Explore
             opts,
             &mut stop,
         );
-
-        for depth in 0..opts.depth {
-            if stop || frontier.is_empty() {
-                break;
-            }
-            let mut next: Vec<(u32, Vec<u64>)> = Vec::new();
-            // Partial-order reduction: expand one representative per
-            // commuting class — the choice with every inert bit at
-            // "flow". The representative is numerically smallest in its
-            // class, so it is also the first member job order would
-            // reach: first-discovery back-pointers are unchanged.
-            let mut jobs: Vec<(usize, u8)> = Vec::new();
-            for (fi, (_, words)) in frontier.iter().enumerate() {
-                let inert = plan.inert_mask(words);
-                if inert == 0 {
-                    jobs.extend((0..branch).map(|c| (fi, c as u8)));
-                } else {
-                    let kept = branch >> inert.count_ones();
-                    report.por_pruned += u64::from(branch - kept);
-                    jobs.extend(
-                        (0..branch)
-                            .filter(|&c| u64::from(c) & inert == 0)
-                            .map(|c| (fi, c as u8)),
-                    );
-                }
-            }
-            let chunks: Vec<&[(usize, u8)]> = jobs.chunks(lanes).collect();
-            'level: for superchunk in chunks.chunks(workers * 8) {
-                for batch in run_chunks(superchunk, &frontier) {
-                    for out in batch {
-                        report.transitions += 1;
-                        if let Some((kind, detail)) = out.fault {
-                            report.total_violations += 1;
-                            if report.counterexamples.len() < MAX_RECORDED {
-                                let mut schedule = schedule_to(&recs, out.parent);
-                                schedule.push(u64::from(out.choice));
-                                report.counterexamples.push(Counterexample {
-                                    config: report.config.clone(),
-                                    kind: kind.to_string(),
-                                    edges: report.edges.clone(),
-                                    schedule,
-                                    free_run: 0,
-                                    detail,
-                                });
-                            }
-                            if opts.stop_at_first_violation {
-                                stop = true;
-                                break 'level;
-                            }
-                            continue; // violating states are not expanded
-                        }
-                        if out.folded {
-                            report.sym_folds += 1;
-                        }
-                        if seen.insert(out.key) {
-                            let id = recs.len() as u32;
-                            recs.push(Rec {
-                                parent: out.parent,
-                                choice: out.choice,
-                            });
-                            report.states += 1;
-                            next.push((id, out.words.clone()));
-                            pending.push((id, out.words));
-                            if report.states >= opts.max_states {
-                                report.truncated = true;
-                                stop = true;
-                                break 'level;
-                            }
-                        } else {
-                            report.dedup_hits += 1;
-                        }
-                    }
-                }
-            }
-            // Memory guard: every word the exploration retains — the
-            // next frontier, the liveness queue, the dedup fingerprints
-            // (two words each), and the back-pointer arena.
-            let retained: usize = next.iter().map(|(_, w)| w.len()).sum::<usize>()
-                + pending.iter().map(|(_, w)| w.len()).sum::<usize>()
-                + 2 * seen.len()
-                + recs.len();
-            assert!(
-                retained <= opts.max_retained_words,
-                "memory guard: {retained} retained words exceed the {}-word cap \
-                 after depth {} with {} states discovered — raise \
-                 max_retained_words or lower the depth bound",
-                opts.max_retained_words,
-                depth + 1,
-                report.states,
-            );
-            check_deadlocks(
-                pool.as_ref(),
-                &slots,
-                lanes,
-                n_edges,
-                horizon,
-                &mut pending,
-                &recs,
-                &mut report,
-                opts,
-                &mut stop,
-            );
-            frontier = next;
-        }
+        frontier = next;
     }
 
     if opts.minimize {
@@ -482,8 +441,7 @@ pub fn explore_pool(cfgs: &mut [ClosedConfig], opts: &ExploreOptions) -> Explore
 /// order, so the records match the single-threaded walk exactly.
 #[allow(clippy::too_many_arguments)]
 fn check_deadlocks(
-    pool: Option<&WorkStealingPool>,
-    slots: &[Mutex<&mut ClosedConfig>],
+    cfgs: &mut [ClosedConfig],
     lanes: usize,
     n_edges: usize,
     horizon: u64,
@@ -523,17 +481,8 @@ fn check_deadlocks(
         }
         waiting
     };
-    let chunks: Vec<&[(u32, Vec<u64>)]> = pending.chunks(lanes).collect();
-    let waitings: Vec<u64> = match pool {
-        Some(pool) => pool.map(chunks.clone(), |chunk| {
-            with_any_slot(slots, |cfg| free_run(cfg, chunk))
-        }),
-        None => chunks
-            .iter()
-            .map(|chunk| with_any_slot(slots, |cfg| free_run(cfg, chunk)))
-            .collect(),
-    };
-    for (chunk, waiting) in chunks.iter().zip(waitings) {
+    let waitings = map_with(cfgs, pending.chunks(lanes).collect(), free_run);
+    for (chunk, waiting) in pending.chunks(lanes).zip(waitings) {
         if *stop {
             break;
         }
@@ -557,7 +506,6 @@ fn check_deadlocks(
             }
         }
     }
-    drop(chunks);
     pending.clear();
 }
 

@@ -9,7 +9,7 @@
 //! 128-bit-hashed state deduplication collapsing the decision tree
 //! into the reachable state graph, 64 branches expanded per step on
 //! the packed SIMD engine. Each BFS level shards across configuration
-//! twins on a work-stealing pool ([`explore_pool()`]), and the
+//! twins, one scoped worker thread each ([`explore_pool()`]), and the
 //! [`reduce`] module prunes the walk further — partial-order reduction
 //! over provably inert stall choices and symmetry reduction over
 //! interchangeable branches — without giving up concrete, replayable

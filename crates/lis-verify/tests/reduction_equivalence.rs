@@ -8,7 +8,8 @@
 //! count, reductions on or off.
 
 use lis_verify::{
-    build_config, explore, explore_pool, replay_on_checker, ExploreOptions, MUTANT_CONFIGS,
+    build_config, explore, explore_pool, replay_on_checker, ExploreOptions, ExploreReport,
+    MUTANT_CONFIGS,
 };
 use proptest::prelude::*;
 
@@ -80,15 +81,40 @@ fn mutants_are_caught_in_every_reduction_mode_with_replayable_schedules() {
     }
 }
 
+/// Explores `name` on 1 twin and on 2, 3 and 4 twins (two and three
+/// split the super-chunks unevenly), asserting identical reports, and
+/// returns the 1-twin report.
+fn same_report_at_every_twin_count(name: &str, opts: &ExploreOptions) -> ExploreReport {
+    let one = explore(&mut build_config(name).unwrap(), opts);
+    for n in 2..=4 {
+        let mut twins: Vec<_> = (0..n).map(|_| build_config(name).unwrap()).collect();
+        let pooled = explore_pool(&mut twins, opts);
+        assert_eq!(one, pooled, "{name} at {n} twins, {opts:?}");
+    }
+    one
+}
+
 #[test]
 fn parallel_exploration_is_bit_identical_across_twin_counts() {
     for name in ["sp1-scalar", "spj-sym"] {
         for (por, symmetry) in [(true, true), (false, false)] {
-            let opts = options(5, por, symmetry);
-            let one = explore(&mut build_config(name).unwrap(), &opts);
-            let mut twins: Vec<_> = (0..4).map(|_| build_config(name).unwrap()).collect();
-            let four = explore_pool(&mut twins, &opts);
-            assert_eq!(one, four, "{name} por={por}");
+            same_report_at_every_twin_count(name, &options(5, por, symmetry));
         }
     }
+}
+
+#[test]
+fn early_stop_is_bit_identical_across_twin_counts() {
+    // The merge must stop at the same job at every twin count, even when
+    // that job sits in the middle of a super-chunk the twins ran ahead on.
+    let report = same_report_at_every_twin_count(
+        "mut-dup",
+        &ExploreOptions {
+            depth: 24,
+            stop_at_first_violation: true,
+            ..ExploreOptions::default()
+        },
+    );
+    assert_eq!(report.total_violations, 1, "{report:?}");
+    assert_eq!(report.counterexamples.len(), 1);
 }
