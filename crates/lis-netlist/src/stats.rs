@@ -123,6 +123,15 @@ pub struct LoweringStats {
     pub levels: usize,
     /// Total per-opcode dispatch runs per cycle (one branch each).
     pub runs: usize,
+    /// Word instructions the scalar engine's word pass emitted: bus
+    /// MUXes, each computing a whole bus as one `u64`.
+    pub word_instrs: usize,
+    /// One-bit cells those word instructions replaced.
+    pub word_cells: usize,
+    /// Flip-flop commit entries that each commit a whole bus register.
+    pub dff_words: usize,
+    /// Flip-flops inside those entries.
+    pub dff_word_bits: usize,
     /// Per-opcode run/instruction census, sorted by mnemonic.
     pub ops: Vec<OpCount>,
 }
@@ -138,7 +147,7 @@ impl fmt::Display for LoweringStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "instrs {}->{} (fused={} const={} copies={} cse={} dead={}) nets {}->{} levels={} runs={}",
+            "instrs {}->{} (fused={} const={} copies={} cse={} dead={}) nets {}->{} levels={} runs={} words={}/{} dff_words={}/{}",
             self.instrs_before,
             self.instrs_after,
             self.fused,
@@ -150,6 +159,10 @@ impl fmt::Display for LoweringStats {
             self.nets_after,
             self.levels,
             self.runs,
+            self.word_instrs,
+            self.word_cells,
+            self.dff_words,
+            self.dff_word_bits,
         )
     }
 }

@@ -10,6 +10,9 @@
 //!   superinstructions, MUXes of constants rewrite to gates, constants
 //!   fold through, buffers propagate away, and identical computations
 //!   dedup (CSE);
+//! * **word pass** (scalar engine only) — buses of one-bit cells that
+//!   differ only in bit index (multi-bit ports, registers, MUXes under
+//!   one select) run as one `u64` word each, see [`widen`];
 //! * **direct-threaded dispatch** — surviving instructions are sorted
 //!   into contiguous same-opcode *runs* within each level, so execution
 //!   branches once per run instead of once per gate, and dead nets are
@@ -53,36 +56,26 @@ pub struct PortHandle {
     output: bool,
 }
 
-/// The word an engine evaluates over: `bool` carries one scalar
-/// simulation, `u64` one bit per lane. Gate semantics are the plain
-/// bitwise operators for both, which is what lets the scalar and packed
-/// engines share one dispatch loop and flip-flop commit instead of
-/// maintaining two hand-synchronized copies.
-trait SimWord:
-    Copy
-    + PartialEq
-    + std::ops::BitAnd<Output = Self>
-    + std::ops::BitOr<Output = Self>
-    + std::ops::BitXor<Output = Self>
-    + std::ops::Not<Output = Self>
-{
-    /// Broadcasts one bit to every lane of the word.
-    fn splat(bit: bool) -> Self;
-}
-
-impl SimWord for bool {
-    fn splat(bit: bool) -> bool {
-        bit
+/// Both engines evaluate over `u64` slots with the plain bitwise
+/// operators, so they share one dispatch loop and one flip-flop commit.
+/// In the packed engine a slot carries one bit per lane. In the scalar
+/// engine a one-bit net is a splat (all zeros or all ones) and a bus
+/// that the word pass widened is one packed word, bit `i` its member
+/// `i`; a splat select then picks a whole bus in one MUX.
+fn splat(bit: bool) -> u64 {
+    if bit {
+        u64::MAX
+    } else {
+        0
     }
 }
 
-impl SimWord for u64 {
-    fn splat(bit: bool) -> u64 {
-        if bit {
-            u64::MAX
-        } else {
-            0
-        }
+/// The low `width` bits set (`width` at most 64).
+fn width_mask(width: usize) -> u64 {
+    if width >= 64 {
+        u64::MAX
+    } else {
+        (1 << width) - 1
     }
 }
 
@@ -203,11 +196,73 @@ struct DffClasses {
     full_inv: Vec<u32>,
 }
 
+/// The commit class of one flip-flop (see [`DffClasses`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Class {
+    Always,
+    AlwaysInv,
+    Enable,
+    EnableInv,
+    Reset,
+    Full,
+    FullInv,
+    Hold,
+}
+
+impl Class {
+    /// The pins (`INV_*` bits) the class's commit formula reads.
+    fn pins(self) -> u8 {
+        match self {
+            Class::Always | Class::AlwaysInv => INV_D,
+            Class::Enable | Class::EnableInv => INV_D | INV_EN,
+            Class::Full | Class::FullInv => INV_D | INV_EN | INV_RST,
+            Class::Reset | Class::Hold => 0,
+        }
+    }
+}
+
+impl DffClasses {
+    fn push(&mut self, class: Class, i: u32) {
+        match class {
+            Class::Always => self.always.push(i),
+            Class::AlwaysInv => self.always_inv.push(i),
+            Class::Enable => self.enable.push(i),
+            Class::EnableInv => self.enable_inv.push(i),
+            Class::Reset => self.reset.push(i),
+            Class::Full => self.full.push(i),
+            Class::FullInv => self.full_inv.push(i),
+            Class::Hold => {}
+        }
+    }
+}
+
+/// How the scalar engine lays out what the word pass widened. The
+/// packed engine has none: its word is the lane dimension.
+#[derive(Debug, Clone, Default)]
+struct WordLayout {
+    /// Reset word of every flip-flop entry, indexed like
+    /// [`JitNetlistProgram::dffs`]: a splat for a one-bit entry, the
+    /// members' reset bits for a bus.
+    reset: Vec<u64>,
+    /// Per module flip-flop, in cell order: its entry and the entry
+    /// bits it occupies (all ones for a one-bit entry). This keeps the
+    /// checkpoint seam at one bool per flip-flop.
+    seam: Vec<(u32, u64)>,
+    /// Per input port: the width mask of a port that moves as one word
+    /// (its slot list then holds that word's slot alone), 0 for a port
+    /// driven bit by bit.
+    word_inputs: Vec<u64>,
+    /// Per output port: whether it is read as one word (its slot list
+    /// then holds that word's slot alone).
+    word_outputs: Vec<bool>,
+}
+
 /// A module's levelized instruction stream post-processed by fusion,
 /// constant folding, copy propagation, CSE, dead-net elimination, slot
-/// remapping and per-opcode run sorting. Immutable and engine-agnostic:
-/// [`JitNetlistSim`] executes it over `bool`, [`JitPackedNetlistSim`]
-/// over 64-lane `u64` words.
+/// remapping and per-opcode run sorting. Immutable. Both engines
+/// execute it over `u64` slots: [`JitPackedNetlistSim`] one bit per
+/// lane, [`JitNetlistSim`] after a word pass that runs each widened bus
+/// as one packed word (see [`JitNetlistProgram::compile`]).
 #[derive(Debug, Clone)]
 pub struct JitNetlistProgram {
     /// Dense live slot count after remapping.
@@ -220,8 +275,9 @@ pub struct JitNetlistProgram {
     args: Vec<u32>,
     /// Constant slots, applied once at initialization.
     consts: Vec<(u32, bool)>,
-    /// All flip-flops, in module cell order (the checkpoint seam
-    /// depends on it).
+    /// Flip-flop commit entries: one per flip-flop, in module cell
+    /// order, except that the word pass makes each widened register one
+    /// entry (the scalar engine's seam table maps them back).
     dffs: Vec<JitDff>,
     classes: DffClasses,
     roms: Vec<CompiledRom>,
@@ -540,22 +596,364 @@ fn arity(op: JitOp) -> usize {
     }
 }
 
+/// The lowered netlist between dead-code elimination and slot
+/// remapping, in the original slot space.
+struct Flat {
+    pend: Vec<Pend>,
+    roms: Vec<CompiledRom>,
+    args: Vec<u32>,
+    dffs: Vec<JitDff>,
+    class_of: Vec<Class>,
+    inputs: Vec<(String, Vec<u32>)>,
+    outputs: Vec<(String, Vec<u32>)>,
+}
+
+/// The word pass's "not a bus member" marker.
+const NO_BUS: u32 = u32::MAX;
+
+/// The buses the word pass tracks, over slot-indexed tables so the
+/// pass stays linear in the netlist.
+struct Buses {
+    /// Slot -> the bus it is a member of, or [`NO_BUS`].
+    bus_of: Vec<u32>,
+    /// Slot -> its bit position in that bus.
+    bit_of: Vec<u8>,
+    /// Per bus: its width (2 to 64).
+    width: Vec<u32>,
+    demoted: Vec<bool>,
+    /// Word-level reads between two buses: demoting one end demotes
+    /// the other.
+    links: Vec<(u32, u32)>,
+}
+
+impl Buses {
+    fn new(slots: usize) -> Self {
+        Buses {
+            bus_of: vec![NO_BUS; slots],
+            bit_of: vec![0; slots],
+            width: Vec::new(),
+            demoted: Vec::new(),
+            links: Vec::new(),
+        }
+    }
+
+    /// Adds a bus whose member `i` is `members[i]`.
+    fn add(&mut self, members: &[u32]) -> u32 {
+        let id = self.width.len() as u32;
+        for (bit, &s) in members.iter().enumerate() {
+            self.bus_of[s as usize] = id;
+            self.bit_of[s as usize] = bit as u8;
+        }
+        self.width.push(members.len() as u32);
+        self.demoted.push(false);
+        id
+    }
+
+    /// The bus and bit position of `s`, if it is a member.
+    fn at(&self, s: u32) -> Option<(u32, u32)> {
+        let bus = self.bus_of[s as usize];
+        (bus != NO_BUS).then(|| (bus, u32::from(self.bit_of[s as usize])))
+    }
+
+    fn alive(&self, bus: u32) -> bool {
+        bus != NO_BUS && !self.demoted[bus as usize]
+    }
+
+    /// A one-bit read of `s`: the bus holding it cannot stay a word.
+    fn read_bit(&mut self, s: u32) {
+        if let Some((bus, _)) = self.at(s) {
+            self.demoted[bus as usize] = true;
+        }
+    }
+
+    /// The bus a port reads as one word: bit `i` of the port is member
+    /// `i`, and the port is exactly as wide as the bus.
+    fn port_bus(&self, ss: &[u32]) -> u32 {
+        match ss.first().and_then(|&s| self.at(s)) {
+            Some((bus, _))
+                if ss.len() == self.width[bus as usize] as usize
+                    && ss
+                        .iter()
+                        .enumerate()
+                        .all(|(i, &s)| self.at(s) == Some((bus, i as u32))) =>
+            {
+                bus
+            }
+            _ => NO_BUS,
+        }
+    }
+
+    /// Spreads demotion along the links to a fixed point: a bus is
+    /// demoted when any bus linked to it, however indirectly, is. One
+    /// union-find pass over the links groups them, so this stays
+    /// linear.
+    fn settle(&mut self) {
+        let mut root: Vec<u32> = (0..self.width.len() as u32).collect();
+        let find = |root: &mut Vec<u32>, mut b: u32| {
+            while root[b as usize] != b {
+                root[b as usize] = root[root[b as usize] as usize];
+                b = root[b as usize];
+            }
+            b
+        };
+        for &(a, b) in &self.links {
+            let (a, b) = (find(&mut root, a), find(&mut root, b));
+            root[a as usize] = b;
+        }
+        let mut bad = vec![false; root.len()];
+        for b in 0..root.len() as u32 {
+            if self.demoted[b as usize] {
+                bad[find(&mut root, b) as usize] = true;
+            }
+        }
+        for b in 0..root.len() as u32 {
+            self.demoted[b as usize] = bad[find(&mut root, b) as usize];
+        }
+    }
+}
+
+/// The word pass, for the scalar engine: runs whole buses of one-bit
+/// cells as single `u64` words.
+///
+/// Seeds are the multi-bit input ports and the runs of consecutive
+/// flip-flops that share commit class, enable and reset and have no
+/// fused inversion. Within each level, one-bit MUXes that share a
+/// select and read two equally wide buses, each at the MUX's own bit
+/// position, form a bus MUX when they cover every position. A bus
+/// survives only while every reader of every member is word-level at
+/// the same position: a bus MUX's data operand, an output port exactly
+/// as wide, or a bus register whose members all read that one bus.
+/// Demotion runs to a fixed point, so no bits are ever packed or
+/// extracted, and no word carries bits above its width.
+///
+/// A surviving bus lives in its position-0 member's slot. That
+/// member's MUX or flip-flop becomes the word instruction or commit
+/// entry, whose operands are already their buses' position-0 slots, and
+/// the other members are dropped.
+fn widen(flat: &mut Flat, slots: usize, stats: &mut LoweringStats) -> WordLayout {
+    let mut buses = Buses::new(slots);
+    let in_bus: Vec<u32> = flat
+        .inputs
+        .iter()
+        .map(|(_, ss)| {
+            if (2..=64).contains(&ss.len()) {
+                buses.add(ss)
+            } else {
+                NO_BUS
+            }
+        })
+        .collect();
+    // A flip-flop run shares the plain class that reads `d` and every
+    // other pin that class reads.
+    let run_key = |i: usize| {
+        let (dff, class) = (&flat.dffs[i], flat.class_of[i]);
+        let pin = |bit: u8, slot: u32| if class.pins() & bit != 0 { slot } else { 0 };
+        matches!(class, Class::Always | Class::Enable | Class::Full)
+            .then(|| (class, pin(INV_EN, dff.en), pin(INV_RST, dff.rst)))
+    };
+    let mut i = 0;
+    while i < flat.dffs.len() {
+        let key = run_key(i);
+        let mut j = i + 1;
+        while key.is_some() && j < flat.dffs.len() && j - i < 64 && run_key(j) == key {
+            j += 1;
+        }
+        if j - i >= 2 {
+            let qs: Vec<u32> = flat.dffs[i..j].iter().map(|d| d.q).collect();
+            buses.add(&qs);
+        }
+        i = j;
+    }
+
+    // Bus MUXes, level by level, so a group's output bus can feed the
+    // groups of later levels.
+    let mut group_of = vec![NO_BUS; flat.pend.len()];
+    let mut cands: Vec<(u32, u32, u32, u32, usize)> = Vec::new();
+    let mut lo = 0;
+    while lo < flat.pend.len() {
+        let mut hi = lo;
+        while hi < flat.pend.len() && flat.pend[hi].level == flat.pend[lo].level {
+            hi += 1;
+        }
+        cands.clear();
+        for (k, p) in flat.pend.iter().enumerate().take(hi).skip(lo) {
+            if p.op != JitOp::Mux {
+                continue;
+            }
+            if let (Some((b, bit)), Some((c, c_bit))) = (buses.at(p.b), buses.at(p.c)) {
+                if bit == c_bit && buses.width[b as usize] == buses.width[c as usize] {
+                    cands.push((p.a, b, c, bit, k));
+                }
+            }
+        }
+        cands.sort_unstable();
+        for group in cands.chunk_by(|x, y| (x.0, x.1, x.2) == (y.0, y.1, y.2)) {
+            let (_, b, c, _, _) = group[0];
+            let dense = group.len() == buses.width[b as usize] as usize
+                && group.iter().enumerate().all(|(i, g)| g.3 == i as u32);
+            if dense {
+                let dests: Vec<u32> = group.iter().map(|g| flat.pend[g.4].dest).collect();
+                let id = buses.add(&dests);
+                buses.links.extend([(id, b), (id, c)]);
+                for g in group {
+                    group_of[g.4] = id;
+                }
+            }
+        }
+        lo = hi;
+    }
+
+    // Every other read of a member is a one-bit read.
+    for (p, &group) in flat.pend.iter().zip(&group_of) {
+        if group != NO_BUS {
+            buses.read_bit(p.a); // the select is a control bit
+            continue;
+        }
+        match p.op {
+            JitOp::Rom => {
+                for &a in &flat.roms[p.a as usize].addr {
+                    buses.read_bit(a);
+                }
+            }
+            JitOp::AndN | JitOp::OrN => {
+                for &s in &flat.args[p.a as usize..p.b as usize] {
+                    buses.read_bit(s);
+                }
+            }
+            op => {
+                for s in [p.a, p.b, p.c].into_iter().take(arity(op)) {
+                    buses.read_bit(s);
+                }
+            }
+        }
+    }
+    // A register reads one bus as a word: the one its position-0 member
+    // (first in cell order) reads at position 0, if equally wide. Every
+    // member must read that bus at its own position.
+    let mut d_bus = vec![NO_BUS; buses.width.len()];
+    for (dff, class) in flat.dffs.iter().zip(&flat.class_of) {
+        let pins = class.pins();
+        if pins & INV_EN != 0 {
+            buses.read_bit(dff.en);
+        }
+        if pins & INV_RST != 0 {
+            buses.read_bit(dff.rst);
+        }
+        if pins & INV_D == 0 {
+            continue;
+        }
+        let Some((q, bit)) = buses.at(dff.q) else {
+            buses.read_bit(dff.d);
+            continue;
+        };
+        if bit == 0 {
+            d_bus[q as usize] = match buses.at(dff.d) {
+                Some((d, 0)) if buses.width[d as usize] == buses.width[q as usize] => d,
+                _ => NO_BUS,
+            };
+        }
+        let d = d_bus[q as usize];
+        if d != NO_BUS && buses.at(dff.d) == Some((d, bit)) {
+            buses.links.push((q, d));
+        } else {
+            buses.read_bit(dff.d);
+            buses.demoted[q as usize] = true;
+        }
+    }
+    let out_bus: Vec<u32> = flat
+        .outputs
+        .iter()
+        .map(|(_, ss)| buses.port_bus(ss))
+        .collect();
+    for ((_, ss), &bus) in flat.outputs.iter().zip(&out_bus) {
+        if bus == NO_BUS {
+            for &s in ss {
+                buses.read_bit(s);
+            }
+        }
+    }
+    buses.settle();
+
+    // Rewrite: each surviving bus keeps only its position-0 member.
+    let mut k = 0;
+    flat.pend.retain(|p| {
+        let group = group_of[k];
+        k += 1;
+        if !buses.alive(group) {
+            return true;
+        }
+        let first = buses.bit_of[p.dest as usize] == 0;
+        if first {
+            stats.word_instrs += 1;
+            stats.word_cells += buses.width[group as usize] as usize;
+        }
+        first
+    });
+    let mut words = WordLayout::default();
+    let mut dffs = Vec::new();
+    let mut class_of = Vec::new();
+    for (dff, &class) in flat.dffs.iter().zip(&flat.class_of) {
+        match buses.at(dff.q) {
+            Some((bus, bit)) if buses.alive(bus) => {
+                if bit == 0 {
+                    dffs.push(*dff);
+                    class_of.push(class);
+                    words.reset.push(0);
+                    stats.dff_words += 1;
+                    stats.dff_word_bits += buses.width[bus as usize] as usize;
+                }
+                let e = dffs.len() - 1;
+                words.reset[e] |= u64::from(dff.reset_value) << bit;
+                words.seam.push((e as u32, 1 << bit));
+            }
+            _ => {
+                words.seam.push((dffs.len() as u32, u64::MAX));
+                dffs.push(*dff);
+                class_of.push(class);
+                words.reset.push(splat(dff.reset_value));
+            }
+        }
+    }
+    flat.dffs = dffs;
+    flat.class_of = class_of;
+    for ((_, ss), &bus) in flat.inputs.iter_mut().zip(&in_bus) {
+        let word = buses.alive(bus);
+        words
+            .word_inputs
+            .push(if word { width_mask(ss.len()) } else { 0 });
+        if word {
+            ss.truncate(1);
+        }
+    }
+    for ((_, ss), &bus) in flat.outputs.iter_mut().zip(&out_bus) {
+        let word = buses.alive(bus);
+        words.word_outputs.push(word);
+        if word {
+            ss.truncate(1);
+        }
+    }
+    words
+}
+
 impl JitNetlistProgram {
     /// Compiles `module` to a levelized instruction stream and lowers
-    /// it.
+    /// it one slot per net, as [`JitPackedNetlistSim`] runs it.
+    /// [`JitNetlistSim`] lowers the same way plus the word pass, whose
+    /// program its [`JitNetlistSim::program`] returns.
     ///
     /// # Errors
     ///
     /// Returns any [`NetlistError`] found while validating or
     /// levelizing the module.
     pub fn compile(module: &Module) -> Result<Self, NetlistError> {
-        Ok(Self::lower(&NetlistProgram::compile(module)?))
+        Ok(Self::lower(&NetlistProgram::compile(module)?, false).0)
     }
 
     /// Lowers an already-compiled program: fusion, constant folding,
-    /// copy propagation, CSE, dead-net elimination, slot remapping and
-    /// per-opcode run sorting.
-    pub(crate) fn lower(prog: &NetlistProgram) -> Self {
+    /// copy propagation, CSE, dead-net elimination, the word pass when
+    /// `widen_buses` is set (see [`widen`]; the layout is empty
+    /// otherwise), slot remapping and per-opcode run sorting.
+    fn lower(prog: &NetlistProgram, widen_buses: bool) -> (Self, WordLayout) {
         let slots = prog.slots;
         let mut lw = Lowerer::new(prog);
         let mut cse: HashMap<(JitOp, u32, u32, u32), u32> = HashMap::new();
@@ -650,8 +1048,8 @@ impl JitNetlistProgram {
         // Flip-flop pins: resolve, fold constants, absorb inverters,
         // and classify by which commit formula each flip-flop needs.
         let mut dffs = Vec::with_capacity(prog.dffs.len());
-        let mut classes = DffClasses::default();
-        for (i, dff) in prog.dffs.iter().enumerate() {
+        let mut class_of = Vec::with_capacity(prog.dffs.len());
+        for dff in &prog.dffs {
             let d = lw.pin(dff.d);
             let en = lw.pin(dff.en);
             let rst = lw.pin(dff.rst);
@@ -662,18 +1060,16 @@ impl JitNetlistProgram {
                     lw.stats.fused += 1;
                 }
             }
-            match (rst.konst, en.konst) {
-                (Some(true), _) => classes.reset.push(i as u32),
-                (Some(false), Some(true)) if inv & INV_D != 0 => classes.always_inv.push(i as u32),
-                (Some(false), Some(true)) => classes.always.push(i as u32),
-                (Some(false), Some(false)) => {} // hold: q' = q, skipped
-                (Some(false), None) if inv & (INV_D | INV_EN) != 0 => {
-                    classes.enable_inv.push(i as u32)
-                }
-                (Some(false), None) => classes.enable.push(i as u32),
-                (None, _) if inv != 0 => classes.full_inv.push(i as u32),
-                (None, _) => classes.full.push(i as u32),
-            }
+            class_of.push(match (rst.konst, en.konst) {
+                (Some(true), _) => Class::Reset,
+                (Some(false), Some(true)) if inv & INV_D != 0 => Class::AlwaysInv,
+                (Some(false), Some(true)) => Class::Always,
+                (Some(false), Some(false)) => Class::Hold, // q' = q, skipped
+                (Some(false), None) if inv & (INV_D | INV_EN) != 0 => Class::EnableInv,
+                (Some(false), None) => Class::Enable,
+                (None, _) if inv != 0 => Class::FullInv,
+                (None, _) => Class::Full,
+            });
             dffs.push(JitDff {
                 d: d.slot,
                 en: en.slot,
@@ -701,22 +1097,10 @@ impl JitNetlistProgram {
                 live[s as usize] = true;
             }
         }
-        for (class, pins) in [
-            (&classes.always, 1usize),
-            (&classes.always_inv, 1),
-            (&classes.enable, 2),
-            (&classes.enable_inv, 2),
-            (&classes.full, 3),
-            (&classes.full_inv, 3),
-        ] {
-            for &i in class {
-                let dff = &dffs[i as usize];
-                live[dff.d as usize] = true;
-                if pins >= 2 {
-                    live[dff.en as usize] = true;
-                }
-                if pins >= 3 {
-                    live[dff.rst as usize] = true;
+        for (dff, class) in dffs.iter().zip(&class_of) {
+            for (pin, slot) in [(INV_D, dff.d), (INV_EN, dff.en), (INV_RST, dff.rst)] {
+                if class.pins() & pin != 0 {
+                    live[slot as usize] = true;
                 }
             }
         }
@@ -908,19 +1292,46 @@ impl JitNetlistProgram {
             pend.retain(|_| !kept.next().expect("one flag per pend"));
         }
 
+        let mut flat = Flat {
+            pend,
+            roms,
+            args,
+            dffs,
+            class_of,
+            inputs: prog.inputs.clone(),
+            outputs,
+        };
+        let words = if widen_buses {
+            widen(&mut flat, slots, &mut lw.stats)
+        } else {
+            WordLayout::default()
+        };
+        let Flat {
+            mut pend,
+            roms,
+            mut args,
+            mut dffs,
+            class_of,
+            inputs,
+            outputs,
+        } = flat;
+        let mut classes = DffClasses::default();
+        for (i, &class) in class_of.iter().enumerate() {
+            classes.push(class, i as u32);
+        }
+
         // Group surviving instructions by level, sort each level into
         // contiguous per-opcode runs, and remap every referenced slot
         // to a dense, first-touch-in-execution-order index space.
         let mut remap = vec![u32::MAX; slots];
         let mut next: u32 = 0;
-        let inputs: Vec<(String, Vec<u32>)> = prog
-            .inputs
-            .iter()
+        let inputs: Vec<(String, Vec<u32>)> = inputs
+            .into_iter()
             .map(|(n, ss)| {
                 (
-                    n.clone(),
-                    ss.iter()
-                        .map(|&s| touch(&mut remap, &mut next, s))
+                    n,
+                    ss.into_iter()
+                        .map(|s| touch(&mut remap, &mut next, s))
                         .collect(),
                 )
             })
@@ -990,20 +1401,8 @@ impl JitNetlistProgram {
         // Flip-flop pins (only the ones the commit class reads; unused
         // pins point at the flip-flop's own q so every stored index
         // stays in bounds).
-        let used: Vec<u8> = {
-            let mut used = vec![0u8; dffs.len()];
-            for &i in classes.always.iter().chain(&classes.always_inv) {
-                used[i as usize] = INV_D;
-            }
-            for &i in classes.enable.iter().chain(&classes.enable_inv) {
-                used[i as usize] = INV_D | INV_EN;
-            }
-            for &i in classes.full.iter().chain(&classes.full_inv) {
-                used[i as usize] = INV_D | INV_EN | INV_RST;
-            }
-            used
-        };
-        for (dff, &u) in dffs.iter_mut().zip(&used) {
+        for (dff, class) in dffs.iter_mut().zip(&class_of) {
+            let u = class.pins();
             dff.d = if u & INV_D != 0 {
                 touch(&mut remap, &mut next, dff.d)
             } else {
@@ -1093,15 +1492,17 @@ impl JitNetlistProgram {
             outputs,
             stats,
         };
-        prog.validate_indices();
-        prog
+        prog.validate_indices(widen_buses.then_some(&words));
+        (prog, words)
     }
 
     /// Build-time bounds validation — the safety contract the unsafe
     /// dispatch loops rely on: every operand/dest/pin/port/const index
     /// is in `0..slots`, run and level spans tile the instruction
-    /// stream, and ROM operand indices are in range.
-    fn validate_indices(&self) {
+    /// stream, and ROM operand indices are in range. With the scalar
+    /// engine's word layout it also checks that layout (see
+    /// [`JitNetlistProgram::validate_words`]).
+    fn validate_indices(&self, words: Option<&WordLayout>) {
         let slots = self.slots as u32;
         let ck = |s: u32| assert!(s < slots, "slot {s} out of range {slots}");
         let mut covered = 0u32;
@@ -1176,6 +1577,70 @@ impl JitNetlistProgram {
         for &(s, _) in &self.consts {
             ck(s);
         }
+        if let Some(words) = words {
+            self.validate_words(words);
+        }
+    }
+
+    /// Build-time validation of the scalar engine's word layout, the
+    /// second half of the safety contract: one reset word per entry; a
+    /// word port holds exactly one slot under a mask of 2 to 64 low
+    /// bits; and the seam covers every entry, either as one flip-flop
+    /// owning all its bits, or as two or more flip-flops each owning a
+    /// distinct single bit, together the entry's low bits, with the
+    /// entry's reset word inside them.
+    fn validate_words(&self, words: &WordLayout) {
+        assert_eq!(
+            words.reset.len(),
+            self.dffs.len(),
+            "one reset word per entry"
+        );
+        assert_eq!(words.word_inputs.len(), self.inputs.len());
+        assert_eq!(words.word_outputs.len(), self.outputs.len());
+        let word_port = |mask: u64, ss: &[u32]| {
+            assert_eq!(ss.len(), 1, "a word port holds one slot");
+            assert!(
+                mask >= 3 && mask & mask.wrapping_add(1) == 0,
+                "word port mask {mask:#x} is not 2 to 64 low bits"
+            );
+        };
+        for (&mask, (_, ss)) in words.word_inputs.iter().zip(&self.inputs) {
+            if mask != 0 {
+                word_port(mask, ss);
+            }
+        }
+        for (&word, (_, ss)) in words.word_outputs.iter().zip(&self.outputs) {
+            if word {
+                word_port(u64::MAX, ss);
+            }
+        }
+        let mut owned = vec![(0u32, 0u64); self.dffs.len()];
+        for &(e, bits) in &words.seam {
+            let (count, mask) = owned
+                .get_mut(e as usize)
+                .unwrap_or_else(|| panic!("seam entry {e} out of range"));
+            assert!(
+                bits == u64::MAX || bits.is_power_of_two(),
+                "seam bits {bits:#x} of entry {e}"
+            );
+            assert_eq!(*mask & bits, 0, "entry {e} bits owned twice");
+            *count += 1;
+            *mask |= bits;
+        }
+        for (e, (&(count, mask), &reset)) in owned.iter().zip(&words.reset).enumerate() {
+            if mask == u64::MAX && count == 1 {
+                assert!(
+                    reset == 0 || reset == u64::MAX,
+                    "entry {e} reset is no splat"
+                );
+            } else {
+                assert!(
+                    count >= 2 && mask & mask.wrapping_add(1) == 0,
+                    "entry {e} is no bus of low bits ({count} flip-flops, {mask:#x})"
+                );
+                assert_eq!(reset & !mask, 0, "entry {e} reset word exceeds its width");
+            }
+        }
     }
 
     /// Lowering observability counters (what fusion/folding/DCE did).
@@ -1241,11 +1706,7 @@ impl JitNetlistProgram {
     /// `s` must point at a live buffer of at least `self.slots` words
     /// (see [`JitNetlistProgram::validate_indices`]), with no other
     /// reference touching it for the duration of the call.
-    unsafe fn exec_runs<W: SimWord, F: Fn(&CompiledRom, SlotPtr<W>)>(
-        &self,
-        s: SlotPtr<W>,
-        rom_read: &F,
-    ) {
+    unsafe fn exec_runs<F: Fn(&CompiledRom, SlotPtr)>(&self, s: SlotPtr, rom_read: &F) {
         for r in &self.runs {
             exec_slice(
                 r.op,
@@ -1262,23 +1723,17 @@ impl JitNetlistProgram {
 /// Raw slot-buffer accessor shared by the dispatch loops. Bounds are
 /// guaranteed by [`JitNetlistProgram::validate_indices`] at build time,
 /// so the hot loops skip per-access bounds checks.
-struct SlotPtr<W> {
-    ptr: *mut W,
+#[derive(Clone, Copy)]
+struct SlotPtr {
+    ptr: *mut u64,
 }
 
-impl<W> Clone for SlotPtr<W> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<W> Copy for SlotPtr<W> {}
-
-impl<W: Copy> SlotPtr<W> {
+impl SlotPtr {
     /// # Safety
     ///
     /// `i` must be in bounds of the buffer this pointer was made from.
     #[inline(always)]
-    unsafe fn get(self, i: u32) -> W {
+    unsafe fn get(self, i: u32) -> u64 {
         *self.ptr.add(i as usize)
     }
 
@@ -1286,7 +1741,7 @@ impl<W: Copy> SlotPtr<W> {
     ///
     /// `i` must be in bounds of the buffer this pointer was made from.
     #[inline(always)]
-    unsafe fn set(self, i: u32, v: W) {
+    unsafe fn set(self, i: u32, v: u64) {
         *self.ptr.add(i as usize) = v;
     }
 }
@@ -1298,12 +1753,12 @@ impl<W: Copy> SlotPtr<W> {
 ///
 /// See [`SlotPtr`]: every index in `instrs` (and in the referenced
 /// ROMs) must be in bounds of `s`'s buffer.
-unsafe fn exec_slice<W: SimWord, F: Fn(&CompiledRom, SlotPtr<W>)>(
+unsafe fn exec_slice<F: Fn(&CompiledRom, SlotPtr)>(
     op: JitOp,
     instrs: &[JitInstr],
     roms: &[CompiledRom],
     args: &[u32],
-    s: SlotPtr<W>,
+    s: SlotPtr,
     rom_read: &F,
 ) {
     macro_rules! run {
@@ -1323,16 +1778,16 @@ unsafe fn exec_slice<W: SimWord, F: Fn(&CompiledRom, SlotPtr<W>)>(
             // Four independent accumulators keep the reduction's
             // load-ALU chain out of the critical path.
             let ops = args.get_unchecked(i.a as usize..i.b as usize);
-            let mut acc = [W::splat(true); 4];
+            let mut acc = [u64::MAX; 4];
             let mut ch = ops.chunks_exact(12);
             for c in &mut ch {
                 for k in 0..4 {
-                    acc[k] = acc[k] & (s.get(c[3 * k]) | s.get(c[3 * k + 1]) | s.get(c[3 * k + 2]));
+                    acc[k] &= s.get(c[3 * k]) | s.get(c[3 * k + 1]) | s.get(c[3 * k + 2]);
                 }
             }
             let mut rem = ch.remainder().chunks_exact(3);
             for c in &mut rem {
-                acc[0] = acc[0] & (s.get(c[0]) | s.get(c[1]) | s.get(c[2]));
+                acc[0] &= s.get(c[0]) | s.get(c[1]) | s.get(c[2]);
             }
             (acc[0] & acc[1]) & (acc[2] & acc[3])
         }),
@@ -1342,16 +1797,16 @@ unsafe fn exec_slice<W: SimWord, F: Fn(&CompiledRom, SlotPtr<W>)>(
         JitOp::Or3 => run!(|i| s.get(i.a) | s.get(i.b) | s.get(i.c)),
         JitOp::OrN => run!(|i| {
             let ops = args.get_unchecked(i.a as usize..i.b as usize);
-            let mut acc = [W::splat(false); 4];
+            let mut acc = [0u64; 4];
             let mut ch = ops.chunks_exact(12);
             for c in &mut ch {
                 for k in 0..4 {
-                    acc[k] = acc[k] | (s.get(c[3 * k]) & s.get(c[3 * k + 1]) & s.get(c[3 * k + 2]));
+                    acc[k] |= s.get(c[3 * k]) & s.get(c[3 * k + 1]) & s.get(c[3 * k + 2]);
                 }
             }
             let mut rem = ch.remainder().chunks_exact(3);
             for c in &mut rem {
-                acc[0] = acc[0] | (s.get(c[0]) & s.get(c[1]) & s.get(c[2]));
+                acc[0] |= s.get(c[0]) & s.get(c[1]) & s.get(c[2]);
             }
             (acc[0] | acc[1]) | (acc[2] | acc[3])
         }),
@@ -1399,11 +1854,13 @@ fn rom_word(rom: &CompiledRom, mut bit_of: impl FnMut(u32) -> bool) -> u64 {
     }
 }
 
-fn rom_read_scalar(rom: &CompiledRom, s: SlotPtr<bool>) {
+/// One scalar ROM read: the word pass never widens a ROM's address or
+/// data nets, so every one is a splat.
+fn rom_read_scalar(rom: &CompiledRom, s: SlotPtr) {
     // SAFETY: ROM addr/data indices validated at build time.
-    let word = rom_word(rom, |a| unsafe { s.get(a) });
+    let word = rom_word(rom, |a| unsafe { s.get(a) } != 0);
     for (i, &d) in rom.data.iter().enumerate() {
-        unsafe { s.set(d, (word >> i) & 1 == 1) };
+        unsafe { s.set(d, splat((word >> i) & 1 == 1)) };
     }
 }
 
@@ -1415,7 +1872,7 @@ fn rom_read_scalar(rom: &CompiledRom, s: SlotPtr<bool>) {
 /// counter), which makes each address slot all-zeros or all-ones. In
 /// that case one table lookup serves all 64 lanes and the per-lane
 /// gather/scatter loop is skipped entirely.
-fn rom_read_packed(rom: &CompiledRom, s: SlotPtr<u64>) {
+fn rom_read_packed(rom: &CompiledRom, s: SlotPtr) {
     // SAFETY: ROM addr indices are validated at build time.
     let get = |a: u32| unsafe { s.get(a) };
     // SAFETY: ROM data indices are validated at build time.
@@ -1427,7 +1884,7 @@ fn rom_read_packed(rom: &CompiledRom, s: SlotPtr<u64>) {
     if shared_addr {
         let word = rom_word(rom, |a| get(a) == u64::MAX);
         for (i, &d) in rom.data.iter().enumerate() {
-            set(d, u64::splat((word >> i) & 1 == 1));
+            set(d, splat((word >> i) & 1 == 1));
         }
         return;
     }
@@ -1444,10 +1901,10 @@ fn rom_read_packed(rom: &CompiledRom, s: SlotPtr<u64>) {
 }
 
 /// Presents registered state on the q slots, then executes every run.
-fn eval_jit<W: SimWord, F: Fn(&CompiledRom, SlotPtr<W>)>(
+fn eval_jit<F: Fn(&CompiledRom, SlotPtr)>(
     prog: &JitNetlistProgram,
-    values: &mut [W],
-    state: &[W],
+    values: &mut [u64],
+    state: &[u64],
     rom_read: &F,
 ) {
     assert_eq!(values.len(), prog.slots);
@@ -1465,15 +1922,21 @@ fn eval_jit<W: SimWord, F: Fn(&CompiledRom, SlotPtr<W>)>(
     unsafe { prog.exec_runs(s, rom_read) }
 }
 
-/// Commits every flip-flop through its class formula; hold-class
+/// Commits every flip-flop entry through its class formula; hold-class
 /// flip-flops (enable and reset both tied low) can never change and
 /// are skipped. Returns whether any flip-flop changed value — by
 /// construction identical to what the interpreter reports.
 ///
-/// Every class evaluates `q' = rst ? reset_value : (en ? d : q)`
-/// bitwise, specialized to its constant pins; only the rare `*_inv`
-/// classes pay for undoing pin-fused inverters.
-fn commit_jit<W: SimWord>(prog: &JitNetlistProgram, values: &[W], state: &mut [W]) -> bool {
+/// Every class evaluates `q' = rst ? reset : (en ? d : q)` bitwise,
+/// specialized to its constant pins; only the rare `*_inv` classes pay
+/// for undoing pin-fused inverters. `reset(dff, i)` is entry `i`'s
+/// reset word.
+fn commit_jit(
+    prog: &JitNetlistProgram,
+    values: &[u64],
+    state: &mut [u64],
+    reset: impl Fn(&JitDff, usize) -> u64,
+) -> bool {
     assert_eq!(values.len(), prog.slots);
     assert_eq!(state.len(), prog.dffs.len());
     let c = &prog.classes;
@@ -1483,11 +1946,12 @@ fn commit_jit<W: SimWord>(prog: &JitNetlistProgram, values: &[W], state: &mut [W
     // time — and the two length asserts above tie the buffers to those
     // bounds.
     macro_rules! class {
-        ($list:expr, |$dff:ident, $q:ident| $next:expr) => {
+        ($list:expr, |$dff:ident, $q:ident, $rv:ident| $next:expr) => {
             for &i in $list {
                 unsafe {
                     let $dff = prog.dffs.get_unchecked(i as usize);
                     let $q = *state.get_unchecked(i as usize);
+                    let $rv = || reset($dff, i as usize);
                     let next = $next;
                     changed |= next != $q;
                     *state.get_unchecked_mut(i as usize) = next;
@@ -1500,53 +1964,55 @@ fn commit_jit<W: SimWord>(prog: &JitNetlistProgram, values: &[W], state: &mut [W
             *values.get_unchecked($s as usize)
         };
     }
-    class!(&c.always, |dff, _q| v!(dff.d));
-    class!(&c.enable, |dff, q| {
+    class!(&c.always, |dff, _q, _rv| v!(dff.d));
+    class!(&c.enable, |dff, q, _rv| {
         let d = v!(dff.d);
         let en = v!(dff.en);
         (en & d) | (!en & q)
     });
-    class!(&c.reset, |dff, _q| W::splat(dff.reset_value));
-    class!(&c.full, |dff, q| {
+    class!(&c.reset, |_dff, _q, rv| rv());
+    class!(&c.full, |dff, q, rv| {
         let d = v!(dff.d);
         let en = v!(dff.en);
         let rst = v!(dff.rst);
-        let rv = W::splat(dff.reset_value);
-        (rst & rv) | (!rst & ((en & d) | (!en & q)))
+        (rst & rv()) | (!rst & ((en & d) | (!en & q)))
     });
-    class!(&c.always_inv, |dff, _q| v!(dff.d)
-        ^ W::splat(dff.inv & INV_D != 0));
-    class!(&c.enable_inv, |dff, q| {
-        let d = v!(dff.d) ^ W::splat(dff.inv & INV_D != 0);
-        let en = v!(dff.en) ^ W::splat(dff.inv & INV_EN != 0);
+    class!(&c.always_inv, |dff, _q, _rv| v!(dff.d)
+        ^ splat(dff.inv & INV_D != 0));
+    class!(&c.enable_inv, |dff, q, _rv| {
+        let d = v!(dff.d) ^ splat(dff.inv & INV_D != 0);
+        let en = v!(dff.en) ^ splat(dff.inv & INV_EN != 0);
         (en & d) | (!en & q)
     });
-    class!(&c.full_inv, |dff, q| {
-        let d = v!(dff.d) ^ W::splat(dff.inv & INV_D != 0);
-        let en = v!(dff.en) ^ W::splat(dff.inv & INV_EN != 0);
-        let rst = v!(dff.rst) ^ W::splat(dff.inv & INV_RST != 0);
-        let rv = W::splat(dff.reset_value);
-        (rst & rv) | (!rst & ((en & d) | (!en & q)))
+    class!(&c.full_inv, |dff, q, rv| {
+        let d = v!(dff.d) ^ splat(dff.inv & INV_D != 0);
+        let en = v!(dff.en) ^ splat(dff.inv & INV_EN != 0);
+        let rst = v!(dff.rst) ^ splat(dff.inv & INV_RST != 0);
+        (rst & rv()) | (!rst & ((en & d) | (!en & q)))
     });
     changed
 }
 
-fn init_values<W: SimWord>(prog: &JitNetlistProgram) -> Vec<W> {
-    let mut values = vec![W::splat(false); prog.slots];
-    for &(s, v) in &prog.consts {
-        values[s as usize] = W::splat(v);
-    }
-    values
+/// The packed engine's reset word: the flip-flop's value in every lane.
+fn lane_reset(dff: &JitDff, _: usize) -> u64 {
+    splat(dff.reset_value)
 }
 
-fn init_state<W: SimWord>(prog: &JitNetlistProgram) -> Vec<W> {
-    prog.dffs.iter().map(|d| W::splat(d.reset_value)).collect()
+fn init_values(prog: &JitNetlistProgram) -> Vec<u64> {
+    let mut values = vec![0; prog.slots];
+    for &(s, v) in &prog.consts {
+        values[s as usize] = splat(v);
+    }
+    values
 }
 
 /// Scalar JIT executor: identical semantics to the interpreter
 /// ([`crate::NetlistSim`]), executing the fused, run-sorted
 /// [`JitNetlistProgram`] — no per-cell allocation, no id-chasing, one
-/// branch per run, dense slots.
+/// branch per run, dense slots. Its lowering adds the word pass: a
+/// one-bit net is a splat `u64`, and a bus the pass widened (a
+/// multi-bit port, a register, a bus MUX) is one packed `u64`, so one
+/// instruction, one commit or one port access moves the whole bus.
 ///
 /// The engine knows whether its slot values are *settled*: computed
 /// from the current inputs and flip-flop state. Driving an input with a
@@ -1558,10 +2024,12 @@ fn init_state<W: SimWord>(prog: &JitNetlistProgram) -> Vec<W> {
 pub struct JitNetlistSim {
     module: Module,
     prog: JitNetlistProgram,
-    values: Vec<bool>,
-    /// Registered state, indexed like `prog.dffs` (same program order
-    /// as the other engines — the checkpoint seam).
-    state: Vec<bool>,
+    /// Where the word pass put the buses.
+    words: WordLayout,
+    values: Vec<u64>,
+    /// Registered state, indexed like `prog.dffs`: a splat per one-bit
+    /// entry, a packed word per bus register.
+    state: Vec<u64>,
     /// The word last driven on each input port, masked to the port's
     /// width, so re-driving an unchanged word costs one compare.
     input_words: Vec<u64>,
@@ -1578,13 +2046,14 @@ impl JitNetlistSim {
     ///
     /// Returns any [`NetlistError`] found while validating the module.
     pub fn new(module: Module) -> Result<Self, NetlistError> {
-        let prog = JitNetlistProgram::compile(&module)?;
+        let (prog, words) = JitNetlistProgram::lower(&NetlistProgram::compile(&module)?, true);
         let values = init_values(&prog);
-        let state = init_state(&prog);
+        let state = words.reset.clone();
         let input_words = vec![0; prog.inputs.len()];
         Ok(JitNetlistSim {
             module,
             prog,
+            words,
             values,
             state,
             input_words,
@@ -1598,24 +2067,27 @@ impl JitNetlistSim {
         &self.module
     }
 
-    /// The lowered program (for diagnostics and benches).
+    /// The lowered program, word pass included (for diagnostics and
+    /// benches).
     pub fn program(&self) -> &JitNetlistProgram {
         &self.prog
     }
 
     /// Resets all flip-flops to their power-up values.
     pub fn reset_state(&mut self) {
-        for (s, d) in self.state.iter_mut().zip(&self.prog.dffs) {
-            *s = d.reset_value;
-        }
+        self.state.copy_from_slice(&self.words.reset);
         self.settled = false;
     }
 
-    /// The registered flip-flop state, in module cell order (the
-    /// checkpoint seam, shared with [`JitPackedNetlistSim::dff_state`]'s
-    /// lane planes).
-    pub fn dff_state(&self) -> &[bool] {
-        &self.state
+    /// The registered flip-flop state, one bool per flip-flop in module
+    /// cell order (the checkpoint seam, shared with the interpreter and
+    /// with [`JitPackedNetlistSim::dff_state`]'s lane planes).
+    pub fn dff_state(&self) -> Vec<bool> {
+        self.words
+            .seam
+            .iter()
+            .map(|&(e, bits)| self.state[e as usize] & bits != 0)
+            .collect()
     }
 
     /// Restores flip-flop state captured by
@@ -1625,8 +2097,15 @@ impl JitNetlistSim {
     ///
     /// Panics if `state` does not have one entry per flip-flop.
     pub fn set_dff_state(&mut self, state: &[bool]) {
-        assert_eq!(state.len(), self.state.len(), "dff state length mismatch");
-        self.state.copy_from_slice(state);
+        assert_eq!(
+            state.len(),
+            self.words.seam.len(),
+            "dff state length mismatch"
+        );
+        for (&(e, bits), &bit) in self.words.seam.iter().zip(state) {
+            let word = &mut self.state[e as usize];
+            *word = if bit { *word | bits } else { *word & !bits };
+        }
         self.settled = false;
     }
 
@@ -1657,18 +2136,24 @@ impl JitNetlistSim {
     pub fn set_input_h(&mut self, h: PortHandle, value: u64) {
         assert!(!h.output, "set_input_h needs an input handle");
         let (_, slots) = &self.prog.inputs[h.index];
-        let value = if slots.len() < 64 {
-            value & ((1 << slots.len()) - 1)
-        } else {
-            value
-        };
+        let word = self.words.word_inputs[h.index];
+        let value = value
+            & if word != 0 {
+                word
+            } else {
+                width_mask(slots.len())
+            };
         if self.input_words[h.index] == value {
             return;
         }
         self.input_words[h.index] = value;
         self.settled = false;
+        if word != 0 {
+            self.values[slots[0] as usize] = value;
+            return;
+        }
         for (i, &slot) in slots.iter().enumerate() {
-            self.values[slot as usize] = i < 64 && (value >> i) & 1 == 1;
+            self.values[slot as usize] = splat(i < 64 && (value >> i) & 1 == 1);
         }
     }
 
@@ -1680,9 +2165,12 @@ impl JitNetlistSim {
     pub fn get_output_h(&self, h: PortHandle) -> u64 {
         assert!(h.output, "get_output_h needs an output handle");
         let (_, slots) = &self.prog.outputs[h.index];
+        if self.words.word_outputs[h.index] {
+            return self.values[slots[0] as usize];
+        }
         let mut v = 0u64;
         for (i, &slot) in slots.iter().enumerate().take(64) {
-            if self.values[slot as usize] {
+            if self.values[slot as usize] != 0 {
                 v |= 1 << i;
             }
         }
@@ -1732,7 +2220,8 @@ impl JitNetlistSim {
         if !self.settled {
             self.eval();
         }
-        let changed = commit_jit(&self.prog, &self.values, &mut self.state);
+        let reset = &self.words.reset;
+        let changed = commit_jit(&self.prog, &self.values, &mut self.state, |_, i| reset[i]);
         self.settled &= !changed;
         changed
     }
@@ -1810,7 +2299,7 @@ impl JitPackedNetlistSim {
     pub fn new(module: Module) -> Result<Self, NetlistError> {
         let prog = JitNetlistProgram::compile(&module)?;
         let values = init_values(&prog);
-        let state = init_state(&prog);
+        let state = prog.dffs.iter().map(|d| lane_reset(d, 0)).collect();
         Ok(JitPackedNetlistSim {
             module,
             prog,
@@ -1839,7 +2328,7 @@ impl JitPackedNetlistSim {
     /// Resets all flip-flops to their power-up values in every lane.
     pub fn reset_state(&mut self) {
         for (s, d) in self.state.iter_mut().zip(&self.prog.dffs) {
-            *s = if d.reset_value { u64::MAX } else { 0 };
+            *s = lane_reset(d, 0);
         }
         self.settled = false;
     }
@@ -1949,7 +2438,7 @@ impl JitPackedNetlistSim {
         let h = self.input_handle(port)?;
         let (_, slots) = &self.prog.inputs[h.index];
         for (i, &slot) in slots.iter().enumerate() {
-            let lanes = u64::splat(i < 64 && (value >> i) & 1 == 1);
+            let lanes = splat(i < 64 && (value >> i) & 1 == 1);
             let w = &mut self.values[slot as usize];
             self.settled &= *w == lanes;
             *w = lanes;
@@ -2010,7 +2499,7 @@ impl JitPackedNetlistSim {
         if !self.settled {
             self.eval();
         }
-        let changed = commit_jit(&self.prog, &self.values, &mut self.state);
+        let changed = commit_jit(&self.prog, &self.values, &mut self.state, lane_reset);
         self.settled &= !changed;
         changed
     }

@@ -33,8 +33,11 @@
 //! trees), folding constants, propagating copies, deduplicating and
 //! dead-code-eliminating — with each level sorted into contiguous
 //! per-opcode runs so dispatch costs one branch per run, not per gate.
-//! [`JitNetlistSim`] executes it scalar; [`JitPackedNetlistSim`]
-//! executes [`LANES`] independent lanes per `u64` word. Harnesses accept
+//! [`JitNetlistSim`] executes it scalar, after a word pass that runs
+//! each bus read only word-wide (multi-bit ports, registers, MUX buses
+//! under one select, up to 64 bits) as one `u64` word;
+//! [`JitPackedNetlistSim`] executes [`LANES`] independent lanes per
+//! `u64` word. Both engines evaluate `u64` slots. Harnesses accept
 //! any [`NetlistExec`], so the engines are interchangeable; property
 //! tests pin all three cycle-for-cycle equivalent.
 //!

@@ -6,11 +6,12 @@
 //! engines the harnesses actually run. These properties
 //! build random feed-forward netlists — gates, muxes, DFF chains with
 //! random reset values and reset wiring, ROM cells with random
-//! contents, and single-reader sum-of-products / product-of-sums trees
+//! contents, single-reader sum-of-products / product-of-sums trees
 //! (the exact shapes the JIT lowering collapses into wide
-//! superinstructions) — and assert all executors agree **cycle for
-//! cycle on every output port** under random stimulus, including reset
-//! pulses. Random call sequences — repeated input words, `eval`,
+//! superinstructions), and buses of up to 64 bits (the shapes the
+//! scalar engine's word pass widens or demotes) — and assert all
+//! executors agree **cycle for cycle on every output port** under
+//! random stimulus, including reset pulses. Random call sequences — repeated input words, `eval`,
 //! `step_changed` and output reads back to back, flip-flop loads and
 //! resets mid-run — pin the JIT engines' settled-value tracking to the
 //! interpreter, which evaluates on every call.
@@ -43,8 +44,171 @@ impl Mix {
     }
 }
 
+/// A random bus width in 2..=64, 64 itself a quarter of the time.
+fn bus_width(rng: &mut Mix) -> usize {
+    if rng.chance(25) {
+        64
+    } else {
+        2 + rng.below(63)
+    }
+}
+
+/// `bits` misaligned by one position: rotated, or with one adjacent
+/// pair swapped (every bit then sits at most one position off).
+fn misalign(rng: &mut Mix, mut bits: Vec<NetId>) -> Vec<NetId> {
+    if rng.chance(50) {
+        bits.rotate_left(1);
+    } else {
+        let k = rng.below(bits.len() - 1);
+        bits.swap(k, k + 1);
+    }
+    bits
+}
+
+/// The one kind of odd shape a module builds, so the word pass must
+/// demote a bus for that reason. One kind per module, and at most one
+/// odd data bus, keep a demotion from being masked by another.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Odd {
+    /// None: whole chains widen.
+    Clean,
+    /// A single-bit tap of a bus bit into the one-bit soup.
+    Tap,
+    /// A data bus misaligned by one position.
+    Misalign,
+    /// One data member inverted.
+    Invert,
+    /// One data member from the one-bit soup.
+    Soup,
+    /// One data member from the same position of another equally wide
+    /// bus.
+    Mixed,
+    /// A partial or misaligned bus output port.
+    Output,
+}
+
+impl Odd {
+    const ALL: [Odd; 7] = [
+        Odd::Clean,
+        Odd::Tap,
+        Odd::Misalign,
+        Odd::Invert,
+        Odd::Soup,
+        Odd::Mixed,
+        Odd::Output,
+    ];
+}
+
+/// A random bus to build on: one of `buses` (a recent one more often
+/// than not), or a fresh input port when there is none yet.
+fn pick_bus(rng: &mut Mix, b: &mut ModuleBuilder, buses: &mut Vec<Bus>) -> Bus {
+    if buses.is_empty() {
+        let width = bus_width(rng);
+        buses.push(b.input("bus", width));
+    }
+    let recent = if rng.chance(60) {
+        buses.len() - 1 - rng.below(buses.len().min(3))
+    } else {
+        rng.below(buses.len())
+    };
+    buses[recent].clone()
+}
+
+/// A bus cell over earlier buses: `mux_bus` over two equally wide buses
+/// under a random select, or `dff_bus` with a shared enable and reset
+/// and a random reset word. A quarter of the time its data bus is odd
+/// the module's way (see [`Odd`]), which then turns `odd` clean.
+fn bus_cell(
+    rng: &mut Mix,
+    b: &mut ModuleBuilder,
+    buses: &mut Vec<Bus>,
+    nets: &[NetId],
+    rst: NetId,
+    odd: &mut Odd,
+) -> Bus {
+    let sel = nets[rng.below(nets.len())];
+    let data = pick_bus(rng, b, buses);
+    let same: Vec<Bus> = buses
+        .iter()
+        .filter(|x| x.width() == data.width() && x.bits() != data.bits())
+        .cloned()
+        .collect();
+    let mut bits = data.bits().to_vec();
+    // Position 0 half the time: a register reads the bus its position-0
+    // member reads.
+    let k = if rng.chance(50) {
+        0
+    } else {
+        rng.below(bits.len())
+    };
+    if rng.chance(25) {
+        let spent = match *odd {
+            Odd::Misalign => {
+                bits = misalign(rng, bits);
+                true
+            }
+            Odd::Invert => {
+                bits[k] = b.not(bits[k]);
+                true
+            }
+            Odd::Soup => {
+                bits[k] = nets[rng.below(nets.len())];
+                true
+            }
+            Odd::Mixed if !same.is_empty() => {
+                bits[k] = same[rng.below(same.len())].bit(k);
+                true
+            }
+            _ => false,
+        };
+        if spent {
+            *odd = Odd::Clean;
+        }
+    }
+    let data = Bus::from_nets(bits);
+    // Enable and reset shared by a register, constant some of the time
+    // so every plain commit class occurs.
+    let en = if rng.chance(20) {
+        b.constant(true)
+    } else {
+        nets[rng.below(nets.len())]
+    };
+    let rst_pin = match rng.below(3) {
+        0 => rst,
+        1 => b.constant(false),
+        _ => nets[rng.below(nets.len())],
+    };
+    let word = rng.next();
+    if rng.chance(50) {
+        // The other operand: an equally wide bus, or a register of this
+        // one when there is none.
+        let other = if same.is_empty() {
+            let q = b.dff_bus(&data, en, rst_pin, word);
+            buses.push(q.clone());
+            q
+        } else {
+            same[rng.below(same.len())].clone()
+        };
+        if rng.chance(50) {
+            b.mux_bus(sel, &data, &other)
+        } else {
+            b.mux_bus(sel, &other, &data)
+        }
+    } else {
+        b.dff_bus(&data, en, rst_pin, word)
+    }
+}
+
 /// Builds a random acyclic module: input ports, a soup of gates/DFFs
-/// over already-driven nets, optionally a ROM, and random output ports.
+/// over already-driven nets, buses, optionally a ROM, and random output
+/// ports.
+///
+/// The buses feed the scalar JIT's word pass: wide input ports and
+/// [`bus_cell`]s, 2 to 64 bits wide, drawn alongside the one-bit cells
+/// so the soup keeps its shape and its input drive. A bus's bits reach
+/// the soup only through explicit taps, and extra output ports read
+/// whole buses, so whole chains can widen. Each module also draws one
+/// [`Odd`] kind of shape that makes the pass demote buses.
 fn random_module(seed: u64, n_gates: usize) -> Module {
     let mut rng = Mix::seeded(seed);
     let mut b = ModuleBuilder::new("rand");
@@ -56,8 +220,24 @@ fn random_module(seed: u64, n_gates: usize) -> Module {
         let port = b.input(format!("in{p}"), width);
         nets.extend(port.bits().iter().copied());
     }
+    let mut odd = Odd::ALL[rng.below(Odd::ALL.len())];
+    let mut buses: Vec<Bus> = (0..rng.below(3))
+        .map(|p| {
+            let width = bus_width(&mut rng);
+            b.input(format!("wide{p}"), width)
+        })
+        .collect();
 
     for _ in 0..n_gates {
+        if rng.chance(20) {
+            let bus = bus_cell(&mut rng, &mut b, &mut buses, &nets, rst, &mut odd);
+            buses.push(bus);
+        }
+        if odd == Odd::Tap && !buses.is_empty() && rng.chance(15) {
+            // A single-bit tap: the soup may now read it.
+            let bus = &buses[rng.below(buses.len())];
+            nets.push(bus.bit(rng.below(bus.width())));
+        }
         let a = nets[rng.below(nets.len())];
         let c = nets[rng.below(nets.len())];
         let d = nets[rng.below(nets.len())];
@@ -134,6 +314,30 @@ fn random_module(seed: u64, n_gates: usize) -> Module {
         let width = 1 + rng.below(8);
         let bits: Vec<NetId> = (0..width).map(|_| nets[rng.below(nets.len())]).collect();
         b.output(format!("out{o}"), &Bus::from_nets(bits));
+    }
+    let n_bus_outs = if buses.is_empty() {
+        0
+    } else {
+        1 + rng.below(3)
+    };
+    for o in 0..n_bus_outs {
+        // A whole recent bus, or now and then a partial or misaligned
+        // one, which the word pass must read bit by bit.
+        let recent = buses.len() - 1 - rng.below(buses.len().min(4));
+        let bus = buses[recent].bits().to_vec();
+        let bits = match rng.below(4) {
+            0 if odd == Odd::Output => {
+                let n = 1 + rng.below(bus.len() - 1);
+                if rng.chance(50) {
+                    bus[..n].to_vec()
+                } else {
+                    bus[bus.len() - n..].to_vec()
+                }
+            }
+            1 if odd == Odd::Output => misalign(&mut rng, bus),
+            _ => bus,
+        };
+        b.output(format!("bus_out{o}"), &Bus::from_nets(bits));
     }
     b.finish()
         .expect("feed-forward construction is always valid")
@@ -490,5 +694,114 @@ fn fully_eliminated_program_still_steps() {
             !packed.step_changed(),
             "dead packed program must stay quiescent"
         );
+    }
+}
+
+/// The bus cells reach the scalar JIT's word pass: over a fixed seed
+/// range, at least 15% of random modules widen a bus MUX and at least
+/// 25% widen a register (read from the lowering counters; 57 and 76 of
+/// the 200 when this was written), so the properties above pin the
+/// widened engine and not only one-bit lowering.
+#[test]
+fn random_modules_reach_the_word_path() {
+    let seeds = 0..200u64;
+    let (mut muxes, mut registers) = (0, 0);
+    for seed in seeds.clone() {
+        let jit = JitNetlistSim::new(random_module(seed, 40)).unwrap();
+        let s = jit.program().stats();
+        muxes += usize::from(s.word_instrs > 0);
+        registers += usize::from(s.dff_words > 0);
+    }
+    let n = seeds.count();
+    assert!(muxes * 100 >= n * 15, "{muxes} of {n} modules widen a MUX");
+    assert!(
+        registers * 100 >= n * 25,
+        "{registers} of {n} modules widen a register"
+    );
+}
+
+/// Runs `module` on the scalar JIT against the interpreter for 64
+/// cycles of random stimulus (reset pulses included), comparing every
+/// output and the flip-flop state each cycle.
+fn assert_jit_tracks_interpreter(module: &Module) {
+    let stim = stimulus(7, module, 64);
+    let mut interp = NetlistSim::new(module.clone()).unwrap();
+    let mut jit = JitNetlistSim::new(module.clone()).unwrap();
+    for (t, step) in stim.iter().enumerate() {
+        for (port, &v) in module.inputs.iter().zip(step) {
+            interp.set_input(&port.name, v).unwrap();
+            jit.set_input(&port.name, v).unwrap();
+        }
+        interp.eval();
+        jit.eval();
+        for port in &module.outputs {
+            assert_eq!(
+                jit.get_output(&port.name).unwrap(),
+                interp.get_output(&port.name).unwrap(),
+                "cycle {t} output {}",
+                port.name
+            );
+        }
+        assert_eq!(jit.dff_state(), interp.dff_state(), "cycle {t}");
+        interp.step();
+        jit.step();
+    }
+}
+
+/// `bits` with positions 1 and 2 swapped.
+fn swap_1_2(bus: &Bus) -> Bus {
+    let mut bits = bus.bits().to_vec();
+    bits.swap(1, 2);
+    Bus::from_nets(bits)
+}
+
+/// A bus stays a word only when every reader reads it whole, each
+/// member at its own position, so nothing may widen in these modules: a
+/// register reading two buses (`{a[3], a[2], c[1], a[0]}`), a register
+/// reading a bus and a gate (`{a[3], a[2], a[1], x}`, with `a` also
+/// output whole, so `a` must not stay a word either), and a register
+/// and a bus MUX reading a bus with bits 1 and 2 swapped.
+#[test]
+fn misfit_word_readers_stay_one_bit() {
+    let build = |name: &str, body: &dyn Fn(&mut ModuleBuilder, NetId, NetId, &Bus, &Bus)| {
+        let mut b = ModuleBuilder::new(name);
+        let rst = b.input("rst", 1).bit(0);
+        let en = b.input("en", 1).bit(0);
+        let x = b.input("a", 4);
+        let y = b.input("c", 4);
+        body(&mut b, en, rst, &x, &y);
+        b.finish().unwrap()
+    };
+    let modules = [
+        build("two_buses", &|b, en, rst, x, y| {
+            let d = Bus::from_nets(vec![x.bit(0), y.bit(1), x.bit(2), x.bit(3)]);
+            let q = b.dff_bus(&d, en, rst, 0b0110);
+            b.output("q", &q);
+        }),
+        build("bus_and_gate", &|b, en, rst, x, y| {
+            let g = b.xor(y.bit(0), y.bit(1));
+            let d = Bus::from_nets(vec![g, x.bit(1), x.bit(2), x.bit(3)]);
+            let q = b.dff_bus(&d, en, rst, 0b1001);
+            b.output("q", &q);
+            b.output("a_copy", x);
+        }),
+        build("swapped_register", &|b, en, rst, x, _| {
+            let q = b.dff_bus(&swap_1_2(x), en, rst, 0b0101);
+            b.output("q", &q);
+        }),
+        build("mux_of_swapped_second_operand", &|b, en, _, x, y| {
+            let out = b.mux_bus(en, x, &swap_1_2(y));
+            b.output("out", &out);
+        }),
+        build("mux_of_swapped_first_operand", &|b, en, _, x, y| {
+            let out = b.mux_bus(en, &swap_1_2(y), x);
+            b.output("out", &out);
+        }),
+    ];
+    for module in modules {
+        assert_jit_tracks_interpreter(&module);
+        let jit = JitNetlistSim::new(module.clone()).unwrap();
+        let s = jit.program().stats();
+        assert_eq!((s.word_instrs, s.dff_words), (0, 0), "{}: {s}", module.name);
     }
 }

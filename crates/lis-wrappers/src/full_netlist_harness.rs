@@ -333,6 +333,27 @@ mod tests {
         );
     }
 
+    /// The stress mesh's shell (2-in/2-out, 32-bit ports, SP
+    /// controller): the word pass runs each FIFO's three data MUX buses
+    /// and two data registers as words, and moves the four data ports
+    /// as words.
+    #[test]
+    fn mesh_shell_runs_its_fifo_data_paths_as_words() {
+        let pearl = AccumulatorPearl::new("acc", 2, 2, 2);
+        let controller = WrapperKind::Sp.generate_netlist(pearl.schedule()).unwrap();
+        let full = assemble_full_wrapper(&controller, &[32, 32], &[32, 32]).unwrap();
+        let shell = JitNetlistSim::new(full).unwrap();
+        let prog = shell.program();
+        let s = prog.stats();
+        assert_eq!((s.word_instrs, s.word_cells), (12, 12 * 32), "{s}");
+        assert_eq!((s.dff_words, s.dff_word_bits), (8, 8 * 32), "{s}");
+        // One commit entry per one-bit flip-flop and per register word.
+        let entries = shell.dff_state().len() - s.dff_word_bits + s.dff_words;
+        assert!(prog.instr_count() <= 131, "{s}");
+        assert!(entries <= 21, "{s} entries={entries}");
+        assert!(prog.slot_count() <= 172, "{s}");
+    }
+
     #[test]
     fn full_sp_shell_matches_behavioural_smooth() {
         cosim_full(WrapperKind::Sp, 0.0, 0.0);
