@@ -1,6 +1,6 @@
 //! Simulation-kernel benches: cycles/second of the behavioural SoC and
-//! of the gate-level co-simulated SoC (the infrastructure every
-//! experiment stands on).
+//! of the same SoC with the IP in its complete gate-level shell (the
+//! infrastructure every experiment stands on).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lis_core::SocBuilder;
@@ -24,7 +24,7 @@ fn behavioural_soc_1000_cycles() {
 
 fn netlist_soc_1000_cycles() {
     let mut b = SocBuilder::new();
-    let ip = b.add_ip_netlist(
+    let ip = b.add_ip_full_netlist(
         "acc",
         Box::new(AccumulatorPearl::new("acc", 2, 1, 3)),
         WrapperKind::Sp,

@@ -1,8 +1,10 @@
 //! # lis-bench — the reproduction harness
 //!
 //! One binary per table/figure of Bomel et al. (DATE 2005), plus
-//! Criterion benches for the flow kernels. See DESIGN.md §4 for the
-//! experiment index and EXPERIMENTS.md for recorded results.
+//! Criterion benches for the flow kernels. The table below is the
+//! experiment index; the README's experiment sections describe each
+//! one, and the `BENCH_*.json` files at the repository root hold the
+//! recorded results that CI diffs fresh runs against.
 //!
 //! | Binary | Artifact |
 //! |---|---|

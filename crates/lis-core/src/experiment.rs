@@ -1,5 +1,8 @@
 //! Experiment drivers: one function per table/figure of the paper plus
-//! the claim-driven sweeps (see DESIGN.md §4 for the index).
+//! the claim-driven sweeps. The `lis-bench` binaries run them; the
+//! README's experiment sections describe each one, and the
+//! `BENCH_*.json` files at the repository root hold the recorded
+//! results.
 
 use crate::flow::{synthesize_wrapper, SpCompression, WrapperSynthesis};
 use crate::soc::SocBuilder;

@@ -7,12 +7,12 @@
 //! *packed* plumbing: channels are [`PackedLisChannel`]s (one bit-plane
 //! signal per data bit, lane `k` in bit `k`), links are
 //! [`PackedRelayStation`] chains, endpoints are [`PackedTokenSource`] /
-//! [`PackedTokenSink`], and gate-level shells are instantiated *once
-//! per node* as a [`lis_wrappers::PackedFullNetlistPatientProcess`].
-//! One bitwise op advances all 64 lanes of a component at once, so a
-//! batch costs barely more than a solo run. Behavioural wrappers stay
-//! scalar per lane (their state is cheap) and are bridged onto the
-//! packed fabric with [`LaneDemux`] / [`LaneMux`].
+//! [`PackedTokenSink`], and every gate-level IP is one complete shell
+//! per node, a [`lis_wrappers::PackedFullNetlistPatientProcess`] shared
+//! by all lanes. One bitwise op advances all 64 lanes of a component at
+//! once, so a batch costs barely more than a solo run. Behavioural
+//! wrappers stay scalar per lane (their state is cheap) and are bridged
+//! onto the packed fabric with [`LaneDemux`] / [`LaneMux`].
 //!
 //! A [`SocFleet`] owns a sequence of batches and fans whole batches
 //! out across a [`WorkStealingPool`]'s scoped worker threads, the first
@@ -20,16 +20,15 @@
 //!
 //! The correctness bar is strict: lane `k` of a fleet is bit-identical
 //! (streams, checksums, violation counts) to a solo [`crate::Soc`] run
-//! with the same seeds, at any pool width.
+//! with the same seeds, at any pool width; the solo twin of a packed
+//! shell is the one-lane [`lis_wrappers::FullNetlistPatientProcess`].
 
 use lis_proto::{
     LaneDemux, LaneMux, LisChannel, PackedLisChannel, PackedRelayStation, PackedTokenSink,
     PackedTokenSource, PackedWire, Pearl, StallPattern, ViolationCounter,
 };
 use lis_sim::{SettleMode, SimError, System, SystemCheckpoint, WorkStealingPool, LANES};
-use lis_wrappers::{
-    wrap_pearl, wrap_pearl_full_netlist, wrap_pearls_packed_full_netlist, SyncPolicy,
-};
+use lis_wrappers::{wrap_pearl, wrap_pearls_packed_full_netlist, SyncPolicy};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -91,17 +90,19 @@ impl FleetBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if `pearls.len() != lanes`, the pearls disagree on
-    /// interface shape, or wrapper generation fails.
+    /// Panics if `pearls.len() != lanes` or the pearls disagree on
+    /// interface shape. Panics naming the IP if `kind` is
+    /// [`lis_wrappers::WrapperKind::Comb`] or
+    /// [`lis_wrappers::WrapperKind::ShiftReg`], as
+    /// [`crate::SocBuilder::add_ip_full_netlist`] does.
     pub fn add_ip_full_netlist(
         &mut self,
         name: impl Into<String>,
         pearls: Vec<Box<dyn Pearl>>,
         kind: lis_wrappers::WrapperKind,
     ) -> FleetIpHandle {
-        let controller = kind
-            .generate_netlist(pearls[0].schedule())
-            .expect("wrapper generation failed");
+        let name = name.into();
+        let controller = kind.shell_controller(&name, pearls[0].schedule());
         self.add_ip_full_netlist_with_controller(name, pearls, controller)
     }
 
@@ -234,44 +235,6 @@ impl FleetBuilder {
                 pearl,
                 policy,
                 &self.violations[lane],
-            );
-            lane_inputs.push(ins);
-            lane_outputs.push(outs);
-        }
-        let (inputs, outputs) = self.bridge_lanes(&name, lane_inputs, lane_outputs);
-        FleetIpHandle {
-            name,
-            inputs,
-            outputs,
-        }
-    }
-
-    /// Encapsulates one pearl per lane behind per-lane *scalar*
-    /// gate-level shells — the unbatched reference the packed variant is
-    /// benchmarked against.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pearls.len() != lanes` or wrapper generation fails.
-    pub fn add_ip_full_netlist_scalar(
-        &mut self,
-        name: impl Into<String>,
-        pearls: Vec<Box<dyn Pearl>>,
-        kind: lis_wrappers::WrapperKind,
-    ) -> FleetIpHandle {
-        let name = name.into();
-        assert_eq!(pearls.len(), self.lanes, "one pearl per lane");
-        let mut lane_inputs = Vec::with_capacity(self.lanes);
-        let mut lane_outputs = Vec::with_capacity(self.lanes);
-        for (lane, pearl) in pearls.into_iter().enumerate() {
-            let controller = kind
-                .generate_netlist(pearl.schedule())
-                .expect("wrapper generation failed");
-            let (ins, outs) = wrap_pearl_full_netlist(
-                &mut self.system,
-                &format!("{name}_l{lane}"),
-                pearl,
-                controller,
             );
             lane_inputs.push(ins);
             lane_outputs.push(outs);
@@ -666,6 +629,15 @@ mod tests {
             assert_eq!(batch.received("out", lane), want, "lane {lane}");
             assert_eq!(batch.violations(lane), solo_violations, "lane {lane}");
         }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "IP acc: the gate-level shell cannot run a shiftreg controller: \
+                    it has no ne/nf inputs and no pop/push outputs"
+    )]
+    fn full_shell_refuses_a_shiftreg_controller() {
+        FleetBuilder::new(2).add_ip_full_netlist("acc", lane_pearls(2), WrapperKind::ShiftReg);
     }
 
     #[test]

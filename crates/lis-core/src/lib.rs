@@ -3,8 +3,8 @@
 //! Ties the substrate crates together:
 //!
 //! * [`SocBuilder`] / [`Soc`] — assemble patient processes (behavioural
-//!   or gate-level controlled), relay-station links, sources and sinks
-//!   into a runnable latency-insensitive system;
+//!   wrappers or complete gate-level shells), relay-station links,
+//!   sources and sinks into a runnable latency-insensitive system;
 //! * [`synthesize_wrapper`] — schedule → wrapper controller → FPGA
 //!   area/timing report, for all four wrapper models;
 //! * [`experiment`] — one driver per table/figure of Bomel et al.

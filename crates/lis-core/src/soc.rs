@@ -12,9 +12,7 @@ use lis_proto::{
 use lis_sim::{
     Activity, Component, Ports, SchedulerStats, SettleMode, SignalView, SimError, System, Trace,
 };
-use lis_wrappers::{
-    wrap_pearl, wrap_pearl_full_netlist, wrap_pearl_netlist, PatientStats, WrapperKind,
-};
+use lis_wrappers::{wrap_pearl, wrap_pearl_full_netlist, PatientStats, WrapperKind};
 use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
@@ -166,30 +164,17 @@ impl SocBuilder {
         }
     }
 
-    /// Encapsulates `pearl` behind the *gate-level* wrapper controller of
-    /// the given kind (hardware-in-the-loop).
-    pub fn add_ip_netlist(
-        &mut self,
-        name: impl Into<String>,
-        pearl: Box<dyn Pearl>,
-        kind: WrapperKind,
-    ) -> IpHandle {
-        let name = name.into();
-        let controller = kind
-            .generate_netlist(pearl.schedule())
-            .expect("wrapper generation failed");
-        let (inputs, outputs) =
-            wrap_pearl_netlist(&mut self.system, &name, pearl, controller, &self.violations);
-        IpHandle {
-            name,
-            inputs,
-            outputs,
-        }
-    }
-
-    /// Encapsulates `pearl` behind the *complete* gate-level shell
-    /// (controller plus port FIFOs, all interpreted gate by gate) —
-    /// the highest-fidelity model of the paper's Figure 2.
+    /// Encapsulates `pearl` behind the *complete* gate-level shell: the
+    /// controller of `kind` plus one gate-level FIFO per port, run as
+    /// one netlist on the scalar JIT. This is the paper's Figure 2 in
+    /// gates; only the pearl stays behavioural.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the IP if `kind` is [`WrapperKind::Comb`] or
+    /// [`WrapperKind::ShiftReg`]: their controllers do not pop and push
+    /// on the pearl's schedule (see
+    /// [`WrapperKind::shell_controller`]).
     pub fn add_ip_full_netlist(
         &mut self,
         name: impl Into<String>,
@@ -197,15 +182,8 @@ impl SocBuilder {
         kind: WrapperKind,
     ) -> IpHandle {
         let name = name.into();
-        let controller = kind
-            .generate_netlist(pearl.schedule())
-            .expect("wrapper generation failed");
-        let (inputs, outputs) = wrap_pearl_full_netlist(&mut self.system, &name, pearl, controller);
-        IpHandle {
-            name,
-            inputs,
-            outputs,
-        }
+        let controller = kind.shell_controller(&name, pearl.schedule());
+        self.add_ip_full_netlist_with_controller(name, pearl, controller)
     }
 
     /// Encapsulates `pearl` behind an explicitly provided gate-level
@@ -591,7 +569,7 @@ mod tests {
             let mut b = SocBuilder::new();
             let pearl = Box::new(AccumulatorPearl::new("acc", 1, 1, 3));
             let ip = if hardware {
-                b.add_ip_netlist("acc", pearl, WrapperKind::Sp)
+                b.add_ip_full_netlist("acc", pearl, WrapperKind::Sp)
             } else {
                 b.add_ip("acc", pearl, WrapperKind::Sp)
             };
@@ -603,6 +581,21 @@ mod tests {
             soc.received("out")
         };
         assert_eq!(run_one(false), run_one(true));
+    }
+
+    /// The comb controller pops and pushes every port on every enabled
+    /// cycle. Fed `7, 14, …` and `1, 2, …` without stalls, its full
+    /// shell would deliver `[0, 0, 0, 0, 0, 8, …]` where the behavioural
+    /// comb wrapper delivers `[8, 24, 48, …]`; the builder refuses it.
+    #[test]
+    #[should_panic(
+        expected = "IP acc: the gate-level shell cannot run a comb controller: \
+                    it pops and pushes every port on every enabled cycle"
+    )]
+    fn full_shell_refuses_a_comb_controller() {
+        let mut b = SocBuilder::new();
+        let pearl = Box::new(AccumulatorPearl::new("acc", 2, 1, 4));
+        b.add_ip_full_netlist("acc", pearl, WrapperKind::Comb);
     }
 
     #[test]

@@ -51,12 +51,17 @@ struct StageSpec {
     extra_wires: usize,
 }
 
-fn wrapper_kind(sel: u8) -> WrapperKind {
-    match sel % 3 {
-        0 => WrapperKind::Sp,
-        1 => WrapperKind::Fsm(Default::default()),
-        _ => WrapperKind::Comb,
-    }
+/// The wrapper of a stage. The gate-level shell runs only SP and FSM
+/// controllers (a comb controller pops and pushes off the pearl's
+/// schedule), so a hardware stage draws from those two.
+fn wrapper_kind(sel: u8, hardware: bool) -> WrapperKind {
+    let kinds = [
+        WrapperKind::Sp,
+        WrapperKind::Fsm(Default::default()),
+        WrapperKind::Comb,
+    ];
+    let choices = if hardware { 2 } else { kinds.len() };
+    kinds[usize::from(sel) % choices]
 }
 
 fn build(spec: &SocSpec, mode: SettleMode) -> lis_core::Soc {
@@ -67,7 +72,7 @@ fn build(spec: &SocSpec, mode: SettleMode) -> lis_core::Soc {
         for (d, stage) in chain.stages.iter().enumerate() {
             let name = format!("p{c}_{d}");
             let pearl = Box::new(AccumulatorPearl::new("acc", 1, 1, 0));
-            let kind = wrapper_kind(stage.kind_sel);
+            let kind = wrapper_kind(stage.kind_sel, stage.hardware);
             let ip = if stage.hardware {
                 b.add_ip_full_netlist(name, pearl, kind)
             } else {

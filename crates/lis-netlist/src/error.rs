@@ -50,6 +50,14 @@ pub enum NetlistError {
         /// The duplicated name.
         port: String,
     },
+    /// A module's ports do not match the interface of the instance it
+    /// is meant to fill.
+    PortMismatch {
+        /// The module whose interface was checked.
+        module: String,
+        /// Which port is missing, mis-sized or unexpected.
+        detail: String,
+    },
 }
 
 impl fmt::Display for NetlistError {
@@ -76,6 +84,9 @@ impl fmt::Display for NetlistError {
             }
             NetlistError::DuplicatePort { port } => {
                 write!(f, "duplicate port name {port}")
+            }
+            NetlistError::PortMismatch { module, detail } => {
+                write!(f, "module {module} does not fit its instance: {detail}")
             }
         }
     }

@@ -21,10 +21,10 @@
 //!   The blind sweep-everything loop survives as
 //!   [`SettleMode::FullSweep`], the reference for differential testing.
 //! * [`NetlistSim`] — a gate-level interpreter for
-//!   [`lis_netlist::Module`]s, used as the reference executor for
-//!   generated wrapper hardware. [`NetlistComponent`] drops a netlist
-//!   into a component system for co-simulation against behavioural
-//!   models.
+//!   [`lis_netlist::Module`]s, the reference executor for generated
+//!   wrapper hardware. A netlist enters a component system inside the
+//!   component that owns its engine: `lis-wrappers`' gate-level shells
+//!   each own one JIT engine.
 //!
 //! On top of the interpreter sit two fast engines. A module is lowered
 //! once into a levelized flat instruction stream, then post-processed
@@ -37,9 +37,9 @@
 //! each bus read only word-wide (multi-bit ports, registers, MUX buses
 //! under one select, up to 64 bits) as one `u64` word;
 //! [`JitPackedNetlistSim`] executes [`LANES`] independent lanes per
-//! `u64` word. Both engines evaluate `u64` slots. Harnesses accept
-//! any [`NetlistExec`], so the engines are interchangeable; property
-//! tests pin all three cycle-for-cycle equivalent.
+//! `u64` word. Both engines evaluate `u64` slots. All three implement
+//! [`NetlistExec`], through which property tests pin them
+//! cycle-for-cycle equivalent.
 //!
 //! Both executors are single-threaded. Parallelism lives one level up,
 //! over whole independent jobs: [`map_with`] runs fleet batches,
@@ -94,7 +94,7 @@ pub use checkpoint::{hash_words128, SystemCheckpoint};
 pub use jit::{JitNetlistProgram, JitNetlistSim, JitPackedNetlistSim, PortHandle, LANES};
 pub use kernel::{Activity, Component, FnComponent, Ports, SettleMode, SimError, System};
 pub use lanes::{load_plane_lanes, save_plane_lanes, transpose64};
-pub use netlist_sim::{NetlistComponent, NetlistExec, NetlistSim};
+pub use netlist_sim::{NetlistExec, NetlistSim};
 pub use pool::{map_with, WorkStealingPool};
 pub use sched::SchedulerStats;
 pub use signal::{Signal, SignalId, SignalView};

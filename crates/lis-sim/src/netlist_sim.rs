@@ -9,16 +9,14 @@
 //! interpreter stays deliberately simple: it re-walks the topological
 //! order every cycle and evaluates one cell at a time.
 
-use crate::kernel::{Activity, Component, Ports, SimError};
-use crate::signal::{SignalId, SignalView};
+use crate::kernel::SimError;
 use lis_netlist::{topo_order, CellKind, CombNode, Module, NetlistError};
 
 /// Common surface over netlist executors: the interpreting
 /// [`NetlistSim`], the fused direct-threaded [`crate::JitNetlistSim`],
 /// and the 64-lane [`crate::JitPackedNetlistSim`] (broadcast inputs,
-/// lane-0 outputs) expose identical two-phase semantics, so harnesses
-/// (and [`NetlistComponent`]) can swap engines without caring which one
-/// is underneath.
+/// lane-0 outputs) expose identical two-phase semantics, so the
+/// equivalence suites drive all three through one call sequence.
 ///
 /// # Examples
 ///
@@ -326,113 +324,9 @@ impl NetlistExec for NetlistSim {
     }
 }
 
-/// Bridges any [`NetlistExec`] into a component [`crate::System`],
-/// mapping module ports to system signals by position.
-///
-/// This enables *co-simulation*: a gate-level wrapper netlist can be
-/// dropped into a behavioural SoC in place of its behavioural model, and
-/// the surrounding components cannot tell the difference.
-pub struct NetlistComponent {
-    name: String,
-    sim: Box<dyn NetlistExec>,
-    /// `(port name, signal)` pairs for module inputs.
-    input_map: Vec<(String, SignalId)>,
-    /// `(port name, signal)` pairs for module outputs.
-    output_map: Vec<(String, SignalId)>,
-}
-
-impl std::fmt::Debug for NetlistComponent {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NetlistComponent")
-            .field("name", &self.name)
-            .field("module", &self.sim.module().name)
-            .finish()
-    }
-}
-
-impl NetlistComponent {
-    /// Wraps `sim`, connecting input and output ports to signals.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a named port does not exist on the module.
-    pub fn new(
-        name: impl Into<String>,
-        sim: impl NetlistExec + 'static,
-        inputs: Vec<(String, SignalId)>,
-        outputs: Vec<(String, SignalId)>,
-    ) -> Self {
-        for (p, _) in &inputs {
-            assert!(
-                sim.module().input(p).is_some(),
-                "module has no input port {p}"
-            );
-        }
-        for (p, _) in &outputs {
-            assert!(
-                sim.module().output(p).is_some(),
-                "module has no output port {p}"
-            );
-        }
-        NetlistComponent {
-            name: name.into(),
-            sim: Box::new(sim),
-            input_map: inputs,
-            output_map: outputs,
-        }
-    }
-
-    /// Access to the wrapped executor.
-    pub fn sim(&self) -> &dyn NetlistExec {
-        self.sim.as_ref()
-    }
-
-    fn load_inputs(&mut self, sigs: &SignalView<'_>) {
-        for (port, sig) in &self.input_map {
-            self.sim
-                .set_input(port, sigs.get(*sig))
-                .expect("port checked at construction");
-        }
-    }
-}
-
-impl Component for NetlistComponent {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn ports(&self) -> Ports {
-        Ports::new(
-            self.input_map.iter().map(|&(_, sig)| sig),
-            self.output_map.iter().map(|&(_, sig)| sig),
-        )
-    }
-
-    fn eval(&mut self, sigs: &mut SignalView<'_>) {
-        self.load_inputs(sigs);
-        self.sim.eval();
-        for (port, sig) in &self.output_map {
-            let v = self
-                .sim
-                .get_output(port)
-                .expect("port checked at construction");
-            sigs.set(*sig, v);
-        }
-    }
-
-    fn tick(&mut self, sigs: &SignalView<'_>) -> Activity {
-        self.load_inputs(sigs);
-        // Outputs are a pure function of (inputs, flip-flop state): with
-        // both unchanged, the next eval rewrites the same values and the
-        // component may sleep until an input signal changes.
-        Activity::from_changed(self.sim.step_changed())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::System;
     use lis_netlist::ModuleBuilder;
 
     fn adder_module() -> Module {
@@ -562,43 +456,5 @@ mod tests {
         sim.reset_state();
         sim.eval();
         assert_eq!(sim.get_output("q").unwrap(), 1);
-    }
-
-    #[test]
-    fn netlist_component_cosimulates_in_system() {
-        let mut sys = System::new();
-        let x = sys.add_signal("x", 4);
-        let y = sys.add_signal("y", 4);
-        let sum = sys.add_signal("sum", 4);
-        let sim = NetlistSim::new(adder_module()).unwrap();
-        sys.add_component(NetlistComponent::new(
-            "adder",
-            sim,
-            vec![("x".into(), x), ("y".into(), y)],
-            vec![("sum".into(), sum)],
-        ));
-        sys.poke(x, 7);
-        sys.poke(y, 8);
-        sys.settle().unwrap();
-        assert_eq!(sys.peek(sum), 15);
-    }
-
-    #[test]
-    fn netlist_component_accepts_the_compiled_engine_too() {
-        let mut sys = System::new();
-        let x = sys.add_signal("x", 4);
-        let y = sys.add_signal("y", 4);
-        let sum = sys.add_signal("sum", 4);
-        let sim = crate::JitNetlistSim::new(adder_module()).unwrap();
-        sys.add_component(NetlistComponent::new(
-            "adder",
-            sim,
-            vec![("x".into(), x), ("y".into(), y)],
-            vec![("sum".into(), sum)],
-        ));
-        sys.poke(x, 9);
-        sys.poke(y, 4);
-        sys.settle().unwrap();
-        assert_eq!(sys.peek(sum), 13);
     }
 }

@@ -167,9 +167,10 @@ pub fn generate_output_port(width: usize) -> Result<Module, NetlistError> {
 /// paper's Figures 1/2 draw it (the pearl stays a black box; its data
 /// pins surface as `pearl_*` ports).
 ///
-/// `controller` must expose the standard interface (`rst`, `ne`, `nf`,
-/// `enable`, `pop`, `push`); `in_widths`/`out_widths` give the data
-/// width of each port.
+/// `controller` must expose exactly the standard interface, in this
+/// order: inputs `rst`, `ne[n_in]`, `nf[n_out]`; outputs `enable`,
+/// `pop[n_in]`, `push[n_out]`, where `n_in`/`n_out` are the lengths of
+/// `in_widths`/`out_widths`, which give the data width of each port.
 ///
 /// Interface of the result, per input port *i*: `in{i}_data`,
 /// `in{i}_void` (inputs), `in{i}_stop` (output), `pearl_in{i}` (output,
@@ -179,12 +180,15 @@ pub fn generate_output_port(width: usize) -> Result<Module, NetlistError> {
 ///
 /// # Errors
 ///
-/// Propagates netlist validation errors.
+/// [`NetlistError::PortMismatch`] naming the first controller port
+/// that is missing, mis-sized or unexpected; otherwise propagates
+/// netlist validation errors.
 pub fn assemble_full_wrapper(
     controller: &Module,
     in_widths: &[usize],
     out_widths: &[usize],
 ) -> Result<Module, NetlistError> {
+    check_controller_ports(controller, in_widths.len(), out_widths.len())?;
     let mut b = ModuleBuilder::new(format!("{}_full", controller.name));
     let rst = b.input("rst", 1);
 
@@ -251,9 +255,55 @@ pub fn assemble_full_wrapper(
     b.finish()
 }
 
+/// Checks that `controller` has the shell's controller interface port
+/// for port, in the order [`assemble_full_wrapper`] wires it.
+fn check_controller_ports(
+    controller: &Module,
+    n_in: usize,
+    n_out: usize,
+) -> Result<(), NetlistError> {
+    let mismatch = |detail: String| NetlistError::PortMismatch {
+        module: controller.name.clone(),
+        detail,
+    };
+    let sides = [
+        (
+            "input",
+            &controller.inputs,
+            [("rst", 1), ("ne", n_in), ("nf", n_out)],
+        ),
+        (
+            "output",
+            &controller.outputs,
+            [("enable", 1), ("pop", n_in), ("push", n_out)],
+        ),
+    ];
+    for (side, ports, want) in sides {
+        for (k, (name, width)) in want.into_iter().enumerate() {
+            let detail = match ports.iter().position(|p| p.name == name) {
+                None => format!("no {side} port {name} (the shell needs {name}[{width}])"),
+                Some(j) if ports[j].width() != width => format!(
+                    "{side} port {name} is {} bits wide, the shell needs {width}",
+                    ports[j].width()
+                ),
+                Some(j) if j != k => {
+                    format!("{side} port {name} is port {j}, the shell wires it as port {k}")
+                }
+                Some(_) => continue,
+            };
+            return Err(mismatch(detail));
+        }
+        if let Some(extra) = ports.get(want.len()) {
+            return Err(mismatch(format!("unexpected {side} port {}", extra.name)));
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kind::WrapperKind;
     use lis_schedule::ScheduleBuilder;
     use lis_sim::NetlistSim;
 
@@ -370,6 +420,60 @@ mod tests {
         assert_eq!(full.roms.len(), 1, "the controller's ops memory");
         // Ports contribute registers: 2 payload regs per port + counters.
         assert!(full.ff_count() > controller.ff_count() + 2 * (8 + 16 + 32));
+    }
+
+    /// A shift-register controller has no `ne`/`nf`: assembly names the
+    /// missing port instead of panicking inside the netlist builder. A
+    /// controller sized for other port counts is named as mis-sized.
+    #[test]
+    fn full_wrapper_names_the_controller_port_that_does_not_fit() {
+        let schedule = ScheduleBuilder::new(2, 1)
+            .read(0)
+            .read(1)
+            .write(0)
+            .build()
+            .unwrap();
+        let shiftreg = WrapperKind::ShiftReg.generate_netlist(&schedule).unwrap();
+        let err = assemble_full_wrapper(&shiftreg, &[8, 8], &[8]).unwrap_err();
+        assert!(matches!(err, NetlistError::PortMismatch { .. }), "{err:?}");
+        assert_eq!(
+            err.to_string(),
+            "module shiftreg_wrapper does not fit its instance: \
+             no input port ne (the shell needs ne[2])"
+        );
+        let sp = WrapperKind::Sp.generate_netlist(&schedule).unwrap();
+        let err = assemble_full_wrapper(&sp, &[8, 8, 8], &[8]).unwrap_err();
+        assert!(
+            err.to_string()
+                .ends_with("input port ne is 2 bits wide, the shell needs 3"),
+            "{err}"
+        );
+    }
+
+    /// A pearl with no inputs or no outputs gives its controller a
+    /// zero-width `ne`/`pop` or `nf`/`push`; the shell still assembles.
+    #[test]
+    fn full_wrapper_assembles_zero_width_status_ports() {
+        let sink_only = ScheduleBuilder::new(1, 0).read(0).quiet(2).build().unwrap();
+        let source_only = ScheduleBuilder::new(0, 1)
+            .quiet(2)
+            .write(0)
+            .build()
+            .unwrap();
+        for kind in [
+            WrapperKind::Sp,
+            WrapperKind::Fsm(Default::default()),
+            WrapperKind::Comb,
+        ] {
+            for (schedule, ins, outs) in
+                [(&sink_only, &[8][..], &[][..]), (&source_only, &[], &[8])]
+            {
+                let controller = kind.generate_netlist(schedule).unwrap();
+                let full = assemble_full_wrapper(&controller, ins, outs)
+                    .unwrap_or_else(|e| panic!("{kind}: {e}"));
+                NetlistSim::new(full).unwrap();
+            }
+        }
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! The fully gate-level patient process: the complete shell — controller
 //! *and* port FIFOs, as assembled by [`crate::assemble_full_wrapper`] —
-//! is executed gate by gate on `lis-sim`'s JIT netlist engine;
-//! only the pearl remains behavioural (it is the black box the
-//! methodology encapsulates). Every shell port is pre-resolved to a
-//! handle at construction, so the per-cycle path performs no string
-//! formatting or name lookups.
+//! runs as one netlist on `lis-sim`'s scalar JIT engine; only the pearl
+//! remains behavioural (it is the black box the methodology
+//! encapsulates). Every shell port is pre-resolved to a handle at
+//! construction, so the per-cycle path performs no string formatting or
+//! name lookups.
 //!
-//! This is the highest-fidelity executable model of the paper's
-//! Figure 2, and the strongest equivalence evidence in the suite: a SoC
-//! built from these must be token-for-token identical to one built from
-//! behavioural wrappers.
+//! This is the executable model of the paper's Figure 2, and the one
+//! way gate-level hardware enters a one-lane SoC: a SoC built from these
+//! must be token-for-token identical to one built from behavioural
+//! wrappers.
 
 use crate::fifo_netlist::assemble_full_wrapper;
 use lis_netlist::Module;
@@ -62,8 +62,9 @@ impl FullNetlistPatientProcess {
     ///
     /// # Panics
     ///
-    /// Panics if channel counts mismatch the pearl's interface or the
-    /// assembled shell fails validation.
+    /// Panics if channel counts mismatch the pearl's interface, or if
+    /// the shell does not assemble: [`assemble_full_wrapper`] names the
+    /// controller port that does not fit.
     pub fn new(
         name: impl Into<String>,
         pearl: Box<dyn Pearl>,
@@ -283,47 +284,51 @@ mod tests {
     use super::*;
     use crate::kind::WrapperKind;
     use crate::patient::wrap_pearl;
+    use crate::{generate_sp, FsmEncoding};
     use lis_proto::{AccumulatorPearl, TokenSink, TokenSource, ViolationCounter};
+    use lis_schedule::{compress, PortSet, SpProgram, SyncOp};
     use lis_sim::SettleMode;
     use std::sync::{Arc, Mutex};
+
+    /// Streams the accumulator testbench through the behavioural `kind`
+    /// wrapper (`shell: None`) or through the complete gate-level shell
+    /// around `shell`. Returns the sink's stream and the violations.
+    fn stream(
+        kind: WrapperKind,
+        shell: Option<Module>,
+        src_stall: f64,
+        sink_stall: f64,
+    ) -> (Vec<u64>, u64) {
+        let mut sys = System::new();
+        let violations = ViolationCounter::new();
+        let pearl = Box::new(AccumulatorPearl::new("acc", 2, 1, 4));
+        let (ins, outs) = match shell {
+            Some(controller) => wrap_pearl_full_netlist(&mut sys, "pp", pearl, controller),
+            None => {
+                let policy = kind.make_policy(pearl.schedule());
+                let (i, o, _) = wrap_pearl(&mut sys, "pp", pearl, policy, &violations);
+                (i, o)
+            }
+        };
+        sys.add_component(
+            TokenSource::new("s0", ins[0], (1..=12).map(|v| v * 7)).with_stalls(src_stall, 3),
+        );
+        sys.add_component(TokenSource::new("s1", ins[1], 1..=12).with_stalls(src_stall, 4));
+        let sink = TokenSink::new("k", outs[0]).with_stalls(sink_stall, 5);
+        let got = sink.received();
+        sys.add_component(sink);
+        sys.run(1200).unwrap();
+        let r = got.lock().unwrap().clone();
+        (r, violations.count())
+    }
 
     /// The fully gate-level shell must match the behavioural wrapper
     /// token for token under irregular traffic.
     fn cosim_full(kind: WrapperKind, src_stall: f64, sink_stall: f64) {
-        let pearl_ref = AccumulatorPearl::new("acc", 2, 1, 4);
-        let schedule = pearl_ref.schedule().clone();
-
-        let run = |gate_level: bool| -> (Vec<u64>, u64) {
-            let mut sys = System::new();
-            let violations = ViolationCounter::new();
-            let pearl = AccumulatorPearl::new("acc", 2, 1, 4);
-            let (ins, outs) = if gate_level {
-                let controller = kind.generate_netlist(&schedule).unwrap();
-                wrap_pearl_full_netlist(&mut sys, "pp", Box::new(pearl), controller)
-            } else {
-                let (i, o, _) = wrap_pearl(
-                    &mut sys,
-                    "pp",
-                    Box::new(pearl),
-                    kind.make_policy(&schedule),
-                    &violations,
-                );
-                (i, o)
-            };
-            sys.add_component(
-                TokenSource::new("s0", ins[0], (1..=12).map(|v| v * 7)).with_stalls(src_stall, 3),
-            );
-            sys.add_component(TokenSource::new("s1", ins[1], 1..=12).with_stalls(src_stall, 4));
-            let sink = TokenSink::new("k", outs[0]).with_stalls(sink_stall, 5);
-            let got = sink.received();
-            sys.add_component(sink);
-            sys.run(1200).unwrap();
-            let r = got.lock().unwrap().clone();
-            (r, violations.count())
-        };
-
-        let (behavioural, v1) = run(false);
-        let (hardware, v2) = run(true);
+        let schedule = AccumulatorPearl::new("acc", 2, 1, 4).schedule().clone();
+        let controller = kind.generate_netlist(&schedule).unwrap();
+        let (behavioural, v1) = stream(kind, None, src_stall, sink_stall);
+        let (hardware, v2) = stream(kind, Some(controller), src_stall, sink_stall);
         assert_eq!(v1, 0, "{kind}");
         assert_eq!(v2, 0, "{kind}");
         assert!(!behavioural.is_empty());
@@ -367,6 +372,44 @@ mod tests {
     #[test]
     fn full_fsm_shell_matches_behavioural_irregular() {
         cosim_full(WrapperKind::Fsm(Default::default()), 0.3, 0.2);
+    }
+
+    #[test]
+    fn full_fsm_binary_shell_matches_behavioural() {
+        cosim_full(WrapperKind::Fsm(FsmEncoding::Binary), 0.3, 0.2);
+    }
+
+    /// The shell records no violations, so a wrong controller shows only
+    /// in the stream: an SP program with one fault must not deliver the
+    /// behavioural stream. The unfaulted program does, under the same
+    /// traffic (`full_sp_shell_matches_behavioural_irregular`).
+    #[test]
+    fn faulty_sp_programs_change_the_full_shell_stream() {
+        let program = compress(AccumulatorPearl::new("acc", 2, 1, 4).schedule());
+        // ops[0] reads both inputs and runs the compute; ops[1] writes.
+        assert_eq!(program.len(), 2, "{program:?}");
+        let faulty_stream = |fault: fn(&mut [SyncOp])| {
+            let mut ops = program.ops().to_vec();
+            fault(&mut ops);
+            let program = SpProgram::new(program.n_inputs(), program.n_outputs(), ops).unwrap();
+            let controller = generate_sp(&program).unwrap();
+            stream(WrapperKind::Sp, Some(controller), 0.3, 0.25).0
+        };
+        let (behavioural, _) = stream(WrapperKind::Sp, None, 0.3, 0.25);
+        let dropped_input = faulty_stream(|ops| ops[0].input_mask = PortSet::single(0));
+        let cleared_output = faulty_stream(|ops| ops[1].output_mask = PortSet::EMPTY);
+        let longer_run = faulty_stream(|ops| ops[0].run_cycles += 1);
+        for (fault, got) in [
+            ("input-mask bit dropped", &dropped_input),
+            ("output mask cleared", &cleared_output),
+            ("run length plus one", &longer_run),
+        ] {
+            assert_ne!(got, &behavioural, "{fault}: the fault went unseen");
+        }
+        assert!(
+            cleared_output.is_empty(),
+            "no push, no token: {cleared_output:?}"
+        );
     }
 
     /// What one kernel call into a [`PassProbe`] cost, in shell passes.

@@ -70,6 +70,34 @@ impl WrapperKind {
             WrapperKind::Sp => generate_sp(&compress(schedule)),
         }
     }
+
+    /// Generates the controller of IP `ip`'s complete gate-level shell
+    /// ([`crate::assemble_full_wrapper`]) for `schedule`.
+    ///
+    /// The shell moves its port FIFOs on the controller's `pop` and
+    /// `push`, and only the SP and FSM controllers pop and push on the
+    /// pearl's schedule.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming `ip` and the reason for [`WrapperKind::Comb`],
+    /// which pops and pushes every port on every enabled cycle, and for
+    /// [`WrapperKind::ShiftReg`], which has no `ne`/`nf` inputs and no
+    /// `pop`/`push` outputs; also if generation fails.
+    pub fn shell_controller(self, ip: &str, schedule: &IoSchedule) -> Module {
+        let refusal = match self {
+            WrapperKind::Fsm(_) | WrapperKind::Sp => None,
+            WrapperKind::Comb => Some(
+                "it pops and pushes every port on every enabled cycle, not on the pearl's schedule",
+            ),
+            WrapperKind::ShiftReg => Some("it has no ne/nf inputs and no pop/push outputs"),
+        };
+        if let Some(why) = refusal {
+            panic!("IP {ip}: the gate-level shell cannot run a {self} controller: {why}");
+        }
+        self.generate_netlist(schedule)
+            .unwrap_or_else(|e| panic!("IP {ip}: {self} controller generation failed: {e}"))
+    }
 }
 
 #[cfg(test)]

@@ -17,8 +17,13 @@
 //!   an asynchronous ROM (Figure 2 of the paper).
 //!
 //! [`PatientProcess`] assembles pearl + policy + port queues into a
-//! simulator component; [`NetlistPatientProcess`] does the same with the
-//! gate-level controller in the loop. [`WrapperKind`] dispatches over
+//! simulator component: the behavioural oracle. The gate-level shell is
+//! the paper's Figure 2 in gates, the controller plus one FIFO per port
+//! ([`assemble_full_wrapper`]); [`FullNetlistPatientProcess`] runs it
+//! for one scenario lane and [`PackedFullNetlistPatientProcess`] for up
+//! to 64. Only the SP and FSM controllers pop and push on the pearl's
+//! schedule, so only they drive a shell
+//! ([`WrapperKind::shell_controller`]). [`WrapperKind`] dispatches over
 //! all four models.
 //!
 //! # Examples
@@ -51,7 +56,6 @@ mod fifo_netlist;
 mod fsm_netlist;
 mod full_netlist_harness;
 mod kind;
-mod netlist_harness;
 mod packed_full_harness;
 mod patient;
 mod policy;
@@ -63,7 +67,6 @@ pub use fifo_netlist::{assemble_full_wrapper, generate_input_port, generate_outp
 pub use fsm_netlist::{generate_fsm, FsmEncoding};
 pub use full_netlist_harness::{wrap_pearl_full_netlist, FullNetlistPatientProcess};
 pub use kind::WrapperKind;
-pub use netlist_harness::{wrap_pearl_netlist, NetlistPatientProcess};
 pub use packed_full_harness::{wrap_pearls_packed_full_netlist, PackedFullNetlistPatientProcess};
 pub use patient::{swap_patient_inputs, wrap_pearl, PatientProcess, PatientStats};
 pub use policy::{

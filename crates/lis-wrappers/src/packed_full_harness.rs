@@ -96,7 +96,9 @@ impl PackedFullNetlistPatientProcess {
     ///
     /// Panics if there are zero or more than [`LANES`] pearls, if the
     /// pearls disagree on interface shape, if the channel counts
-    /// mismatch, or if the assembled shell fails validation.
+    /// mismatch, or if the shell does not assemble
+    /// ([`crate::assemble_full_wrapper`] names the controller port that
+    /// does not fit).
     pub fn new(
         name: impl Into<String>,
         pearls: Vec<Box<dyn Pearl>>,

@@ -1,8 +1,9 @@
 //! The paper's first workload, end to end: a convolutionally encoded
 //! bitstream crosses a noisy channel, enters a Viterbi-decoder pearl
-//! encapsulated behind a *gate-level* synchronization-processor
-//! controller, and comes out decoded — across relay-station latencies
-//! and source stalls.
+//! encapsulated behind the complete *gate-level* shell (the
+//! synchronization-processor controller plus one FIFO per port, the
+//! paper's Figure 2), and comes out decoded — across relay-station
+//! latencies and source stalls.
 //!
 //! Run with: `cargo run --release --example viterbi_soc`
 
@@ -33,9 +34,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Build the SoC: ctrl and symbol sources -> relayed links ->
-    // hardware-controlled Viterbi patient process -> sinks.
+    // Viterbi patient process in its gate-level shell -> sinks.
     let mut b = SocBuilder::new();
-    let ip = b.add_ip_netlist("viterbi", Box::new(ViterbiPearl::new("v")), WrapperKind::Sp);
+    let ip = b.add_ip_full_netlist("viterbi", Box::new(ViterbiPearl::new("v")), WrapperKind::Sp);
     let ctrl_stage = b.channel("ctrl_stage", 8);
     let sym_stage = b.channel("sym_stage", 2);
     b.feed(

@@ -24,7 +24,7 @@ fn viterbi_frame_through_soc(kind: WrapperKind, hardware: bool, relays: usize) {
     let mut b = SocBuilder::new();
     let pearl = Box::new(ViterbiPearl::new("v"));
     let ip = if hardware {
-        b.add_ip_netlist("viterbi", pearl, kind)
+        b.add_ip_full_netlist("viterbi", pearl, kind)
     } else {
         b.add_ip("viterbi", pearl, kind)
     };
@@ -220,7 +220,7 @@ fn matmul_through_netlist_controlled_soc() {
     }
 
     let mut b = SocBuilder::new();
-    let ip = b.add_ip_netlist("mm", Box::new(MatMulPearl::new("mm")), WrapperKind::Sp);
+    let ip = b.add_ip_full_netlist("mm", Box::new(MatMulPearl::new("mm")), WrapperKind::Sp);
     b.feed("a", ip.inputs[0], a, 0.2, 6);
     b.feed("b", ip.inputs[1], bm, 0.3, 7);
     b.capture("c", ip.outputs[0], 0.1, 8);

@@ -79,7 +79,7 @@ fn viterbi_soc_flow() {
     }
 
     let mut b = SocBuilder::new();
-    let ip = b.add_ip_netlist("viterbi", Box::new(ViterbiPearl::new("v")), WrapperKind::Sp);
+    let ip = b.add_ip_full_netlist("viterbi", Box::new(ViterbiPearl::new("v")), WrapperKind::Sp);
     let ctrl_stage = b.channel("ctrl_stage", 8);
     let sym_stage = b.channel("sym_stage", 2);
     b.feed(
