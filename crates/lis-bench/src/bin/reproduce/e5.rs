@@ -11,43 +11,30 @@
 //! simulated under the full-sweep reference settle and the activity
 //! kernel (`SettleMode::FastForward`, the production mode), each timed
 //! five times (`REPS`) with the engines alternating. Both engines must
-//! produce bit-identical token streams; `--json <path>` records one row
-//! per engine at its median wall time (e.g. BENCH_e5.json; wall-clock
-//! fields are volatile and excluded from the CI drift diff) and
-//! `--check` additionally enforces the ≥2x bar on the ratio of the two
+//! produce bit-identical token streams; the report records one row per
+//! engine at its median wall time, and `--check` enforces that every
+//! configuration stays intact and the ≥2x bar on the ratio of the two
 //! medians, printing the margin.
 
-use lis_bench::{print_rows, section, Arg, Cli, Flag};
+use lis_bench::{object, print_rows, section, Artifact, Bar, Cli, CHECK, JSON};
 use lis_core::experiment::{settle_bench, throughput_sweep, SettleBenchConfig};
 use lis_sim::SettleMode;
-use serde::{Serialize, Value};
+use serde::Value;
 
 /// Timed runs per settle engine.
 const REPS: usize = 5;
 /// The `--check` bar: fast-forward over full-sweep, ratio of medians.
 const BAR: f64 = 2.0;
 
-const FLAGS: &[Flag] = &[
-    Flag {
-        name: "--check",
-        arg: Arg::Switch,
-        help: "enforce the latency-equivalence and >=2x settle bars",
-    },
-    Flag {
-        name: "--json",
-        arg: Arg::Path,
-        help: "write the rows as a JSON baseline (e.g. BENCH_e5.json)",
-    },
-];
+pub const ARTIFACT: Artifact = Artifact {
+    name: "e5",
+    about: "E5: latency-insensitivity sweep plus the settle-path throughput bench.",
+    flags: &[CHECK, JSON],
+    refuse: |_| Ok(()),
+    run,
+};
 
-fn main() {
-    let cli = Cli::from_env(
-        "E5: latency-insensitivity sweep plus the settle-path throughput bench.",
-        FLAGS,
-    );
-    let json_path = cli.value("--json");
-    let check = cli.switch("--check");
-
+fn run(_: &Cli) -> (Value, Vec<Bar>) {
     section("E5 — throughput & correctness vs channel latency and stalls");
     let rows = throughput_sweep(&[0, 1, 2, 4, 8], &[0.0, 0.2, 0.5], 4000);
     print_rows(&rows);
@@ -105,44 +92,20 @@ fn main() {
          margin {margin:+.2}x over the {BAR}x bar"
     );
 
-    if let Some(path) = json_path {
-        let baseline_json = Value::Object(vec![
-            ("e5_sweep".into(), rows.to_value()),
-            ("settle_bench_config".into(), cfg.to_value()),
-            ("settle_bench_shape".into(), shape.to_value()),
-            ("settle_bench_rows".into(), bench_rows.to_value()),
-            ("speedup_fast_forward_1t".into(), Value::Float(speedup)),
-            ("speedup_fast_forward_margin".into(), Value::Float(margin)),
-        ]);
-        let json = serde_json::to_string_pretty(&baseline_json).expect("serialize E5 rows");
-        std::fs::write(path, json + "\n").expect("write JSON baseline");
-        eprintln!("wrote {path}");
-    }
-
-    if check {
-        assert_eq!(intact, rows.len(), "every configuration must stay intact");
-        assert!(
-            speedup >= BAR,
-            "the activity kernel must be >={BAR}x the full-sweep baseline on the \
-             many-pearl settle path (ratio of medians {speedup:.2}x)"
-        );
-        println!("--check passed: {speedup:.2}x >= {BAR}x (margin {margin:+.2}x)");
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use lis_bench::CliError;
-
-    /// The kernel is single-threaded, so a leftover `--threads 4` fails
-    /// loudly instead of being ignored.
-    #[test]
-    fn rejects_a_stale_threads_flag() {
-        let args = ["--threads".to_owned(), "4".to_owned()];
-        assert_eq!(
-            Cli::parse(FLAGS, &args).unwrap_err(),
-            CliError::Bad("unknown flag `--threads`".to_owned())
-        );
-    }
+    let bars = vec![
+        Bar(
+            intact == rows.len(),
+            format!("every configuration intact: {intact}/{}", rows.len()),
+        ),
+        Bar::at_least("fast-forward / full-sweep settle throughput", speedup, BAR),
+    ];
+    let report = object(&[
+        ("e5_sweep", &rows),
+        ("settle_bench_config", &cfg),
+        ("settle_bench_shape", &shape),
+        ("settle_bench_rows", &bench_rows),
+        ("speedup_fast_forward_1t", &speedup),
+        ("speedup_fast_forward_margin", &margin),
+    ]);
+    (report, bars)
 }

@@ -12,31 +12,26 @@
 //! 3. The 10⁵-cycle long-schedule stress run: an 8×8 mesh of gate-level
 //!    SP shells under bursty traffic and relay back-pressure.
 //!
-//! `--json <path>` records the rows (e.g. BENCH_e6.json; wall-clock
-//! fields are volatile and excluded from the CI drift diff). The E6
-//! headline claim — compressed-SP slice/ROM cost flat within ±10%
-//! across scales, FSM cost growing monotonically, stress run
+//! The E6 headline claim — compressed-SP slice/ROM cost flat within
+//! ±10% across scales, FSM cost growing monotonically, stress run
 //! token-exact — is asserted unconditionally: a regression aborts the
-//! binary.
+//! run. `--check` only compares the report with BENCH_e6.json.
 
-use lis_bench::{print_rows, section, Arg, Cli, Flag};
+use lis_bench::{object, print_rows, section, Artifact, Bar, Cli, CHECK, JSON};
 use lis_core::experiment::ablation;
 use lis_synth::TechParams;
 use lis_topo::{assert_e6_claim, stress_run, topology_ablation, AblationBenchConfig, StressConfig};
-use serde::{Serialize, Value};
+use serde::Value;
 
-const FLAGS: &[Flag] = &[Flag {
-    name: "--json",
-    arg: Arg::Path,
-    help: "write the rows as a JSON baseline (e.g. BENCH_e6.json)",
-}];
+pub const ARTIFACT: Artifact = Artifact {
+    name: "e6",
+    about: "E6: FSM-encoding and topology ablations plus the 1e5-cycle stress run.",
+    flags: &[JSON, CHECK],
+    refuse: |_| Ok(()),
+    run,
+};
 
-fn main() {
-    let cli = Cli::from_env(
-        "E6: FSM-encoding and topology ablations plus the 1e5-cycle stress run.",
-        FLAGS,
-    );
-    let json_path = cli.value("--json");
+fn run(_: &Cli) -> (Value, Vec<Bar>) {
     let params = TechParams::default();
 
     section("E6 — classic ablations (FSM encodings, static-wrapper fragility)");
@@ -67,33 +62,12 @@ fn main() {
         "stress bar: >=64 pearls for >=1e5 cycles"
     );
 
-    if let Some(path) = json_path {
-        let baseline = Value::Object(vec![
-            ("e6_classic".into(), classic.to_value()),
-            ("topo_config".into(), topo_cfg.to_value()),
-            ("topo_ablation".into(), topo_rows.to_value()),
-            ("stress_config".into(), stress_cfg.to_value()),
-            ("stress".into(), stress.to_value()),
-        ]);
-        let json = serde_json::to_string_pretty(&baseline).expect("serialize E6 rows");
-        std::fs::write(path, json + "\n").expect("write JSON baseline");
-        eprintln!("wrote {path}");
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use lis_bench::CliError;
-
-    /// The kernel is single-threaded, so a leftover `--threads 4` fails
-    /// loudly instead of being ignored.
-    #[test]
-    fn rejects_a_stale_threads_flag() {
-        let args = ["--threads".to_owned(), "4".to_owned()];
-        assert_eq!(
-            Cli::parse(FLAGS, &args).unwrap_err(),
-            CliError::Bad("unknown flag `--threads`".to_owned())
-        );
-    }
+    let report = object(&[
+        ("e6_classic", &classic),
+        ("topo_config", &topo_cfg),
+        ("topo_ablation", &topo_rows),
+        ("stress_config", &stress_cfg),
+        ("stress", &stress),
+    ]);
+    (report, Vec::new())
 }

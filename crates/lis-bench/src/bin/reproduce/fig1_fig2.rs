@@ -3,14 +3,19 @@
 //! synchronization-processor wrapper) from the actual generators, plus
 //! ASCII renderings of the two architectures.
 
-use lis_bench::{section, Cli};
+use lis_bench::{section, Artifact, Bar, Cli};
 use lis_core::experiment::figures;
+use serde::Value;
 
-fn main() {
-    Cli::from_env(
-        "Figures 1 and 2: the two wrapper architectures, regenerated.",
-        &[],
-    );
+pub const ARTIFACT: Artifact = Artifact {
+    name: "fig1_fig2",
+    about: "Figures 1 and 2: the two wrapper architectures, regenerated.",
+    flags: &[],
+    refuse: |_| Ok(()),
+    run,
+};
+
+fn run(_: &Cli) -> (Value, Vec<Bar>) {
     section("Figure 1 / Figure 2 — wrapper architectures (regenerated)");
     let figs = figures().expect("figure generation");
     for f in &figs {
@@ -44,4 +49,5 @@ fn main() {
               +--------------------------------------------------------+
 "#
     );
+    (Value::Null, Vec::new())
 }

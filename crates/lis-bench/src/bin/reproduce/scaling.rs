@@ -6,7 +6,9 @@
 //! E3 sweeps schedule length at fixed ports; E4 sweeps port count at
 //! fixed schedule length. Pass `--sweep ports` for E4 only, `--sweep
 //! length` for E3 only, `--sweep sim` for the simulation-throughput
-//! sweep only.
+//! sweep only; `--sweep all` (the default) runs all three, and `--json`
+//! and `--check` refuse any other, since only all three make up the
+//! recorded baseline.
 //!
 //! A third sweep measures **simulation throughput** over the same
 //! growing schedules, on all three netlist engines: the interpreting
@@ -14,14 +16,15 @@
 //! direct-threaded scalar, and 64-lane packed). Both the
 //! FSM wrapper (whose netlist grows with schedule length — the hard
 //! case) and the SP wrapper (constant logic) are swept. This is the
-//! baseline every future perf PR has to beat; `--json <path>` records
-//! it (plus the structural sweeps) as e.g. BENCH_scaling.json, and
-//! `--check` enforces the JIT speedup bars over the interpreter at the
-//! largest FSM point. Every point times each engine five times
-//! (`REPS`), the engines alternating, and its speedups are ratios of
-//! the medians.
+//! baseline every future performance change has to beat, and `--check`
+//! enforces the JIT speedup bars over the interpreter at the largest
+//! FSM point. Every point times each engine five times (`REPS`), the
+//! engines alternating, and its speedups are ratios of the medians.
 
-use lis_bench::{bar, default_threads, print_rows, section, Arg, Cli, Flag};
+use lis_bench::{
+    bar, default_threads, object, print_rows, section, Arg, Artifact, Bar, Cli, Flag, CHECK, JSON,
+    THREADS,
+};
 use lis_core::experiment::{median, scaling_by_length, scaling_by_ports};
 use lis_netlist::{LoweringStats, Module, NetlistStats};
 use lis_schedule::{random_schedule, IoSchedule, RandomScheduleParams};
@@ -45,9 +48,8 @@ const JIT_PACKED_BAR: f64 = 872.0;
 /// cycles/second (`mcps`) and, for the packed engines, million
 /// *lane*-cycles/second (`mlcps`, 64 Monte-Carlo lanes per cycle).
 /// `jit_stats` records what the JIT lowering did to the instruction
-/// stream — structural, deterministic counters that CI pins against
-/// drift (the `*_mcps`/`*_mlcps`/`speedup_*` wall-clock fields are
-/// excluded from the diff).
+/// stream — structural, deterministic counters that `--check` pins
+/// against drift.
 #[derive(Debug, Clone, Serialize)]
 struct SimScalingRow {
     period: usize,
@@ -240,65 +242,48 @@ fn sim_scaling_rows(periods: &[usize]) -> Vec<SimScalingRow> {
     rows
 }
 
-const FLAGS: &[Flag] = &[
-    Flag {
-        name: "--sweep",
-        arg: Arg::OneOf(&["length", "ports", "sim", "both"]),
-        help: "run one sweep only (default: all of them)",
-    },
-    Flag {
-        name: "--json",
-        arg: Arg::Path,
-        help: "write every sweep as a JSON baseline (e.g. BENCH_scaling.json)",
-    },
-    Flag {
-        name: "--check",
-        arg: Arg::Switch,
-        help: "enforce the JIT speedup bars at the largest FSM point",
-    },
-    Flag {
-        name: "--threads",
-        arg: Arg::Count,
-        help: "pool workers fanning out the syntheses (default: cores, at most 8)",
-    },
-];
+pub const ARTIFACT: Artifact = Artifact {
+    name: "scaling",
+    about: "E3/E4: wrapper area and fmax vs schedule length and port count, plus \
+            netlist simulation throughput.",
+    flags: &[
+        Flag {
+            name: "--sweep",
+            arg: Arg::OneOf(&["length", "ports", "sim", "all"]),
+            help: "run one sweep only (default: all of them)",
+        },
+        JSON,
+        CHECK,
+        THREADS,
+    ],
+    refuse,
+    run,
+};
 
-fn main() {
-    let cli = Cli::from_env(
-        "E3/E4: wrapper area and fmax vs schedule length and port count, plus \
-         netlist simulation throughput.",
-        FLAGS,
-    );
-    let what = cli.value("--sweep").unwrap_or("both");
-    // `--json <path>` snapshots all sweeps as a machine-readable
-    // baseline, e.g. BENCH_scaling.json (throughput fields are volatile
-    // and excluded from the CI drift diff). The baseline must be
-    // complete to pass that diff, so --json overrides a partial --sweep
-    // rather than silently recording empty arrays.
-    let json_path = cli.value("--json");
-    let what = if json_path.is_some() && what != "both" {
-        eprintln!("--json needs every sweep for a complete baseline; ignoring --sweep {what}");
-        "both"
-    } else {
-        what
-    };
-    // `--check` enforces the JIT performance bars at the largest FSM
-    // point against the interpreter, on ratios of medians: jit >= 15.4x
-    // and jit-packed >= 872x in lane throughput.
-    let check = cli.switch("--check");
-    let what = if check && (what == "ports" || what == "length") {
-        eprintln!("--check needs the sim sweep; ignoring --sweep {what}");
-        "both"
-    } else {
-        what
-    };
+/// The baseline holds every sweep, so `--json` and `--check` need them
+/// all.
+fn refuse(cli: &Cli) -> Result<(), String> {
+    match (
+        cli.value("--sweep"),
+        ["--json", "--check"].iter().find(|f| cli.switch(f)),
+    ) {
+        (Some(sweep), Some(flag)) if sweep != "all" => Err(format!(
+            "`{flag}` needs every sweep, but `--sweep {sweep}` runs one; drop `--sweep` \
+             or give `--sweep all`"
+        )),
+        _ => Ok(()),
+    }
+}
+
+fn run(cli: &Cli) -> (Value, Vec<Bar>) {
+    let what = cli.value("--sweep").unwrap_or("all");
     let pool = WorkStealingPool::new(cli.count("--threads").unwrap_or_else(default_threads));
     eprintln!("synthesis fan-out: {} threads", pool.threads());
     let params = TechParams::default();
     let periods = [16usize, 64, 256, 1024, 4096];
 
     let mut length_rows = Vec::new();
-    if what == "both" || what == "length" {
+    if what == "all" || what == "length" {
         section("E3 — area & fmax vs schedule length (2 in / 2 out ports)");
         length_rows = scaling_by_length(&periods, &params, &pool).expect("length sweep");
         print_rows(&length_rows);
@@ -316,7 +301,7 @@ fn main() {
     }
 
     let mut port_rows = Vec::new();
-    if what == "both" || what == "ports" {
+    if what == "all" || what == "ports" {
         section("E4 — area & fmax vs port count (64-cycle schedule)");
         port_rows = scaling_by_ports(&[2, 4, 8, 16, 32], &params, &pool).expect("port sweep");
         print_rows(&port_rows);
@@ -324,7 +309,8 @@ fn main() {
 
     let mut sim_rows = Vec::new();
     let mut margins = Vec::new();
-    if what == "both" || what == "sim" {
+    let mut bars = Vec::new();
+    if what == "all" || what == "sim" {
         section(
             "Simulation throughput vs schedule length (interpreter / jit / 64-lane jit packed)",
         );
@@ -351,41 +337,29 @@ fn main() {
                     oc.op, oc.instrs, oc.runs
                 );
             }
-            let (jit_ratio, jit_packed_ratio) = (worst.speedup_jit, worst.speedup_jit_packed);
-            let (jit_margin, jit_packed_margin) =
-                (jit_ratio - JIT_BAR, jit_packed_ratio - JIT_PACKED_BAR);
+            let (jit, packed) = (worst.speedup_jit, worst.speedup_jit_packed);
+            let (jit_margin, packed_margin) = (jit - JIT_BAR, packed - JIT_PACKED_BAR);
             println!(
-                "largest point, ratios of medians: jit/interp {jit_ratio:.1}x \
+                "largest point, ratios of medians: jit/interp {jit:.1}x \
                  (bar {JIT_BAR}x, margin {jit_margin:+.1}x), jit-packed/interp \
-                 {jit_packed_ratio:.0}x (bar {JIT_PACKED_BAR}x, margin {jit_packed_margin:+.0}x)"
+                 {packed:.0}x (bar {JIT_PACKED_BAR}x, margin {packed_margin:+.0}x)"
             );
             margins = vec![
-                ("speedup_jit_margin".into(), Value::Float(jit_margin)),
-                (
-                    "speedup_jit_packed_margin".into(),
-                    Value::Float(jit_packed_margin),
-                ),
+                ("speedup_jit_margin", jit_margin),
+                ("speedup_jit_packed_margin", packed_margin),
             ];
-            if check {
-                if jit_margin < 0.0 || jit_packed_margin < 0.0 {
-                    eprintln!("--check FAILED: JIT speedup bars not met");
-                    std::process::exit(1);
-                }
-                println!("--check passed");
-            }
+            bars = vec![
+                Bar::at_least("largest-point jit / interp", jit, JIT_BAR),
+                Bar::at_least("largest-point jit packed / interp", packed, JIT_PACKED_BAR),
+            ];
         }
     }
 
-    if let Some(path) = json_path {
-        let mut fields = vec![
-            ("rows_length".into(), length_rows.to_value()),
-            ("rows_ports".into(), port_rows.to_value()),
-            ("sim_throughput".into(), sim_rows.to_value()),
-        ];
-        fields.extend(margins);
-        let baseline = Value::Object(fields);
-        let json = serde_json::to_string_pretty(&baseline).expect("serialize scaling rows");
-        std::fs::write(path, json + "\n").expect("write JSON baseline");
-        eprintln!("wrote {path}");
-    }
+    let mut report: Vec<(&str, &dyn Serialize)> = vec![
+        ("rows_length", &length_rows),
+        ("rows_ports", &port_rows),
+        ("sim_throughput", &sim_rows),
+    ];
+    report.extend(margins.iter().map(|(k, m)| (*k, m as &dyn Serialize)));
+    (object(&report), bars)
 }

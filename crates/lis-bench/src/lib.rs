@@ -1,30 +1,25 @@
 //! # lis-bench — the reproduction harness
 //!
-//! One binary per table/figure of Bomel et al. (DATE 2005), plus
-//! Criterion benches for the flow kernels. The table below is the
-//! experiment index; the README's experiment sections describe each
-//! one, and the `BENCH_*.json` files at the repository root hold the
-//! recorded results that CI diffs fresh runs against.
-//!
-//! | Binary | Artifact |
-//! |---|---|
-//! | `table1` | Table 1 — FSM vs SP synthesis of Viterbi/RS wrappers |
-//! | `fig1_fig2` | Figures 1 & 2 — wrapper architectures, regenerated structurally |
-//! | `scaling` | E3/E4 — area/fmax vs schedule length and port count |
-//! | `throughput` | E5 — relayed-pipeline throughput & latency-insensitivity |
-//! | `ablation` | E6 — FSM encodings; static wrapper fragility |
-//! | `e7` | E7 — activity kernel (run vs step-only) vs full sweep on the stress mesh |
-//! | `fleet` | Scenario fleets — 64 lane-batched traffic scenarios vs sequential solo runs |
-//! | `verify` | Bounded model check — SP protocol proven clean to depth 16; mutants caught |
-//!
-//! Every binary parses its command line with [`Cli`] against its own
-//! [`Flag`] list: `--help` prints the usage and runs nothing, and an
-//! unknown, repeated or malformed flag exits with status 2 naming it.
+//! One binary, `reproduce`, regenerates the tables, figures and
+//! experiments of Bomel et al. (DATE 2005), one artifact per call:
+//! `table1`, `fig1_fig2`, `scaling` (E3/E4), `e5`, `e6`, `e7`, `fleet`
+//! and `verify`. The README's experiment sections describe each one,
+//! and `BENCH_<artifact>.json` at the repository root holds its
+//! recorded report, in the one schema of [`report`]. [`reproduce`]
+//! parses the command line, writes reports and enforces `--check`.
+//! Criterion benches cover the flow kernels.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod report;
+
+use serde::{Serialize, Value};
 use std::fmt::Display;
+use std::process::ExitCode;
+
+/// The most worker threads (or verify twins) `--threads` accepts.
+pub const MAX_THREADS: u32 = 64;
 
 /// What a command-line flag takes after its name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,11 +30,13 @@ pub enum Arg {
     Path,
     /// A positive integer that fits in 32 bits.
     Count,
+    /// A thread count from 1 to [`MAX_THREADS`].
+    Threads,
     /// One word out of a fixed set.
     OneOf(&'static [&'static str]),
 }
 
-/// One flag a bench binary accepts.
+/// One flag an artifact accepts.
 #[derive(Debug, Clone, Copy)]
 pub struct Flag {
     /// The flag as typed, e.g. `--json`.
@@ -50,38 +47,44 @@ pub struct Flag {
     pub help: &'static str,
 }
 
-/// Why a command line is not run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CliError {
-    /// `--help` was given: print the usage and run nothing.
-    Help,
-    /// An unknown, repeated or malformed flag, or a stray argument; the
-    /// message names it.
-    Bad(String),
-}
+/// The `--json` flag every artifact with a baseline takes.
+pub const JSON: Flag = Flag {
+    name: "--json",
+    arg: Arg::Path,
+    help: "write the report as JSON (the recorded one is BENCH_<artifact>.json)",
+};
 
-/// A command line checked against one binary's [`Flag`] list.
+/// The `--check` flag every artifact with a baseline takes.
+pub const CHECK: Flag = Flag {
+    name: "--check",
+    arg: Arg::Switch,
+    help: "enforce the bars and compare the stable section with BENCH_<artifact>.json",
+};
+
+/// The `--threads` flag of the artifacts that fan whole jobs across a
+/// pool.
+pub const THREADS: Flag = Flag {
+    name: "--threads",
+    arg: Arg::Threads,
+    help: "pool workers fanning out whole jobs (default: cores, at most 8)",
+};
+
+/// A command line checked against one artifact's [`Flag`] list.
 #[derive(Debug)]
 pub struct Cli {
-    flags: &'static [Flag],
     given: Vec<(&'static str, Option<String>)>,
 }
 
 impl Cli {
-    /// Parses `args` (without the program name) against `flags`. Every
-    /// flag may appear at most once; values are checked here, so the
-    /// accessors never fail on input.
+    /// Parses `args` (the flags after the artifact's name) against
+    /// `flags`. Every flag may appear at most once; values are checked
+    /// here, so the accessors never fail on input.
     ///
     /// # Errors
     ///
-    /// [`CliError::Help`] if `--help` appears anywhere, otherwise
-    /// [`CliError::Bad`] naming the first unknown, repeated or malformed
-    /// flag or stray argument.
-    pub fn parse(flags: &'static [Flag], args: &[String]) -> Result<Cli, CliError> {
-        if args.iter().any(|a| a == "--help") {
-            return Err(CliError::Help);
-        }
-        let bad = |msg: String| Err(CliError::Bad(msg));
+    /// Names the first unknown, repeated or malformed flag or stray
+    /// argument.
+    pub fn parse(flags: &'static [Flag], args: &[String]) -> Result<Cli, String> {
         let mut given: Vec<(&'static str, Option<String>)> = Vec::new();
         let mut rest = args.iter();
         while let Some(arg) = rest.next() {
@@ -89,61 +92,41 @@ impl Cli {
                 name, arg: kind, ..
             }) = flags.iter().find(|f| f.name == arg)
             else {
-                return if arg.starts_with('-') {
-                    bad(format!("unknown flag `{arg}`"))
+                return Err(if arg.starts_with('-') {
+                    format!("unknown flag `{arg}`")
                 } else {
-                    bad(format!("unexpected argument `{arg}`"))
-                };
+                    format!("unexpected argument `{arg}`")
+                });
             };
             if given.iter().any(|(n, _)| *n == name) {
-                return bad(format!("flag `{arg}` given twice"));
+                return Err(format!("flag `{arg}` given twice"));
             }
             let value = match kind {
                 Arg::Switch => None,
                 _ => {
                     let Some(v) = rest.next().filter(|v| !v.starts_with("--")) else {
-                        return bad(format!("flag `{arg}` needs {}", describe(kind)));
+                        return Err(format!("flag `{arg}` needs {}", describe(kind)));
                     };
                     let valid = match kind {
                         Arg::Count => v.parse::<u32>().is_ok_and(|n| n >= 1),
+                        Arg::Threads => v
+                            .parse::<u32>()
+                            .is_ok_and(|n| (1..=MAX_THREADS).contains(&n)),
                         Arg::OneOf(words) => words.contains(&v.as_str()),
                         Arg::Switch | Arg::Path => true,
                     };
                     if !valid {
-                        return bad(format!("flag `{arg}` needs {}, got `{v}`", describe(kind)));
+                        return Err(format!("flag `{arg}` needs {}, got `{v}`", describe(kind)));
                     }
                     Some(v.clone())
                 }
             };
             given.push((name, value));
         }
-        Ok(Cli { flags, given })
+        Ok(Cli { given })
     }
 
-    /// Parses the process's command line. On `--help` prints the usage
-    /// to stdout and exits 0; on a bad command line prints the error
-    /// and the usage to stderr and exits 2.
-    pub fn from_env(about: &str, flags: &'static [Flag]) -> Cli {
-        let mut args = std::env::args();
-        let program = args.next().unwrap_or_default();
-        let bin = std::path::Path::new(&program)
-            .file_name()
-            .map_or(program.clone(), |n| n.to_string_lossy().into_owned());
-        let args: Vec<String> = args.collect();
-        match Cli::parse(flags, &args) {
-            Ok(cli) => cli,
-            Err(CliError::Help) => {
-                println!("{}", usage(&bin, about, flags));
-                std::process::exit(0);
-            }
-            Err(CliError::Bad(msg)) => {
-                eprintln!("{bin}: {msg}\n\n{}", usage(&bin, about, flags));
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// Whether the switch `name` was given.
+    /// Whether the flag `name` was given.
     pub fn switch(&self, name: &str) -> bool {
         self.lookup(name).is_some()
     }
@@ -161,10 +144,6 @@ impl Cli {
     }
 
     fn lookup(&self, name: &str) -> Option<&Option<String>> {
-        assert!(
-            self.flags.iter().any(|f| f.name == name),
-            "flag `{name}` is not declared by this binary"
-        );
         self.given.iter().find(|(n, _)| *n == name).map(|(_, v)| v)
     }
 }
@@ -174,17 +153,18 @@ fn describe(arg: Arg) -> String {
         Arg::Switch => String::new(),
         Arg::Path => "a PATH".to_owned(),
         Arg::Count => "a positive integer N".to_owned(),
+        Arg::Threads => format!("a thread count N from 1 to {MAX_THREADS}"),
         Arg::OneOf(words) => format!("one of {}", words.join("|")),
     }
 }
 
-/// The usage text of binary `bin`: a synopsis, `about`, and one line
+/// The usage text of command `bin`: a synopsis, `about`, and one line
 /// per flag (plus `--help`).
-pub fn usage(bin: &str, about: &str, flags: &[Flag]) -> String {
+fn usage(bin: &str, about: &str, flags: &[Flag]) -> String {
     let metavar = |&Flag { name, arg, .. }: &Flag| match arg {
         Arg::Switch => name.to_owned(),
         Arg::Path => format!("{name} PATH"),
-        Arg::Count => format!("{name} N"),
+        Arg::Count | Arg::Threads => format!("{name} N"),
         Arg::OneOf(words) => format!("{name} {}", words.join("|")),
     };
     let mut out = format!("usage: {bin}");
@@ -199,9 +179,140 @@ pub fn usage(bin: &str, about: &str, flags: &[Flag]) -> String {
     out
 }
 
-/// Default worker count for the binaries whose `--threads` fans whole
-/// independent jobs (syntheses, fleet batches) across a pool: the
-/// machine's available parallelism, capped at 8.
+/// One table, figure or experiment `reproduce` regenerates.
+#[derive(Debug)]
+pub struct Artifact {
+    /// The name it is run by, also naming its baseline `BENCH_<name>.json`.
+    pub name: &'static str,
+    /// One line for the usage text.
+    pub about: &'static str,
+    /// The flags it accepts; it has a baseline if they include [`CHECK`].
+    pub flags: &'static [Flag],
+    /// Names the flags that contradict each other, if any do.
+    pub refuse: fn(&Cli) -> Result<(), String>,
+    /// Runs it, printing its tables, and returns its report as one tree
+    /// plus the bars `--check` enforces besides the drift comparison.
+    pub run: fn(&Cli) -> (Value, Vec<Bar>),
+}
+
+/// One `--check` bar: whether the run meets it, and what it demands and
+/// measured.
+#[derive(Debug)]
+pub struct Bar(pub bool, pub String);
+
+impl Bar {
+    /// The bar `value >= min`, reported with its margin.
+    pub fn at_least(what: &str, value: f64, min: f64) -> Bar {
+        let what = format!("{what} >= {min}: {value:.2} (margin {:+.2})", value - min);
+        Bar(value >= min, what)
+    }
+}
+
+/// A report object with `fields` in order.
+pub fn object(fields: &[(&str, &dyn Serialize)]) -> Value {
+    let fields = fields.iter().map(|(k, v)| ((*k).to_owned(), v.to_value()));
+    Value::Object(fields.collect())
+}
+
+/// Reads `args` (without the program name) as `<artifact> [flags]`.
+///
+/// # Errors
+///
+/// The exit status and the text to print instead of running: 0 and the
+/// usage when `--help` appears anywhere (it wins over everything else),
+/// 2 and the refusal followed by the usage for a bad command line.
+pub fn command<'a>(
+    artifacts: &'a [Artifact],
+    args: &[String],
+) -> Result<(&'a Artifact, Cli), (u8, String)> {
+    let mut overview = "usage: reproduce <artifact> [flags]\n\n\
+         Regenerates one table, figure or experiment of Bomel et al. (DATE 2005).\n\n"
+        .to_owned();
+    for a in artifacts {
+        overview += &format!("  {:<10} {}\n", a.name, a.about);
+    }
+    overview += "\n`reproduce <artifact> --help` lists the artifact's flags.";
+    let help = args.iter().any(|a| a == "--help");
+    let Some(artifact) = args
+        .first()
+        .and_then(|name| artifacts.iter().find(|a| a.name == name))
+    else {
+        return Err(match args.first() {
+            _ if help => (0, overview),
+            None => (2, format!("name an artifact\n\n{overview}")),
+            Some(name) => (2, format!("unknown artifact `{name}`\n\n{overview}")),
+        });
+    };
+    let name = format!("reproduce {}", artifact.name);
+    let usage = usage(&name, artifact.about, artifact.flags).replace("<artifact>", artifact.name);
+    if help {
+        return Err((0, usage));
+    }
+    let cli = Cli::parse(artifact.flags, &args[1..]).and_then(|cli| {
+        (artifact.refuse)(&cli)?;
+        Ok((artifact, cli))
+    });
+    cli.map_err(|msg| (2, format!("{msg}\n\n{usage}")))
+}
+
+/// The `reproduce` binary: runs the artifact the process's command
+/// line names, writes its report to `--json`, and under `--check`
+/// reports every bar plus the drift comparison with
+/// `BENCH_<artifact>.json`. Exits 2 on a refused command line and 1 on
+/// a failed check.
+pub fn reproduce(artifacts: &[Artifact]) -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (artifact, cli) = match command(artifacts, &args) {
+        Ok(run) => run,
+        Err((0, usage)) => {
+            println!("{usage}");
+            return ExitCode::SUCCESS;
+        }
+        Err((status, refusal)) => {
+            eprintln!("reproduce: {refusal}");
+            return ExitCode::from(status);
+        }
+    };
+    // Read before the run, so a `--json` naming the baseline itself
+    // cannot hide drift.
+    let baseline = format!("BENCH_{}.json", artifact.name);
+    let recorded = cli
+        .switch("--check")
+        .then(|| std::fs::read_to_string(&baseline));
+    let (report, mut bars) = (artifact.run)(&cli);
+    let json = report::to_json(&report);
+    if let Some(path) = cli.value("--json") {
+        if let Err(e) = std::fs::write(path, &json) {
+            eprintln!("reproduce: cannot write {path}: {e}");
+            return ExitCode::FAILURE;
+        }
+        eprintln!("wrote {path}");
+    }
+    let Some(recorded) = recorded else {
+        return ExitCode::SUCCESS;
+    };
+    let drift = match recorded {
+        Ok(recorded) => report::drift(&recorded, &json)
+            .map_err(|at| format!("stable section drifted from {baseline}: {at}")),
+        Err(e) => Err(format!("cannot read ./{baseline}: {e}")),
+    };
+    let matches = format!("stable section matches {baseline}");
+    bars.push(Bar(drift.is_ok(), drift.err().unwrap_or(matches)));
+    section("Check");
+    for Bar(holds, what) in &bars {
+        println!("{} {what}", if *holds { "pass" } else { "FAIL" });
+    }
+    let failed = bars.iter().filter(|Bar(holds, _)| !holds).count();
+    if failed > 0 {
+        println!("--check FAILED: {failed} of {} bars", bars.len());
+        return ExitCode::FAILURE;
+    }
+    println!("--check passed: all {} bars", bars.len());
+    ExitCode::SUCCESS
+}
+
+/// The default of [`THREADS`]: the machine's available parallelism,
+/// capped at 8.
 pub fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map_or(1, usize::from)
@@ -210,8 +321,7 @@ pub fn default_threads() -> usize {
 
 /// Prints a titled rule-delimited section.
 pub fn section(title: &str) {
-    println!();
-    println!("=== {title} ===");
+    println!("\n=== {title} ===");
 }
 
 /// Prints any row sequence, one `Display` per line.
@@ -236,19 +346,11 @@ mod tests {
     use super::*;
 
     const FLAGS: &[Flag] = &[
-        Flag {
-            name: "--check",
-            arg: Arg::Switch,
-            help: "enforce the bars",
-        },
-        Flag {
-            name: "--json",
-            arg: Arg::Path,
-            help: "write a JSON baseline",
-        },
+        CHECK,
+        JSON,
         Flag {
             name: "--threads",
-            arg: Arg::Count,
+            arg: Arg::Threads,
             help: "worker threads",
         },
         Flag {
@@ -256,9 +358,14 @@ mod tests {
             arg: Arg::OneOf(&["length", "sim"]),
             help: "which sweep",
         },
+        Flag {
+            name: "--depth",
+            arg: Arg::Count,
+            help: "depth bound",
+        },
     ];
 
-    fn parse(args: &[&str]) -> Result<Cli, CliError> {
+    fn parse(args: &[&str]) -> Result<Cli, String> {
         let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
         Cli::parse(FLAGS, &args)
     }
@@ -266,8 +373,8 @@ mod tests {
     /// The error message of a rejected command line.
     fn rejection(args: &[&str]) -> String {
         match parse(args) {
-            Err(CliError::Bad(msg)) => msg,
-            other => panic!("{args:?} must be rejected, got {other:?}"),
+            Err(msg) => msg,
+            Ok(cli) => panic!("{args:?} must be rejected, got {cli:?}"),
         }
     }
 
@@ -281,21 +388,38 @@ mod tests {
         let empty = parse(&[]).unwrap();
         assert!(!empty.switch("--check"));
         assert_eq!(empty.count("--threads"), None);
+        let deep = parse(&["--depth", "100000", "--threads", "64"]).unwrap();
+        assert_eq!(deep.count("--depth"), Some(100_000));
+        assert_eq!(deep.count("--threads"), Some(64));
     }
 
     #[test]
     fn help_wins_over_everything_else() {
-        assert_eq!(parse(&["--check", "--help"]).unwrap_err(), CliError::Help);
-        assert_eq!(parse(&["--bogus", "--help"]).unwrap_err(), CliError::Help);
-        let text = usage("e7", "About.", FLAGS);
+        const ARTIFACTS: &[Artifact] = &[Artifact {
+            name: "e7",
+            about: "About.",
+            flags: FLAGS,
+            refuse: |_| Err("contradiction".to_owned()),
+            run: |_| unreachable!("help runs nothing"),
+        }];
+        let help = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            match command(ARTIFACTS, &args) {
+                Err((0, text)) => text,
+                other => panic!("{args:?} must print help, got {other:?}"),
+            }
+        };
+        let text = help(&["e7", "--check", "--help"]);
         assert!(
-            text.starts_with("usage: e7 [--check] [--json PATH]"),
+            text.starts_with("usage: reproduce e7 [--check] [--json PATH]"),
             "{text}"
         );
         assert!(
-            text.contains("--threads N") && text.contains("--help"),
+            text.contains("--threads N") && text.contains("BENCH_e7.json"),
             "{text}"
         );
+        assert_eq!(help(&["e7", "--bogus", "--help"]), text);
+        assert!(help(&["bogus", "--help"]).starts_with("usage: reproduce <artifact>"));
     }
 
     #[test]
@@ -321,6 +445,12 @@ mod tests {
         assert!(rejection(&["--threads", "0"]).contains("`--threads`"));
         assert!(rejection(&["--threads", "x"]).contains("got `x`"));
         assert!(rejection(&["--threads", "-2"]).contains("`--threads`"));
+        assert!(rejection(&["--depth", "0"]).contains("`--depth` needs a positive integer"));
+        let msg = rejection(&["--threads", "65"]);
+        assert!(
+            msg.contains("from 1 to 64") && msg.contains("got `65`"),
+            "{msg}"
+        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Experiment drivers: one function per table/figure of the paper plus
-//! the claim-driven sweeps. The `lis-bench` binaries run them; the
+//! the claim-driven sweeps. lis-bench's `reproduce` binary runs them; the
 //! README's experiment sections describe each one, and the
 //! `BENCH_*.json` files at the repository root hold the recorded
 //! results.

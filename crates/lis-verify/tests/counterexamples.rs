@@ -4,7 +4,7 @@
 //! sides of the fault: the seeded-mutant SoC reproduces the recorded
 //! violation, and the fixed SoC of the same shape replays the very
 //! same adversary schedule cleanly. Regenerate the corpus with
-//! `cargo run --release -p lis-bench --bin verify -- --corpus
+//! `cargo run --release -p lis-bench --bin reproduce -- verify --corpus
 //! crates/lis-verify/tests/counterexamples`.
 
 use lis_verify::{build_config, replay_on_checker, replay_on_soc, Counterexample};
