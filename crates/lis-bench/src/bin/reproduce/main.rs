@@ -61,6 +61,7 @@ mod tests {
                 &["verify", "--threads", "4", "--check", "--corpus", "dir"],
                 Run,
             ),
+            (&["verify", "--depth", "16", "--json", "out.json"], Run),
             (&["--help"], Help),
             (&["verify", "--help"], Help),
             (&["scaling", "--check", "--sweep", "ports", "--help"], Help),
@@ -107,6 +108,10 @@ mod tests {
             (
                 &["scaling", "--check", "--sweep", "ports"],
                 Refuse(&["`--check`", "`--sweep ports`"]),
+            ),
+            (
+                &["verify", "--check", "--depth", "16"],
+                Refuse(&["`--check`", "`--depth 16`"]),
             ),
         ];
         for (args, want) in cases {

@@ -17,8 +17,8 @@
 //! `--corpus <dir>` re-emits each mutant's minimized counterexample as
 //! JSON (the committed corpus under
 //! `crates/lis-verify/tests/counterexamples/`), and `--check` enforces
-//! the bars (a `--depth` override changes the census, which `--check`
-//! then reports as drift from BENCH_verify.json):
+//! the bars (it refuses a `--depth` override, which changes the census
+//! BENCH_verify.json records):
 //!
 //! * every correct configuration explores to depth ≥ 16 with zero
 //!   violations and no truncation;
@@ -165,9 +165,21 @@ pub const ARTIFACT: Artifact = Artifact {
             help: "configuration twins per exploration (default: 1)",
         },
     ],
-    refuse: |_| Ok(()),
+    refuse,
     run,
 };
+
+/// The baseline records the default depths, so `--check` takes no
+/// `--depth`.
+fn refuse(cli: &Cli) -> Result<(), String> {
+    match cli.value("--depth") {
+        Some(depth) if cli.switch("--check") => Err(format!(
+            "`--check` compares with the default depths, but `--depth {depth}` overrides \
+             them; drop `--depth` or `--check`"
+        )),
+        _ => Ok(()),
+    }
+}
 
 fn run(cli: &Cli) -> (Value, Vec<Bar>) {
     let depth_override = cli

@@ -7,7 +7,6 @@
 //! and `BENCH_<artifact>.json` at the repository root holds its
 //! recorded report, in the one schema of [`report`]. [`reproduce`]
 //! parses the command line, writes reports and enforces `--check`.
-//! Criterion benches cover the flow kernels.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,17 +2,18 @@
 //! SoC, lane-batched through one shared levelized instruction stream.
 //!
 //! A **lane** is one complete scenario — its own source seeds, stall
-//! schedules and back-pressure pattern. A [`FleetBuilder`] assembles up
-//! to [`LANES`] lanes into one [`FleetBatch`] built entirely from
-//! *packed* plumbing: channels are [`PackedLisChannel`]s (one bit-plane
-//! signal per data bit, lane `k` in bit `k`), links are
-//! [`PackedRelayStation`] chains, endpoints are [`PackedTokenSource`] /
-//! [`PackedTokenSink`], and every gate-level IP is one complete shell
-//! per node, a [`lis_wrappers::PackedFullNetlistPatientProcess`] shared
-//! by all lanes. One bitwise op advances all 64 lanes of a component at
-//! once, so a batch costs barely more than a solo run. Behavioural
-//! wrappers stay scalar per lane (their state is cheap) and are bridged
-//! onto the packed fabric with [`LaneDemux`] / [`LaneMux`].
+//! schedules and back-pressure pattern. A [`FleetBuilder`], the packed
+//! [`Fabric`], assembles up to [`LANES`] lanes into one [`FleetBatch`]
+//! built entirely from *packed* plumbing: channels are
+//! [`PackedLisChannel`]s (one bit-plane signal per data bit, lane `k`
+//! in bit `k`), links are [`PackedRelayStation`] chains, endpoints are
+//! [`PackedTokenSource`] / [`PackedTokenSink`], and every gate-level IP
+//! is one complete shell per node, a
+//! [`lis_wrappers::PackedFullNetlistPatientProcess`] shared by all
+//! lanes. One bitwise op advances all 64 lanes of a component at once,
+//! so a batch costs barely more than a solo run. Behavioural wrappers
+//! stay scalar per lane (their state is cheap) and are bridged onto the
+//! packed fabric with [`LaneDemux`] / [`LaneMux`].
 //!
 //! A [`SocFleet`] owns a sequence of batches and fans whole batches
 //! out across a [`WorkStealingPool`]'s scoped worker threads, the first
@@ -23,9 +24,10 @@
 //! with the same seeds, at any pool width; the solo twin of a packed
 //! shell is the one-lane [`lis_wrappers::FullNetlistPatientProcess`].
 
+use crate::{Fabric, IpHandle};
 use lis_proto::{
-    LaneDemux, LaneMux, LisChannel, PackedLisChannel, PackedRelayStation, PackedTokenSink,
-    PackedTokenSource, PackedWire, Pearl, StallPattern, ViolationCounter,
+    LaneDemux, LaneMux, PackedLisChannel, PackedRelayStation, PackedTokenSink, PackedTokenSource,
+    PackedWire, Pearl, StallPattern, ViolationCounter,
 };
 use lis_sim::{SettleMode, SimError, System, SystemCheckpoint, WorkStealingPool, LANES};
 use lis_wrappers::{wrap_pearl, wrap_pearls_packed_full_netlist, SyncPolicy};
@@ -33,25 +35,12 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// Handle to an encapsulated IP inside a [`FleetBuilder`]: the same
-/// shape as [`crate::IpHandle`], with packed channels carrying every
-/// lane of a port at once.
-#[derive(Debug, Clone)]
-pub struct FleetIpHandle {
-    /// Instance name.
-    pub name: String,
-    /// Input channels, one packed channel per pearl input port.
-    pub inputs: Vec<PackedLisChannel>,
-    /// Output channels, one packed channel per pearl output port.
-    pub outputs: Vec<PackedLisChannel>,
-}
-
 /// Incremental constructor for one lane-batched [`FleetBatch`] of up to
 /// [`LANES`] scenarios.
 ///
-/// Mirrors [`crate::SocBuilder`] operation for operation; the lane
-/// dimension lives inside the packed channels, so fleet topologies are
-/// declared exactly like solo ones.
+/// Its builder methods are its [`Fabric`] impl, the same API as a
+/// [`crate::SocBuilder`]'s: the lane dimension lives inside the packed
+/// channels, so fleet topologies are declared exactly like solo ones.
 #[derive(Debug)]
 pub struct FleetBuilder {
     lanes: usize,
@@ -79,230 +68,6 @@ impl FleetBuilder {
         }
     }
 
-    /// Number of lanes in this batch.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Encapsulates one pearl per lane behind the *complete* gate-level
-    /// shell, executed as a single packed 64-lane netlist shared by
-    /// every lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pearls.len() != lanes` or the pearls disagree on
-    /// interface shape. Panics naming the IP if `kind` is
-    /// [`lis_wrappers::WrapperKind::Comb`] or
-    /// [`lis_wrappers::WrapperKind::ShiftReg`], as
-    /// [`crate::SocBuilder::add_ip_full_netlist`] does.
-    pub fn add_ip_full_netlist(
-        &mut self,
-        name: impl Into<String>,
-        pearls: Vec<Box<dyn Pearl>>,
-        kind: lis_wrappers::WrapperKind,
-    ) -> FleetIpHandle {
-        let name = name.into();
-        let controller = kind.shell_controller(&name, pearls[0].schedule());
-        self.add_ip_full_netlist_with_controller(name, pearls, controller)
-    }
-
-    /// As [`FleetBuilder::add_ip_full_netlist`] with an explicit
-    /// controller netlist (e.g. an uncompressed SP program).
-    ///
-    /// # Panics
-    ///
-    /// As [`FleetBuilder::add_ip_full_netlist`].
-    pub fn add_ip_full_netlist_with_controller(
-        &mut self,
-        name: impl Into<String>,
-        pearls: Vec<Box<dyn Pearl>>,
-        controller: lis_netlist::Module,
-    ) -> FleetIpHandle {
-        let name = name.into();
-        assert_eq!(pearls.len(), self.lanes, "one pearl per lane");
-        let (inputs, outputs) =
-            wrap_pearls_packed_full_netlist(&mut self.system, &name, pearls, controller);
-        FleetIpHandle {
-            name,
-            inputs,
-            outputs,
-        }
-    }
-
-    /// Bridges per-lane scalar port channels onto one packed channel
-    /// per port: a [`LaneDemux`] fans each packed input out to the
-    /// lanes, a [`LaneMux`] gathers each output. Both are zero-latency,
-    /// so lane streams stay bit-identical to their solo twins.
-    fn bridge_lanes(
-        &mut self,
-        name: &str,
-        lane_inputs: Vec<Vec<LisChannel>>,
-        lane_outputs: Vec<Vec<LisChannel>>,
-    ) -> (Vec<PackedLisChannel>, Vec<PackedLisChannel>) {
-        let in_ports = lane_inputs[0].len();
-        let out_ports = lane_outputs[0].len();
-        let inputs: Vec<PackedLisChannel> = (0..in_ports)
-            .map(|p| {
-                let width = lane_inputs[0][p].width;
-                let packed =
-                    PackedLisChannel::new(&mut self.system, &format!("{name}_in{p}"), width);
-                let lanes = lane_inputs.iter().map(|l| l[p]).collect();
-                self.system.add_component(LaneDemux::new(
-                    format!("{name}_dx{p}"),
-                    packed.clone(),
-                    lanes,
-                ));
-                packed
-            })
-            .collect();
-        let outputs: Vec<PackedLisChannel> = (0..out_ports)
-            .map(|p| {
-                let width = lane_outputs[0][p].width;
-                let packed =
-                    PackedLisChannel::new(&mut self.system, &format!("{name}_out{p}"), width);
-                let lanes = lane_outputs.iter().map(|l| l[p]).collect();
-                self.system.add_component(LaneMux::new(
-                    format!("{name}_mx{p}"),
-                    lanes,
-                    packed.clone(),
-                ));
-                packed
-            })
-            .collect();
-        (inputs, outputs)
-    }
-
-    /// Encapsulates one pearl per lane behind *behavioural* wrappers —
-    /// one scalar patient process per lane (behavioural state is cheap
-    /// to replicate), bridged onto packed port channels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pearls.len() != lanes`.
-    pub fn add_ip(
-        &mut self,
-        name: impl Into<String>,
-        pearls: Vec<Box<dyn Pearl>>,
-        kind: lis_wrappers::WrapperKind,
-    ) -> FleetIpHandle {
-        let name = name.into();
-        assert_eq!(pearls.len(), self.lanes, "one pearl per lane");
-        let mut lane_inputs = Vec::with_capacity(self.lanes);
-        let mut lane_outputs = Vec::with_capacity(self.lanes);
-        for (lane, pearl) in pearls.into_iter().enumerate() {
-            let policy = kind.make_policy(pearl.schedule());
-            let (ins, outs, _stats) = wrap_pearl(
-                &mut self.system,
-                &format!("{name}_l{lane}"),
-                pearl,
-                policy,
-                &self.violations[lane],
-            );
-            lane_inputs.push(ins);
-            lane_outputs.push(outs);
-        }
-        let (inputs, outputs) = self.bridge_lanes(&name, lane_inputs, lane_outputs);
-        FleetIpHandle {
-            name,
-            inputs,
-            outputs,
-        }
-    }
-
-    /// Encapsulates one pearl per lane behind *behavioural* wrappers
-    /// with an explicit synchronization policy per lane (e.g.
-    /// uncompressed SP programs) — the fleet analogue of
-    /// [`crate::SocBuilder::add_ip_with_policy`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pearls` or `policies` do not hold one entry per lane.
-    pub fn add_ip_with_policies(
-        &mut self,
-        name: impl Into<String>,
-        pearls: Vec<Box<dyn Pearl>>,
-        policies: Vec<Box<dyn SyncPolicy>>,
-    ) -> FleetIpHandle {
-        let name = name.into();
-        assert_eq!(pearls.len(), self.lanes, "one pearl per lane");
-        assert_eq!(policies.len(), self.lanes, "one policy per lane");
-        let mut lane_inputs = Vec::with_capacity(self.lanes);
-        let mut lane_outputs = Vec::with_capacity(self.lanes);
-        for (lane, (pearl, policy)) in pearls.into_iter().zip(policies).enumerate() {
-            let (ins, outs, _stats) = wrap_pearl(
-                &mut self.system,
-                &format!("{name}_l{lane}"),
-                pearl,
-                policy,
-                &self.violations[lane],
-            );
-            lane_inputs.push(ins);
-            lane_outputs.push(outs);
-        }
-        let (inputs, outputs) = self.bridge_lanes(&name, lane_inputs, lane_outputs);
-        FleetIpHandle {
-            name,
-            inputs,
-            outputs,
-        }
-    }
-
-    /// Allocates a free-standing packed staging channel carrying every
-    /// lane.
-    pub fn channel(&mut self, name: &str, width: u32) -> PackedLisChannel {
-        PackedLisChannel::new(&mut self.system, name, width)
-    }
-
-    /// Connects `from` to `to` through `relay_count` packed relay
-    /// stations, exactly as [`crate::SocBuilder::link`] does for a solo
-    /// SoC — one relay chain carries all lanes.
-    pub fn link(&mut self, from: &PackedLisChannel, to: &PackedLisChannel, relay_count: usize) {
-        let tail = PackedRelayStation::chain(
-            &mut self.system,
-            "link",
-            from.clone(),
-            relay_count,
-            &self.violations,
-        );
-        let n = self.system.component_count();
-        self.system
-            .add_component(PackedWire::new(format!("wire{n}"), tail, to.clone()));
-    }
-
-    /// Attaches one packed token source. `per_lane(k)` supplies lane
-    /// `k`'s token stream, stall pattern and seed — the axis along which
-    /// scenarios diverge.
-    pub fn feed(
-        &mut self,
-        name: impl Into<String>,
-        channel: &PackedLisChannel,
-        mut per_lane: impl FnMut(usize) -> (Vec<u64>, StallPattern, u64),
-    ) {
-        let lanes = (0..self.lanes).map(&mut per_lane).collect();
-        self.system
-            .add_component(PackedTokenSource::new(name.into(), channel.clone(), lanes));
-    }
-
-    /// Attaches one packed recording sink; lane `k`'s stream is
-    /// retrievable as [`FleetBatch::received`]`(name, k)`. `per_lane(k)`
-    /// supplies lane `k`'s back-pressure pattern and seed.
-    pub fn capture(
-        &mut self,
-        name: impl Into<String>,
-        channel: &PackedLisChannel,
-        mut per_lane: impl FnMut(usize) -> (StallPattern, u64),
-    ) {
-        let name = name.into();
-        let sink = PackedTokenSink::new(
-            name.clone(),
-            channel.clone(),
-            (0..self.lanes).map(&mut per_lane).collect(),
-        );
-        let handles = (0..self.lanes).map(|l| sink.received(l)).collect();
-        self.system.add_component(sink);
-        self.sinks.insert(name, handles);
-    }
-
     /// Sets the settle strategy of the underlying [`System`].
     pub fn set_settle_mode(&mut self, mode: SettleMode) {
         self.system.set_settle_mode(mode);
@@ -320,6 +85,131 @@ impl FleetBuilder {
             lanes: self.lanes,
             violations: self.violations,
             sinks: self.sinks,
+        }
+    }
+}
+
+/// The packed fabric: channels, relay chains, wires and endpoints
+/// carry every lane at once, and every gate-level IP is one packed
+/// shell shared by all lanes. Behavioural wrappers stay scalar per lane
+/// (their state is cheap to replicate): a [`LaneDemux`] fans each
+/// packed input out to the lanes and a [`LaneMux`] gathers each output.
+/// Both are zero-latency, so lane streams stay bit-identical to their
+/// solo twins.
+impl Fabric for FleetBuilder {
+    type Channel = PackedLisChannel;
+
+    fn lanes(&self) -> usize {
+        self.lanes
+    }
+
+    fn channel(&mut self, name: &str, width: u32) -> PackedLisChannel {
+        PackedLisChannel::new(&mut self.system, name, width)
+    }
+
+    fn link(&mut self, from: &PackedLisChannel, to: &PackedLisChannel, relay_count: usize) {
+        let tail = PackedRelayStation::chain(
+            &mut self.system,
+            "link",
+            from.clone(),
+            relay_count,
+            &self.violations,
+        );
+        let n = self.system.component_count();
+        self.system
+            .add_component(PackedWire::new(format!("wire{n}"), tail, to.clone()));
+    }
+
+    fn feed(
+        &mut self,
+        name: impl Into<String>,
+        channel: &PackedLisChannel,
+        per_lane: impl FnMut(usize) -> (Vec<u64>, StallPattern, u64),
+    ) {
+        let lanes = (0..self.lanes).map(per_lane).collect();
+        self.system
+            .add_component(PackedTokenSource::new(name.into(), channel.clone(), lanes));
+    }
+
+    /// Lane `k`'s stream is retrievable as
+    /// [`FleetBatch::received`]`(name, k)`.
+    fn capture(
+        &mut self,
+        name: impl Into<String>,
+        channel: &PackedLisChannel,
+        per_lane: impl FnMut(usize) -> (StallPattern, u64),
+    ) {
+        let name = name.into();
+        let sink = PackedTokenSink::new(
+            name.clone(),
+            channel.clone(),
+            (0..self.lanes).map(per_lane).collect(),
+        );
+        let handles = (0..self.lanes).map(|l| sink.received(l)).collect();
+        self.system.add_component(sink);
+        self.sinks.insert(name, handles);
+    }
+
+    fn add_ip_with_policies(
+        &mut self,
+        name: impl Into<String>,
+        pearls: Vec<Box<dyn Pearl>>,
+        policies: Vec<Box<dyn SyncPolicy>>,
+    ) -> IpHandle<PackedLisChannel> {
+        let name = name.into();
+        assert_eq!(pearls.len(), self.lanes, "one pearl per lane");
+        assert_eq!(policies.len(), self.lanes, "one policy per lane");
+        let (mut lane_inputs, mut lane_outputs) = (Vec::new(), Vec::new());
+        for (lane, (pearl, policy)) in pearls.into_iter().zip(policies).enumerate() {
+            let (ins, outs, _stats) = wrap_pearl(
+                &mut self.system,
+                &format!("{name}_l{lane}"),
+                pearl,
+                policy,
+                &self.violations[lane],
+            );
+            lane_inputs.push(ins);
+            lane_outputs.push(outs);
+        }
+        let inputs = (0..lane_inputs[0].len())
+            .map(|p| {
+                let lanes = lane_inputs.iter().map(|l| l[p]).collect();
+                let packed = self.channel(&format!("{name}_in{p}"), lane_inputs[0][p].width);
+                let demux = LaneDemux::new(format!("{name}_dx{p}"), packed.clone(), lanes);
+                self.system.add_component(demux);
+                packed
+            })
+            .collect();
+        let outputs = (0..lane_outputs[0].len())
+            .map(|p| {
+                let lanes = lane_outputs.iter().map(|l| l[p]).collect();
+                let packed = self.channel(&format!("{name}_out{p}"), lane_outputs[0][p].width);
+                let mux = LaneMux::new(format!("{name}_mx{p}"), lanes, packed.clone());
+                self.system.add_component(mux);
+                packed
+            })
+            .collect();
+        IpHandle {
+            name,
+            inputs,
+            outputs,
+        }
+    }
+
+    fn add_ip_full_netlist_with_controller(
+        &mut self,
+        name: impl Into<String>,
+        pearls: Vec<Box<dyn Pearl>>,
+        controller: lis_netlist::Module,
+    ) -> IpHandle<PackedLisChannel> {
+        let name = name.into();
+        assert_eq!(pearls.len(), self.lanes, "one pearl per lane");
+        let (inputs, outputs) =
+            wrap_pearls_packed_full_netlist(&mut self.system, &name, pearls, controller);
+        IpHandle {
+            name,
+            inputs,
+            outputs,
         }
     }
 }

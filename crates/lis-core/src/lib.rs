@@ -5,6 +5,8 @@
 //! * [`SocBuilder`] / [`Soc`] — assemble patient processes (behavioural
 //!   wrappers or complete gate-level shells), relay-station links,
 //!   sources and sinks into a runnable latency-insensitive system;
+//! * [`Fabric`] — the same assembly API over lane width, implemented by
+//!   the one-lane [`SocBuilder`] and the packed [`FleetBuilder`];
 //! * [`synthesize_wrapper`] — schedule → wrapper controller → FPGA
 //!   area/timing report, for all four wrapper models;
 //! * [`experiment`] — one driver per table/figure of Bomel et al.
@@ -39,10 +41,12 @@
 #![deny(missing_docs)]
 
 pub mod experiment;
+mod fabric;
 mod fleet;
 mod flow;
 mod soc;
 
-pub use fleet::{FleetBatch, FleetBuilder, FleetCheckpoint, FleetIpHandle, SocFleet};
+pub use fabric::{Fabric, IpHandle};
+pub use fleet::{FleetBatch, FleetBuilder, FleetCheckpoint, SocFleet};
 pub use flow::{synthesize_full_wrapper, synthesize_wrapper, SpCompression, WrapperSynthesis};
-pub use soc::{IpHandle, Soc, SocBuilder};
+pub use soc::{Soc, SocBuilder};

@@ -5,6 +5,8 @@
 //! encapsulated, long wires are segmented with relay stations, and the
 //! resulting system is correct for *any* latency assignment.
 
+use crate::{Fabric, IpHandle};
+use lis_netlist::Module;
 use lis_proto::{
     LisChannel, Pearl, RelayStation, SeqSink, SeqSource, StallControl, StallPattern, TokenSink,
     TokenSource, ViolationCounter,
@@ -12,7 +14,7 @@ use lis_proto::{
 use lis_sim::{
     Activity, Component, Ports, SchedulerStats, SettleMode, SignalView, SimError, System, Trace,
 };
-use lis_wrappers::{wrap_pearl, wrap_pearl_full_netlist, PatientStats, WrapperKind};
+use lis_wrappers::{wrap_pearl, wrap_pearl_full_netlist, PatientStats, SyncPolicy, WrapperKind};
 use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
@@ -51,17 +53,6 @@ impl Component for Wire {
         // Stateless: re-evaluated only when a wire it reads changes.
         Activity::Quiescent
     }
-}
-
-/// Handle to an encapsulated IP inside a [`SocBuilder`].
-#[derive(Debug, Clone)]
-pub struct IpHandle {
-    /// Instance name.
-    pub name: String,
-    /// Input channels, in pearl input-port order.
-    pub inputs: Vec<LisChannel>,
-    /// Output channels, in pearl output-port order.
-    pub outputs: Vec<LisChannel>,
 }
 
 /// Incremental SoC constructor.
@@ -133,15 +124,14 @@ impl SocBuilder {
     }
 
     /// Encapsulates `pearl` behind a behavioural wrapper of the given
-    /// kind and instantiates it.
+    /// kind and instantiates it: the one-lane [`Fabric::add_ip`].
     pub fn add_ip(
         &mut self,
         name: impl Into<String>,
         pearl: Box<dyn Pearl>,
         kind: WrapperKind,
     ) -> IpHandle {
-        let policy = kind.make_policy(pearl.schedule());
-        self.add_ip_with_policy(name, pearl, policy)
+        Fabric::add_ip(self, name, vec![pearl], kind)
     }
 
     /// Encapsulates `pearl` behind an explicit synchronization policy
@@ -151,7 +141,7 @@ impl SocBuilder {
         &mut self,
         name: impl Into<String>,
         pearl: Box<dyn Pearl>,
-        policy: Box<dyn lis_wrappers::SyncPolicy>,
+        policy: Box<dyn SyncPolicy>,
     ) -> IpHandle {
         let name = name.into();
         let (inputs, outputs, stats) =
@@ -167,7 +157,8 @@ impl SocBuilder {
     /// Encapsulates `pearl` behind the *complete* gate-level shell: the
     /// controller of `kind` plus one gate-level FIFO per port, run as
     /// one netlist on the scalar JIT. This is the paper's Figure 2 in
-    /// gates; only the pearl stays behavioural.
+    /// gates; only the pearl stays behavioural. The one-lane
+    /// [`Fabric::add_ip_full_netlist`].
     ///
     /// # Panics
     ///
@@ -181,9 +172,7 @@ impl SocBuilder {
         pearl: Box<dyn Pearl>,
         kind: WrapperKind,
     ) -> IpHandle {
-        let name = name.into();
-        let controller = kind.shell_controller(&name, pearl.schedule());
-        self.add_ip_full_netlist_with_controller(name, pearl, controller)
+        Fabric::add_ip_full_netlist(self, name, vec![pearl], kind)
     }
 
     /// Encapsulates `pearl` behind an explicitly provided gate-level
@@ -201,7 +190,7 @@ impl SocBuilder {
         &mut self,
         name: impl Into<String>,
         pearl: Box<dyn Pearl>,
-        controller: lis_netlist::Module,
+        controller: Module,
     ) -> IpHandle {
         let name = name.into();
         let (inputs, outputs) = wrap_pearl_full_netlist(&mut self.system, &name, pearl, controller);
@@ -329,6 +318,74 @@ impl SocBuilder {
             trace: self.trace,
         }
     }
+}
+
+/// The one-lane fabric: every method delegates to the [`SocBuilder`]
+/// method of the same name, taking lane 0's pearl, policy, tokens and
+/// stalls.
+impl Fabric for SocBuilder {
+    type Channel = LisChannel;
+
+    fn lanes(&self) -> usize {
+        1
+    }
+
+    fn channel(&mut self, name: &str, width: u32) -> LisChannel {
+        SocBuilder::channel(self, name, width)
+    }
+
+    fn link(&mut self, from: &LisChannel, to: &LisChannel, relay_count: usize) {
+        SocBuilder::link(self, *from, *to, relay_count);
+    }
+
+    fn feed(
+        &mut self,
+        name: impl Into<String>,
+        channel: &LisChannel,
+        mut per_lane: impl FnMut(usize) -> (Vec<u64>, StallPattern, u64),
+    ) {
+        let (tokens, stall, seed) = per_lane(0);
+        SocBuilder::feed(self, name, *channel, tokens, stall, seed);
+    }
+
+    fn capture(
+        &mut self,
+        name: impl Into<String>,
+        channel: &LisChannel,
+        mut per_lane: impl FnMut(usize) -> (StallPattern, u64),
+    ) {
+        let (stall, seed) = per_lane(0);
+        SocBuilder::capture(self, name, *channel, stall, seed);
+    }
+
+    fn add_ip_with_policies(
+        &mut self,
+        name: impl Into<String>,
+        pearls: Vec<Box<dyn Pearl>>,
+        policies: Vec<Box<dyn SyncPolicy>>,
+    ) -> IpHandle {
+        self.add_ip_with_policy(name, only(pearls, "pearl"), only(policies, "policy"))
+    }
+
+    fn add_ip_full_netlist_with_controller(
+        &mut self,
+        name: impl Into<String>,
+        pearls: Vec<Box<dyn Pearl>>,
+        controller: Module,
+    ) -> IpHandle {
+        SocBuilder::add_ip_full_netlist_with_controller(
+            self,
+            name,
+            only(pearls, "pearl"),
+            controller,
+        )
+    }
+}
+
+/// The one entry of a one-lane list.
+fn only<T>(mut items: Vec<T>, what: &str) -> T {
+    assert_eq!(items.len(), 1, "a SoC takes one {what} per IP");
+    items.pop().expect("one entry")
 }
 
 /// A runnable latency-insensitive system.

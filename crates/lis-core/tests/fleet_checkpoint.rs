@@ -3,7 +3,7 @@
 //! JSON serialization — standing in for a process restart — and resume
 //! bit-identically to an uninterrupted twin.
 
-use lis_core::{FleetBatch, FleetBuilder, FleetCheckpoint, SocFleet};
+use lis_core::{Fabric, FleetBatch, FleetBuilder, FleetCheckpoint, SocFleet};
 use lis_proto::{Pearl, StallPattern};
 use lis_sim::WorkStealingPool;
 use lis_wrappers::WrapperKind;

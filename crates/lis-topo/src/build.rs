@@ -1,17 +1,21 @@
 //! Instantiating a [`TopologySpec`] as a runnable latency-insensitive
 //! SoC: pearls behind the selected synchronizer shells, links segmented
 //! with relay stations from the latency budget, and seeded traffic
-//! endpoints — all through [`lis_core::SocBuilder`].
+//! endpoints — all through [`lis_core::SocBuilder`]. The graph walk and
+//! the node dispatch are written once over [`lis_core::Fabric`]; fleet
+//! batches ([`crate::FleetTopologyBuilder`]) run the same walk on the
+//! packed fabric.
 
+use crate::fleet::FleetScenario;
 use crate::oracle::{expected_sink_streams, stream_checksum};
 use crate::topology::{
     source_token, Endpoint, NodeModel, SyncVariant, TopologyGraph, TopologySpec, CHANNEL_WIDTH,
 };
-use lis_core::{Soc, SocBuilder};
-use lis_proto::{AccumulatorPearl, LisChannel, Pearl};
+use lis_core::{Fabric, IpHandle, Soc, SocBuilder};
+use lis_proto::{AccumulatorPearl, Pearl};
 use lis_schedule::uncompressed;
 use lis_sim::SettleMode;
-use lis_wrappers::{generate_sp, FsmEncoding, SpPolicy, WrapperKind};
+use lis_wrappers::{generate_sp, FsmEncoding, SpPolicy, SyncPolicy, WrapperKind};
 use serde::{Deserialize, Serialize};
 
 /// Structural census of a generated SoC (stable across machines and
@@ -156,75 +160,11 @@ impl TopologyBuilder {
 
         let mut b = SocBuilder::new();
         b.set_settle_mode(self.mode);
-
-        // 1. Every node becomes an accumulator pearl behind the selected
-        //    synchronizer shell.
-        let handles: Vec<lis_core::IpHandle> = graph
-            .nodes
-            .iter()
-            .map(|node| {
-                let pearl = Box::new(AccumulatorPearl::new(
-                    node.name.clone(),
-                    node.n_in,
-                    node.n_out,
-                    spec.compute_latency,
-                ));
-                add_node(&mut b, &node.name, pearl, spec.model, spec.variant)
-            })
-            .collect();
-
-        // 2. Every link becomes (optional zero-latency wire segments →)
-        //    a relay chain sized by the latency budget.
-        let mut relay_stations = 0;
-        let mut sink_names = Vec::new();
-        for (li, link) in graph.links.iter().enumerate() {
-            let producer: LisChannel = match link.from {
-                Endpoint::Source(k) => {
-                    let stage = b.channel(&format!("src{k}"), CHANNEL_WIDTH);
-                    let tokens: Vec<u64> = (0..spec.tokens_per_source)
-                        .map(|i| source_token(k, i))
-                        .collect();
-                    b.feed(
-                        format!("source{k}"),
-                        stage,
-                        tokens,
-                        spec.traffic.source_pattern(k),
-                        spec.seed.wrapping_add(1000 + k as u64),
-                    );
-                    stage
-                }
-                Endpoint::NodeOut(n, p) => handles[n].outputs[p],
-                other => unreachable!("validated graph: {other:?} cannot produce"),
-            };
-            let consumer: LisChannel = match link.to {
-                Endpoint::NodeIn(n, p) => handles[n].inputs[p],
-                Endpoint::Sink(k) => {
-                    let stage = b.channel(&format!("snk{k}"), CHANNEL_WIDTH);
-                    let name = format!("sink{k}");
-                    b.capture(
-                        name.clone(),
-                        stage,
-                        spec.traffic.sink_pattern(k),
-                        spec.seed.wrapping_add(2000 + k as u64),
-                    );
-                    if sink_names.len() <= k {
-                        sink_names.resize(k + 1, String::new());
-                    }
-                    sink_names[k] = name;
-                    stage
-                }
-                other => unreachable!("validated graph: {other:?} cannot consume"),
-            };
-            let mut cur = producer;
-            for s in 0..spec.wire_segments {
-                let next = b.channel(&format!("w{li}_{s}"), CHANNEL_WIDTH);
-                b.link(cur, next, 0);
-                cur = next;
-            }
-            let relays = spec.relays_for(link.distance);
-            relay_stations += relays;
-            b.link(cur, consumer, relays);
-        }
+        let lane = FleetScenario {
+            traffic: spec.traffic,
+            seed: spec.seed,
+        };
+        let (sink_names, relay_stations) = build_graph(&mut b, spec, &graph, &[lane]);
 
         let mut soc = b.build();
         let stats = TopoStats {
@@ -249,37 +189,127 @@ impl TopologyBuilder {
     }
 }
 
-/// Instantiates one pearl behind the (model, variant) shell.
-fn add_node(
-    b: &mut SocBuilder,
+/// The one graph walk, shared by solo SoCs and fleet batches: assembles
+/// `graph` on `b`, whose lane `k` draws its traffic and stall seeds from
+/// `lanes[k]`. Returns the sink names in sink index order and the relay
+/// stations the latency budget inserted per lane.
+pub(crate) fn build_graph<F: Fabric>(
+    b: &mut F,
+    spec: &TopologySpec,
+    graph: &TopologyGraph,
+    lanes: &[FleetScenario],
+) -> (Vec<String>, usize) {
+    // 1. Every node becomes one accumulator pearl per lane behind the
+    //    selected synchronizer shell.
+    let handles: Vec<IpHandle<F::Channel>> = graph
+        .nodes
+        .iter()
+        .map(|node| {
+            let pearls = lanes
+                .iter()
+                .map(|_| {
+                    Box::new(AccumulatorPearl::new(
+                        node.name.clone(),
+                        node.n_in,
+                        node.n_out,
+                        spec.compute_latency,
+                    )) as Box<dyn Pearl>
+                })
+                .collect();
+            add_node(b, &node.name, pearls, spec.model, spec.variant)
+        })
+        .collect();
+
+    // 2. Every link becomes (optional zero-latency wire segments →) a
+    //    relay chain sized by the latency budget.
+    let mut relay_stations = 0;
+    let mut sink_names = Vec::new();
+    for (li, link) in graph.links.iter().enumerate() {
+        let producer = match link.from {
+            Endpoint::Source(k) => {
+                let stage = b.channel(&format!("src{k}"), CHANNEL_WIDTH);
+                b.feed(format!("source{k}"), &stage, |lane| {
+                    let sc = &lanes[lane];
+                    (
+                        (0..spec.tokens_per_source)
+                            .map(|i| source_token(k, i))
+                            .collect(),
+                        sc.traffic.source_pattern(k),
+                        sc.seed.wrapping_add(1000 + k as u64),
+                    )
+                });
+                stage
+            }
+            Endpoint::NodeOut(n, p) => handles[n].outputs[p].clone(),
+            other => unreachable!("validated graph: {other:?} cannot produce"),
+        };
+        let consumer = match link.to {
+            Endpoint::NodeIn(n, p) => handles[n].inputs[p].clone(),
+            Endpoint::Sink(k) => {
+                let stage = b.channel(&format!("snk{k}"), CHANNEL_WIDTH);
+                let name = format!("sink{k}");
+                b.capture(name.clone(), &stage, |lane| {
+                    let sc = &lanes[lane];
+                    (
+                        sc.traffic.sink_pattern(k),
+                        sc.seed.wrapping_add(2000 + k as u64),
+                    )
+                });
+                if sink_names.len() <= k {
+                    sink_names.resize(k + 1, String::new());
+                }
+                sink_names[k] = name;
+                stage
+            }
+            other => unreachable!("validated graph: {other:?} cannot consume"),
+        };
+        let mut cur = producer;
+        for s in 0..spec.wire_segments {
+            let next = b.channel(&format!("w{li}_{s}"), CHANNEL_WIDTH);
+            b.link(&cur, &next, 0);
+            cur = next;
+        }
+        let relays = spec.relays_for(link.distance);
+        relay_stations += relays;
+        b.link(&cur, &consumer, relays);
+    }
+    (sink_names, relay_stations)
+}
+
+/// The one node dispatch: instantiates one node's pearls (one per
+/// lane) behind the (model, variant) shell.
+fn add_node<F: Fabric>(
+    b: &mut F,
     name: &str,
-    pearl: Box<dyn Pearl>,
+    pearls: Vec<Box<dyn Pearl>>,
     model: NodeModel,
     variant: SyncVariant,
-) -> lis_core::IpHandle {
-    let schedule = pearl.schedule().clone();
+) -> IpHandle<F::Channel> {
+    let schedule = pearls[0].schedule().clone();
     match (model, variant) {
         (NodeModel::Behavioural, SyncVariant::SpCompressed) => {
-            b.add_ip(name, pearl, WrapperKind::Sp)
+            b.add_ip(name, pearls, WrapperKind::Sp)
         }
-        (NodeModel::Behavioural, SyncVariant::SpUncompressed) => b.add_ip_with_policy(
-            name,
-            pearl,
-            Box::new(SpPolicy::new(uncompressed(&schedule))),
-        ),
+        (NodeModel::Behavioural, SyncVariant::SpUncompressed) => {
+            let policies = pearls
+                .iter()
+                .map(|_| Box::new(SpPolicy::new(uncompressed(&schedule))) as Box<dyn SyncPolicy>)
+                .collect();
+            b.add_ip_with_policies(name, pearls, policies)
+        }
         (NodeModel::Behavioural, SyncVariant::Fsm) => {
-            b.add_ip(name, pearl, WrapperKind::Fsm(FsmEncoding::OneHot))
+            b.add_ip(name, pearls, WrapperKind::Fsm(FsmEncoding::OneHot))
         }
         (NodeModel::GateLevel, SyncVariant::SpCompressed) => {
-            b.add_ip_full_netlist(name, pearl, WrapperKind::Sp)
+            b.add_ip_full_netlist(name, pearls, WrapperKind::Sp)
         }
         (NodeModel::GateLevel, SyncVariant::SpUncompressed) => {
             let controller = generate_sp(&uncompressed(&schedule))
                 .expect("uncompressed SP controller generation");
-            b.add_ip_full_netlist_with_controller(name, pearl, controller)
+            b.add_ip_full_netlist_with_controller(name, pearls, controller)
         }
         (NodeModel::GateLevel, SyncVariant::Fsm) => {
-            b.add_ip_full_netlist(name, pearl, WrapperKind::Fsm(FsmEncoding::OneHot))
+            b.add_ip_full_netlist(name, pearls, WrapperKind::Fsm(FsmEncoding::OneHot))
         }
     }
 }

@@ -1,14 +1,14 @@
 //! Scenario fleets over generated topologies, and the fleet bench.
 //!
 //! A topology fleet runs N independent *scenarios* — per-lane traffic
-//! regimes and stall seeds — of one shared [`TopologySpec`] shape. The
-//! graph walk mirrors [`crate::TopologyBuilder`] exactly, but through
-//! [`lis_core::FleetBuilder`]: gate-level shells are instantiated once
-//! per node as a packed 64-lane netlist, and endpoints, relay stations
-//! and wires are packed too — every lane of a channel rides the same
-//! bit-plane signals, one bitwise op per component for the whole
-//! batch. Lane `k` of the fleet is
-//! bit-identical (streams, checksums, violations) to a solo
+//! regimes and stall seeds — of one shared [`TopologySpec`] shape. Each
+//! batch runs [`crate::TopologyBuilder`]'s graph walk, written once
+//! over [`lis_core::Fabric`], on a [`lis_core::FleetBuilder`]:
+//! gate-level shells are instantiated once per node as a packed 64-lane
+//! netlist, and endpoints, relay stations and wires are packed too —
+//! every lane of a channel rides the same bit-plane signals, one
+//! bitwise op per component for the whole batch. Lane `k` of the fleet
+//! is bit-identical (streams, checksums, violations) to a solo
 //! [`crate::build_soc`] run of that lane's [`FleetScenario::solo_spec`].
 //!
 //! The **fleet bench** ([`fleet_bench`]) drives the point home on the
@@ -18,18 +18,14 @@
 //! scenario throughput* — scenario-cycles simulated per wall second —
 //! with every fleet lane asserted bit-identical to its solo twin.
 
-use crate::build::TopologyBuilder;
+use crate::build::{build_graph, TopologyBuilder};
 use crate::oracle::{expected_sink_streams, stream_checksum};
 use crate::topology::{
-    source_token, Endpoint, NodeModel, SyncVariant, TopologyGraph, TopologyShape, TopologySpec,
-    TrafficPattern, CHANNEL_WIDTH,
+    NodeModel, SyncVariant, TopologyGraph, TopologyShape, TopologySpec, TrafficPattern,
 };
 use lis_core::experiment::median;
-use lis_core::{FleetBuilder, FleetIpHandle, SocFleet};
-use lis_proto::{AccumulatorPearl, PackedLisChannel, Pearl};
-use lis_schedule::uncompressed;
+use lis_core::{FleetBuilder, SocFleet};
 use lis_sim::{SettleMode, SimError, WorkStealingPool, LANES};
-use lis_wrappers::{generate_sp, FsmEncoding, SpPolicy, SyncPolicy, WrapperKind};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Instant;
@@ -260,11 +256,12 @@ impl FleetTopologyBuilder {
         let mut components = 0;
         let mut signals = 0;
         for chunk in self.scenarios.chunks(LANES) {
-            let (batch, names, relays) = build_batch(spec, &graph, chunk, self.mode);
+            let mut b = FleetBuilder::new(chunk.len());
+            b.set_settle_mode(self.mode);
+            (sink_names, relay_stations) = build_graph(&mut b, spec, &graph, chunk);
+            let batch = b.build();
             components += batch.system().component_count();
             signals += batch.system().signal_count();
-            relay_stations = relays;
-            sink_names = names;
             batches.push(batch);
         }
         let fleet = SocFleet::new(batches);
@@ -286,131 +283,6 @@ impl FleetTopologyBuilder {
             scenarios: self.scenarios.clone(),
             stats,
             sink_names,
-        }
-    }
-}
-
-/// One lane batch: the [`crate::TopologyBuilder::build`] graph walk,
-/// with a lane dimension threaded through every operation.
-fn build_batch(
-    spec: &TopologySpec,
-    graph: &TopologyGraph,
-    chunk: &[FleetScenario],
-    mode: SettleMode,
-) -> (lis_core::FleetBatch, Vec<String>, usize) {
-    let mut b = FleetBuilder::new(chunk.len());
-    b.set_settle_mode(mode);
-
-    // 1. Every node becomes one accumulator pearl *per lane* behind the
-    //    selected synchronizer shell (packed when gate-level).
-    let handles: Vec<FleetIpHandle> = graph
-        .nodes
-        .iter()
-        .map(|node| {
-            let pearls: Vec<Box<dyn Pearl>> = (0..chunk.len())
-                .map(|_| {
-                    Box::new(AccumulatorPearl::new(
-                        node.name.clone(),
-                        node.n_in,
-                        node.n_out,
-                        spec.compute_latency,
-                    )) as Box<dyn Pearl>
-                })
-                .collect();
-            add_fleet_node(&mut b, &node.name, pearls, spec.model, spec.variant)
-        })
-        .collect();
-
-    // 2. Every link becomes (optional zero-latency wire segments →) a
-    //    relay chain per lane, sized by the shared latency budget.
-    let mut relay_stations = 0;
-    let mut sink_names = Vec::new();
-    for (li, link) in graph.links.iter().enumerate() {
-        let producer: PackedLisChannel = match link.from {
-            Endpoint::Source(k) => {
-                let stage = b.channel(&format!("src{k}"), CHANNEL_WIDTH);
-                let tokens: Vec<u64> = (0..spec.tokens_per_source)
-                    .map(|i| source_token(k, i))
-                    .collect();
-                b.feed(format!("source{k}"), &stage, |lane| {
-                    let sc = &chunk[lane];
-                    (
-                        tokens.clone(),
-                        sc.traffic.source_pattern(k),
-                        sc.seed.wrapping_add(1000 + k as u64),
-                    )
-                });
-                stage
-            }
-            Endpoint::NodeOut(n, p) => handles[n].outputs[p].clone(),
-            other => unreachable!("validated graph: {other:?} cannot produce"),
-        };
-        let consumer: PackedLisChannel = match link.to {
-            Endpoint::NodeIn(n, p) => handles[n].inputs[p].clone(),
-            Endpoint::Sink(k) => {
-                let stage = b.channel(&format!("snk{k}"), CHANNEL_WIDTH);
-                let name = format!("sink{k}");
-                b.capture(name.clone(), &stage, |lane| {
-                    let sc = &chunk[lane];
-                    (
-                        sc.traffic.sink_pattern(k),
-                        sc.seed.wrapping_add(2000 + k as u64),
-                    )
-                });
-                if sink_names.len() <= k {
-                    sink_names.resize(k + 1, String::new());
-                }
-                sink_names[k] = name;
-                stage
-            }
-            other => unreachable!("validated graph: {other:?} cannot consume"),
-        };
-        let mut cur = producer;
-        for s in 0..spec.wire_segments {
-            let next = b.channel(&format!("w{li}_{s}"), CHANNEL_WIDTH);
-            b.link(&cur, &next, 0);
-            cur = next;
-        }
-        let relays = spec.relays_for(link.distance);
-        relay_stations += relays;
-        b.link(&cur, &consumer, relays);
-    }
-    (b.build(), sink_names, relay_stations)
-}
-
-/// Instantiates one node's per-lane pearls behind the (model, variant)
-/// shell — the fleet analogue of the solo builder's node dispatch.
-fn add_fleet_node(
-    b: &mut FleetBuilder,
-    name: &str,
-    pearls: Vec<Box<dyn Pearl>>,
-    model: NodeModel,
-    variant: SyncVariant,
-) -> FleetIpHandle {
-    let schedule = pearls[0].schedule().clone();
-    match (model, variant) {
-        (NodeModel::Behavioural, SyncVariant::SpCompressed) => {
-            b.add_ip(name, pearls, WrapperKind::Sp)
-        }
-        (NodeModel::Behavioural, SyncVariant::SpUncompressed) => {
-            let policies: Vec<Box<dyn SyncPolicy>> = (0..pearls.len())
-                .map(|_| Box::new(SpPolicy::new(uncompressed(&schedule))) as Box<dyn SyncPolicy>)
-                .collect();
-            b.add_ip_with_policies(name, pearls, policies)
-        }
-        (NodeModel::Behavioural, SyncVariant::Fsm) => {
-            b.add_ip(name, pearls, WrapperKind::Fsm(FsmEncoding::OneHot))
-        }
-        (NodeModel::GateLevel, SyncVariant::SpCompressed) => {
-            b.add_ip_full_netlist(name, pearls, WrapperKind::Sp)
-        }
-        (NodeModel::GateLevel, SyncVariant::SpUncompressed) => {
-            let controller = generate_sp(&uncompressed(&schedule))
-                .expect("uncompressed SP controller generation");
-            b.add_ip_full_netlist_with_controller(name, pearls, controller)
-        }
-        (NodeModel::GateLevel, SyncVariant::Fsm) => {
-            b.add_ip_full_netlist(name, pearls, WrapperKind::Fsm(FsmEncoding::OneHot))
         }
     }
 }

@@ -1,5 +1,6 @@
 //! Property tests for scenario fleets: for any generated topology —
-//! random shape, latency assignment, synchronizer variant — and any
+//! random shape, latency assignment, wire segmentation, synchronizer
+//! variant — and any
 //! random per-lane traffic/seed assignment, every fleet lane must be
 //! bit-identical (streams, violations) to a solo SoC run of that lane's
 //! scenario.
@@ -11,8 +12,9 @@ use lis_topo::{
 };
 use proptest::prelude::*;
 
-/// Decodes a compact random tuple into a shared fleet spec (traffic and
-/// seed are per-lane and substituted per scenario).
+/// Decodes a compact random tuple into a shared fleet spec without wire
+/// segments (traffic and seed are per-lane and substituted per
+/// scenario).
 #[allow(clippy::too_many_arguments)]
 fn base_spec_from(
     shape_sel: u8,
@@ -109,11 +111,15 @@ proptest! {
         seed in any::<u64>(),
         lanes in 2usize..6,
         cycles in 50u64..240,
+        wire_segments in 0usize..3,
     ) {
-        let spec = base_spec_from(
-            shape_sel, size_a, size_b, compute_latency, hop_distance,
-            relay_budget, variant_sel, false,
-        );
+        let spec = TopologySpec {
+            wire_segments,
+            ..base_spec_from(
+                shape_sel, size_a, size_b, compute_latency, hop_distance,
+                relay_budget, variant_sel, false,
+            )
+        };
         let scenarios: Vec<FleetScenario> = (0..lanes)
             .map(|lane| scenario_from(traffic_sel, stall, seed, lane))
             .collect();
@@ -145,11 +151,15 @@ proptest! {
         stall in 0.0f64..0.5,
         seed in any::<u64>(),
         lanes in 2usize..5,
+        wire_segments in 0usize..3,
     ) {
-        let spec = base_spec_from(
-            shape_sel, size_a, size_b, compute_latency, hop_distance,
-            relay_budget, variant_sel, true,
-        );
+        let spec = TopologySpec {
+            wire_segments,
+            ..base_spec_from(
+                shape_sel, size_a, size_b, compute_latency, hop_distance,
+                relay_budget, variant_sel, true,
+            )
+        };
         let scenarios: Vec<FleetScenario> = (0..lanes)
             .map(|lane| scenario_from(traffic_sel, stall, seed, lane))
             .collect();

@@ -19,6 +19,7 @@ use lis_proto::{
     LisChannel, PackedLisChannel, PackedRelayStation, PackedSeqSink, PackedSeqSource, Pearl,
     RelayStation, SeqSink, SeqSource, StallControl, ViolationCounter,
 };
+use lis_schedule::IoSchedule;
 use lis_sim::{SettleMode, System, LANES};
 use lis_wrappers::{
     wrap_pearl, wrap_pearls_packed_full_netlist, SpPolicy, SyncPolicy, WrapperKind,
@@ -35,7 +36,8 @@ pub const MODULUS: u64 = 64;
 /// The seeded fault a mutant configuration carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mutant {
-    /// A [`MutantRelay`] with the given bug, placed on the SP's output
+    /// A [`MutantRelay`] with the given bug: the drop-on-double-stall
+    /// bug replaces the input relay, the others sit on the SP's output
     /// edge (closest to the adversary sink, so the trigger window is
     /// shallow).
     Relay(RelayBug),
@@ -305,178 +307,246 @@ fn checker_system() -> System {
     system
 }
 
-/// Builds the packed gate-level configuration `name`: adversary source
-/// → `relays_before` relay stations → SP-wrapped identity pearl →
-/// `relays_after` relay stations → adversary sink, 64 lanes wide.
-pub fn packed_sp(name: &str, relays_before: usize, relays_after: usize) -> ClosedConfig {
-    assert!(relays_before >= 1, "source must be decoupled by a relay");
-    let mut system = checker_system();
-    let lane_violations = fresh_counters(LANES);
-    let pearls: Vec<Box<dyn Pearl>> = (0..LANES)
-        .map(|k| Box::new(JoinPearl::new("join", 1, 1, &lane_violations[k])) as Box<dyn Pearl>)
-        .collect();
-    let schedule = pearls[0].schedule().clone();
-    let controller = WrapperKind::Sp
-        .generate_netlist(&schedule)
-        .expect("SP controller for the join schedule");
-    let (ins, outs) = wrap_pearls_packed_full_netlist(&mut system, "sp", pearls, controller);
+/// The shape of a registered closed configuration: one adversary
+/// source per branch, each decoupled by its branch's relay stations
+/// from one input of the SP-wrapped join pearl, and one adversary sink
+/// behind the wrapper's output.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Shape {
+    /// Registry name.
+    pub(crate) name: &'static str,
+    /// Relay stations on each source branch (at least one each).
+    pub(crate) branches: &'static [usize],
+    /// Correct relay stations between the wrapper and the sink.
+    pub(crate) relays_after: usize,
+    /// The seeded bug, if any (behavioural configurations only).
+    pub(crate) mutant: Option<Mutant>,
+    /// The gate-level SP shell, 64 adversary branches per step
+    /// (`true`), or the behavioural wrapper on one lane.
+    pub(crate) packed: bool,
+}
 
-    let mut probes = vec![
-        Probe::Packed(ins[0].clone()),
-        Probe::Packed(outs[0].clone()),
-    ];
-    let src_ch = PackedLisChannel::new(&mut system, "adv_src", 32);
-    probes.push(Probe::Packed(src_ch.clone()));
-    let src_stall = Arc::new(AtomicU64::new(0));
-    let source = system.component_count();
-    system.add_component(PackedSeqSource::new(
-        "src",
-        src_ch.clone(),
-        StallControl::External(Arc::clone(&src_stall)),
-        MODULUS,
-        u64::MAX,
-    ));
-    let mut cur = src_ch;
-    let first_relay = system.component_count();
-    for i in 0..relays_before {
-        let next = if i + 1 == relays_before {
-            ins[0].clone()
-        } else {
-            let ch = PackedLisChannel::new(&mut system, &format!("seg_in{i}"), 32);
-            probes.push(Probe::Packed(ch.clone()));
-            ch
-        };
-        system.add_component(PackedRelayStation::new(
-            format!("rb{i}"),
-            cur,
-            next.clone(),
-            lane_violations.clone(),
-        ));
-        cur = next;
-    }
-    let mut cur = outs[0].clone();
-    let mut last_after_relay = None;
-    for i in 0..relays_after {
-        let next = PackedLisChannel::new(&mut system, &format!("seg_out{i}"), 32);
-        probes.push(Probe::Packed(next.clone()));
-        last_after_relay = Some(system.component_count());
-        system.add_component(PackedRelayStation::new(
-            format!("ra{i}"),
-            cur,
-            next.clone(),
-            lane_violations.clone(),
-        ));
-        cur = next;
-    }
-    let sink_stall = Arc::new(AtomicU64::new(0));
-    let sink = system.component_count();
-    let snk = PackedSeqSink::new(
-        "snk",
-        cur,
-        StallControl::External(Arc::clone(&sink_stall)),
-        MODULUS,
-        u64::MAX,
-        &lane_violations,
-    );
-    let delivered = snk.delivered();
-    system.add_component(snk);
-
-    let relays = relays_before + relays_after;
-    let guards = vec![
-        validated_guard(
-            &system,
-            source,
-            EdgeGuard::PackedRelayStopUp { comp: first_relay },
-        ),
-        match last_after_relay {
-            Some(comp) => validated_guard(&system, sink, EdgeGuard::PackedRelayMainEmpty { comp }),
-            // With no relay after the shell the sink talks straight to
-            // the gate-level wrapper, whose netlist state we do not
-            // inspect: no inertness proof.
-            None => EdgeGuard::None,
-        },
-    ];
-    let initial = system.save_lane(0);
-    ClosedConfig {
-        name: name.to_string(),
-        lanes: LANES,
-        system,
-        edges: vec![
-            Edge {
-                name: "src".into(),
-                mask: src_stall,
-            },
-            Edge {
-                name: "sink".into(),
-                mask: sink_stall,
-            },
-        ],
-        lane_violations,
-        delivered: Delivered::Packed(delivered),
-        streams: vec![Stream {
-            source,
-            sink,
-            capacity: path_capacity(relays),
-        }],
-        probes,
-        initial,
-        free_run_horizon: 64,
-        plan: ReductionPlan {
-            guards,
-            symmetry: None,
-        },
+const fn shape(
+    name: &'static str,
+    branches: &'static [usize],
+    relays_after: usize,
+    mutant: Option<Mutant>,
+    packed: bool,
+) -> Shape {
+    Shape {
+        name,
+        branches,
+        relays_after,
+        mutant,
+        packed,
     }
 }
 
-/// Builds the packed join configuration: two adversary sources feeding
-/// a 2-input SP-wrapped join pearl through relay chains of *different*
-/// depth (1 and 2 stations — the latency skew the join must absorb),
-/// one adversary sink. Three controlled edges, branching factor 8.
-pub fn packed_spj(name: &str) -> ClosedConfig {
-    let mut system = checker_system();
-    let lane_violations = fresh_counters(LANES);
-    let pearls: Vec<Box<dyn Pearl>> = (0..LANES)
-        .map(|k| Box::new(JoinPearl::new("join", 2, 1, &lane_violations[k])) as Box<dyn Pearl>)
-        .collect();
-    let schedule = pearls[0].schedule().clone();
-    let controller = WrapperKind::Sp
-        .generate_netlist(&schedule)
-        .expect("SP controller for the join schedule");
-    let (ins, outs) = wrap_pearls_packed_full_netlist(&mut system, "spj", pearls, controller);
+/// Every registered configuration, by name. The packed join `spj`
+/// skews its branches (1 and 2 stations — the latency skew the join
+/// must absorb); `spj-sym`'s two identical branches carry a branch-swap
+/// symmetry.
+#[rustfmt::skip]
+const SHAPES: &[Shape] = &[
+    //    name          branches  after  mutant                                             packed
+    shape("sp1",        &[1],     0,     None,                                              true),
+    shape("sp2",        &[1],     1,     None,                                              true),
+    shape("spj",        &[1, 2],  0,     None,                                              true),
+    shape("spj-sym",    &[1, 1],  0,     None,                                              false),
+    shape("sp1-scalar", &[1],     0,     None,                                              false),
+    shape("sp2-scalar", &[1],     1,     None,                                              false),
+    shape("mut-drop",   &[1],     0,     Some(Mutant::Relay(RelayBug::DropOnDoubleStall)),  false),
+    shape("mut-dup",    &[1],     0,     Some(Mutant::Relay(RelayBug::DuplicateOnRestart)), false),
+    shape("mut-stuck",  &[1],     0,     Some(Mutant::Relay(RelayBug::StuckStop)),          false),
+    shape("mut-eager",  &[1],     0,     Some(Mutant::Eager),                               false),
+];
 
-    let mut probes = vec![Probe::Packed(outs[0].clone())];
-    let mut edges = Vec::new();
-    let mut guard_specs = Vec::new();
-    let mut streams = Vec::new();
-    for (branch, relays) in [1usize, 2].into_iter().enumerate() {
-        let src_ch = PackedLisChannel::new(&mut system, &format!("adv_src{branch}"), 32);
-        probes.push(Probe::Packed(src_ch.clone()));
-        probes.push(Probe::Packed(ins[branch].clone()));
-        let stall = Arc::new(AtomicU64::new(0));
-        let source = system.component_count();
-        system.add_component(PackedSeqSource::new(
-            format!("src{branch}"),
-            src_ch.clone(),
-            StallControl::External(Arc::clone(&stall)),
+impl Shape {
+    /// The registered shape named `name`.
+    pub(crate) fn named(name: &str) -> Option<Shape> {
+        SHAPES.iter().find(|s| s.name == name).copied()
+    }
+
+    /// The stall edge of source branch `branch`: `src` when there is
+    /// one branch, `src0`, `src1`, … otherwise.
+    fn source_edge(&self, branch: usize) -> String {
+        if self.branches.len() == 1 {
+            "src".into()
+        } else {
+            format!("src{branch}")
+        }
+    }
+
+    /// The relay bug that replaces branch 0's first relay station. The
+    /// drop-on-double-stall bug needs back-to-back sends into the
+    /// relay, which only the every-cycle adversary source produces (the
+    /// SP's output is throttled to one token per period).
+    pub(crate) fn input_mutant(&self) -> Option<RelayBug> {
+        match self.mutant {
+            Some(Mutant::Relay(bug @ RelayBug::DropOnDoubleStall)) => Some(bug),
+            _ => None,
+        }
+    }
+
+    /// The relay bug that sits on the output edge, after the correct
+    /// relay stations, next to the sink (so the trigger window is
+    /// shallow).
+    pub(crate) fn output_mutant(&self) -> Option<RelayBug> {
+        match self.mutant {
+            Some(Mutant::Relay(bug)) if self.input_mutant().is_none() => Some(bug),
+            _ => None,
+        }
+    }
+
+    /// The wrapper's synchronization policy: the SP of `schedule`, or
+    /// the [`EagerPolicy`] mutant.
+    pub(crate) fn policy(&self, schedule: &IoSchedule) -> Box<dyn SyncPolicy> {
+        match self.mutant {
+            Some(Mutant::Eager) => Box::new(EagerPolicy::new(schedule.clone())),
+            _ => Box::new(SpPolicy::from_schedule(schedule)),
+        }
+    }
+
+    /// Relay stations between the wrapper and the sink, mutant
+    /// included.
+    fn stations_after(&self) -> usize {
+        self.relays_after + usize::from(self.output_mutant().is_some())
+    }
+}
+
+/// A closed configuration under construction: the system plus what the
+/// builders record on the way from the sources to the sink.
+struct Assembly {
+    system: System,
+    edges: Vec<Edge>,
+    /// Each adversary's component index and its POR guard, validated
+    /// once the system is complete.
+    guards: Vec<(usize, EdgeGuard)>,
+    /// Each source's component index and its branch's relay count.
+    sources: Vec<(usize, usize)>,
+    probes: Vec<Probe>,
+}
+
+impl Assembly {
+    fn new(shape: &Shape) -> Self {
+        assert!(
+            shape.branches.iter().all(|&relays| relays >= 1),
+            "{}: every source must be decoupled by a relay",
+            shape.name
+        );
+        Assembly {
+            system: checker_system(),
+            edges: Vec::new(),
+            guards: Vec::new(),
+            sources: Vec::new(),
+            probes: Vec::new(),
+        }
+    }
+
+    /// Adds an adversary-controlled edge; returns its stall control.
+    fn edge(&mut self, name: &str) -> StallControl {
+        let mask = Arc::new(AtomicU64::new(0));
+        self.edges.push(Edge {
+            name: name.into(),
+            mask: Arc::clone(&mask),
+        });
+        StallControl::External(mask)
+    }
+
+    /// Validates every guard against the complete system and closes the
+    /// configuration. The branch swap must fix the power-up state, so
+    /// that the canonical orbit of the initial state is itself.
+    fn close(
+        self,
+        shape: &Shape,
+        lane_violations: Vec<ViolationCounter>,
+        sink: usize,
+        delivered: Delivered,
+        symmetry: Option<BranchSwap>,
+    ) -> ClosedConfig {
+        let guards = self
+            .guards
+            .into_iter()
+            .map(|(adversary, guard)| validated_guard(&self.system, adversary, guard))
+            .collect();
+        let initial = self.system.save_lane(0);
+        if let Some(swap) = &symmetry {
+            assert_eq!(
+                swap.mirror(&initial),
+                initial,
+                "the power-up state must be a fixed point of the branch swap"
+            );
+        }
+        let streams = self
+            .sources
+            .into_iter()
+            .map(|(source, relays)| Stream {
+                source,
+                sink,
+                capacity: path_capacity(relays + shape.stations_after()),
+            })
+            .collect();
+        ClosedConfig {
+            name: shape.name.to_string(),
+            lanes: lane_violations.len(),
+            system: self.system,
+            edges: self.edges,
+            lane_violations,
+            delivered,
+            streams,
+            probes: self.probes,
+            initial,
+            free_run_horizon: 64,
+            plan: ReductionPlan { guards, symmetry },
+        }
+    }
+}
+
+/// Builds the packed gate-level configuration of `shape`, 64 adversary
+/// branches per step: each source → its branch's packed relay stations
+/// → the SP shell around the join pearl → `relays_after` packed relay
+/// stations → the sink.
+fn packed_config(shape: &Shape) -> ClosedConfig {
+    assert!(shape.mutant.is_none(), "mutants run behavioural");
+    let mut a = Assembly::new(shape);
+    let lane_violations = fresh_counters(LANES);
+    let n_in = shape.branches.len();
+    let pearls: Vec<Box<dyn Pearl>> = (0..LANES)
+        .map(|k| Box::new(JoinPearl::new("join", n_in, 1, &lane_violations[k])) as Box<dyn Pearl>)
+        .collect();
+    let controller = WrapperKind::Sp
+        .generate_netlist(pearls[0].schedule())
+        .expect("SP controller for the join schedule");
+    let (ins, outs) = wrap_pearls_packed_full_netlist(&mut a.system, "sp", pearls, controller);
+    a.probes
+        .extend(ins.iter().chain(&outs).cloned().map(Probe::Packed));
+
+    for (branch, (&relays, wrapper_in)) in shape.branches.iter().zip(&ins).enumerate() {
+        let edge = shape.source_edge(branch);
+        let mut cur = PackedLisChannel::new(&mut a.system, &format!("adv_{edge}"), 32);
+        a.probes.push(Probe::Packed(cur.clone()));
+        let source = a.system.component_count();
+        let stall = a.edge(&edge);
+        a.system.add_component(PackedSeqSource::new(
+            edge,
+            cur.clone(),
+            stall,
             MODULUS,
             u64::MAX,
         ));
-        edges.push(Edge {
-            name: format!("src{branch}"),
-            mask: stall,
-        });
-        let first_relay = system.component_count();
-        guard_specs.push((source, EdgeGuard::PackedRelayStopUp { comp: first_relay }));
-        let mut cur = src_ch;
+        let first_relay = a.system.component_count();
+        a.guards
+            .push((source, EdgeGuard::PackedRelayStopUp { comp: first_relay }));
+        a.sources.push((source, relays));
         for i in 0..relays {
             let next = if i + 1 == relays {
-                ins[branch].clone()
+                wrapper_in.clone()
             } else {
-                let ch = PackedLisChannel::new(&mut system, &format!("seg{branch}_{i}"), 32);
-                probes.push(Probe::Packed(ch.clone()));
+                let ch = PackedLisChannel::new(&mut a.system, &format!("seg{branch}_{i}"), 32);
+                a.probes.push(Probe::Packed(ch.clone()));
                 ch
             };
-            system.add_component(PackedRelayStation::new(
+            a.system.add_component(PackedRelayStation::new(
                 format!("rb{branch}_{i}"),
                 cur,
                 next.clone(),
@@ -484,328 +554,154 @@ pub fn packed_spj(name: &str) -> ClosedConfig {
             ));
             cur = next;
         }
-        streams.push((source, relays));
     }
-    let sink_stall = Arc::new(AtomicU64::new(0));
-    let sink = system.component_count();
-    let snk = PackedSeqSink::new(
-        "snk",
-        outs[0].clone(),
-        StallControl::External(Arc::clone(&sink_stall)),
-        MODULUS,
-        u64::MAX,
-        &lane_violations,
-    );
-    let delivered = snk.delivered();
-    system.add_component(snk);
-    edges.push(Edge {
-        name: "sink".into(),
-        mask: sink_stall,
-    });
-    // The sink talks straight to the gate-level wrapper shell: no
-    // inertness proof for its edge.
-    guard_specs.push((sink, EdgeGuard::None));
 
-    let guards = guard_specs
-        .into_iter()
-        .map(|(adversary, guard)| validated_guard(&system, adversary, guard))
-        .collect();
-    let initial = system.save_lane(0);
-    ClosedConfig {
-        name: name.to_string(),
-        lanes: LANES,
-        system,
-        edges,
-        lane_violations,
-        delivered: Delivered::Packed(delivered),
-        streams: streams
-            .into_iter()
-            .map(|(source, relays)| Stream {
-                source,
-                sink,
-                capacity: path_capacity(relays),
-            })
-            .collect(),
-        probes,
-        initial,
-        free_run_horizon: 64,
-        plan: ReductionPlan {
-            guards,
-            symmetry: None,
-        },
+    // With no relay after the shell the sink talks straight to the
+    // gate-level wrapper, whose netlist state we do not inspect: no
+    // inertness proof.
+    let mut sink_guard = EdgeGuard::None;
+    let mut cur = outs[0].clone();
+    for i in 0..shape.relays_after {
+        let next = PackedLisChannel::new(&mut a.system, &format!("seg_out{i}"), 32);
+        a.probes.push(Probe::Packed(next.clone()));
+        let comp = a.system.component_count();
+        sink_guard = EdgeGuard::PackedRelayMainEmpty { comp };
+        a.system.add_component(PackedRelayStation::new(
+            format!("ra{i}"),
+            cur,
+            next.clone(),
+            lane_violations.clone(),
+        ));
+        cur = next;
     }
+    let sink = a.system.component_count();
+    let stall = a.edge("sink");
+    let snk = PackedSeqSink::new("snk", cur, stall, MODULUS, u64::MAX, &lane_violations);
+    let delivered = Delivered::Packed(snk.delivered());
+    a.system.add_component(snk);
+    a.guards.push((sink, sink_guard));
+    a.close(shape, lane_violations, sink, delivered, None)
 }
 
-/// Builds a scalar behavioural configuration: adversary source → one
-/// relay station → behavioural SP wrapper around the identity pearl →
-/// (optional mutant relay) → adversary sink, one lane. With
-/// `mutant: None` this is the cycle-exact twin the
+/// Builds the behavioural configuration of `shape`, one lane: each
+/// source → its branch's relay stations → the behavioural wrapper
+/// around the join pearl → `relays_after` relay stations → (the output
+/// mutant) → the sink. With no mutant this is the cycle-exact twin the
 /// counterexample-replay SoCs and the BMC-vs-simulator cross-check are
-/// built on; with a [`Mutant`] it carries exactly one seeded bug.
-pub fn scalar_sp(name: &str, relays_after: usize, mutant: Option<Mutant>) -> ClosedConfig {
-    let mut system = checker_system();
+/// built on; with one it carries exactly one seeded bug.
+///
+/// Two identical branches and no mutant make the branches structurally
+/// interchangeable (same relay depth, same stream capacity, and a join
+/// schedule that reads both ports in the same step), so the
+/// configuration carries a [`BranchSwap`] symmetry folding
+/// mirror-image states into one orbit representative.
+fn scalar_config(shape: &Shape) -> ClosedConfig {
+    let mut a = Assembly::new(shape);
     let violations = ViolationCounter::new();
-    let pearl = JoinPearl::new("join", 1, 1, &violations);
-    let schedule = pearl.schedule().clone();
-    let policy: Box<dyn SyncPolicy> = match mutant {
-        Some(Mutant::Eager) => Box::new(EagerPolicy::new(schedule)),
-        _ => Box::new(SpPolicy::from_schedule(&schedule)),
-    };
-    let wrapper = system.component_count();
-    let (ins, outs, _stats) = wrap_pearl(&mut system, "sp", Box::new(pearl), policy, &violations);
+    let n_in = shape.branches.len();
+    let pearl = JoinPearl::new("join", n_in, 1, &violations);
+    let policy = shape.policy(pearl.schedule());
+    let wrapper = a.system.component_count();
+    let (ins, outs, _stats) = wrap_pearl(&mut a.system, "sp", Box::new(pearl), policy, &violations);
+    a.probes
+        .extend(ins.iter().chain(&outs).map(|&ch| Probe::Scalar(ch)));
 
-    let mut probes = vec![Probe::Scalar(ins[0]), Probe::Scalar(outs[0])];
-    let src_ch = LisChannel::new(&mut system, "adv_src", 32);
-    probes.push(Probe::Scalar(src_ch));
-    let src_stall = Arc::new(AtomicU64::new(0));
-    let source = system.component_count();
-    system.add_component(SeqSource::new(
-        "src",
-        src_ch,
-        StallControl::External(Arc::clone(&src_stall)),
-        MODULUS,
-    ));
-    // The drop-on-double-stall bug needs back-to-back sends into the
-    // relay, which only the every-cycle adversary source produces (the
-    // SP's output is throttled to one token per period): that mutant
-    // replaces the input relay, the others sit on the output edge.
-    let mutant_before = matches!(mutant, Some(Mutant::Relay(RelayBug::DropOnDoubleStall)));
-    let in_relay = system.component_count();
-    if mutant_before {
-        system.add_component(MutantRelay::new(
-            "mut",
-            src_ch,
-            ins[0],
-            RelayBug::DropOnDoubleStall,
-        ));
-    } else {
-        system.add_component(RelayStation::new("rb0", src_ch, ins[0], violations.clone()));
-    }
-
-    let mut cur = outs[0];
-    let mut relays = 1;
-    let mut last_after_relay = None;
-    let mutant_after = matches!((mutant, mutant_before), (Some(Mutant::Relay(_)), false));
-    if let (Some(Mutant::Relay(bug)), false) = (mutant, mutant_before) {
-        let ch = LisChannel::new(&mut system, "adv_out", 32);
-        probes.push(Probe::Scalar(ch));
-        system.add_component(MutantRelay::new("mut", cur, ch, bug));
-        cur = ch;
-        relays += 1;
-    } else {
-        for i in 0..relays_after {
-            let ch = LisChannel::new(&mut system, &format!("seg_out{i}"), 32);
-            probes.push(Probe::Scalar(ch));
-            last_after_relay = Some(system.component_count());
-            system.add_component(RelayStation::new(
-                format!("ra{i}"),
-                cur,
-                ch,
-                violations.clone(),
-            ));
-            cur = ch;
-            relays += 1;
-        }
-    }
-    let sink_stall = Arc::new(AtomicU64::new(0));
-    let sink = system.component_count();
-    let snk = SeqSink::new(
-        "snk",
-        cur,
-        StallControl::External(Arc::clone(&sink_stall)),
-        MODULUS,
-        &violations,
-    );
-    let delivered = snk.delivered();
-    system.add_component(snk);
-
-    // The source edge's inertness proof rests on the *correct* relay's
-    // registered protocol, the sink edge's on either a correct output
-    // relay or the behavioural wrapper's output queue. Any edge feeding
-    // a mutant component gets no guard: a bug invalidates the proof,
-    // and the mutants exist precisely to be caught.
-    let guards = vec![
-        if mutant_before {
-            EdgeGuard::None
-        } else {
-            validated_guard(
-                &system,
-                source,
-                EdgeGuard::ScalarRelayStopUp { comp: in_relay },
-            )
-        },
-        if mutant_after {
-            EdgeGuard::None
-        } else if let Some(comp) = last_after_relay {
-            validated_guard(&system, sink, EdgeGuard::ScalarRelayMainEmpty { comp })
-        } else {
-            validated_guard(
-                &system,
-                sink,
-                EdgeGuard::WrapperOutEmpty {
-                    comp: wrapper,
-                    n_in: 1,
-                },
-            )
-        },
-    ];
-    let initial = system.save_lane(0);
-    ClosedConfig {
-        name: name.to_string(),
-        lanes: 1,
-        system,
-        edges: vec![
-            Edge {
-                name: "src".into(),
-                mask: src_stall,
-            },
-            Edge {
-                name: "sink".into(),
-                mask: sink_stall,
-            },
-        ],
-        lane_violations: vec![violations],
-        delivered: Delivered::Scalar(delivered),
-        streams: vec![Stream {
-            source,
-            sink,
-            capacity: path_capacity(relays),
-        }],
-        probes,
-        initial,
-        free_run_horizon: 64,
-        plan: ReductionPlan {
-            guards,
-            symmetry: None,
-        },
-    }
-}
-
-/// Builds the symmetric scalar join configuration: two *identical*
-/// adversary branches — source → one relay station → the 2-input
-/// behavioural SP wrapper around a join pearl — plus one adversary
-/// sink. Because the branches are structurally interchangeable (same
-/// relay depth, same stream capacity, and a join schedule that reads
-/// both ports in the same step), the configuration carries a
-/// [`BranchSwap`] symmetry folding mirror-image states into one orbit
-/// representative, on top of POR guards on all three edges. The
-/// power-up state is asserted to be a fixed point of the swap, so the
-/// canonical orbit of the initial state is itself.
-pub fn scalar_spj(name: &str) -> ClosedConfig {
-    let mut system = checker_system();
-    let violations = ViolationCounter::new();
-    let wrapper = system.component_count();
-    let pearl = JoinPearl::new("join", 2, 1, &violations);
-    let schedule = pearl.schedule().clone();
-    let (ins, outs, _stats) = wrap_pearl(
-        &mut system,
-        "spj",
-        Box::new(pearl),
-        Box::new(SpPolicy::from_schedule(&schedule)),
-        &violations,
-    );
-
-    let mut probes = vec![
-        Probe::Scalar(ins[0]),
-        Probe::Scalar(ins[1]),
-        Probe::Scalar(outs[0]),
-    ];
-    let mut edges = Vec::new();
-    let mut guard_specs = Vec::new();
+    // Each branch's components in order: the source, then its relays.
     let mut branch_comps = Vec::new();
-    let mut streams = Vec::new();
-    for (branch, &wrapper_in) in ins.iter().enumerate().take(2) {
-        let src_ch = LisChannel::new(&mut system, &format!("adv_src{branch}"), 32);
-        probes.push(Probe::Scalar(src_ch));
-        let stall = Arc::new(AtomicU64::new(0));
-        let source = system.component_count();
-        system.add_component(SeqSource::new(
-            format!("src{branch}"),
-            src_ch,
-            StallControl::External(Arc::clone(&stall)),
-            MODULUS,
-        ));
-        let relay = system.component_count();
-        system.add_component(RelayStation::new(
-            format!("rb{branch}"),
-            src_ch,
-            wrapper_in,
+    for (branch, (&relays, &wrapper_in)) in shape.branches.iter().zip(&ins).enumerate() {
+        let edge = shape.source_edge(branch);
+        let mut cur = LisChannel::new(&mut a.system, &format!("adv_{edge}"), 32);
+        a.probes.push(Probe::Scalar(cur));
+        let source = a.system.component_count();
+        let stall = a.edge(&edge);
+        a.system
+            .add_component(SeqSource::new(edge, cur, stall, MODULUS));
+        let mut comps = vec![source];
+        for i in 0..relays {
+            let next = if i + 1 == relays {
+                wrapper_in
+            } else {
+                let ch = LisChannel::new(&mut a.system, &format!("seg{branch}_{i}"), 32);
+                a.probes.push(Probe::Scalar(ch));
+                ch
+            };
+            comps.push(a.system.component_count());
+            match shape.input_mutant() {
+                Some(bug) if branch == 0 && i == 0 => {
+                    a.system
+                        .add_component(MutantRelay::new("mut", cur, next, bug));
+                }
+                _ => a.system.add_component(RelayStation::new(
+                    format!("rb{branch}_{i}"),
+                    cur,
+                    next,
+                    violations.clone(),
+                )),
+            }
+            cur = next;
+        }
+        // The source edge's inertness proof rests on the *correct*
+        // relay's registered protocol, the sink edge's on either a
+        // correct output relay or the behavioural wrapper's output
+        // queue. Any edge feeding a mutant component gets no guard: a
+        // bug invalidates the proof, and the mutants exist precisely to
+        // be caught.
+        let guard = if branch == 0 && shape.input_mutant().is_some() {
+            EdgeGuard::None
+        } else {
+            EdgeGuard::ScalarRelayStopUp { comp: comps[1] }
+        };
+        a.guards.push((source, guard));
+        a.sources.push((source, relays));
+        branch_comps.push(comps);
+    }
+
+    let mut sink_guard = EdgeGuard::WrapperOutEmpty {
+        comp: wrapper,
+        n_in,
+    };
+    let mut cur = outs[0];
+    for i in 0..shape.relays_after {
+        let next = LisChannel::new(&mut a.system, &format!("seg_out{i}"), 32);
+        a.probes.push(Probe::Scalar(next));
+        let comp = a.system.component_count();
+        sink_guard = EdgeGuard::ScalarRelayMainEmpty { comp };
+        a.system.add_component(RelayStation::new(
+            format!("ra{i}"),
+            cur,
+            next,
             violations.clone(),
         ));
-        edges.push(Edge {
-            name: format!("src{branch}"),
-            mask: stall,
-        });
-        guard_specs.push((source, EdgeGuard::ScalarRelayStopUp { comp: relay }));
-        branch_comps.push((source, relay));
-        streams.push(Stream {
-            source,
-            sink: usize::MAX, // patched below once the sink exists
-            capacity: path_capacity(1),
-        });
+        cur = next;
     }
-    let sink_stall = Arc::new(AtomicU64::new(0));
-    let sink = system.component_count();
-    let snk = SeqSink::new(
-        "snk",
-        outs[0],
-        StallControl::External(Arc::clone(&sink_stall)),
-        MODULUS,
-        &violations,
-    );
-    let delivered = snk.delivered();
-    system.add_component(snk);
-    edges.push(Edge {
-        name: "sink".into(),
-        mask: sink_stall,
-    });
-    guard_specs.push((
-        sink,
-        EdgeGuard::WrapperOutEmpty {
-            comp: wrapper,
-            n_in: 2,
-        },
-    ));
-    for s in &mut streams {
-        s.sink = sink;
+    if let Some(bug) = shape.output_mutant() {
+        let next = LisChannel::new(&mut a.system, "adv_out", 32);
+        a.probes.push(Probe::Scalar(next));
+        a.system
+            .add_component(MutantRelay::new("mut", cur, next, bug));
+        sink_guard = EdgeGuard::None;
+        cur = next;
     }
+    let sink = a.system.component_count();
+    let stall = a.edge("sink");
+    let snk = SeqSink::new("snk", cur, stall, MODULUS, &violations);
+    let delivered = Delivered::Scalar(snk.delivered());
+    a.system.add_component(snk);
+    a.guards.push((sink, sink_guard));
 
-    let guards = guard_specs
-        .into_iter()
-        .map(|(adversary, guard)| validated_guard(&system, adversary, guard))
-        .collect();
-    let symmetry = BranchSwap {
-        comp_swaps: vec![
-            (branch_comps[0].0, branch_comps[1].0),
-            (branch_comps[0].1, branch_comps[1].1),
-        ],
+    let symmetric = matches!(shape.branches, [x, y] if x == y) && shape.mutant.is_none();
+    let symmetry = symmetric.then(|| BranchSwap {
+        comp_swaps: branch_comps[0]
+            .iter()
+            .copied()
+            .zip(branch_comps[1].iter().copied())
+            .collect(),
         wrapper,
-        n_in: 2,
+        n_in,
         n_out: 1,
         ports: (0, 1),
-    };
-    let initial = system.save_lane(0);
-    assert_eq!(
-        symmetry.mirror(&initial),
-        initial,
-        "the power-up state must be a fixed point of the branch swap"
-    );
-    ClosedConfig {
-        name: name.to_string(),
-        lanes: 1,
-        system,
-        edges,
-        lane_violations: vec![violations],
-        delivered: Delivered::Scalar(delivered),
-        streams,
-        probes,
-        initial,
-        free_run_horizon: 64,
-        plan: ReductionPlan {
-            guards,
-            symmetry: Some(symmetry),
-        },
-    }
+    });
+    a.close(shape, vec![violations], sink, delivered, symmetry)
 }
 
 /// Names of the correct configurations the checker must prove clean.
@@ -821,32 +717,18 @@ pub const MUTANT_CONFIGS: &[&str] = &["mut-drop", "mut-dup", "mut-stuck", "mut-e
 /// * `spj` — packed gate-level SP joining two branches of skewed relay
 ///   depth (1 and 2).
 /// * `spj-sym` — behavioural join with two *identical* branches and a
-///   branch-swap symmetry ([`scalar_spj`]).
+///   branch-swap symmetry.
 /// * `sp1-scalar` / `sp2-scalar` — behavioural single-lane twins.
-/// * `mut-drop` / `mut-dup` / `mut-stuck` — a [`MutantRelay`] on the
-///   SP's output edge with the corresponding [`RelayBug`].
+/// * `mut-drop` / `mut-dup` / `mut-stuck` — a [`MutantRelay`] with the
+///   corresponding [`RelayBug`]: the drop bug replaces the input relay,
+///   the others sit on the SP's output edge.
 /// * `mut-eager` — the correct topology with the [`EagerPolicy`] SP.
 pub fn build_config(name: &str) -> Option<ClosedConfig> {
-    Some(match name {
-        "sp1" => packed_sp("sp1", 1, 0),
-        "sp2" => packed_sp("sp2", 1, 1),
-        "spj" => packed_spj("spj"),
-        "spj-sym" => scalar_spj("spj-sym"),
-        "sp1-scalar" => scalar_sp("sp1-scalar", 0, None),
-        "sp2-scalar" => scalar_sp("sp2-scalar", 1, None),
-        "mut-drop" => scalar_sp(
-            "mut-drop",
-            0,
-            Some(Mutant::Relay(RelayBug::DropOnDoubleStall)),
-        ),
-        "mut-dup" => scalar_sp(
-            "mut-dup",
-            0,
-            Some(Mutant::Relay(RelayBug::DuplicateOnRestart)),
-        ),
-        "mut-stuck" => scalar_sp("mut-stuck", 0, Some(Mutant::Relay(RelayBug::StuckStop))),
-        "mut-eager" => scalar_sp("mut-eager", 0, Some(Mutant::Eager)),
-        _ => return None,
+    let shape = Shape::named(name)?;
+    Some(if shape.packed {
+        packed_config(&shape)
+    } else {
+        scalar_config(&shape)
     })
 }
 
@@ -927,16 +809,29 @@ mod tests {
 
     #[test]
     fn registry_covers_every_named_config() {
-        for name in CORRECT_CONFIGS.iter().chain(MUTANT_CONFIGS) {
+        let named: Vec<&str> = CORRECT_CONFIGS
+            .iter()
+            .chain(MUTANT_CONFIGS)
+            .copied()
+            .collect();
+        let shapes: Vec<&str> = SHAPES.iter().map(|s| s.name).collect();
+        assert_eq!(shapes, named, "one shape per named config, in order");
+        for name in named {
             let cfg = build_config(name).expect("registered config builds");
-            assert_eq!(cfg.name(), *name);
+            assert_eq!(cfg.name(), name);
+            // Only two identical behavioural branches fold by symmetry.
+            assert_eq!(
+                cfg.reduction_plan().symmetry.is_some(),
+                name == "spj-sym",
+                "{name}"
+            );
         }
         assert!(build_config("nope").is_none());
     }
 
     #[test]
     fn scalar_config_streams_cleanly_when_unstalled() {
-        let mut cfg = scalar_sp("sp1-scalar", 0, None);
+        let mut cfg = build_config("sp1-scalar").expect("registered config");
         assert_eq!(cfg.lanes(), 1);
         let init = cfg.initial_state();
         cfg.load(0, &init);
@@ -953,7 +848,7 @@ mod tests {
 
     #[test]
     fn packed_config_streams_cleanly_on_every_lane() {
-        let mut cfg = packed_sp("sp1", 1, 0);
+        let mut cfg = build_config("sp1").expect("registered config");
         assert_eq!(cfg.lanes(), 64);
         for _ in 0..40 {
             cfg.settle();
@@ -970,7 +865,7 @@ mod tests {
 
     #[test]
     fn stall_masks_hold_individual_lanes() {
-        let mut cfg = packed_sp("sp1", 1, 0);
+        let mut cfg = build_config("sp1").expect("registered config");
         // Lane 0's source is stalled forever; lane 1 runs free.
         cfg.set_stall(0, 0b01);
         for _ in 0..30 {
@@ -984,7 +879,7 @@ mod tests {
 
     #[test]
     fn ledger_flags_impossible_in_flight_counts() {
-        let cfg = scalar_sp("sp1-scalar", 0, None);
+        let cfg = build_config("sp1-scalar").expect("registered config");
         let mut words = cfg.initial_state();
         // Forge a sink that claims more deliveries than sends: the
         // in-flight count wraps to MODULUS - 3 > capacity.

@@ -10,12 +10,11 @@
 //! regression loop that keeps checker and simulator honest about the
 //! same protocol.
 
-use crate::config::{Mutant, MODULUS};
+use crate::config::{Shape, MODULUS};
 use crate::join::JoinPearl;
-use crate::mutants::{EagerPolicy, MutantRelay, RelayBug};
+use crate::mutants::MutantRelay;
 use lis_core::{Soc, SocBuilder};
 use lis_proto::{Pearl, StallControl};
-use lis_wrappers::{SpPolicy, SyncPolicy};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -100,45 +99,6 @@ impl ReplayVerdict {
     }
 }
 
-/// The topology of a replay SoC, derived from a configuration name.
-struct Shape {
-    /// Relay count on each source branch.
-    branches: Vec<usize>,
-    /// Correct relay stations after the wrapper.
-    relays_after: usize,
-    /// The seeded bug, if any.
-    mutant: Option<Mutant>,
-    /// Whether a relay mutant replaces the input relay instead of
-    /// sitting on the output edge (mirrors
-    /// [`crate::config::scalar_sp`]: the drop bug needs the
-    /// every-cycle source as its upstream).
-    mutant_before: bool,
-}
-
-fn shape_of(config: &str) -> Option<Shape> {
-    let shape = |branches: Vec<usize>, relays_after, mutant| Shape {
-        branches,
-        relays_after,
-        mutant,
-        mutant_before: matches!(mutant, Some(Mutant::Relay(RelayBug::DropOnDoubleStall))),
-    };
-    Some(match config {
-        "sp1" | "sp1-scalar" => shape(vec![1], 0, None),
-        "sp2" | "sp2-scalar" => shape(vec![1], 1, None),
-        "spj" => shape(vec![1, 2], 0, None),
-        "spj-sym" => shape(vec![1, 1], 0, None),
-        "mut-drop" => shape(vec![1], 0, Some(Mutant::Relay(RelayBug::DropOnDoubleStall))),
-        "mut-dup" => shape(
-            vec![1],
-            0,
-            Some(Mutant::Relay(RelayBug::DuplicateOnRestart)),
-        ),
-        "mut-stuck" => shape(vec![1], 0, Some(Mutant::Relay(RelayBug::StuckStop))),
-        "mut-eager" => shape(vec![1], 0, Some(Mutant::Eager)),
-        _ => return None,
-    })
-}
-
 /// Replays `cx` through an ordinary [`Soc`] built with
 /// [`SocBuilder`] from the same protocol components the rest of the
 /// workspace simulates with.
@@ -154,7 +114,7 @@ fn shape_of(config: &str) -> Option<Shape> {
 /// Panics if the configuration name is unknown or the edge list does
 /// not match the shape (sources first, sink last).
 pub fn replay_on_soc(cx: &Counterexample, seeded: bool) -> ReplayVerdict {
-    let mut shape = shape_of(&cx.config)
+    let mut shape = Shape::named(&cx.config)
         .unwrap_or_else(|| panic!("unknown counterexample config {:?}", cx.config));
     if !seeded {
         shape.mutant = None;
@@ -169,10 +129,7 @@ pub fn replay_on_soc(cx: &Counterexample, seeded: bool) -> ReplayVerdict {
     let mut b = SocBuilder::new();
     let vio = b.violations_handle();
     let pearl = JoinPearl::new("join", shape.branches.len(), 1, &vio);
-    let policy: Box<dyn SyncPolicy> = match shape.mutant {
-        Some(Mutant::Eager) => Box::new(EagerPolicy::new(pearl.schedule().clone())),
-        _ => Box::new(SpPolicy::from_schedule(pearl.schedule())),
-    };
+    let policy = shape.policy(pearl.schedule());
     let ip = b.add_ip_with_policy("sp", Box::new(pearl), policy);
 
     for (branch, (&relays, script)) in shape.branches.iter().zip(&scripts).enumerate() {
@@ -183,25 +140,26 @@ pub fn replay_on_soc(cx: &Counterexample, seeded: bool) -> ReplayVerdict {
             StallControl::Scripted(script.clone()),
             MODULUS,
         );
-        if branch == 0 && shape.mutant_before {
-            if let Some(Mutant::Relay(bug)) = shape.mutant {
+        match shape.input_mutant() {
+            // The mutant is the branch's only relay station.
+            Some(bug) if branch == 0 => {
                 b.system_mut()
                     .add_component(MutantRelay::new("mut", stage, ip.inputs[0], bug));
-                continue;
             }
+            _ => b.link(stage, ip.inputs[branch], relays),
         }
-        b.link(stage, ip.inputs[branch], relays);
     }
 
     let mut tail = ip.outputs[0];
-    if let (Some(Mutant::Relay(bug)), false) = (shape.mutant, shape.mutant_before) {
+    if shape.relays_after > 0 {
+        let out = b.channel("adv_out", 32);
+        b.link(tail, out, shape.relays_after);
+        tail = out;
+    }
+    if let Some(bug) = shape.output_mutant() {
         let out = b.channel("adv_out", 32);
         b.system_mut()
             .add_component(MutantRelay::new("mut", tail, out, bug));
-        tail = out;
-    } else if shape.relays_after > 0 {
-        let out = b.channel("adv_out", 32);
-        b.link(tail, out, shape.relays_after);
         tail = out;
     }
     let delivered = b.adversary_capture(

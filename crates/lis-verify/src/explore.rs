@@ -607,11 +607,15 @@ fn minimize(cfg: &mut ClosedConfig, cx: &mut Counterexample) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{scalar_sp, scalar_spj};
+    use crate::config::build_config;
+
+    fn sp1_scalar() -> ClosedConfig {
+        build_config("sp1-scalar").expect("registered config")
+    }
 
     #[test]
     fn scalar_exploration_of_the_correct_wrapper_is_clean() {
-        let mut cfg = scalar_sp("sp1-scalar", 0, None);
+        let mut cfg = sp1_scalar();
         let report = explore(
             &mut cfg,
             &ExploreOptions {
@@ -635,8 +639,8 @@ mod tests {
             depth: 5,
             ..ExploreOptions::default()
         };
-        let a = explore(&mut scalar_sp("sp1-scalar", 0, None), &opts);
-        let b = explore(&mut scalar_sp("sp1-scalar", 0, None), &opts);
+        let a = explore(&mut sp1_scalar(), &opts);
+        let b = explore(&mut sp1_scalar(), &opts);
         assert_eq!(a, b);
     }
 
@@ -646,8 +650,8 @@ mod tests {
             depth: 5,
             ..ExploreOptions::default()
         };
-        let single = explore(&mut scalar_sp("sp1-scalar", 0, None), &opts);
-        let mut twins: Vec<_> = (0..3).map(|_| scalar_sp("sp1-scalar", 0, None)).collect();
+        let single = explore(&mut sp1_scalar(), &opts);
+        let mut twins: Vec<_> = (0..3).map(|_| sp1_scalar()).collect();
         let pooled = explore_pool(&mut twins, &opts);
         assert_eq!(single, pooled);
     }
@@ -655,14 +659,14 @@ mod tests {
     #[test]
     fn partial_order_reduction_preserves_the_census() {
         let reduced = explore(
-            &mut scalar_sp("sp1-scalar", 0, None),
+            &mut sp1_scalar(),
             &ExploreOptions {
                 depth: 6,
                 ..ExploreOptions::default()
             },
         );
         let unreduced = explore(
-            &mut scalar_sp("sp1-scalar", 0, None),
+            &mut sp1_scalar(),
             &ExploreOptions {
                 depth: 6,
                 por: false,
@@ -683,7 +687,7 @@ mod tests {
     #[test]
     fn symmetry_folds_mirror_states() {
         let report = explore(
-            &mut scalar_spj("spj-sym"),
+            &mut build_config("spj-sym").expect("registered config"),
             &ExploreOptions {
                 depth: 4,
                 ..ExploreOptions::default()
@@ -696,7 +700,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "memory guard")]
     fn memory_guard_fails_loudly_with_the_depth_reached() {
-        let mut cfg = scalar_sp("sp1-scalar", 0, None);
+        let mut cfg = sp1_scalar();
         explore(
             &mut cfg,
             &ExploreOptions {
@@ -709,7 +713,7 @@ mod tests {
 
     #[test]
     fn replay_on_checker_matches_exploration_verdict() {
-        let mut cfg = scalar_sp("sp1-scalar", 0, None);
+        let mut cfg = sp1_scalar();
         // An arbitrary clean schedule replays clean...
         assert_eq!(replay_on_checker(&mut cfg, &[1, 3, 2, 0, 3], 0), None);
         // ...and the free-run probe sees progress (no deadlock).

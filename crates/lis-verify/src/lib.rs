@@ -45,10 +45,7 @@ pub mod join;
 pub mod mutants;
 pub mod reduce;
 
-pub use config::{
-    build_config, packed_sp, packed_spj, scalar_sp, scalar_spj, ClosedConfig, Mutant,
-    CORRECT_CONFIGS, MODULUS, MUTANT_CONFIGS,
-};
+pub use config::{build_config, ClosedConfig, Mutant, CORRECT_CONFIGS, MODULUS, MUTANT_CONFIGS};
 pub use counterexample::{replay_on_soc, Counterexample, ReplayVerdict};
 pub use explore::{explore, explore_pool, replay_on_checker, ExploreOptions, ExploreReport};
 pub use join::JoinPearl;
