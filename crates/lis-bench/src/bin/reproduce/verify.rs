@@ -56,12 +56,13 @@ const REFERENCE_DEPTH: u32 = 12;
 
 /// Per-config exploration depth: every config must clear
 /// [`REQUIRED_DEPTH`]; the packed join config is the state-space
-/// workhorse (3 controlled edges, two skewed branches) and carries the
-/// deduplicated-state floor, while the cheaper configs go deeper than
-/// required for margin.
+/// workhorse (3 controlled edges, two skewed branches) and goes deepest
+/// to carry the deduplicated-state floor, while the cheaper configs go
+/// deeper than required for margin.
 fn default_depth(config: &str) -> u32 {
     match config {
-        "spj" | "spj-sym" => 18,
+        "spj" => 22,
+        "spj-sym" => 18,
         _ => 20,
     }
 }

@@ -6,8 +6,9 @@
 //! [`Fabric`], assembles up to [`LANES`] lanes into one [`FleetBatch`]
 //! built entirely from *packed* plumbing: channels are
 //! [`PackedLisChannel`]s (one bit-plane signal per data bit, lane `k`
-//! in bit `k`), links are [`PackedRelayStation`] chains, endpoints are
-//! [`PackedTokenSource`] / [`PackedTokenSink`], and every gate-level IP
+//! in bit `k`), and links, wires and endpoints are the
+//! [`RelayStation`], [`Wire`], [`TokenSource`] and [`TokenSink`] a
+//! [`crate::SocBuilder`] uses, on packed channels. Every gate-level IP
 //! is one complete shell per node, a
 //! [`lis_wrappers::PackedFullNetlistPatientProcess`] shared by all
 //! lanes. One bitwise op advances all 64 lanes of a component at once,
@@ -26,8 +27,8 @@
 
 use crate::{Fabric, IpHandle};
 use lis_proto::{
-    LaneDemux, LaneMux, PackedLisChannel, PackedRelayStation, PackedTokenSink, PackedTokenSource,
-    PackedWire, Pearl, StallPattern, ViolationCounter,
+    LaneDemux, LaneMux, PackedLisChannel, Pearl, RelayStation, StallPattern, TokenSink,
+    TokenSource, ViolationCounter, Wire,
 };
 use lis_sim::{SettleMode, SimError, System, SystemCheckpoint, WorkStealingPool, LANES};
 use lis_wrappers::{wrap_pearl, wrap_pearls_packed_full_netlist, SyncPolicy};
@@ -108,7 +109,7 @@ impl Fabric for FleetBuilder {
     }
 
     fn link(&mut self, from: &PackedLisChannel, to: &PackedLisChannel, relay_count: usize) {
-        let tail = PackedRelayStation::chain(
+        let tail = RelayStation::chain(
             &mut self.system,
             "link",
             from.clone(),
@@ -117,7 +118,7 @@ impl Fabric for FleetBuilder {
         );
         let n = self.system.component_count();
         self.system
-            .add_component(PackedWire::new(format!("wire{n}"), tail, to.clone()));
+            .add_component(Wire::new(format!("wire{n}"), tail, to.clone()));
     }
 
     fn feed(
@@ -128,7 +129,7 @@ impl Fabric for FleetBuilder {
     ) {
         let lanes = (0..self.lanes).map(per_lane).collect();
         self.system
-            .add_component(PackedTokenSource::new(name.into(), channel.clone(), lanes));
+            .add_component(TokenSource::with_lanes(name, channel.clone(), lanes));
     }
 
     /// Lane `k`'s stream is retrievable as
@@ -140,7 +141,7 @@ impl Fabric for FleetBuilder {
         per_lane: impl FnMut(usize) -> (StallPattern, u64),
     ) {
         let name = name.into();
-        let sink = PackedTokenSink::new(
+        let sink = TokenSink::with_lanes(
             name.clone(),
             channel.clone(),
             (0..self.lanes).map(per_lane).collect(),
@@ -468,9 +469,10 @@ mod tests {
     }
 
     /// An unbounded budget after some elapsed cycles saturates instead
-    /// of overflowing: the run stops at the end of time. (A packed
-    /// batch's endpoints never quiesce, so the clock is moved near the
-    /// end through a checkpoint rather than by jumping.)
+    /// of overflowing: the run stops at the end of time. (This batch's
+    /// endpoints have randomly stalling lanes and never quiesce, so the
+    /// clock is moved near the end through a checkpoint rather than by
+    /// jumping.)
     #[test]
     fn unbounded_run_saturates_after_elapsed_cycles() {
         let mut batch = build_batch(2, false);
@@ -507,6 +509,45 @@ mod tests {
         let mut soc = b.build();
         soc.run(400).unwrap();
         (soc.received("out"), soc.violations())
+    }
+
+    /// With every lane deterministic, the packed endpoints quiesce and
+    /// sleep as their solo twins do: the batch jumps over the sinks'
+    /// stall spans, and every lane still matches its solo run.
+    #[test]
+    fn deterministic_batch_fast_forwards_like_solo_runs() {
+        let lanes = 3;
+        let tokens = |lane: usize| (1..=10u64).map(move |v| v * (lane as u64 + 1));
+        let accept = |lane: usize| StallPattern::Periodic {
+            on: 2,
+            period: 32 + 16 * lane as u64,
+            phase: 0,
+        };
+        let mut b = FleetBuilder::new(lanes);
+        let ip = b.add_ip_full_netlist("acc", lane_pearls(lanes), WrapperKind::Sp);
+        b.feed("src", &ip.inputs[0], |lane| {
+            (tokens(lane).collect(), StallPattern::None, 0)
+        });
+        b.capture("out", &ip.outputs[0], |lane| (accept(lane), 0));
+        let mut batch = b.build();
+        batch.run(1000).unwrap();
+        let jumped = batch.system_mut().scheduler_stats().cycles_fast_forwarded;
+        assert!(jumped > 0, "a deterministic batch must fast-forward");
+        for lane in 0..lanes {
+            let mut b = SocBuilder::new();
+            let pearl = Box::new(AccumulatorPearl::new("acc", 1, 1, 2));
+            let ip = b.add_ip_full_netlist("acc", pearl, WrapperKind::Sp);
+            b.feed("src", ip.inputs[0], tokens(lane), StallPattern::None, 0);
+            b.capture("out", ip.outputs[0], accept(lane), 0);
+            let mut soc = b.build();
+            soc.run(1000).unwrap();
+            assert_eq!(soc.received("out").len(), 10, "lane {lane} drains");
+            assert_eq!(
+                batch.received("out", lane),
+                soc.received("out"),
+                "lane {lane}"
+            );
+        }
     }
 
     #[test]

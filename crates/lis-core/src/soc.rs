@@ -9,51 +9,13 @@ use crate::{Fabric, IpHandle};
 use lis_netlist::Module;
 use lis_proto::{
     LisChannel, Pearl, RelayStation, SeqSink, SeqSource, StallControl, StallPattern, TokenSink,
-    TokenSource, ViolationCounter,
+    TokenSource, ViolationCounter, Wire,
 };
-use lis_sim::{
-    Activity, Component, Ports, SchedulerStats, SettleMode, SignalView, SimError, System, Trace,
-};
+use lis_sim::{SchedulerStats, SettleMode, SimError, System, Trace};
 use lis_wrappers::{wrap_pearl, wrap_pearl_full_netlist, PatientStats, SyncPolicy, WrapperKind};
 use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
-
-/// A zero-latency connector: forwards `data`/`void` downstream and
-/// `stop` upstream, combinationally. Shared with the fleet builder.
-#[derive(Debug)]
-pub(crate) struct Wire {
-    pub(crate) name: String,
-    pub(crate) up: LisChannel,
-    pub(crate) down: LisChannel,
-}
-
-impl Component for Wire {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn ports(&self) -> Ports {
-        // Fully combinational in both directions.
-        self.up
-            .downstream_reads()
-            .merge(self.up.consumer_ports())
-            .merge(self.down.producer_ports())
-            .merge(self.down.stop_reads())
-    }
-
-    fn eval(&mut self, sigs: &mut SignalView<'_>) {
-        let tok = self.up.read_token(sigs);
-        self.down.write_token(sigs, tok);
-        let stop = self.down.read_stop(sigs);
-        self.up.write_stop(sigs, stop);
-    }
-
-    fn tick(&mut self, _sigs: &SignalView<'_>) -> Activity {
-        // Stateless: re-evaluated only when a wire it reads changes.
-        Activity::Quiescent
-    }
-}
 
 /// Incremental SoC constructor.
 ///
@@ -218,11 +180,8 @@ impl SocBuilder {
             &self.violations,
         );
         let n = self.system.component_count();
-        self.system.add_component(Wire {
-            name: format!("wire{n}"),
-            up: tail,
-            down: to,
-        });
+        self.system
+            .add_component(Wire::new(format!("wire{n}"), tail, to));
     }
 
     /// Attaches a token source to `channel`. `stall` is a
@@ -251,7 +210,7 @@ impl SocBuilder {
     ) {
         let name = name.into();
         let sink = TokenSink::new(name.clone(), channel).with_stall_pattern(stall, seed);
-        self.sinks.insert(name, sink.received());
+        self.sinks.insert(name, sink.received(0));
         self.system.add_component(sink);
     }
 
@@ -271,16 +230,16 @@ impl SocBuilder {
 
     /// Attaches an adversary sequence sink to `channel`. Order faults
     /// (dropped or duplicated tokens) land on the SoC-wide violation
-    /// counter reported by [`Soc::violations`]; the returned atomic
-    /// counts informative deliveries, the progress signal a deadlock
-    /// check watches.
+    /// counter reported by [`Soc::violations`]; the returned one-lane
+    /// counter counts informative deliveries, the progress signal a
+    /// deadlock check watches.
     pub fn adversary_capture(
         &mut self,
         name: impl Into<String>,
         channel: LisChannel,
         control: StallControl,
         modulus: u64,
-    ) -> Arc<AtomicU64> {
+    ) -> Arc<[AtomicU64]> {
         let sink = SeqSink::new(name, channel, control, modulus, &self.violations);
         let delivered = sink.delivered();
         self.system.add_component(sink);

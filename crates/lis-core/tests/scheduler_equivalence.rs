@@ -8,7 +8,7 @@
 //! chunk boundaries.
 
 use lis_core::SocBuilder;
-use lis_proto::{AccumulatorPearl, Deserializer, LisChannel, Serializer, StallPattern};
+use lis_proto::{AccumulatorPearl, Deserializer, Lanes, LisChannel, Serializer, StallPattern};
 use lis_sim::SettleMode;
 use lis_wrappers::WrapperKind;
 use proptest::prelude::*;

@@ -7,6 +7,7 @@
 //! latency-insensitive, never dropping a token.
 
 use crate::channel::LisChannel;
+use crate::lanes::Lanes;
 use crate::token::Token;
 use lis_sim::{Activity, Component, Ports, SignalView};
 
@@ -203,7 +204,7 @@ mod tests {
         sys.add_component(TokenSource::new("src", wide, vec![0xBEEF, 0x1234]));
         sys.add_component(Serializer::new("ser", wide, narrow));
         let sink = TokenSink::new("sink", narrow);
-        let got = sink.received();
+        let got = sink.received(0);
         sys.add_component(sink);
         sys.run(20).unwrap();
         assert_eq!(*got.lock().unwrap(), vec![0xEF, 0xBE, 0x34, 0x12]);
@@ -221,7 +222,7 @@ mod tests {
         ));
         sys.add_component(Deserializer::new("des", narrow, wide));
         let sink = TokenSink::new("sink", wide);
-        let got = sink.received();
+        let got = sink.received(0);
         sys.add_component(sink);
         sys.run(30).unwrap();
         assert_eq!(*got.lock().unwrap(), vec![0xBEEF, 0x1234]);
@@ -240,7 +241,7 @@ mod tests {
         sys.add_component(Serializer::new("ser", wide_in, narrow));
         sys.add_component(Deserializer::new("des", narrow, wide_out));
         let sink = TokenSink::new("sink", wide_out).with_stalls(0.3, 42);
-        let got = sink.received();
+        let got = sink.received(0);
         sys.add_component(sink);
         sys.run(800).unwrap();
         assert_eq!(*got.lock().unwrap(), words);

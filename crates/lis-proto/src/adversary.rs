@@ -25,10 +25,9 @@
 //!   explorer can diff counts across a single transition.
 
 use crate::channel::LisChannel;
-use crate::packed::PackedLisChannel;
+use crate::lanes::{lanes_in, load_every_lane, save_every_lane, Lanes};
 use crate::relay::ViolationCounter;
-use crate::token::Token;
-use lis_sim::{Activity, Component, Ports, SignalView, LANES};
+use lis_sim::{Activity, Component, Ports, SignalView};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -60,52 +59,43 @@ impl StallControl {
     }
 }
 
-// ---------------------------------------------------------------------
-// Scalar adversaries.
-// ---------------------------------------------------------------------
-
 /// An adversary producer: emits the sequence `0, 1, …` modulo
-/// `modulus` on its channel, holding (void) whenever its
-/// [`StallControl`] says so. Advances past a number only when the
-/// protocol transfer condition held (`stop == 0` and not stalled).
+/// `modulus` on every lane of its channel, holding (void) on the lanes
+/// its [`StallControl`] stalls. A lane advances past a number only when
+/// the protocol transfer condition held there (`stop == 0` and not
+/// stalled).
 #[derive(Debug)]
-pub struct SeqSource {
+pub struct SeqSource<C: Lanes = LisChannel> {
     name: String,
-    channel: LisChannel,
+    channel: C,
     control: StallControl,
     modulus: u64,
-    seq: u64,
+    /// Each lane's next sequence number.
+    seqs: Vec<u64>,
     tick: u64,
+    /// The offered sequence numbers, reused across evals.
+    offer: C::Reg,
 }
 
-impl SeqSource {
+impl<C: Lanes> SeqSource<C> {
     /// Creates the source on `channel`. `modulus` bounds the sequence
-    /// counter; it must exceed the closed configuration's total token
+    /// counters; it must exceed the closed configuration's total token
     /// capacity for the conservation ledger to be unambiguous.
-    pub fn new(
-        name: impl Into<String>,
-        channel: LisChannel,
-        control: StallControl,
-        modulus: u64,
-    ) -> Self {
+    pub fn new(name: impl Into<String>, channel: C, control: StallControl, modulus: u64) -> Self {
         assert!(modulus >= 2, "sequence modulus must be at least 2");
         SeqSource {
             name: name.into(),
+            offer: channel.register(),
             channel,
             control,
             modulus,
-            seq: 0,
+            seqs: vec![0; C::LANE_COUNT],
             tick: 0,
         }
     }
-
-    /// The next sequence number the source will emit.
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
 }
 
-impl Component for SeqSource {
+impl<C: Lanes> Component for SeqSource<C> {
     fn name(&self) -> &str {
         &self.name
     }
@@ -115,19 +105,18 @@ impl Component for SeqSource {
     }
 
     fn eval(&mut self, sigs: &mut SignalView<'_>) {
-        let stalled = self.control.mask_at(self.tick) & 1 != 0;
-        let tok = if stalled {
-            Token::Void
-        } else {
-            Token::Data(self.seq)
-        };
-        self.channel.write_token(sigs, tok);
+        let offered = C::LANE_MASK & !self.control.mask_at(self.tick);
+        self.offer.as_mut().fill(0);
+        for lane in lanes_in(offered) {
+            C::deposit(&mut self.offer, lane, self.seqs[lane]);
+        }
+        self.channel.drive(sigs, &self.offer, offered);
     }
 
     fn tick(&mut self, sigs: &SignalView<'_>) -> Activity {
-        let stalled = self.control.mask_at(self.tick) & 1 != 0;
-        if !stalled && !self.channel.read_stop(sigs) {
-            self.seq = (self.seq + 1) % self.modulus;
+        let stall = self.control.mask_at(self.tick);
+        for lane in lanes_in(C::LANE_MASK & !stall & !self.channel.stop_lanes(sigs)) {
+            self.seqs[lane] = (self.seqs[lane] + 1) % self.modulus;
         }
         self.tick += 1;
         // The kernel cannot observe the external mask changing, so an
@@ -136,302 +125,99 @@ impl Component for SeqSource {
     }
 
     fn save_state(&self, out: &mut Vec<u64>) {
-        out.push(self.seq);
-        if self.control.scripted() {
-            out.push(self.tick);
-        }
+        save_every_lane(self, C::LANE_COUNT, out);
     }
 
     fn load_state(&mut self, data: &[u64]) {
-        self.seq = data[0];
-        if self.control.scripted() {
-            self.tick = data[1];
+        load_every_lane(self, C::LANE_COUNT, data);
+    }
+
+    fn save_lanes_state(&self, first: usize, outs: &mut [Vec<u64>]) {
+        for (out, &seq) in outs.iter_mut().zip(&self.seqs[first..]) {
+            out.push(seq);
+            if self.control.scripted() {
+                out.push(self.tick);
+            }
+        }
+    }
+
+    fn load_lanes_state(&mut self, first: usize, blobs: &[&[u64]]) {
+        for (seq, data) in self.seqs[first..].iter_mut().zip(blobs) {
+            *seq = data[0];
+            if self.control.scripted() {
+                self.tick = data[1];
+            }
         }
     }
 }
 
 /// An adversary consumer: expects the sequence `0, 1, …` modulo
-/// `modulus`, asserting `stop` whenever its [`StallControl`] says so.
+/// `modulus` on every lane of its channel, asserting `stop` on the
+/// lanes its [`StallControl`] stalls.
 ///
-/// Any deviation from the expected order — a skip (dropped token) or a
-/// repeat (duplicated token) — is recorded on the order
-/// [`ViolationCounter`]; after a mismatch the expectation resynchronizes
-/// to `value + 1` so one fault is counted once, not once per subsequent
-/// token. Every informative delivery bumps the external `delivered`
-/// atomic, the monotone progress signal the deadlock check watches.
+/// Any deviation from the expected order on a lane — a skip (dropped
+/// token) or a repeat (duplicated token) — is recorded on that lane's
+/// order [`ViolationCounter`]; after a mismatch the expectation
+/// resynchronizes to `value + 1` so one fault is counted once, not once
+/// per subsequent token. Every informative delivery bumps the lane's
+/// external `delivered` atomic, the monotone progress signal the
+/// deadlock check watches.
 #[derive(Debug)]
-pub struct SeqSink {
+pub struct SeqSink<C: Lanes = LisChannel> {
     name: String,
-    channel: LisChannel,
+    channel: C,
     control: StallControl,
     modulus: u64,
-    expect: u64,
-    tick: u64,
-    order_violations: ViolationCounter,
-    delivered: Arc<AtomicU64>,
-}
-
-impl SeqSink {
-    /// Creates the sink on `channel`; order faults land on
-    /// `order_violations`.
-    pub fn new(
-        name: impl Into<String>,
-        channel: LisChannel,
-        control: StallControl,
-        modulus: u64,
-        order_violations: &ViolationCounter,
-    ) -> Self {
-        assert!(modulus >= 2, "sequence modulus must be at least 2");
-        SeqSink {
-            name: name.into(),
-            channel,
-            control,
-            modulus,
-            expect: 0,
-            tick: 0,
-            order_violations: order_violations.clone(),
-            delivered: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
-    /// The next sequence number the sink expects.
-    pub fn expect(&self) -> u64 {
-        self.expect
-    }
-
-    /// Shared handle to the monotone delivered-token counter.
-    pub fn delivered(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.delivered)
-    }
-}
-
-impl Component for SeqSink {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn ports(&self) -> Ports {
-        self.channel.consumer_ports()
-    }
-
-    fn eval(&mut self, sigs: &mut SignalView<'_>) {
-        let stalled = self.control.mask_at(self.tick) & 1 != 0;
-        self.channel.write_stop(sigs, stalled);
-    }
-
-    fn tick(&mut self, sigs: &SignalView<'_>) -> Activity {
-        let stalled = self.control.mask_at(self.tick) & 1 != 0;
-        if !stalled {
-            if let Token::Data(v) = self.channel.read_token(sigs) {
-                if v != self.expect {
-                    self.order_violations.record();
-                    self.expect = (v + 1) % self.modulus;
-                } else {
-                    self.expect = (self.expect + 1) % self.modulus;
-                }
-                self.delivered.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        self.tick += 1;
-        Activity::Active
-    }
-
-    fn save_state(&self, out: &mut Vec<u64>) {
-        out.push(self.expect);
-        if self.control.scripted() {
-            out.push(self.tick);
-        }
-    }
-
-    fn load_state(&mut self, data: &[u64]) {
-        self.expect = data[0];
-        if self.control.scripted() {
-            self.tick = data[1];
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Packed (64-lane) adversaries.
-// ---------------------------------------------------------------------
-
-/// The packed twin of [`SeqSource`]: 64 independent sequence counters,
-/// one per lane, stalled lane-wise by the control mask. Lanes outside
-/// `active_mask` emit void forever (idle branches of a partially filled
-/// frontier batch).
-#[derive(Debug)]
-pub struct PackedSeqSource {
-    name: String,
-    channel: PackedLisChannel,
-    control: StallControl,
-    modulus: u64,
-    seqs: Vec<u64>,
-    active_mask: u64,
-    tick: u64,
-}
-
-impl PackedSeqSource {
-    /// Creates the source on `channel`.
-    pub fn new(
-        name: impl Into<String>,
-        channel: PackedLisChannel,
-        control: StallControl,
-        modulus: u64,
-        active_mask: u64,
-    ) -> Self {
-        assert!(modulus >= 2, "sequence modulus must be at least 2");
-        PackedSeqSource {
-            name: name.into(),
-            channel,
-            control,
-            modulus,
-            seqs: vec![0; LANES],
-            active_mask,
-            tick: 0,
-        }
-    }
-
-    /// Sets which lanes carry live adversary branches.
-    pub fn set_active_mask(&mut self, mask: u64) {
-        self.active_mask = mask;
-    }
-
-    /// Lane `lane`'s next sequence number.
-    pub fn seq(&self, lane: usize) -> u64 {
-        self.seqs[lane]
-    }
-}
-
-impl Component for PackedSeqSource {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn ports(&self) -> Ports {
-        self.channel.producer_ports()
-    }
-
-    fn eval(&mut self, sigs: &mut SignalView<'_>) {
-        let stall = self.control.mask_at(self.tick);
-        let offer = self.active_mask & !stall;
-        let mut planes = vec![0u64; self.channel.width as usize];
-        for lane in 0..LANES {
-            if offer & (1 << lane) != 0 {
-                PackedLisChannel::scatter_value(&mut planes, lane, self.seqs[lane]);
-            }
-        }
-        self.channel.write_planes(sigs, &planes);
-        self.channel.write_void(sigs, !offer);
-    }
-
-    fn tick(&mut self, sigs: &SignalView<'_>) -> Activity {
-        let stall = self.control.mask_at(self.tick);
-        let transferred = self.active_mask & !stall & !self.channel.read_stop(sigs);
-        for lane in 0..LANES {
-            if transferred & (1 << lane) != 0 {
-                self.seqs[lane] = (self.seqs[lane] + 1) % self.modulus;
-            }
-        }
-        self.tick += 1;
-        Activity::Active
-    }
-
-    fn save_state(&self, out: &mut Vec<u64>) {
-        out.extend_from_slice(&self.seqs);
-        if self.control.scripted() {
-            out.push(self.tick);
-        }
-    }
-
-    fn load_state(&mut self, data: &[u64]) {
-        self.seqs.copy_from_slice(&data[..LANES]);
-        if self.control.scripted() {
-            self.tick = data[LANES];
-        }
-    }
-
-    fn save_lanes_state(&self, first: usize, outs: &mut [Vec<u64>]) {
-        let words = &self.seqs[first..first + outs.len()];
-        for (out, &word) in outs.iter_mut().zip(words) {
-            out.push(word);
-        }
-    }
-
-    fn load_lanes_state(&mut self, first: usize, blobs: &[&[u64]]) {
-        for (word, data) in self.seqs[first..first + blobs.len()].iter_mut().zip(blobs) {
-            *word = data[0];
-        }
-    }
-}
-
-/// The packed twin of [`SeqSink`]: 64 independent expectation counters
-/// with per-lane order-violation counters and per-lane monotone
-/// delivered counters.
-#[derive(Debug)]
-pub struct PackedSeqSink {
-    name: String,
-    channel: PackedLisChannel,
-    control: StallControl,
-    modulus: u64,
+    /// Each lane's next expected sequence number.
     expects: Vec<u64>,
-    active_mask: u64,
     tick: u64,
     order_violations: Vec<ViolationCounter>,
-    delivered: Arc<Vec<AtomicU64>>,
+    delivered: Arc<[AtomicU64]>,
+    /// The delivered sequence numbers, reused across ticks.
+    taken: C::Reg,
 }
 
-impl PackedSeqSink {
+impl<C: Lanes> SeqSink<C> {
     /// Creates the sink on `channel`; lane *k*'s order faults land on
-    /// `order_violations[k]`.
+    /// `order_violations[k]` (a bare counter for a scalar channel).
     ///
     /// # Panics
     ///
-    /// Panics if `order_violations` does not hold exactly
-    /// [`LANES`] counters.
+    /// Panics unless there is exactly one order counter per lane.
     pub fn new(
         name: impl Into<String>,
-        channel: PackedLisChannel,
+        channel: C,
         control: StallControl,
         modulus: u64,
-        active_mask: u64,
-        order_violations: &[ViolationCounter],
+        order_violations: impl AsRef<[ViolationCounter]>,
     ) -> Self {
         assert!(modulus >= 2, "sequence modulus must be at least 2");
+        let order_violations = order_violations.as_ref().to_vec();
         assert_eq!(
             order_violations.len(),
-            LANES,
-            "packed sink needs one order counter per lane"
+            C::LANE_COUNT,
+            "a sequence sink needs one order counter per lane"
         );
-        PackedSeqSink {
+        SeqSink {
             name: name.into(),
+            taken: channel.register(),
             channel,
             control,
             modulus,
-            expects: vec![0; LANES],
-            active_mask,
+            expects: vec![0; C::LANE_COUNT],
             tick: 0,
-            order_violations: order_violations.to_vec(),
-            delivered: Arc::new((0..LANES).map(|_| AtomicU64::new(0)).collect()),
+            order_violations,
+            delivered: (0..C::LANE_COUNT).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
-    /// Sets which lanes carry live adversary branches.
-    pub fn set_active_mask(&mut self, mask: u64) {
-        self.active_mask = mask;
-    }
-
-    /// Lane `lane`'s next expected sequence number.
-    pub fn expect(&self, lane: usize) -> u64 {
-        self.expects[lane]
-    }
-
-    /// Shared handle to the per-lane monotone delivered counters.
-    pub fn delivered(&self) -> Arc<Vec<AtomicU64>> {
+    /// Shared handle to the per-lane monotone delivered-token counters.
+    pub fn delivered(&self) -> Arc<[AtomicU64]> {
         Arc::clone(&self.delivered)
     }
 }
 
-impl Component for PackedSeqSink {
+impl<C: Lanes> Component for SeqSink<C> {
     fn name(&self) -> &str {
         &self.name
     }
@@ -442,60 +228,49 @@ impl Component for PackedSeqSink {
 
     fn eval(&mut self, sigs: &mut SignalView<'_>) {
         let stall = self.control.mask_at(self.tick);
-        self.channel.write_stop(sigs, stall | !self.active_mask);
+        self.channel.set_stop_lanes(sigs, stall | !C::LANE_MASK);
     }
 
     fn tick(&mut self, sigs: &SignalView<'_>) -> Activity {
         let stall = self.control.mask_at(self.tick);
-        let void = self.channel.read_void(sigs);
-        let transferred = self.active_mask & !stall & !void;
-        if transferred != 0 {
-            let mut planes = vec![0u64; self.channel.width as usize];
-            self.channel.read_planes_into(sigs, &mut planes);
-            for lane in 0..LANES {
-                if transferred & (1 << lane) != 0 {
-                    let v = PackedLisChannel::lane_value(&planes, lane);
-                    if v != self.expects[lane] {
-                        self.order_violations[lane].record();
-                        self.expects[lane] = (v + 1) % self.modulus;
-                    } else {
-                        self.expects[lane] = (self.expects[lane] + 1) % self.modulus;
-                    }
-                    self.delivered[lane].fetch_add(1, Ordering::Relaxed);
-                }
+        let taken = C::LANE_MASK & !stall & self.channel.token_lanes(sigs);
+        self.channel.sample(sigs, &mut self.taken, taken);
+        for lane in lanes_in(taken) {
+            let v = C::lane_value(&self.taken, lane);
+            let expect = &mut self.expects[lane];
+            if v != *expect {
+                self.order_violations[lane].record();
             }
+            *expect = (v + 1) % self.modulus;
+            self.delivered[lane].fetch_add(1, Ordering::Relaxed);
         }
         self.tick += 1;
         Activity::Active
     }
 
     fn save_state(&self, out: &mut Vec<u64>) {
-        out.extend_from_slice(&self.expects);
-        if self.control.scripted() {
-            out.push(self.tick);
-        }
+        save_every_lane(self, C::LANE_COUNT, out);
     }
 
     fn load_state(&mut self, data: &[u64]) {
-        self.expects.copy_from_slice(&data[..LANES]);
-        if self.control.scripted() {
-            self.tick = data[LANES];
-        }
+        load_every_lane(self, C::LANE_COUNT, data);
     }
 
     fn save_lanes_state(&self, first: usize, outs: &mut [Vec<u64>]) {
-        let words = &self.expects[first..first + outs.len()];
-        for (out, &word) in outs.iter_mut().zip(words) {
-            out.push(word);
+        for (out, &expect) in outs.iter_mut().zip(&self.expects[first..]) {
+            out.push(expect);
+            if self.control.scripted() {
+                out.push(self.tick);
+            }
         }
     }
 
     fn load_lanes_state(&mut self, first: usize, blobs: &[&[u64]]) {
-        for (word, data) in self.expects[first..first + blobs.len()]
-            .iter_mut()
-            .zip(blobs)
-        {
-            *word = data[0];
+        for (expect, data) in self.expects[first..].iter_mut().zip(blobs) {
+            *expect = data[0];
+            if self.control.scripted() {
+                self.tick = data[1];
+            }
         }
     }
 }
@@ -503,7 +278,8 @@ impl Component for PackedSeqSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lis_sim::System;
+    use crate::{PackedLisChannel, Token};
+    use lis_sim::{System, LANES};
 
     const M: u64 = 64;
 
@@ -534,7 +310,7 @@ mod tests {
         let delivered = sink.delivered();
         sys.add_component(sink);
         sys.run(10).unwrap();
-        assert_eq!(delivered.load(Ordering::Relaxed), 10);
+        assert_eq!(delivered[0].load(Ordering::Relaxed), 10);
         assert_eq!(order.count(), 0);
     }
 
@@ -555,13 +331,13 @@ mod tests {
         sys.add_component(sink);
         sys.run(5).unwrap();
         assert_eq!(
-            delivered.load(Ordering::Relaxed),
+            delivered[0].load(Ordering::Relaxed),
             0,
             "stalled source is void"
         );
         src_stall.store(0, Ordering::Relaxed);
         sys.run(5).unwrap();
-        assert_eq!(delivered.load(Ordering::Relaxed), 5);
+        assert_eq!(delivered[0].load(Ordering::Relaxed), 5);
         assert_eq!(order.count(), 0);
     }
 
@@ -599,21 +375,19 @@ mod tests {
         let mut sys = System::new();
         let ch = PackedLisChannel::new(&mut sys, "c", 32);
         let counters = all_lanes();
-        let active = 0b111u64;
-        sys.add_component(PackedSeqSource::new(
+        // Stall lane 3 at the source for the whole run.
+        sys.add_component(SeqSource::new(
             "src",
             ch.clone(),
-            StallControl::Scripted(vec![]),
+            StallControl::Scripted(vec![0b1000; 10]),
             M,
-            active,
         ));
         // Stall lane 1 for the first 4 cycles.
-        let sink = PackedSeqSink::new(
+        let sink = SeqSink::new(
             "snk",
             ch.clone(),
             StallControl::Scripted(vec![0b010; 4]),
             M,
-            active,
             &counters,
         );
         let delivered = sink.delivered();
@@ -625,7 +399,7 @@ mod tests {
         assert_eq!(
             delivered[3].load(Ordering::Relaxed),
             0,
-            "inactive lane is idle"
+            "a lane stalled at the source is idle"
         );
         assert!(counters.iter().all(|c| c.count() == 0));
     }
@@ -635,19 +409,17 @@ mod tests {
         let mut sys = System::new();
         let ch = PackedLisChannel::new(&mut sys, "c", 32);
         let counters = all_lanes();
-        sys.add_component(PackedSeqSource::new(
+        sys.add_component(SeqSource::new(
             "src",
             ch.clone(),
             StallControl::Scripted(vec![]),
             M,
-            u64::MAX,
         ));
-        let sink = PackedSeqSink::new(
+        let sink = SeqSink::new(
             "snk",
             ch.clone(),
             StallControl::Scripted(vec![]),
             M,
-            u64::MAX,
             &counters,
         );
         sys.add_component(sink);
@@ -667,13 +439,12 @@ mod tests {
     fn packed_source_keeps_void_lanes_data_free() {
         let mut sys = System::new();
         let ch = PackedLisChannel::new(&mut sys, "c", 32);
-        sys.add_component(PackedSeqSource::new(
+        sys.add_component(SeqSource::new(
             "src",
             ch.clone(),
             // Stall lanes 0..32 on the first cycle.
             StallControl::Scripted(vec![0xFFFF_FFFF]),
             M,
-            u64::MAX,
         ));
         sys.run(2).unwrap();
         // After two transfers-or-stalls, check the settled planes obey

@@ -1,7 +1,7 @@
 //! Channel wiring: the signal bundle of one point-to-point LIS link.
 
 use crate::token::Token;
-use lis_sim::{Ports, SignalId, SignalView, System};
+use lis_sim::{SignalId, SignalView, System};
 
 /// The three wires of a latency-insensitive channel segment:
 /// `data`/`void` travel downstream, `stop` travels upstream.
@@ -38,36 +38,6 @@ impl LisChannel {
         }
     }
 
-    /// Declared ports of a *registered* producer on this channel (Moore
-    /// outputs): eval writes `data`/`void`; `stop` is sampled at the
-    /// clock edge, so it is a tick-phase read — which is also what wakes
-    /// a quiescent producer when downstream back-pressure changes.
-    pub fn producer_ports(&self) -> Ports {
-        Ports::writes_only([self.data, self.void]).tick_read(self.stop)
-    }
-
-    /// Declared ports of a *registered* consumer: eval writes `stop`;
-    /// the token wires are sampled at the clock edge (tick-phase reads,
-    /// waking a quiescent consumer when a token arrives).
-    pub fn consumer_ports(&self) -> Ports {
-        Ports::writes_only([self.stop])
-            .tick_read(self.data)
-            .tick_read(self.void)
-    }
-
-    /// Extra declaration for a stage reading the token wires
-    /// *combinationally* during eval (zero-latency connectors,
-    /// gate-level shells).
-    pub fn downstream_reads(&self) -> Ports {
-        Ports::reads_only([self.data, self.void])
-    }
-
-    /// Extra declaration for a stage reading back-pressure
-    /// combinationally during eval.
-    pub fn stop_reads(&self) -> Ports {
-        Ports::reads_only([self.stop])
-    }
-
     /// Reads the downstream token from a signal view.
     pub fn read_token(&self, sigs: &SignalView<'_>) -> Token {
         Token::from_wires(sigs.get(self.data), sigs.get_bool(self.void))
@@ -94,6 +64,7 @@ impl LisChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Lanes;
     use lis_sim::FnComponent;
 
     #[test]

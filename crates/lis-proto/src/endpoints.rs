@@ -11,7 +11,7 @@
 //! over whole stall spans.
 
 use crate::channel::LisChannel;
-use crate::token::Token;
+use crate::lanes::{assert_lanes, combine, Lanes};
 use lis_sim::{Activity, Component, Ports, SignalView};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -49,13 +49,14 @@ pub enum StallPattern {
 }
 
 impl StallPattern {
-    /// Whether the schedule stalls at `cycle` ([`StallPattern::Random`]
-    /// is *not* cycle-determined; this reports `false` for it — random
-    /// endpoints track their stall as state instead).
-    pub(crate) fn scheduled_stall_at(self, cycle: u64) -> bool {
+    /// Whether an endpoint lane on this pattern stalls at `cycle`. A
+    /// [`StallPattern::Random`] lane is *not* cycle-determined: it
+    /// tracks its stall as state, passed in as `random`.
+    fn stalls(self, random: bool, cycle: u64) -> bool {
         match self {
+            StallPattern::None => false,
+            StallPattern::Random(_) => random,
             StallPattern::Periodic { on, period, phase } => (cycle + phase) % period >= on,
-            _ => false,
         }
     }
 
@@ -85,7 +86,7 @@ impl StallPattern {
         }
     }
 
-    pub(crate) fn validate(self) {
+    fn validate(self) {
         match self {
             StallPattern::None => {}
             StallPattern::Random(p) => {
@@ -133,20 +134,33 @@ impl From<f64> for StallPattern {
     }
 }
 
-/// A producer driving a predefined token sequence onto a channel,
-/// honouring back-pressure, optionally skipping cycles (emitting void)
-/// per its [`StallPattern`].
+/// One lane of a [`TokenSource`]: its own queue, stall schedule and RNG
+/// stream.
 #[derive(Debug)]
-pub struct TokenSource {
-    name: String,
-    channel: LisChannel,
+struct SourceLane {
     pending: VecDeque<u64>,
     pattern: StallPattern,
     rng: StdRng,
-    /// Whether this cycle is a self-inflicted random stall (decided per
-    /// cycle; scheduled stalls are computed from the clock instead).
-    stalling: bool,
     sent: Arc<Mutex<Vec<u64>>>,
+}
+
+/// A producer driving a predefined token sequence onto a channel,
+/// honouring back-pressure, optionally skipping cycles (emitting void)
+/// per its [`StallPattern`].
+///
+/// On a packed channel each lane drives its own sequence with its own
+/// pattern and seed, exactly as a solo source would; lanes past the
+/// last populated one stay void.
+#[derive(Debug)]
+pub struct TokenSource<C: Lanes = LisChannel> {
+    name: String,
+    channel: C,
+    lanes: Vec<SourceLane>,
+    /// Lanes stalling this cycle on their own random draw (decided per
+    /// cycle; scheduled stalls are computed from the clock instead).
+    stalling: u64,
+    /// The offered payloads, reused across evals.
+    offer: C::Reg,
 }
 
 impl TokenSource {
@@ -156,15 +170,8 @@ impl TokenSource {
         channel: LisChannel,
         tokens: impl IntoIterator<Item = u64>,
     ) -> Self {
-        TokenSource {
-            name: name.into(),
-            channel,
-            pending: tokens.into_iter().collect(),
-            pattern: StallPattern::None,
-            rng: StdRng::seed_from_u64(0),
-            stalling: false,
-            sent: Arc::new(Mutex::new(Vec::new())),
-        }
+        let tokens = tokens.into_iter().collect();
+        TokenSource::with_lanes(name, channel, vec![(tokens, StallPattern::None, 0)])
     }
 
     /// Makes the source skip cycles with the given probability
@@ -181,30 +188,59 @@ impl TokenSource {
     pub fn with_stall_pattern(mut self, pattern: impl Into<StallPattern>, seed: u64) -> Self {
         let pattern = pattern.into();
         pattern.validate();
-        self.pattern = pattern;
-        self.rng = StdRng::seed_from_u64(seed);
+        self.lanes[0].pattern = pattern;
+        self.lanes[0].rng = StdRng::seed_from_u64(seed);
         self
-    }
-
-    /// Handle to the list of tokens actually sent (in order).
-    pub fn sent(&self) -> Arc<Mutex<Vec<u64>>> {
-        Arc::clone(&self.sent)
-    }
-
-    /// Tokens not yet emitted.
-    pub fn remaining(&self) -> usize {
-        self.pending.len()
-    }
-
-    fn stalled_at(&self, cycle: u64) -> bool {
-        match self.pattern {
-            StallPattern::Random(_) => self.stalling,
-            pattern => pattern.scheduled_stall_at(cycle),
-        }
     }
 }
 
-impl Component for TokenSource {
+impl<C: Lanes> TokenSource<C> {
+    /// Creates a source on `channel`; `lanes[k]` supplies lane `k`'s
+    /// tokens, stall pattern and stall seed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lane count is not in 1 to [`Lanes::LANE_COUNT`] or
+    /// any pattern is invalid.
+    pub fn with_lanes(
+        name: impl Into<String>,
+        channel: C,
+        lanes: Vec<(Vec<u64>, StallPattern, u64)>,
+    ) -> Self {
+        assert_lanes::<C>(lanes.len());
+        let lanes = lanes
+            .into_iter()
+            .map(|(tokens, pattern, seed)| {
+                pattern.validate();
+                SourceLane {
+                    pending: tokens.into(),
+                    pattern,
+                    rng: StdRng::seed_from_u64(seed),
+                    sent: Arc::new(Mutex::new(Vec::new())),
+                }
+            })
+            .collect();
+        TokenSource {
+            name: name.into(),
+            offer: channel.register(),
+            channel,
+            lanes,
+            stalling: 0,
+        }
+    }
+
+    /// Handle to the tokens lane `lane` actually sent (in order).
+    pub fn sent(&self, lane: usize) -> Arc<Mutex<Vec<u64>>> {
+        Arc::clone(&self.lanes[lane].sent)
+    }
+
+    /// Tokens lane `lane` has not yet emitted.
+    pub fn remaining(&self, lane: usize) -> usize {
+        self.lanes[lane].pending.len()
+    }
+}
+
+impl<C: Lanes> Component for TokenSource<C> {
     fn name(&self) -> &str {
         &self.name
     }
@@ -214,94 +250,117 @@ impl Component for TokenSource {
     }
 
     fn eval(&mut self, sigs: &mut SignalView<'_>) {
-        let tok = if self.stalled_at(sigs.cycle()) {
-            Token::Void
-        } else {
-            self.pending
-                .front()
-                .map_or(Token::Void, |&v| Token::Data(v))
-        };
-        self.channel.write_token(sigs, tok);
+        let cycle = sigs.cycle();
+        let mut offered = 0;
+        self.offer.as_mut().fill(0);
+        for (lane, l) in self.lanes.iter().enumerate() {
+            if l.pattern.stalls((self.stalling >> lane) & 1 == 1, cycle) {
+                continue;
+            }
+            if let Some(&v) = l.pending.front() {
+                offered |= 1 << lane;
+                C::deposit(&mut self.offer, lane, v);
+            }
+        }
+        self.channel.drive(sigs, &self.offer, offered);
     }
 
     fn tick(&mut self, sigs: &SignalView<'_>) -> Activity {
-        let mut changed = false;
-        if !self.stalled_at(sigs.cycle()) && !self.channel.read_stop(sigs) {
-            if let Some(v) = self.pending.pop_front() {
-                self.sent.lock().unwrap().push(v);
-                changed = true;
-            }
-        }
-        match self.pattern {
-            // Decide next cycle's stall. A randomly stalling source must
-            // keep ticking every cycle: the RNG stream is state, and it
-            // must advance exactly as in the legacy modes for runs to
-            // stay bit-identical.
-            StallPattern::Random(p) => {
-                self.stalling = self.rng.random_bool(p);
-                Activity::Active
-            }
-            // Deterministic source: quiescent once drained or held by
-            // stop (a stop change re-wakes the tick).
-            StallPattern::None => Activity::from_changed(changed),
-            StallPattern::Periodic { .. } => {
-                if self.pending.is_empty() {
-                    // Drained: the output is void forever.
-                    Activity::from_changed(changed)
-                } else {
-                    self.pattern.next_event(sigs.cycle())
+        let cycle = sigs.cycle();
+        let stop = self.channel.stop_lanes(sigs);
+        let mut activity = Activity::Quiescent;
+        for (lane, l) in self.lanes.iter_mut().enumerate() {
+            let bit = 1 << lane;
+            let mut sent = false;
+            if !l.pattern.stalls(self.stalling & bit != 0, cycle) && stop & bit == 0 {
+                if let Some(v) = l.pending.pop_front() {
+                    l.sent.lock().unwrap().push(v);
+                    sent = true;
                 }
             }
+            let lane_activity = match l.pattern {
+                // Decide next cycle's stall. A randomly stalling lane must
+                // keep ticking every cycle: its RNG stream is state, and it
+                // must advance exactly once per cycle for runs to stay
+                // bit-identical.
+                StallPattern::Random(p) => {
+                    if l.rng.random_bool(p) {
+                        self.stalling |= bit;
+                    } else {
+                        self.stalling &= !bit;
+                    }
+                    Activity::Active
+                }
+                // Deterministic lane: quiescent once drained or held by
+                // stop (a stop change re-wakes the tick).
+                StallPattern::None => Activity::from_changed(sent),
+                // Drained: the output is void forever.
+                StallPattern::Periodic { .. } if l.pending.is_empty() => {
+                    Activity::from_changed(sent)
+                }
+                StallPattern::Periodic { .. } => l.pattern.next_event(cycle),
+            };
+            activity = combine(activity, lane_activity);
         }
+        activity
     }
 
     fn save_state(&self, out: &mut Vec<u64>) {
-        out.extend(self.rng.state());
-        out.push(self.stalling as u64);
-        out.push(self.pending.len() as u64);
-        out.extend(self.pending.iter().copied());
-        let sent = self.sent.lock().unwrap();
-        out.push(sent.len() as u64);
-        out.extend(sent.iter().copied());
+        for (lane, l) in self.lanes.iter().enumerate() {
+            out.extend(l.rng.state());
+            out.push((self.stalling >> lane) & 1);
+            out.push(l.pending.len() as u64);
+            out.extend(l.pending.iter().copied());
+            let sent = l.sent.lock().unwrap();
+            out.push(sent.len() as u64);
+            out.extend(sent.iter().copied());
+        }
     }
 
     fn load_state(&mut self, data: &[u64]) {
-        self.rng = StdRng::from_state([data[0], data[1], data[2], data[3]]);
-        self.stalling = data[4] != 0;
-        let n = data[5] as usize;
-        self.pending = data[6..6 + n].iter().copied().collect();
-        let m = data[6 + n] as usize;
-        *self.sent.lock().unwrap() = data[7 + n..7 + n + m].to_vec();
+        let mut at = 0;
+        for (lane, l) in self.lanes.iter_mut().enumerate() {
+            l.rng = StdRng::from_state([data[at], data[at + 1], data[at + 2], data[at + 3]]);
+            self.stalling = (self.stalling & !(1 << lane)) | (data[at + 4] << lane);
+            let n = data[at + 5] as usize;
+            l.pending = data[at + 6..at + 6 + n].iter().copied().collect();
+            at += 6 + n;
+            let m = data[at] as usize;
+            *l.sent.lock().unwrap() = data[at + 1..at + 1 + m].to_vec();
+            at += 1 + m;
+        }
     }
+}
+
+/// One lane of a [`TokenSink`]: its own stall schedule and RNG stream.
+#[derive(Debug)]
+struct SinkLane {
+    pattern: StallPattern,
+    rng: StdRng,
+    received: Arc<Mutex<Vec<u64>>>,
 }
 
 /// A consumer recording the informative stream from a channel,
 /// optionally asserting `stop` per its [`StallPattern`].
+///
+/// On a packed channel each lane records its own stream under its own
+/// pattern and seed; lanes past the last populated one see permanent
+/// back-pressure.
 #[derive(Debug)]
-pub struct TokenSink {
+pub struct TokenSink<C: Lanes = LisChannel> {
     name: String,
-    channel: LisChannel,
-    pattern: StallPattern,
-    rng: StdRng,
-    stalling: bool,
-    received: Arc<Mutex<Vec<u64>>>,
-    cycles_busy: u64,
-    cycles_total: u64,
+    channel: C,
+    lanes: Vec<SinkLane>,
+    /// Lanes stalling this cycle on their own random draw.
+    stalling: u64,
+    /// The taken payloads, reused across ticks.
+    taken: C::Reg,
 }
 
 impl TokenSink {
     /// Creates a sink on `channel`.
     pub fn new(name: impl Into<String>, channel: LisChannel) -> Self {
-        TokenSink {
-            name: name.into(),
-            channel,
-            pattern: StallPattern::None,
-            rng: StdRng::seed_from_u64(0),
-            stalling: false,
-            received: Arc::new(Mutex::new(Vec::new())),
-            cycles_busy: 0,
-            cycles_total: 0,
-        }
+        TokenSink::with_lanes(name, channel, vec![(StallPattern::None, 0)])
     }
 
     /// Makes the sink refuse tokens with the given probability
@@ -318,25 +377,62 @@ impl TokenSink {
     pub fn with_stall_pattern(mut self, pattern: impl Into<StallPattern>, seed: u64) -> Self {
         let pattern = pattern.into();
         pattern.validate();
-        self.pattern = pattern;
-        self.rng = StdRng::seed_from_u64(seed);
+        self.lanes[0].pattern = pattern;
+        self.lanes[0].rng = StdRng::seed_from_u64(seed);
         self
-    }
-
-    /// Handle to the informative tokens received (in order).
-    pub fn received(&self) -> Arc<Mutex<Vec<u64>>> {
-        Arc::clone(&self.received)
-    }
-
-    fn stalled_at(&self, cycle: u64) -> bool {
-        match self.pattern {
-            StallPattern::Random(_) => self.stalling,
-            pattern => pattern.scheduled_stall_at(cycle),
-        }
     }
 }
 
-impl Component for TokenSink {
+impl<C: Lanes> TokenSink<C> {
+    /// Creates a sink on `channel`; `lanes[k]` supplies lane `k`'s stall
+    /// pattern and stall seed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lane count is not in 1 to [`Lanes::LANE_COUNT`] or
+    /// any pattern is invalid.
+    pub fn with_lanes(
+        name: impl Into<String>,
+        channel: C,
+        lanes: Vec<(StallPattern, u64)>,
+    ) -> Self {
+        assert_lanes::<C>(lanes.len());
+        let lanes = lanes
+            .into_iter()
+            .map(|(pattern, seed)| {
+                pattern.validate();
+                SinkLane {
+                    pattern,
+                    rng: StdRng::seed_from_u64(seed),
+                    received: Arc::new(Mutex::new(Vec::new())),
+                }
+            })
+            .collect();
+        TokenSink {
+            name: name.into(),
+            taken: channel.register(),
+            channel,
+            lanes,
+            stalling: 0,
+        }
+    }
+
+    /// Handle to the informative tokens lane `lane` received (in order).
+    pub fn received(&self, lane: usize) -> Arc<Mutex<Vec<u64>>> {
+        Arc::clone(&self.lanes[lane].received)
+    }
+
+    /// The lanes accepting a token at `cycle`.
+    fn accepting(&self, cycle: u64) -> u64 {
+        self.lanes
+            .iter()
+            .enumerate()
+            .filter(|(lane, l)| !l.pattern.stalls((self.stalling >> lane) & 1 == 1, cycle))
+            .fold(0, |mask, (lane, _)| mask | (1 << lane))
+    }
+}
+
+impl<C: Lanes> Component for TokenSink<C> {
     fn name(&self) -> &str {
         &self.name
     }
@@ -346,55 +442,63 @@ impl Component for TokenSink {
     }
 
     fn eval(&mut self, sigs: &mut SignalView<'_>) {
-        let stop = self.stalled_at(sigs.cycle());
-        self.channel.write_stop(sigs, stop);
+        let stop = !self.accepting(sigs.cycle());
+        self.channel.set_stop_lanes(sigs, stop);
     }
 
     fn tick(&mut self, sigs: &SignalView<'_>) -> Activity {
-        // The busy/total counters are diagnostics of *executed* ticks;
-        // cycles skipped as quiescent (only ever void cycles) are not
-        // counted.
-        self.cycles_total += 1;
-        let mut changed = false;
-        if !self.stalled_at(sigs.cycle()) {
-            if let Token::Data(v) = self.channel.read_token(sigs) {
-                self.received.lock().unwrap().push(v);
-                self.cycles_busy += 1;
-                changed = true;
+        let cycle = sigs.cycle();
+        let take = self.accepting(cycle) & self.channel.token_lanes(sigs);
+        self.channel.sample(sigs, &mut self.taken, take);
+        let mut activity = Activity::Quiescent;
+        for (lane, l) in self.lanes.iter_mut().enumerate() {
+            let bit = 1 << lane;
+            let took = take & bit != 0;
+            if took {
+                let v = C::lane_value(&self.taken, lane);
+                l.received.lock().unwrap().push(v);
             }
+            let lane_activity = match l.pattern {
+                // As for the source: a randomly stalling lane's RNG is
+                // state and must advance every cycle.
+                StallPattern::Random(p) => {
+                    if l.rng.random_bool(p) {
+                        self.stalling |= bit;
+                    } else {
+                        self.stalling &= !bit;
+                    }
+                    Activity::Active
+                }
+                StallPattern::None => Activity::from_changed(took),
+                // A scheduled lane sleeps through its stall span; a
+                // data/void change still re-wakes the tick early (it then
+                // consumes nothing and re-declares the same wake-up).
+                StallPattern::Periodic { .. } => l.pattern.next_event(cycle),
+            };
+            activity = combine(activity, lane_activity);
         }
-        match self.pattern {
-            // As for the source: a randomly stalling sink's RNG is state
-            // and must advance every cycle.
-            StallPattern::Random(p) => {
-                self.stalling = self.rng.random_bool(p);
-                Activity::Active
-            }
-            StallPattern::None => Activity::from_changed(changed),
-            // A scheduled sink sleeps through its stall span; a
-            // data/void change still re-wakes the tick early (it then
-            // consumes nothing and re-declares the same wake-up).
-            StallPattern::Periodic { .. } => self.pattern.next_event(sigs.cycle()),
-        }
+        activity
     }
 
     fn save_state(&self, out: &mut Vec<u64>) {
-        out.extend(self.rng.state());
-        out.push(self.stalling as u64);
-        out.push(self.cycles_busy);
-        out.push(self.cycles_total);
-        let received = self.received.lock().unwrap();
-        out.push(received.len() as u64);
-        out.extend(received.iter().copied());
+        for (lane, l) in self.lanes.iter().enumerate() {
+            out.extend(l.rng.state());
+            out.push((self.stalling >> lane) & 1);
+            let received = l.received.lock().unwrap();
+            out.push(received.len() as u64);
+            out.extend(received.iter().copied());
+        }
     }
 
     fn load_state(&mut self, data: &[u64]) {
-        self.rng = StdRng::from_state([data[0], data[1], data[2], data[3]]);
-        self.stalling = data[4] != 0;
-        self.cycles_busy = data[5];
-        self.cycles_total = data[6];
-        let n = data[7] as usize;
-        *self.received.lock().unwrap() = data[8..8 + n].to_vec();
+        let mut at = 0;
+        for (lane, l) in self.lanes.iter_mut().enumerate() {
+            l.rng = StdRng::from_state([data[at], data[at + 1], data[at + 2], data[at + 3]]);
+            self.stalling = (self.stalling & !(1 << lane)) | (data[at + 4] << lane);
+            let n = data[at + 5] as usize;
+            *l.received.lock().unwrap() = data[at + 6..at + 6 + n].to_vec();
+            at += 6 + n;
+        }
     }
 }
 
@@ -508,7 +612,7 @@ mod tests {
         let ch = LisChannel::new(&mut sys, "c", 16);
         let src = TokenSource::new("src", ch, 1..=5);
         let sink = TokenSink::new("sink", ch);
-        let got = sink.received();
+        let got = sink.received(0);
         sys.add_component(src);
         sys.add_component(sink);
         sys.run(10).unwrap();
@@ -524,7 +628,7 @@ mod tests {
         sys.add_component(src);
         let out = RelayStation::chain(&mut sys, "link", a, 4, &violations);
         let sink = TokenSink::new("sink", out).with_stalls(0.4, 23);
-        let got = sink.received();
+        let got = sink.received(0);
         sys.add_component(sink);
         sys.run(400).unwrap();
         assert_eq!(*got.lock().unwrap(), (1..=50).collect::<Vec<u64>>());
@@ -536,8 +640,8 @@ mod tests {
         let mut sys = System::new();
         let ch = LisChannel::new(&mut sys, "c", 8);
         let src = TokenSource::new("src", ch, vec![9, 8]);
-        let sent = src.sent();
-        assert_eq!(src.remaining(), 2);
+        let sent = src.sent(0);
+        assert_eq!(src.remaining(0), 2);
         sys.add_component(src);
         sys.add_component(TokenSink::new("sink", ch));
         sys.run(5).unwrap();
@@ -572,7 +676,7 @@ mod tests {
                 },
                 0,
             );
-            let got = sink.received();
+            let got = sink.received(0);
             sys.add_component(sink);
             if jump {
                 sys.run(700).unwrap();
@@ -610,7 +714,7 @@ mod tests {
             },
             0,
         );
-        let got = sink.received();
+        let got = sink.received(0);
         sys.add_component(sink);
         sys.run(400).unwrap();
         assert_eq!(*got.lock().unwrap(), (1..=10).collect::<Vec<u64>>());

@@ -7,6 +7,7 @@
 //! formally equivalent to the voidin/out and stopin/out of [1]", §3).
 
 use crate::channel::LisChannel;
+use crate::lanes::Lanes;
 use crate::relay::ViolationCounter;
 use crate::token::Token;
 use lis_sim::{Activity, Component, Ports, SignalId, SignalView, System};

@@ -1,4 +1,5 @@
-//! Relay stations: the buffered repeaters that segment long wires.
+//! Relay stations and wires: the link components that segment long
+//! wires.
 //!
 //! A relay station is a 2-place buffer speaking the LIS protocol
 //! (Carloni et al.): one main register on the through path and one
@@ -7,8 +8,10 @@
 //! so upstream learns about a stall one cycle late). Inserting `k` relay
 //! stations on a channel gives it `k` cycles of latency — the physical
 //!-wire-pipelining move the whole LIS methodology exists to legalize.
+//! A [`Wire`] is the zero-latency hop that closes a link.
 
 use crate::channel::LisChannel;
+use crate::lanes::{assert_lanes, lanes_in, load_every_lane, save_every_lane, Lanes};
 use crate::token::Token;
 use lis_sim::{Activity, Component, Ports, SignalView, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,75 +40,100 @@ impl ViolationCounter {
     }
 }
 
-/// A 2-place relay station between an upstream and a downstream channel
-/// segment.
-#[derive(Debug)]
-pub struct RelayStation {
-    name: String,
-    upstream: LisChannel,
-    downstream: LisChannel,
-    /// Through register (drives the downstream segment).
-    main: Option<u64>,
-    /// Overflow register (absorbs the in-flight token during a stall).
-    aux: Option<u64>,
-    /// Registered back-pressure towards upstream.
-    stop_up: bool,
-    violations: ViolationCounter,
+/// One counter is the one-lane list of counters: a scalar component
+/// takes a bare counter where a packed one takes one counter per lane.
+impl AsRef<[ViolationCounter]> for ViolationCounter {
+    fn as_ref(&self) -> &[ViolationCounter] {
+        std::slice::from_ref(self)
+    }
 }
 
-impl RelayStation {
-    /// Creates a relay station forwarding `upstream` to `downstream`.
+/// A 2-place relay station between an upstream and a downstream channel
+/// segment, one per lane the channels carry.
+///
+/// Each lane runs the scalar relay's state machine; the masks below hold
+/// one lane per bit, so one bitwise step advances every lane. A lane
+/// whose full overflow register is offered a third token records a
+/// violation on that lane's counter.
+#[derive(Debug)]
+pub struct RelayStation<C: Lanes = LisChannel> {
+    name: String,
+    upstream: C,
+    downstream: C,
+    /// Lanes whose through register (driving downstream) holds a token.
+    main: u64,
+    /// Lanes whose overflow register (absorbing the in-flight token
+    /// during a stall) holds a token.
+    aux: u64,
+    /// Registered back-pressure towards upstream.
+    stop_up: u64,
+    /// Through-register payloads, meaningful on `main` lanes only.
+    main_v: C::Reg,
+    /// Overflow-register payloads, meaningful on `aux` lanes only.
+    aux_v: C::Reg,
+    /// One counter per lane.
+    violations: Vec<ViolationCounter>,
+}
+
+impl<C: Lanes> RelayStation<C> {
+    /// Creates a relay station forwarding `upstream` to `downstream`,
+    /// with one violation counter per lane (a bare counter for a scalar
+    /// channel).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the channels disagree on width or the counters are not
+    /// 1 to [`Lanes::LANE_COUNT`] long.
     pub fn new(
         name: impl Into<String>,
-        upstream: LisChannel,
-        downstream: LisChannel,
-        violations: ViolationCounter,
+        upstream: C,
+        downstream: C,
+        violations: impl AsRef<[ViolationCounter]>,
     ) -> Self {
+        assert_eq!(upstream.width(), downstream.width(), "relay channel widths");
+        let violations = violations.as_ref().to_vec();
+        assert_lanes::<C>(violations.len());
         RelayStation {
             name: name.into(),
+            main_v: upstream.register(),
+            aux_v: upstream.register(),
             upstream,
             downstream,
-            main: None,
-            aux: None,
-            stop_up: false,
+            main: 0,
+            aux: 0,
+            stop_up: 0,
             violations,
         }
     }
 
-    /// Inserts `count` relay stations between `from` and `to` in
-    /// `system`, returning the channel that now plays the role of `to`'s
-    /// source.
+    /// Inserts `count` relay stations between `from` and a fresh tail
+    /// channel in `system`, returning the tail, which then plays the role
+    /// of the consumer's source.
     ///
-    /// With `count == 0` the two channels are distinct wires; the caller
-    /// should simply use `from` directly instead.
+    /// With `count == 0` no station is added and `from` is the tail.
     pub fn chain(
         system: &mut System,
         name: &str,
-        from: LisChannel,
+        from: C,
         count: usize,
-        violations: &ViolationCounter,
-    ) -> LisChannel {
+        violations: impl AsRef<[ViolationCounter]>,
+    ) -> C {
         let mut current = from;
         for i in 0..count {
-            let next = LisChannel::new(system, &format!("{name}_seg{i}"), from.width);
+            let next = C::alloc(system, &format!("{name}_seg{i}"), current.width());
             system.add_component(RelayStation::new(
                 format!("{name}_rs{i}"),
                 current,
-                next,
-                violations.clone(),
+                next.clone(),
+                violations.as_ref(),
             ));
             current = next;
         }
         current
     }
-
-    /// Number of tokens currently buffered (0..=2), for diagnostics.
-    pub fn occupancy(&self) -> usize {
-        usize::from(self.main.is_some()) + usize::from(self.aux.is_some())
-    }
 }
 
-impl Component for RelayStation {
+impl<C: Lanes> Component for RelayStation<C> {
     fn name(&self) -> &str {
         &self.name
     }
@@ -119,53 +147,42 @@ impl Component for RelayStation {
     }
 
     fn eval(&mut self, sigs: &mut SignalView<'_>) {
-        // Downstream sees the main register; upstream sees registered stop.
-        let out = match self.main {
-            Some(v) => Token::Data(v),
-            None => Token::Void,
-        };
-        self.downstream.write_token(sigs, out);
-        self.upstream.write_stop(sigs, self.stop_up);
+        // Downstream sees the main register (void where it is empty);
+        // upstream sees the registered stop.
+        self.downstream.drive(sigs, &self.main_v, self.main);
+        self.upstream.set_stop_lanes(sigs, self.stop_up);
     }
 
     fn tick(&mut self, sigs: &SignalView<'_>) -> Activity {
-        // A token transfers only on cycles where we presented stop = 0;
-        // while stop is up the producer re-presents the same token, which
-        // must not be absorbed twice.
-        let incoming = if self.stop_up {
-            None
-        } else {
-            self.upstream.read_token(sigs).data()
-        };
-        let stalled = self.downstream.read_stop(sigs);
-        let mut changed = false;
+        // Each mask is "the lanes where this step fires". A token
+        // transfers only on lanes where we presented stop = 0; while stop
+        // is up the producer re-presents the same token, which must not
+        // be absorbed twice.
+        let incoming = self.upstream.token_lanes(sigs) & !self.stop_up;
+        let stalled = self.downstream.stop_lanes(sigs);
 
         // 1. Downstream consumes main unless it stalls.
-        if !stalled && self.main.is_some() {
-            self.main = None;
-            changed = true;
-        }
+        let consume = self.main & !stalled;
+        self.main &= !consume;
         // 2. Aux backfills the through register.
-        if self.main.is_none() && self.aux.is_some() {
-            self.main = self.aux.take();
-            changed = true;
-        }
-        // 3. Absorb the incoming token.
-        if let Some(v) = incoming {
-            changed = true;
-            if self.main.is_none() {
-                self.main = Some(v);
-            } else if self.aux.is_none() {
-                self.aux = Some(v);
-            } else {
-                // Upstream ignored our stop: token lost.
-                self.violations.record();
-            }
+        let backfill = self.aux & !self.main;
+        C::copy_lanes(&mut self.main_v, &self.aux_v, backfill);
+        self.main |= backfill;
+        self.aux &= !backfill;
+        // 3. Absorb the incoming token: into main, else aux, else the
+        //    upstream ignored our stop and the token is lost.
+        let to_main = incoming & !self.main;
+        let to_aux = incoming & !to_main & !self.aux;
+        self.upstream.sample(sigs, &mut self.main_v, to_main);
+        self.upstream.sample(sigs, &mut self.aux_v, to_aux);
+        self.main |= to_main;
+        self.aux |= to_aux;
+        for lane in lanes_in(incoming & !to_main & !to_aux) {
+            self.violations[lane].record();
         }
         // 4. Back-pressure upstream while the overflow slot is in use.
-        let stop = self.aux.is_some();
-        changed |= stop != self.stop_up;
-        self.stop_up = stop;
+        let changed = (consume | backfill | incoming) != 0 || self.aux != self.stop_up;
+        self.stop_up = self.aux;
         // A stalled relay with no token movement is exactly the state a
         // back-pressured mesh spends most of its cycles in — report it
         // quiescent so deep relay chains get skipped, not recomputed.
@@ -173,18 +190,80 @@ impl Component for RelayStation {
     }
 
     fn save_state(&self, out: &mut Vec<u64>) {
-        // Option<u64> encoded as a presence flag + value.
-        out.push(self.main.is_some() as u64);
-        out.push(self.main.unwrap_or(0));
-        out.push(self.aux.is_some() as u64);
-        out.push(self.aux.unwrap_or(0));
-        out.push(self.stop_up as u64);
+        save_every_lane(self, C::LANE_COUNT, out);
     }
 
     fn load_state(&mut self, data: &[u64]) {
-        self.main = (data[0] != 0).then_some(data[1]);
-        self.aux = (data[2] != 0).then_some(data[3]);
-        self.stop_up = data[4] != 0;
+        load_every_lane(self, C::LANE_COUNT, data);
+    }
+
+    fn save_lanes_state(&self, first: usize, outs: &mut [Vec<u64>]) {
+        // Per lane: the main/aux presence and stop flags (bits 0, 1, 2),
+        // then the main and aux payloads, 0 while empty.
+        C::save_mask_lanes(&[self.main, self.aux, self.stop_up], first, outs);
+        C::save_reg_lanes(&self.main_v, self.main, first, outs);
+        C::save_reg_lanes(&self.aux_v, self.aux, first, outs);
+    }
+
+    fn load_lanes_state(&mut self, first: usize, blobs: &[&[u64]]) {
+        let mut flags = [self.main, self.aux, self.stop_up];
+        C::load_mask_lanes(&mut flags, first, blobs, 0);
+        [self.main, self.aux, self.stop_up] = flags;
+        C::load_reg_lanes(&mut self.main_v, first, blobs, 1);
+        C::load_reg_lanes(&mut self.aux_v, first, blobs, 2);
+    }
+}
+
+/// The zero-latency connector: forwards every lane's token downstream
+/// and its stop upstream, fully combinationally.
+#[derive(Debug)]
+pub struct Wire<C: Lanes = LisChannel> {
+    name: String,
+    upstream: C,
+    downstream: C,
+    /// The forwarded payloads, reused across evals.
+    payload: C::Reg,
+}
+
+impl<C: Lanes> Wire<C> {
+    /// Creates a wire forwarding `upstream` to `downstream`. Payload
+    /// bits beyond the downstream width are dropped, and bits beyond the
+    /// upstream width read 0.
+    pub fn new(name: impl Into<String>, upstream: C, downstream: C) -> Self {
+        Wire {
+            name: name.into(),
+            payload: upstream.register(),
+            upstream,
+            downstream,
+        }
+    }
+}
+
+impl<C: Lanes> Component for Wire<C> {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn ports(&self) -> Ports {
+        // Fully combinational in both directions.
+        self.upstream
+            .downstream_reads()
+            .merge(self.upstream.consumer_ports())
+            .merge(self.downstream.producer_ports())
+            .merge(self.downstream.stop_reads())
+    }
+
+    fn eval(&mut self, sigs: &mut SignalView<'_>) {
+        let tokens = self.upstream.token_lanes(sigs);
+        self.upstream.sample(sigs, &mut self.payload, tokens);
+        self.downstream.drive(sigs, &self.payload, tokens);
+        let stop = self.downstream.stop_lanes(sigs);
+        self.upstream.set_stop_lanes(sigs, stop);
+    }
+
+    fn tick(&mut self, _sigs: &SignalView<'_>) -> Activity {
+        // Stateless: re-evaluated only when a wire it reads changes.
+        Activity::Quiescent
     }
 }
 
@@ -348,6 +427,60 @@ mod tests {
         sys.run(200).unwrap();
         assert_eq!(*got.lock().unwrap(), (1..=30).collect::<Vec<u64>>());
         assert_eq!(violations.count(), 0, "no token may ever be dropped");
+    }
+
+    /// Lane 0's snapshot of a lone relay after two tokens piled up
+    /// behind a stalled consumer (`held`) and after the consumer drained
+    /// them again (`drained`).
+    fn relay_lane_blobs<C: Lanes>(tokens: [u64; 2]) -> (Vec<u64>, Vec<u64>) {
+        let mut sys = System::new();
+        let up = C::alloc(&mut sys, "up", 16);
+        let down = C::alloc(&mut sys, "down", 16);
+        let violations = ViolationCounter::new();
+        sys.add_component(RelayStation::new(
+            "rs",
+            up.clone(),
+            down.clone(),
+            &violations,
+        ));
+        let offer = |sys: &mut System, token: Option<u64>| {
+            let mut reg = up.register();
+            if let Some(v) = token {
+                C::deposit(&mut reg, 0, v);
+            }
+            for (&sig, &word) in up.data_signals().iter().zip(reg.as_ref()) {
+                sys.poke(sig, word);
+            }
+            sys.poke(up.void_signal(), if token.is_some() { !1 } else { !0 });
+        };
+        sys.poke(down.stop_signal(), !0);
+        for token in tokens {
+            offer(&mut sys, Some(token));
+            sys.step().unwrap();
+        }
+        let held = sys.save_lane(0);
+        offer(&mut sys, None);
+        sys.poke(down.stop_signal(), 0);
+        sys.step().unwrap();
+        sys.step().unwrap();
+        assert_eq!(violations.count(), 0);
+        (held, sys.save_lane(0))
+    }
+
+    /// A payload register is state only while it holds a token: at both
+    /// widths, relays that differ only in the payloads of emptied
+    /// registers save identical lane blobs `[flags, main, aux]`.
+    #[test]
+    fn emptied_registers_save_no_payload_at_both_widths() {
+        fn check<C: Lanes>() {
+            let (held, drained) = relay_lane_blobs::<C>([5, 6]);
+            // Length prefix, then main, aux and stop set; both payloads.
+            assert_eq!(held, vec![3, 0b111, 5, 6]);
+            assert_eq!(drained, vec![3, 0, 0, 0]);
+            assert_eq!(relay_lane_blobs::<C>([9, 10]).1, drained);
+        }
+        check::<LisChannel>();
+        check::<crate::PackedLisChannel>();
     }
 
     #[test]

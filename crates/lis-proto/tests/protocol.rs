@@ -25,7 +25,7 @@ proptest! {
         );
         let tail = RelayStation::chain(&mut sys, "chain", head, chain_len, &violations);
         let sink = TokenSink::new("sink", tail).with_stalls(sink_stall, seed ^ 0x5A5A);
-        let got = sink.received();
+        let got = sink.received(0);
         sys.add_component(sink);
 
         // Generous budget: worst case ~(1/(1-p))² slowdown plus latency.
@@ -58,7 +58,7 @@ proptest! {
             );
             let tail = RelayStation::chain(&mut sys, "c", head, chain_len, &violations);
             let sink = TokenSink::new("k", tail);
-            let got = sink.received();
+            let got = sink.received(0);
             sys.add_component(sink);
             sys.run(2000).unwrap();
             let result = got.lock().unwrap().clone();

@@ -69,6 +69,24 @@ fn scenario_from(traffic_sel: u8, stall: f64, seed: u64, lane: usize) -> FleetSc
     }
 }
 
+/// Decodes one fully deterministic lane: streaming, or periodic
+/// back-pressure whose duty cycle differs from lane to lane. With no
+/// random stall anywhere, packed endpoints may go quiescent or sleep.
+fn deterministic_scenario(period_sel: u8, lane: usize) -> FleetScenario {
+    let lane64 = lane as u64;
+    let traffic = match (period_sel as usize + lane) % 3 {
+        0 => TrafficPattern::Streaming,
+        k => TrafficPattern::PeriodicBackPressured {
+            on: 1 + lane64 % 3,
+            period: 4 * k as u64 + 2 * lane64 + 3,
+        },
+    };
+    FleetScenario {
+        traffic,
+        seed: lane64,
+    }
+}
+
 /// Runs the fleet and returns each lane's (streams, violations).
 fn run_fleet(
     spec: &TopologySpec,
@@ -166,6 +184,46 @@ proptest! {
         let got = run_fleet(&spec, &scenarios, 150);
         for (lane, sc) in scenarios.iter().enumerate() {
             let want = run_solo(&spec, sc, 150);
+            prop_assert_eq!(&got[lane], &want,
+                "lane {} diverged from its solo twin for {:?}", lane, &spec);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Fleets whose every lane is deterministic (streaming, or periodic
+    /// back-pressure with differing periods): a packed endpoint's
+    /// activity is then the combination of its lanes' quiescence and
+    /// sleeps, and every lane must still match its solo twin.
+    #[test]
+    fn deterministic_fleet_lanes_match_solo_twins(
+        shape_sel in any::<u8>(),
+        size_a in 1usize..4,
+        size_b in 1usize..3,
+        compute_latency in 0usize..4,
+        hop_distance in 1u32..6,
+        relay_budget in 1u32..3,
+        variant_sel in any::<u8>(),
+        gate_level in any::<bool>(),
+        period_sel in any::<u8>(),
+        lanes in 2usize..5,
+        wire_segments in 0usize..3,
+    ) {
+        let spec = TopologySpec {
+            wire_segments,
+            ..base_spec_from(
+                shape_sel, size_a, size_b, compute_latency, hop_distance,
+                relay_budget, variant_sel, gate_level,
+            )
+        };
+        let scenarios: Vec<FleetScenario> = (0..lanes)
+            .map(|lane| deterministic_scenario(period_sel, lane))
+            .collect();
+        let got = run_fleet(&spec, &scenarios, 300);
+        for (lane, sc) in scenarios.iter().enumerate() {
+            let want = run_solo(&spec, sc, 300);
             prop_assert_eq!(&got[lane], &want,
                 "lane {} diverged from its solo twin for {:?}", lane, &spec);
         }

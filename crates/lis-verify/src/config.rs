@@ -15,12 +15,9 @@
 use crate::join::JoinPearl;
 use crate::mutants::{EagerPolicy, MutantRelay, RelayBug};
 use crate::reduce::{BranchSwap, EdgeGuard, ReductionPlan};
-use lis_proto::{
-    LisChannel, PackedLisChannel, PackedRelayStation, PackedSeqSink, PackedSeqSource, Pearl,
-    RelayStation, SeqSink, SeqSource, StallControl, ViolationCounter,
-};
+use lis_proto::{Lanes, Pearl, RelayStation, SeqSink, SeqSource, StallControl, ViolationCounter};
 use lis_schedule::IoSchedule;
-use lis_sim::{SettleMode, System, LANES};
+use lis_sim::{SettleMode, SignalId, System, LANES};
 use lis_wrappers::{
     wrap_pearl, wrap_pearls_packed_full_netlist, SpPolicy, SyncPolicy, WrapperKind,
 };
@@ -72,16 +69,22 @@ struct Stream {
     capacity: u64,
 }
 
-/// A channel watched by the signalling-legality probe.
-enum Probe {
-    Scalar(LisChannel),
-    Packed(PackedLisChannel),
+/// A channel watched by the signalling-legality probe: its void wire,
+/// its payload signals and how a payload word maps to lanes.
+struct Probe {
+    void: SignalId,
+    data: Vec<SignalId>,
+    word_lanes: fn(u64) -> u64,
 }
 
-/// Monotone delivered-token counters of the adversary sink.
-enum Delivered {
-    Scalar(Arc<AtomicU64>),
-    Packed(Arc<Vec<AtomicU64>>),
+impl Probe {
+    fn of<C: Lanes>(channel: &C) -> Self {
+        Probe {
+            void: channel.void_signal(),
+            data: channel.data_signals().to_vec(),
+            word_lanes: C::word_lanes,
+        }
+    }
 }
 
 /// A closed configuration ready for bounded exploration.
@@ -91,7 +94,8 @@ pub struct ClosedConfig {
     system: System,
     edges: Vec<Edge>,
     lane_violations: Vec<ViolationCounter>,
-    delivered: Delivered,
+    /// The adversary sink's monotone delivered-token counter per lane.
+    delivered: Arc<[AtomicU64]>,
     streams: Vec<Stream>,
     probes: Vec<Probe>,
     initial: Vec<u64>,
@@ -185,18 +189,9 @@ impl ClosedConfig {
     pub fn signal_bad_mask(&self) -> u64 {
         let mut bad = 0u64;
         for probe in &self.probes {
-            match probe {
-                Probe::Scalar(ch) => {
-                    if self.system.peek_bool(ch.void) && self.system.peek(ch.data) != 0 {
-                        bad |= 1;
-                    }
-                }
-                Probe::Packed(ch) => {
-                    let void = self.system.peek(ch.void);
-                    for &plane in &ch.data {
-                        bad |= void & self.system.peek(plane);
-                    }
-                }
+            let void = self.system.peek(probe.void);
+            for &word in &probe.data {
+                bad |= void & (probe.word_lanes)(self.system.peek(word));
             }
         }
         bad
@@ -212,10 +207,7 @@ impl ClosedConfig {
     /// Cumulative informative deliveries at the adversary sink of lane
     /// `lane` — the monotone progress signal.
     pub fn delivered(&self, lane: usize) -> u64 {
-        match &self.delivered {
-            Delivered::Scalar(d) => d.load(Ordering::Relaxed),
-            Delivered::Packed(d) => d[lane].load(Ordering::Relaxed),
-        }
+        self.delivered[lane].load(Ordering::Relaxed)
     }
 
     /// Per-stream `(source seq, sink expect)` pairs extracted from a
@@ -443,6 +435,13 @@ impl Assembly {
         }
     }
 
+    /// Allocates a 32-bit channel watched by the signalling probe.
+    fn channel<C: Lanes>(&mut self, name: &str) -> C {
+        let channel = C::alloc(&mut self.system, name, 32);
+        self.probes.push(Probe::of(&channel));
+        channel
+    }
+
     /// Adds an adversary-controlled edge; returns its stall control.
     fn edge(&mut self, name: &str) -> StallControl {
         let mask = Arc::new(AtomicU64::new(0));
@@ -461,7 +460,7 @@ impl Assembly {
         shape: &Shape,
         lane_violations: Vec<ViolationCounter>,
         sink: usize,
-        delivered: Delivered,
+        delivered: Arc<[AtomicU64]>,
         symmetry: Option<BranchSwap>,
     ) -> ClosedConfig {
         let guards = self
@@ -502,140 +501,66 @@ impl Assembly {
     }
 }
 
-/// Builds the packed gate-level configuration of `shape`, 64 adversary
-/// branches per step: each source → its branch's packed relay stations
-/// → the SP shell around the join pearl → `relays_after` packed relay
-/// stations → the sink.
-fn packed_config(shape: &Shape) -> ClosedConfig {
-    assert!(shape.mutant.is_none(), "mutants run behavioural");
-    let mut a = Assembly::new(shape);
-    let lane_violations = fresh_counters(LANES);
-    let n_in = shape.branches.len();
-    let pearls: Vec<Box<dyn Pearl>> = (0..LANES)
-        .map(|k| Box::new(JoinPearl::new("join", n_in, 1, &lane_violations[k])) as Box<dyn Pearl>)
-        .collect();
-    let controller = WrapperKind::Sp
-        .generate_netlist(pearls[0].schedule())
-        .expect("SP controller for the join schedule");
-    let (ins, outs) = wrap_pearls_packed_full_netlist(&mut a.system, "sp", pearls, controller);
-    a.probes
-        .extend(ins.iter().chain(&outs).cloned().map(Probe::Packed));
+/// What a configuration's wrapper contributes to its assembly.
+struct Wrapped<C> {
+    /// The wrapper's input channels, one per source branch.
+    ins: Vec<C>,
+    /// The wrapper's output channels; the sink hangs off the first.
+    outs: Vec<C>,
+    /// One violation counter per lane.
+    violations: Vec<ViolationCounter>,
+    /// The sink edge's guard when no relay station follows the
+    /// wrapper.
+    out_guard: EdgeGuard,
+    /// The component index of a behavioural wrapper, whose per-port
+    /// state the branch swap splices; `None` for the gate-level shell.
+    behavioural: Option<usize>,
+}
 
-    for (branch, (&relays, wrapper_in)) in shape.branches.iter().zip(&ins).enumerate() {
+/// Closes `shape` around the wrapper already in `a`: each source → its
+/// branch's relay stations → its wrapper input, and the first wrapper
+/// output → `relays_after` relay stations → (the output mutant) → the
+/// sink. `mutant` places the seeded relay bug wherever the shape calls
+/// for one.
+///
+/// Two identical branches around a behavioural wrapper and no mutant
+/// make the branches structurally interchangeable (same relay depth,
+/// same stream capacity, and a join schedule that reads both ports in
+/// the same step), so the configuration carries a [`BranchSwap`]
+/// symmetry folding mirror-image states into one orbit representative.
+fn assemble<C: Lanes>(
+    shape: &Shape,
+    mut a: Assembly,
+    w: Wrapped<C>,
+    mutant: impl Fn(&mut System, RelayBug, C, C),
+) -> ClosedConfig {
+    a.probes.extend(w.ins.iter().chain(&w.outs).map(Probe::of));
+    // Each branch's components in order: the source, then its relays.
+    let mut branch_comps = Vec::new();
+    for (branch, (&relays, wrapper_in)) in shape.branches.iter().zip(&w.ins).enumerate() {
         let edge = shape.source_edge(branch);
-        let mut cur = PackedLisChannel::new(&mut a.system, &format!("adv_{edge}"), 32);
-        a.probes.push(Probe::Packed(cur.clone()));
+        let mut cur: C = a.channel(&format!("adv_{edge}"));
         let source = a.system.component_count();
         let stall = a.edge(&edge);
-        a.system.add_component(PackedSeqSource::new(
-            edge,
-            cur.clone(),
-            stall,
-            MODULUS,
-            u64::MAX,
-        ));
-        let first_relay = a.system.component_count();
-        a.guards
-            .push((source, EdgeGuard::PackedRelayStopUp { comp: first_relay }));
-        a.sources.push((source, relays));
+        a.system
+            .add_component(SeqSource::new(edge, cur.clone(), stall, MODULUS));
+        let mut comps = vec![source];
         for i in 0..relays {
             let next = if i + 1 == relays {
                 wrapper_in.clone()
             } else {
-                let ch = PackedLisChannel::new(&mut a.system, &format!("seg{branch}_{i}"), 32);
-                a.probes.push(Probe::Packed(ch.clone()));
-                ch
-            };
-            a.system.add_component(PackedRelayStation::new(
-                format!("rb{branch}_{i}"),
-                cur,
-                next.clone(),
-                lane_violations.clone(),
-            ));
-            cur = next;
-        }
-    }
-
-    // With no relay after the shell the sink talks straight to the
-    // gate-level wrapper, whose netlist state we do not inspect: no
-    // inertness proof.
-    let mut sink_guard = EdgeGuard::None;
-    let mut cur = outs[0].clone();
-    for i in 0..shape.relays_after {
-        let next = PackedLisChannel::new(&mut a.system, &format!("seg_out{i}"), 32);
-        a.probes.push(Probe::Packed(next.clone()));
-        let comp = a.system.component_count();
-        sink_guard = EdgeGuard::PackedRelayMainEmpty { comp };
-        a.system.add_component(PackedRelayStation::new(
-            format!("ra{i}"),
-            cur,
-            next.clone(),
-            lane_violations.clone(),
-        ));
-        cur = next;
-    }
-    let sink = a.system.component_count();
-    let stall = a.edge("sink");
-    let snk = PackedSeqSink::new("snk", cur, stall, MODULUS, u64::MAX, &lane_violations);
-    let delivered = Delivered::Packed(snk.delivered());
-    a.system.add_component(snk);
-    a.guards.push((sink, sink_guard));
-    a.close(shape, lane_violations, sink, delivered, None)
-}
-
-/// Builds the behavioural configuration of `shape`, one lane: each
-/// source → its branch's relay stations → the behavioural wrapper
-/// around the join pearl → `relays_after` relay stations → (the output
-/// mutant) → the sink. With no mutant this is the cycle-exact twin the
-/// counterexample-replay SoCs and the BMC-vs-simulator cross-check are
-/// built on; with one it carries exactly one seeded bug.
-///
-/// Two identical branches and no mutant make the branches structurally
-/// interchangeable (same relay depth, same stream capacity, and a join
-/// schedule that reads both ports in the same step), so the
-/// configuration carries a [`BranchSwap`] symmetry folding
-/// mirror-image states into one orbit representative.
-fn scalar_config(shape: &Shape) -> ClosedConfig {
-    let mut a = Assembly::new(shape);
-    let violations = ViolationCounter::new();
-    let n_in = shape.branches.len();
-    let pearl = JoinPearl::new("join", n_in, 1, &violations);
-    let policy = shape.policy(pearl.schedule());
-    let wrapper = a.system.component_count();
-    let (ins, outs, _stats) = wrap_pearl(&mut a.system, "sp", Box::new(pearl), policy, &violations);
-    a.probes
-        .extend(ins.iter().chain(&outs).map(|&ch| Probe::Scalar(ch)));
-
-    // Each branch's components in order: the source, then its relays.
-    let mut branch_comps = Vec::new();
-    for (branch, (&relays, &wrapper_in)) in shape.branches.iter().zip(&ins).enumerate() {
-        let edge = shape.source_edge(branch);
-        let mut cur = LisChannel::new(&mut a.system, &format!("adv_{edge}"), 32);
-        a.probes.push(Probe::Scalar(cur));
-        let source = a.system.component_count();
-        let stall = a.edge(&edge);
-        a.system
-            .add_component(SeqSource::new(edge, cur, stall, MODULUS));
-        let mut comps = vec![source];
-        for i in 0..relays {
-            let next = if i + 1 == relays {
-                wrapper_in
-            } else {
-                let ch = LisChannel::new(&mut a.system, &format!("seg{branch}_{i}"), 32);
-                a.probes.push(Probe::Scalar(ch));
-                ch
+                a.channel(&format!("seg{branch}_{i}"))
             };
             comps.push(a.system.component_count());
             match shape.input_mutant() {
                 Some(bug) if branch == 0 && i == 0 => {
-                    a.system
-                        .add_component(MutantRelay::new("mut", cur, next, bug));
+                    mutant(&mut a.system, bug, cur, next.clone());
                 }
                 _ => a.system.add_component(RelayStation::new(
                     format!("rb{branch}_{i}"),
                     cur,
-                    next,
-                    violations.clone(),
+                    next.clone(),
+                    &w.violations,
                 )),
             }
             cur = next;
@@ -649,59 +574,112 @@ fn scalar_config(shape: &Shape) -> ClosedConfig {
         let guard = if branch == 0 && shape.input_mutant().is_some() {
             EdgeGuard::None
         } else {
-            EdgeGuard::ScalarRelayStopUp { comp: comps[1] }
+            EdgeGuard::RelayStopUp { comp: comps[1] }
         };
         a.guards.push((source, guard));
         a.sources.push((source, relays));
         branch_comps.push(comps);
     }
 
-    let mut sink_guard = EdgeGuard::WrapperOutEmpty {
-        comp: wrapper,
-        n_in,
-    };
-    let mut cur = outs[0];
+    let mut sink_guard = w.out_guard;
+    let mut cur = w.outs[0].clone();
     for i in 0..shape.relays_after {
-        let next = LisChannel::new(&mut a.system, &format!("seg_out{i}"), 32);
-        a.probes.push(Probe::Scalar(next));
+        let next: C = a.channel(&format!("seg_out{i}"));
         let comp = a.system.component_count();
-        sink_guard = EdgeGuard::ScalarRelayMainEmpty { comp };
+        sink_guard = EdgeGuard::RelayMainEmpty { comp };
         a.system.add_component(RelayStation::new(
             format!("ra{i}"),
             cur,
-            next,
-            violations.clone(),
+            next.clone(),
+            &w.violations,
         ));
         cur = next;
     }
     if let Some(bug) = shape.output_mutant() {
-        let next = LisChannel::new(&mut a.system, "adv_out", 32);
-        a.probes.push(Probe::Scalar(next));
-        a.system
-            .add_component(MutantRelay::new("mut", cur, next, bug));
+        let next: C = a.channel("adv_out");
+        mutant(&mut a.system, bug, cur, next.clone());
         sink_guard = EdgeGuard::None;
         cur = next;
     }
     let sink = a.system.component_count();
     let stall = a.edge("sink");
-    let snk = SeqSink::new("snk", cur, stall, MODULUS, &violations);
-    let delivered = Delivered::Scalar(snk.delivered());
+    let snk = SeqSink::new("snk", cur, stall, MODULUS, &w.violations);
+    let delivered = snk.delivered();
     a.system.add_component(snk);
     a.guards.push((sink, sink_guard));
 
-    let symmetric = matches!(shape.branches, [x, y] if x == y) && shape.mutant.is_none();
-    let symmetry = symmetric.then(|| BranchSwap {
-        comp_swaps: branch_comps[0]
-            .iter()
-            .copied()
-            .zip(branch_comps[1].iter().copied())
-            .collect(),
-        wrapper,
-        n_in,
-        n_out: 1,
-        ports: (0, 1),
-    });
-    a.close(shape, vec![violations], sink, delivered, symmetry)
+    let symmetry = match (shape.branches, w.behavioural) {
+        ([x, y], Some(wrapper)) if x == y && shape.mutant.is_none() => Some(BranchSwap {
+            comp_swaps: branch_comps[0]
+                .iter()
+                .copied()
+                .zip(branch_comps[1].iter().copied())
+                .collect(),
+            wrapper,
+            n_in: shape.branches.len(),
+            n_out: 1,
+            ports: (0, 1),
+        }),
+        _ => None,
+    };
+    a.close(shape, w.violations, sink, delivered, symmetry)
+}
+
+/// Builds the packed gate-level configuration of `shape`, 64 adversary
+/// branches per step, around the SP shell of the join pearl.
+fn packed_config(shape: &Shape) -> ClosedConfig {
+    assert!(shape.mutant.is_none(), "mutants run behavioural");
+    let mut a = Assembly::new(shape);
+    let violations = fresh_counters(LANES);
+    let n_in = shape.branches.len();
+    let pearls: Vec<Box<dyn Pearl>> = (0..LANES)
+        .map(|k| Box::new(JoinPearl::new("join", n_in, 1, &violations[k])) as Box<dyn Pearl>)
+        .collect();
+    let controller = WrapperKind::Sp
+        .generate_netlist(pearls[0].schedule())
+        .expect("SP controller for the join schedule");
+    let (ins, outs) = wrap_pearls_packed_full_netlist(&mut a.system, "sp", pearls, controller);
+    let wrapped = Wrapped {
+        ins,
+        outs,
+        violations,
+        // With no relay after the shell the sink talks straight to the
+        // gate-level wrapper, whose netlist state we do not inspect: no
+        // inertness proof.
+        out_guard: EdgeGuard::None,
+        behavioural: None,
+    };
+    assemble(shape, a, wrapped, |_, _, _, _| {
+        unreachable!("mutants run behavioural")
+    })
+}
+
+/// Builds the behavioural configuration of `shape`, one lane, around the
+/// behavioural wrapper of the join pearl. With no mutant this is the
+/// cycle-exact twin the counterexample-replay SoCs and the
+/// BMC-vs-simulator cross-check are built on; with one it carries
+/// exactly one seeded bug.
+fn scalar_config(shape: &Shape) -> ClosedConfig {
+    let mut a = Assembly::new(shape);
+    let violations = ViolationCounter::new();
+    let n_in = shape.branches.len();
+    let pearl = JoinPearl::new("join", n_in, 1, &violations);
+    let policy = shape.policy(pearl.schedule());
+    let wrapper = a.system.component_count();
+    let (ins, outs, _stats) = wrap_pearl(&mut a.system, "sp", Box::new(pearl), policy, &violations);
+    let wrapped = Wrapped {
+        ins,
+        outs,
+        violations: vec![violations],
+        out_guard: EdgeGuard::WrapperOutEmpty {
+            comp: wrapper,
+            n_in,
+        },
+        behavioural: Some(wrapper),
+    };
+    assemble(shape, a, wrapped, |system, bug, up, down| {
+        system.add_component(MutantRelay::new("mut", up, down, bug));
+    })
 }
 
 /// Names of the correct configurations the checker must prove clean.

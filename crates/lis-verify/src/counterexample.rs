@@ -172,7 +172,8 @@ pub fn replay_on_soc(cx: &Counterexample, seeded: bool) -> ReplayVerdict {
     run_verdict(soc, delivered, cx)
 }
 
-fn run_verdict(mut soc: Soc, delivered: Arc<AtomicU64>, cx: &Counterexample) -> ReplayVerdict {
+fn run_verdict(mut soc: Soc, delivered: Arc<[AtomicU64]>, cx: &Counterexample) -> ReplayVerdict {
+    let delivered = &delivered[0];
     let drain = cx.free_run.max(64);
     soc.run(cx.schedule.len() as u64)
         .expect("replay SoC must converge");

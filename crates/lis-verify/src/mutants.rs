@@ -9,7 +9,7 @@
 //! checker cannot catch would mean the verification harness is blind to
 //! that fault class.
 
-use lis_proto::LisChannel;
+use lis_proto::{Lanes, LisChannel};
 use lis_schedule::IoSchedule;
 use lis_sim::{Activity, Component, Ports, SignalView};
 use lis_wrappers::{Decision, SyncPolicy};

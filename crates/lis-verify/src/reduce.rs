@@ -51,42 +51,31 @@ use lis_wrappers::swap_patient_inputs;
 /// A per-edge partial-order-reduction guard: the registered condition
 /// under which the edge's stall choice provably cannot affect the
 /// coming transition. Word offsets below index into the guarded
-/// component's `save_state`/`save_lanes_state` blob.
+/// component's lane blob (`save_lanes_state`).
+///
+/// A relay station's lane blob is `[flags, main, aux]` at every lane
+/// width, with the main-register, aux-register and stop flags in bits
+/// 0, 1 and 2 of `flags`.
 #[derive(Debug, Clone)]
 pub enum EdgeGuard {
     /// No inertness proof for this edge.
     None,
-    /// Source edge whose only one-step reader is the correct scalar
-    /// relay station at component `comp`. While the relay's registered
-    /// `stop_up` (blob word 4) is raised, the relay ignores the
-    /// upstream token and the source — which samples the registered
-    /// stop — holds its sequence either way; stalled sources present
-    /// `Void` with zeroed data, so the signalling probe is clean in
-    /// both branches.
-    ScalarRelayStopUp {
+    /// Source edge whose only one-step reader is the correct relay
+    /// station at component `comp`. While the relay's registered stop
+    /// (flag bit 2) is raised, the relay ignores the upstream token and
+    /// the source — which samples the registered stop — holds its
+    /// sequence either way; stalled sources present void with zeroed
+    /// data, so the signalling probe is clean in both branches.
+    RelayStopUp {
         /// Component index of the relay station.
         comp: usize,
     },
-    /// Sink edge fed by the correct scalar relay station at `comp`.
-    /// While the relay's main register (blob word 0) is empty it
-    /// presents `Void`, so the sink can neither consume nor misorder,
-    /// and the relay's own step ignores the stall when there is
-    /// nothing to pop.
-    ScalarRelayMainEmpty {
+    /// Sink edge fed by the correct relay station at `comp`. While the
+    /// relay's main register is empty (flag bit 0 clear) it presents
+    /// void, so the sink can neither consume nor misorder, and the
+    /// relay's own step ignores the stall when there is nothing to pop.
+    RelayMainEmpty {
         /// Component index of the relay station.
-        comp: usize,
-    },
-    /// Packed twin of [`EdgeGuard::ScalarRelayStopUp`]: the relay's
-    /// lane blob packs `main`/`aux` presence and `stop_up` into word 0
-    /// (bits 0, 1, 2).
-    PackedRelayStopUp {
-        /// Component index of the packed relay station.
-        comp: usize,
-    },
-    /// Packed twin of [`EdgeGuard::ScalarRelayMainEmpty`] (word 0
-    /// bit 0 = main presence).
-    PackedRelayMainEmpty {
-        /// Component index of the packed relay station.
         comp: usize,
     },
     /// Sink edge fed by the behavioural wrapper at `comp`. While the
@@ -108,10 +97,8 @@ impl EdgeGuard {
     pub fn watched_component(&self) -> Option<usize> {
         match *self {
             EdgeGuard::None => None,
-            EdgeGuard::ScalarRelayStopUp { comp }
-            | EdgeGuard::ScalarRelayMainEmpty { comp }
-            | EdgeGuard::PackedRelayStopUp { comp }
-            | EdgeGuard::PackedRelayMainEmpty { comp }
+            EdgeGuard::RelayStopUp { comp }
+            | EdgeGuard::RelayMainEmpty { comp }
             | EdgeGuard::WrapperOutEmpty { comp, .. } => Some(comp),
         }
     }
@@ -123,10 +110,8 @@ impl EdgeGuard {
         let blob = |comp: usize| &words[offsets[comp] + 1..];
         match *self {
             EdgeGuard::None => false,
-            EdgeGuard::ScalarRelayStopUp { comp } => blob(comp)[4] != 0,
-            EdgeGuard::ScalarRelayMainEmpty { comp } => blob(comp)[0] == 0,
-            EdgeGuard::PackedRelayStopUp { comp } => blob(comp)[0] & 0b100 != 0,
-            EdgeGuard::PackedRelayMainEmpty { comp } => blob(comp)[0] & 0b001 == 0,
+            EdgeGuard::RelayStopUp { comp } => blob(comp)[0] & 0b100 != 0,
+            EdgeGuard::RelayMainEmpty { comp } => blob(comp)[0] & 0b001 == 0,
             EdgeGuard::WrapperOutEmpty { comp, n_in } => {
                 // Wrapper blob: sched_step, then n_in length-prefixed
                 // input queues, then the first output queue's length.
@@ -286,6 +271,8 @@ fn component_offsets(words: &[u64]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lis_proto::{Lanes, LisChannel, PackedLisChannel, RelayStation, ViolationCounter};
+    use lis_sim::System;
 
     #[test]
     fn component_offsets_walk_length_prefixes() {
@@ -294,22 +281,52 @@ mod tests {
         assert_eq!(component_offsets(&words), vec![0, 3, 4]);
     }
 
+    /// The relay guards read the one lane blob `[flags, main, aux]` a
+    /// relay station saves at either width: driven from empty to a held
+    /// main register to a full station with stop raised.
     #[test]
-    fn scalar_relay_guards_read_the_documented_words() {
-        // One component: a scalar relay blob
-        // [main_p, main_v, aux_p, aux_v, stop_up].
-        let state = |main_p: u64, stop_up: u64| vec![5, main_p, 7, 0, 0, stop_up];
-        let plan = ReductionPlan {
-            guards: vec![
-                EdgeGuard::ScalarRelayStopUp { comp: 0 },
-                EdgeGuard::ScalarRelayMainEmpty { comp: 0 },
-            ],
-            symmetry: None,
-        };
-        assert_eq!(plan.inert_mask(&state(1, 0)), 0b00);
-        assert_eq!(plan.inert_mask(&state(1, 1)), 0b01);
-        assert_eq!(plan.inert_mask(&state(0, 0)), 0b10);
-        assert_eq!(plan.inert_mask(&state(0, 1)), 0b11);
+    fn relay_guards_read_the_lane_blob_at_both_widths() {
+        fn check<C: Lanes>() {
+            let mut sys = System::new();
+            let up = C::alloc(&mut sys, "up", 8);
+            let down = C::alloc(&mut sys, "down", 8);
+            let violations = ViolationCounter::new();
+            sys.add_component(RelayStation::new(
+                "rs",
+                up.clone(),
+                down.clone(),
+                &violations,
+            ));
+            let plan = ReductionPlan {
+                guards: vec![
+                    EdgeGuard::RelayStopUp { comp: 0 },
+                    EdgeGuard::RelayMainEmpty { comp: 0 },
+                ],
+                symmetry: None,
+            };
+            // Lane 0 offers token 7 every cycle to a stalled consumer.
+            let mut token = up.register();
+            C::deposit(&mut token, 0, 7);
+            for (&sig, &word) in up.data_signals().iter().zip(token.as_ref()) {
+                sys.poke(sig, word);
+            }
+            sys.poke(up.void_signal(), !1);
+            sys.poke(down.stop_signal(), !0);
+            let mut blobs = vec![sys.save_lane(0)];
+            for _ in 0..2 {
+                sys.step().unwrap();
+                blobs.push(sys.save_lane(0));
+            }
+            assert_eq!(
+                blobs,
+                [vec![3, 0, 0, 0], vec![3, 0b001, 7, 0], vec![3, 0b111, 7, 7]]
+            );
+            let inert: Vec<u64> = blobs.iter().map(|b| plan.inert_mask(b)).collect();
+            assert_eq!(inert, [0b10, 0b00, 0b01]);
+            assert_eq!(violations.count(), 0);
+        }
+        check::<LisChannel>();
+        check::<PackedLisChannel>();
     }
 
     #[test]

@@ -36,7 +36,10 @@ fn checker_step(cfg: &mut ClosedConfig, mask: u64) {
 fn sim_twin(
     relays_after: usize,
     schedule: &[u64],
-) -> (lis_core::Soc, std::sync::Arc<std::sync::atomic::AtomicU64>) {
+) -> (
+    lis_core::Soc,
+    std::sync::Arc<[std::sync::atomic::AtomicU64]>,
+) {
     let scripts: Vec<Vec<u64>> = (0..2)
         .map(|e| schedule.iter().map(|m| (m >> e) & 1).collect())
         .collect();
@@ -91,7 +94,7 @@ proptest! {
             soc.run(1).expect("simulator twin must converge");
             prop_assert_eq!(
                 cfg.delivered(0),
-                delivered.load(Ordering::Relaxed),
+                delivered[0].load(Ordering::Relaxed),
                 "delivery counts diverged at cycle {} of {:?}",
                 cycle,
                 schedule
@@ -125,7 +128,7 @@ proptest! {
         let streams = cfg.stream_state(&words);
         prop_assert_eq!(streams.len(), 1, "scalar shapes carry one stream");
         let (seq, expect) = streams[0];
-        let sim_delivered = delivered.load(Ordering::Relaxed);
+        let sim_delivered = delivered[0].load(Ordering::Relaxed);
         prop_assert_eq!(
             expect,
             sim_delivered % MODULUS,

@@ -13,7 +13,7 @@
 
 use crate::fifo_netlist::assemble_full_wrapper;
 use lis_netlist::Module;
-use lis_proto::{LisChannel, Pearl, PortValues, Token};
+use lis_proto::{Lanes, LisChannel, Pearl, PortValues, Token};
 use lis_sim::{Activity, Component, JitNetlistSim, PortHandle, Ports, SignalView, System};
 
 /// A patient process whose complete shell is a gate-level netlist.
@@ -315,7 +315,7 @@ mod tests {
         );
         sys.add_component(TokenSource::new("s1", ins[1], 1..=12).with_stalls(src_stall, 4));
         let sink = TokenSink::new("k", outs[0]).with_stalls(sink_stall, 5);
-        let got = sink.received();
+        let got = sink.received(0);
         sys.add_component(sink);
         sys.run(1200).unwrap();
         let r = got.lock().unwrap().clone();

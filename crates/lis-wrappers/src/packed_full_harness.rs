@@ -17,7 +17,7 @@
 
 use crate::fifo_netlist::assemble_full_wrapper;
 use lis_netlist::Module;
-use lis_proto::{PackedLisChannel, Pearl, PortValues};
+use lis_proto::{Lanes, PackedLisChannel, Pearl, PortValues};
 use lis_sim::{
     load_plane_lanes, save_plane_lanes, transpose64, Activity, Component, JitPackedNetlistSim,
     PortHandle, Ports, SignalView, System, LANES,
@@ -243,12 +243,12 @@ impl PackedFullNetlistPatientProcess {
                 self.shell
                     .set_input_bit_lanes(self.h_in_data[i], bit, sigs.get(plane));
             }
-            let void = ch.read_void(sigs) | !self.active_mask;
+            let void = !ch.token_lanes(sigs) | !self.active_mask;
             self.shell.set_input_bit_lanes(self.h_in_void[i], 0, void);
         }
         for (o, ch) in self.out_channels.iter().enumerate() {
             // Idle lanes see permanent back-pressure as well as reset.
-            let stop = ch.read_stop(sigs) | !self.active_mask;
+            let stop = ch.stop_lanes(sigs) | !self.active_mask;
             self.shell.set_input_bit_lanes(self.h_out_stop[o], 0, stop);
         }
         if std::mem::take(&mut self.pearl_out_dirty) {
@@ -335,7 +335,7 @@ impl Component for PackedFullNetlistPatientProcess {
         self.maybe_clock_pearls();
         for (i, h) in self.h_in_stop.iter().enumerate() {
             let stops = self.shell.get_output_bit_lanes(*h, 0) | !self.active_mask;
-            self.in_channels[i].write_stop(sigs, stops);
+            self.in_channels[i].set_stop_lanes(sigs, stops);
         }
         for (o, h) in self.h_out_data.iter().enumerate() {
             let voids = self.shell.get_output_bit_lanes(self.h_out_void[o], 0) | !self.active_mask;
@@ -463,9 +463,7 @@ mod tests {
     use super::*;
     use crate::full_netlist_harness::wrap_pearl_full_netlist;
     use crate::kind::WrapperKind;
-    use lis_proto::{
-        AccumulatorPearl, PackedTokenSink, PackedTokenSource, StallPattern, TokenSink, TokenSource,
-    };
+    use lis_proto::{AccumulatorPearl, StallPattern, TokenSink, TokenSource};
     use lis_schedule::ScheduleBuilder;
 
     /// Runs `lanes` scenarios (different stall seeds per lane) through
@@ -478,7 +476,7 @@ mod tests {
             .map(|_| Box::new(AccumulatorPearl::new("acc", 2, 1, 4)) as Box<dyn Pearl>)
             .collect();
         let (ins, outs) = wrap_pearls_packed_full_netlist(&mut sys, "pp", pearls, controller);
-        sys.add_component(PackedTokenSource::new(
+        sys.add_component(TokenSource::with_lanes(
             "s0",
             ins[0].clone(),
             (0..lanes)
@@ -492,7 +490,7 @@ mod tests {
                 })
                 .collect(),
         ));
-        sys.add_component(PackedTokenSource::new(
+        sys.add_component(TokenSource::with_lanes(
             "s1",
             ins[1].clone(),
             (0..lanes)
@@ -506,7 +504,7 @@ mod tests {
                 })
                 .collect(),
         ));
-        let sink = PackedTokenSink::new(
+        let sink = TokenSink::with_lanes(
             "k",
             outs[0].clone(),
             (0..lanes)
@@ -539,7 +537,7 @@ mod tests {
         );
         sys.add_component(TokenSource::new("s1", ins[1], 1..=12).with_stalls(s1, 40 + lane as u64));
         let sink = TokenSink::new("k", outs[0]).with_stalls(k, 80 + lane as u64);
-        let got = sink.received();
+        let got = sink.received(0);
         sys.add_component(sink);
         sys.run(cycles).unwrap();
         let stream = got.lock().unwrap().clone();
@@ -589,7 +587,7 @@ mod tests {
                 .collect();
             let (ins, outs) =
                 wrap_pearls_packed_full_netlist(sys, "pp", pearls, controller.clone());
-            sys.add_component(PackedTokenSource::new(
+            sys.add_component(TokenSource::with_lanes(
                 "s0",
                 ins[0].clone(),
                 (0..lanes)
@@ -602,7 +600,7 @@ mod tests {
                     })
                     .collect(),
             ));
-            sys.add_component(PackedTokenSource::new(
+            sys.add_component(TokenSource::with_lanes(
                 "s1",
                 ins[1].clone(),
                 (0..lanes)
@@ -615,7 +613,7 @@ mod tests {
                     })
                     .collect(),
             ));
-            let sink = PackedTokenSink::new(
+            let sink = TokenSink::with_lanes(
                 "k",
                 outs[0].clone(),
                 (0..lanes).map(|_| (StallPattern::None, 0)).collect(),
@@ -655,12 +653,12 @@ mod tests {
         let pearl: Box<dyn Pearl> = Box::new(AccumulatorPearl::new("acc", 1, 1, 0));
         let mut sys = System::new();
         let (ins, outs) = wrap_pearls_packed_full_netlist(&mut sys, "pp", vec![pearl], controller);
-        sys.add_component(PackedTokenSource::new(
+        sys.add_component(TokenSource::with_lanes(
             "src",
             ins[0].clone(),
             vec![((1..=400u64).collect(), StallPattern::from(0.2), 7)],
         ));
-        sys.add_component(PackedTokenSink::new(
+        sys.add_component(TokenSink::with_lanes(
             "k",
             outs[0].clone(),
             vec![(StallPattern::from(0.3), 9)],
@@ -710,7 +708,7 @@ mod tests {
     /// must be an exact no-op on the architectural state.
     #[test]
     fn packed_system_lane_states_round_trip() {
-        use lis_proto::{PackedSeqSink, PackedSeqSource, StallControl, ViolationCounter};
+        use lis_proto::{SeqSink, SeqSource, StallControl, ViolationCounter};
         let schedule = AccumulatorPearl::new("acc", 1, 1, 0).schedule().clone();
         let controller = WrapperKind::Sp.generate_netlist(&schedule).unwrap();
         let mut sys = System::new();
@@ -720,22 +718,20 @@ mod tests {
         let violations: Vec<ViolationCounter> =
             (0..LANES).map(|_| ViolationCounter::new()).collect();
         let (ins, outs) = wrap_pearls_packed_full_netlist(&mut sys, "pp", pearls, controller);
-        sys.add_component(PackedSeqSource::new(
+        sys.add_component(SeqSource::new(
             "src",
             ins[0].clone(),
             StallControl::Scripted(vec![]),
             64,
-            u64::MAX,
         ));
         // The upper 32 lanes are back-pressured for the whole run, so
         // at save time the lane populations are genuinely different
         // (short bursts would be absorbed by the port queues).
-        sys.add_component(PackedSeqSink::new(
+        sys.add_component(SeqSink::new(
             "snk",
             outs[0].clone(),
             StallControl::Scripted(vec![0xFFFF_FFFF_0000_0000; 64]),
             64,
-            u64::MAX,
             &violations,
         ));
         sys.run(40).unwrap();

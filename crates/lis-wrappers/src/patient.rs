@@ -7,7 +7,9 @@
 //! clock, and produced tokens leave through output-port queues.
 
 use crate::policy::SyncPolicy;
-use lis_proto::{LisChannel, Pearl, PortValues, Token, ViolationCounter, PORT_QUEUE_CAPACITY};
+use lis_proto::{
+    Lanes, LisChannel, Pearl, PortValues, Token, ViolationCounter, PORT_QUEUE_CAPACITY,
+};
 use lis_sim::{Activity, Component, Ports, SignalView, System};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -411,7 +413,7 @@ mod tests {
         );
         sys.add_component(TokenSource::new("s1", ins[1], 1..=n_tokens).with_stalls(src_stall, 8));
         let sink = TokenSink::new("sink", outs[0]).with_stalls(sink_stall, 9);
-        let got = sink.received();
+        let got = sink.received(0);
         sys.add_component(sink);
         sys.run_until(cycles, |_| got.lock().unwrap().len() >= want)
             .unwrap();
@@ -632,7 +634,7 @@ mod tests {
             let (ins, outs, _) = wrap_pearl(&mut sys, "pp", Box::new(pearl), policy, &violations);
             sys.add_component(TokenSource::new("src", ins[0], 1..=80).with_stalls(stall, 13));
             let sink = TokenSink::new("k", outs[0]);
-            let got = sink.received();
+            let got = sink.received(0);
             sys.add_component(sink);
             sys.run(600).unwrap();
             let result = got.lock().unwrap().clone();
