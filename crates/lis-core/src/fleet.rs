@@ -9,12 +9,12 @@
 //! in bit `k`), and links, wires and endpoints are the
 //! [`RelayStation`], [`Wire`], [`TokenSource`] and [`TokenSink`] a
 //! [`crate::SocBuilder`] uses, on packed channels. Every gate-level IP
-//! is one complete shell per node, a
-//! [`lis_wrappers::PackedFullNetlistPatientProcess`] shared by all
-//! lanes. One bitwise op advances all 64 lanes of a component at once,
-//! so a batch costs barely more than a solo run. Behavioural wrappers
-//! stay scalar per lane (their state is cheap) and are bridged onto the
-//! packed fabric with [`LaneDemux`] / [`LaneMux`].
+//! is one complete shell per node shared by all lanes: the
+//! [`lis_wrappers::FullNetlistPatientProcess`] a solo SoC runs, on
+//! packed channels. One bitwise op advances all 64 lanes of a
+//! component at once, so a batch costs barely more than a solo run.
+//! Behavioural wrappers stay scalar per lane (their state is cheap) and
+//! are bridged onto the packed fabric with [`LaneDemux`] / [`LaneMux`].
 //!
 //! A [`SocFleet`] owns a sequence of batches and fans whole batches
 //! out across a [`WorkStealingPool`]'s scoped worker threads, the first
@@ -22,8 +22,7 @@
 //!
 //! The correctness bar is strict: lane `k` of a fleet is bit-identical
 //! (streams, checksums, violation counts) to a solo [`crate::Soc`] run
-//! with the same seeds, at any pool width; the solo twin of a packed
-//! shell is the one-lane [`lis_wrappers::FullNetlistPatientProcess`].
+//! with the same seeds, at any pool width.
 
 use crate::{Fabric, IpHandle};
 use lis_proto::{
@@ -31,7 +30,7 @@ use lis_proto::{
     TokenSource, ViolationCounter, Wire,
 };
 use lis_sim::{SettleMode, SimError, System, SystemCheckpoint, WorkStealingPool, LANES};
-use lis_wrappers::{wrap_pearl, wrap_pearls_packed_full_netlist, SyncPolicy};
+use lis_wrappers::{wrap_pearl, wrap_pearl_full_netlist, SyncPolicy};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -206,7 +205,7 @@ impl Fabric for FleetBuilder {
         let name = name.into();
         assert_eq!(pearls.len(), self.lanes, "one pearl per lane");
         let (inputs, outputs) =
-            wrap_pearls_packed_full_netlist(&mut self.system, &name, pearls, controller);
+            wrap_pearl_full_netlist(&mut self.system, &name, pearls, controller);
         IpHandle {
             name,
             inputs,

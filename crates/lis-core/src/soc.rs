@@ -155,7 +155,8 @@ impl SocBuilder {
         controller: Module,
     ) -> IpHandle {
         let name = name.into();
-        let (inputs, outputs) = wrap_pearl_full_netlist(&mut self.system, &name, pearl, controller);
+        let (inputs, outputs) =
+            wrap_pearl_full_netlist(&mut self.system, &name, vec![pearl], controller);
         IpHandle {
             name,
             inputs,

@@ -12,10 +12,7 @@
 //!   [`Lanes`] is what the two have in common: void and stop as lane
 //!   masks, payload registers, one per-lane snapshot layout.
 //! * [`RelayStation`] — the 2-place buffered repeater that legalizes
-//!   wire pipelining, and [`Wire`], the zero-latency hop;
-//!   [`PlainRegisterStage`] is Casu & Macchiarulo's protocol-free
-//!   flip-flop alternative (correct only for perfectly regular
-//!   streams).
+//!   wire pipelining, and [`Wire`], the zero-latency hop.
 //! * [`InputPort`] / [`OutputPort`] — the FIFO port adapters of the
 //!   paper's Figure 2 (`pop`/`not_empty`, `push`/`not_full`).
 //! * [`Pearl`] — the suspendable-IP trait every wrapper encapsulates;
@@ -60,5 +57,5 @@ pub use fifo::{InputPort, InputPortFace, OutputPort, OutputPortFace, PORT_QUEUE_
 pub use lanes::Lanes;
 pub use packed::{LaneDemux, LaneMux, PackedLisChannel};
 pub use pearl::{AccumulatorPearl, Pearl, PortValues};
-pub use relay::{PlainRegisterStage, RelayStation, ViolationCounter, Wire};
+pub use relay::{RelayStation, ViolationCounter, Wire};
 pub use token::{informative, latency_equivalent, Token};

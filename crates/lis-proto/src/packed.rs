@@ -84,6 +84,8 @@ pub struct LaneDemux {
     name: String,
     upstream: PackedLisChannel,
     downstream: Vec<LisChannel>,
+    /// The upstream payload planes, sampled once per eval.
+    planes: Vec<u64>,
 }
 
 impl LaneDemux {
@@ -105,6 +107,7 @@ impl LaneDemux {
         }
         LaneDemux {
             name: name.into(),
+            planes: upstream.register(),
             upstream,
             downstream,
         }
@@ -129,16 +132,13 @@ impl Component for LaneDemux {
 
     fn eval(&mut self, sigs: &mut SignalView<'_>) {
         let tokens = self.upstream.token_lanes(sigs);
+        self.upstream.sample(sigs, &mut self.planes, tokens);
         let mut stop = u64::MAX;
         for (lane, ch) in self.downstream.iter().enumerate() {
             let token = if (tokens >> lane) & 1 == 0 {
                 Token::Void
             } else {
-                let mut v = 0;
-                for (b, &plane) in self.upstream.data.iter().enumerate() {
-                    v |= ((sigs.get(plane) >> lane) & 1) << b;
-                }
-                Token::Data(v)
+                Token::Data(PackedLisChannel::lane_value(&self.planes, lane))
             };
             ch.write_token(sigs, token);
             if !ch.read_stop(sigs) {
@@ -162,6 +162,8 @@ pub struct LaneMux {
     name: String,
     upstream: Vec<LisChannel>,
     downstream: PackedLisChannel,
+    /// The downstream payload planes, gathered by every eval.
+    planes: Vec<u64>,
 }
 
 impl LaneMux {
@@ -183,6 +185,7 @@ impl LaneMux {
         }
         LaneMux {
             name: name.into(),
+            planes: downstream.register(),
             upstream,
             downstream,
         }
@@ -207,16 +210,16 @@ impl Component for LaneMux {
 
     fn eval(&mut self, sigs: &mut SignalView<'_>) {
         let mut tokens = 0;
-        let mut planes = self.downstream.register();
+        self.planes.fill(0);
         let stop = self.downstream.stop_lanes(sigs);
         for (lane, ch) in self.upstream.iter().enumerate() {
             if let Token::Data(v) = ch.read_token(sigs) {
                 tokens |= 1u64 << lane;
-                PackedLisChannel::deposit(&mut planes, lane, v);
+                PackedLisChannel::deposit(&mut self.planes, lane, v);
             }
             ch.write_stop(sigs, (stop >> lane) & 1 == 1);
         }
-        self.downstream.drive(sigs, &planes, tokens);
+        self.downstream.drive(sigs, &self.planes, tokens);
     }
 
     fn tick(&mut self, _sigs: &SignalView<'_>) -> Activity {

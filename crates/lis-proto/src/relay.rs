@@ -12,7 +12,6 @@
 
 use crate::channel::LisChannel;
 use crate::lanes::{assert_lanes, lanes_in, load_every_lane, save_every_lane, Lanes};
-use crate::token::Token;
 use lis_sim::{Activity, Component, Ports, SignalView, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -267,71 +266,10 @@ impl<C: Lanes> Component for Wire<C> {
     }
 }
 
-/// The degenerate "relay station" of Casu & Macchiarulo's approach: a
-/// plain flip-flop with no protocol wires. Forwards `data`/`void`
-/// verbatim with one cycle of delay and **ignores back-pressure** —
-/// correct only under a perfectly regular static schedule, which is
-/// exactly the limitation the ablation experiment (E6) demonstrates.
-#[derive(Debug)]
-pub struct PlainRegisterStage {
-    name: String,
-    upstream: LisChannel,
-    downstream: LisChannel,
-    held: Token,
-}
-
-impl PlainRegisterStage {
-    /// Creates a register stage forwarding `upstream` to `downstream`.
-    pub fn new(name: impl Into<String>, upstream: LisChannel, downstream: LisChannel) -> Self {
-        PlainRegisterStage {
-            name: name.into(),
-            upstream,
-            downstream,
-            held: Token::Void,
-        }
-    }
-}
-
-impl Component for PlainRegisterStage {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn ports(&self) -> Ports {
-        self.downstream
-            .producer_ports()
-            .merge(self.upstream.consumer_ports())
-    }
-
-    fn eval(&mut self, sigs: &mut SignalView<'_>) {
-        self.downstream.write_token(sigs, self.held);
-        // Never back-pressures upstream.
-        self.upstream.write_stop(sigs, false);
-    }
-
-    fn tick(&mut self, sigs: &SignalView<'_>) -> Activity {
-        let next = self.upstream.read_token(sigs);
-        let changed = next != self.held;
-        self.held = next;
-        Activity::from_changed(changed)
-    }
-
-    fn save_state(&self, out: &mut Vec<u64>) {
-        out.push(self.held.data().is_some() as u64);
-        out.push(self.held.data().unwrap_or(0));
-    }
-
-    fn load_state(&mut self, data: &[u64]) {
-        self.held = match data[0] {
-            0 => Token::Void,
-            _ => Token::Data(data[1]),
-        };
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::token::Token;
     use lis_sim::FnComponent;
 
     /// Drives a fixed token sequence, respecting stop.
@@ -481,22 +419,5 @@ mod tests {
         }
         check::<LisChannel>();
         check::<crate::PackedLisChannel>();
-    }
-
-    #[test]
-    fn plain_register_stage_drops_tokens_under_backpressure() {
-        let mut sys = System::new();
-        let a = LisChannel::new(&mut sys, "a", 8);
-        let b = LisChannel::new(&mut sys, "b", 8);
-        add_source(&mut sys, a, (1..=10).collect());
-        sys.add_component(PlainRegisterStage::new("ff", a, b));
-        let got = add_sink(&mut sys, b, vec![false, true]);
-        sys.run(40).unwrap();
-        // The flip-flop ignores stop; the stalled sink misses tokens.
-        assert!(
-            got.lock().unwrap().len() < 10,
-            "plain register must lose tokens under irregular consumption, got {:?}",
-            got.lock().unwrap()
-        );
     }
 }

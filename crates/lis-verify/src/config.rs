@@ -5,9 +5,9 @@
 //! per-edge stall masks of its adversaries. The *correct*
 //! configurations run the gate-level SP shell 64 adversary branches at
 //! a time through the packed netlist engine
-//! ([`wrap_pearls_packed_full_netlist`]); the *mutant* configurations
-//! run the behavioural wrapper single-lane with one seeded bug
-//! ([`crate::mutants`]). Both expose the same interface to the
+//! ([`wrap_pearl_full_netlist`] on packed channels); the *mutant*
+//! configurations run the behavioural wrapper single-lane with one
+//! seeded bug ([`crate::mutants`]). Both expose the same interface to the
 //! explorer: load/save per-lane state, set stall masks, step, and read
 //! back the invariant probes (violation counters, the KPN ledger, the
 //! void/data signal planes, delivered-token progress).
@@ -15,12 +15,13 @@
 use crate::join::JoinPearl;
 use crate::mutants::{EagerPolicy, MutantRelay, RelayBug};
 use crate::reduce::{BranchSwap, EdgeGuard, ReductionPlan};
-use lis_proto::{Lanes, Pearl, RelayStation, SeqSink, SeqSource, StallControl, ViolationCounter};
+use lis_proto::{
+    Lanes, PackedLisChannel, Pearl, RelayStation, SeqSink, SeqSource, StallControl,
+    ViolationCounter,
+};
 use lis_schedule::IoSchedule;
 use lis_sim::{SettleMode, SignalId, System, LANES};
-use lis_wrappers::{
-    wrap_pearl, wrap_pearls_packed_full_netlist, SpPolicy, SyncPolicy, WrapperKind,
-};
+use lis_wrappers::{wrap_pearl, wrap_pearl_full_netlist, SpPolicy, SyncPolicy, WrapperKind};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -638,7 +639,8 @@ fn packed_config(shape: &Shape) -> ClosedConfig {
     let controller = WrapperKind::Sp
         .generate_netlist(pearls[0].schedule())
         .expect("SP controller for the join schedule");
-    let (ins, outs) = wrap_pearls_packed_full_netlist(&mut a.system, "sp", pearls, controller);
+    let (ins, outs) =
+        wrap_pearl_full_netlist::<PackedLisChannel>(&mut a.system, "sp", pearls, controller);
     let wrapped = Wrapped {
         ins,
         outs,

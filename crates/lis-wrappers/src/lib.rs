@@ -20,9 +20,10 @@
 //! simulator component: the behavioural oracle. The gate-level shell is
 //! the paper's Figure 2 in gates, the controller plus one FIFO per port
 //! ([`assemble_full_wrapper`]); [`FullNetlistPatientProcess`] runs it
-//! for one scenario lane and [`PackedFullNetlistPatientProcess`] for up
-//! to 64. Only the SP and FSM controllers pop and push on the pearl's
-//! schedule, so only they drive a shell
+//! around one pearl per lane of its channels, whose type
+//! ([`ShellLanes`]) picks the engine: the scalar JIT for one lane, the
+//! packed JIT for up to 64. Only the SP and FSM controllers pop and push
+//! on the pearl's schedule, so only they drive a shell
 //! ([`WrapperKind::shell_controller`]). [`WrapperKind`] dispatches over
 //! all four models.
 //!
@@ -56,7 +57,6 @@ mod fifo_netlist;
 mod fsm_netlist;
 mod full_netlist_harness;
 mod kind;
-mod packed_full_harness;
 mod patient;
 mod policy;
 mod shiftreg_netlist;
@@ -65,9 +65,8 @@ mod sp_netlist;
 pub use comb_netlist::generate_comb;
 pub use fifo_netlist::{assemble_full_wrapper, generate_input_port, generate_output_port};
 pub use fsm_netlist::{generate_fsm, FsmEncoding};
-pub use full_netlist_harness::{wrap_pearl_full_netlist, FullNetlistPatientProcess};
+pub use full_netlist_harness::{wrap_pearl_full_netlist, FullNetlistPatientProcess, ShellLanes};
 pub use kind::WrapperKind;
-pub use packed_full_harness::{wrap_pearls_packed_full_netlist, PackedFullNetlistPatientProcess};
 pub use patient::{swap_patient_inputs, wrap_pearl, PatientProcess, PatientStats};
 pub use policy::{
     firing_trace, CombPolicy, Decision, FsmPolicy, ShiftRegPolicy, SpPolicy, SyncPolicy,
